@@ -8,7 +8,8 @@
    group orders and the edit script.  Layer attribution in the traced run
    comes from outside lib/: prover wrappers passed in options.provers,
    spans around Server.handle, and the span/counter stream lib/trace
-   already emits, read back from a JSONL sink. *)
+   already emits, read back from a JSONL sink.  End-to-end times are
+   reported at a reference host speed (see Host-speed calibration). *)
 
 open Jahob_core
 module Server = Daemon.Server
@@ -22,10 +23,8 @@ let groups =
 let prover_names = [ "smt"; "bapa"; "mona"; "fol" ]
 
 (* cold_corpus's set-up is a millisecond long, so it is repeated this often
-   and the median reported; edit_stream's set-ups are full verification
-   passes, and each is followed by one timed pass *)
-let cold_setups = 31
-let edit_setups = 2
+   and the median reported; a daemon's set-up is a full verification pass *)
+let cold_setups = 61
 
 (* ------------------------------------------------------------------ *)
 (* Small helpers                                                       *)
@@ -90,6 +89,112 @@ let peak_rss_mb () =
   Scanf.sscanf line "VmHWM: %d kB" (fun kb -> float kb /. 1024.)
 
 (* ------------------------------------------------------------------ *)
+(* Host-speed calibration                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A shared host's speed drifts by up to half from one second to the
+   next, for all code alike: a process's CPU time drifts with its wall
+   time, so neither measures the program alone.  Each timed step is
+   therefore bracketed by bursts of a fixed calibration kernel, and its
+   time is also reported at reference speed: the wall time of each of its
+   segments times [calib_ref_s] over the mean of the bursts at the
+   segment's ends.  The kernel is short-lived allocation, tree building
+   and sorting, like the verifier's symbolic work, and keeps nothing
+   alive, so it does not depend on the program's heap or code. *)
+
+let calib_ref_s = 0.004
+
+type node = Leaf of int | Node of node * node
+
+let rec build d k =
+  if d = 0 then Leaf k else Node (build (d - 1) ((k * 3) + 1), build (d - 1) ((k * 5) + 2))
+
+let rec fold = function
+  | Leaf k -> k land 1023
+  | Node (a, b) -> ((fold a * 31) + fold b) land max_int
+
+module Smap = Map.Make (String)
+
+let kernel () =
+  let acc = ref 0 in
+  for i = 1 to 400 do
+    let l = List.init 64 (fun j -> ((j * 7919) + i) land 255) in
+    acc := !acc + fold (build 8 i) + List.fold_left ( + ) 0 (List.sort compare l)
+  done;
+  for r = 1 to 2 do
+    let m = ref Smap.empty in
+    for i = 1 to 1500 do
+      m := Smap.add (string_of_int ((i * 7919 * r) mod 10007)) i !m
+    done;
+    acc := !acc + Smap.cardinal !m
+  done;
+  !acc
+
+(* false in the traced replay, whose times are not reported end to end *)
+let calibrating = ref true
+let last_burst : float option ref = ref None
+let bursts : float list ref = ref []
+let burst_total = ref 0.
+
+let burst () =
+  let t0 = now () in
+  ignore (Sys.opaque_identity (kernel ()));
+  let dt = now () -. t0 in
+  bursts := dt :: !bursts;
+  burst_total := !burst_total +. dt;
+  last_burst := Some dt;
+  dt
+
+(* the next step is not preceded by a burst: work ran since the last one *)
+let unbracket () = last_burst := None
+
+(* The step being measured: wall and reference-speed time of its closed
+   segments, and the start and opening burst of the open one.  A step
+   of seconds is split at prover calls into segments of about
+   [segment_s], so that each is timed against the speed of its own
+   moment. *)
+type step = {
+  mutable wall : float;
+  mutable norm : float;
+  mutable start : float;
+  mutable opening : float;
+}
+
+let segment_s = 0.25
+let current : step option ref = ref None
+
+let close_segment st =
+  let d = now () -. st.start in
+  let b = burst () in
+  st.wall <- st.wall +. d;
+  st.norm <- st.norm +. (d *. calib_ref_s *. 2. /. (st.opening +. b));
+  st.opening <- b;
+  st.start <- now ()
+
+let checkpoint () =
+  match !current with
+  | Some st when now () -. st.start > segment_s -> close_segment st
+  | _ -> ()
+
+(* [f ()], with its wall time and its time at reference speed, bursts
+   left out of both; the burst that ends one step begins the next *)
+let measured (f : unit -> 'a) : 'a * float * float =
+  if not !calibrating then begin
+    let t0 = now () in
+    let v = f () in
+    let dt = now () -. t0 in
+    (v, dt, dt)
+  end
+  else begin
+    let opening = match !last_burst with Some b -> b | None -> burst () in
+    let st = { wall = 0.; norm = 0.; start = now (); opening } in
+    current := Some st;
+    let v = Fun.protect ~finally:(fun () -> current := None) f in
+    close_segment st;
+    (v, st.wall, st.norm)
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Prover wrappers                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -118,6 +223,7 @@ let wrap (p : Sequent.prover) : Sequent.prover =
   { p with
     Sequent.prove =
       (fun s ->
+        checkpoint ();
         let t0 = now () in
         let record settled =
           let dt = now () -. t0 in
@@ -343,7 +449,8 @@ let fresh_digest ~(scratch : string) (t : text) : string =
 type request = {
   group : string;
   text : text; (* the source text the request saw *)
-  latency : float;
+  latency : float; (* wall time *)
+  norm : float; (* at reference speed *)
   timed : bool; (* false for set-up requests *)
   result : (outcome, string) result Lazy.t;
       (* a daemon response is decoded after the timed phase, so decoding
@@ -361,23 +468,22 @@ let next_id = ref 0
 let daemon_request srv ~incremental ~timed group text files : request =
   incr next_id;
   let line = verify_line ~id:!next_id ~incremental files in
-  let t0 = now () in
-  let resp, _ = Trace.with_span ~cat:"bench" "handle" (fun () -> Server.handle srv line) in
-  let latency = now () -. t0 in
-  { group; text; latency; timed; result = lazy (parse_response resp) }
+  let (resp, _), latency, norm =
+    measured (fun () -> Trace.with_span ~cat:"bench" "handle" (fun () -> Server.handle srv line))
+  in
+  { group; text; latency; norm; timed; result = lazy (parse_response resp) }
 
 (* one cold request: a fresh engine, as one CLI run per group *)
 let cold_request group text files : request =
   Logic.Form.clear_memos ();
-  let t0 = now () in
-  let r =
-    Trace.with_span ~cat:"bench" "verify" (fun () ->
-        match Jahob.verify_files ~opts:(bench_opts ()) files with
-        | r -> Ok r
-        | exception e -> Error (Printexc.to_string e))
+  let r, latency, norm =
+    measured (fun () ->
+        Trace.with_span ~cat:"bench" "verify" (fun () ->
+            match Jahob.verify_files ~opts:(bench_opts ()) files with
+            | r -> Ok r
+            | exception e -> Error (Printexc.to_string e)))
   in
-  let latency = now () -. t0 in
-  { group; text; latency; timed = true;
+  { group; text; latency; norm; timed = true;
     result = Lazy.from_val (Result.map outcome_of_report r) }
 
 (* The correctness gate, outside the timed region: a request fails if it
@@ -403,7 +509,7 @@ type env = {
   traced : bool;
 }
 
-type pass = float * request list (* wall time, requests *)
+type pass = float * request list (* wall time without bursts, requests *)
 
 type outcome_of_run = {
   setups : float list;
@@ -418,22 +524,30 @@ type outcome_of_run = {
 let trace_file env = Filename.concat env.dir "trace.jsonl"
 
 let one_pass (pass : int -> request list) i : pass =
-  let t0 = now () in
+  unbracket ();
+  let t0 = now () and b0 = !burst_total in
   let reqs = Trace.with_span ~cat:"bench" "pass" (fun () -> pass i) in
-  (now () -. t0, reqs)
+  (now () -. t0 -. (!burst_total -. b0), reqs)
 
-(* repeat [pass] until [seconds] have elapsed, at least once *)
+(* a pass's time at reference speed: its requests' *)
+let pass_norm ((_, reqs) : pass) = List.fold_left (fun a r -> a +. r.norm) 0. reqs
+
+(* repeat [pass] until [seconds] have elapsed at reference speed, at
+   least once: how much work a run does depends on the program, not on
+   the host's speed, and so does what grows with it, such as the peak
+   resident set *)
 let timed_passes seconds (pass : int -> request list) : pass list =
-  let t_end = now () +. seconds in
-  let rec go i acc =
-    let acc = one_pass pass i :: acc in
-    if now () < t_end then go (i + 1) acc else List.rev acc
+  let rec go i elapsed acc =
+    let p = one_pass pass i in
+    let elapsed = elapsed +. pass_norm p in
+    if elapsed < seconds then go (i + 1) elapsed (p :: acc) else List.rev (p :: acc)
   in
-  go 0 []
+  go 0 0. []
 
 (* the traced replay of [n] passes: tracing on, events to a JSONL sink,
    aggregates and prover statistics counted from zero *)
 let traced_passes env n (pass : int -> request list) : pass list =
+  calibrating := false;
   Trace.reset ();
   Hashtbl.reset pstats;
   Trace.open_sink (trace_file env);
@@ -463,11 +577,13 @@ let cold_corpus env : outcome_of_run =
   (* set-up: write the corpus copy and build an engine *)
   let setups =
     List.init cold_setups (fun _ ->
-        let t0 = now () in
-        rm_rf dir;
-        ignore (write_corpus dir);
-        Jahob.shutdown_engine (Jahob.create_engine (bench_opts ()));
-        now () -. t0)
+        let (), _, norm =
+          measured (fun () ->
+              rm_rf dir;
+              ignore (write_corpus dir);
+              Jahob.shutdown_engine (Jahob.create_engine (bench_opts ())))
+        in
+        norm)
   in
   let files = write_corpus dir in
   let order = seeded_orders env.rng in
@@ -485,10 +601,11 @@ let cold_corpus env : outcome_of_run =
   { setups; setup_reqs = []; passes; replayed = passes; traced; store = None;
     corpus = files }
 
-(* ---- edit_stream ---- *)
+(* ---- the daemon workloads ---- *)
 
-(* Server.create on an empty on-disk store plus the pass that fills it *)
-let daemon_setup env tag files : float * Server.t * request list =
+(* Server.create on an empty on-disk store plus the pass that fills it,
+   with requests of the kind the workload times *)
+let daemon_setup env ~incremental tag files : float * Server.t * request list =
   let cfg =
     { (Server.default_config ()) with
       Server.opts = bench_opts ();
@@ -496,29 +613,50 @@ let daemon_setup env tag files : float * Server.t * request list =
       log = ignore }
   in
   Logic.Form.clear_memos ();
-  let t0 = now () in
-  let srv = Server.create cfg in
+  unbracket ();
+  let srv, _, norm = measured (fun () -> Server.create cfg) in
   let reqs =
     List.map
       (fun g ->
         let t, fs = List.assoc g files in
-        daemon_request srv ~incremental:true ~timed:false g t fs)
+        daemon_request srv ~incremental ~timed:false g t fs)
       (shuffle env.rng groups)
   in
-  (now () -. t0, srv, reqs)
+  (List.fold_left (fun a r -> a +. r.norm) norm reqs, srv, reqs)
+
+(* A pass resubmits the seven unchanged groups, in a seeded order, as
+   plain verify requests to the daemon the set-up filled.  Every pass
+   finds the same store and caches, so passes repeat until --seconds
+   have elapsed, and a traced run replays them on the same daemon. *)
+let warm_resubmit env : outcome_of_run =
+  let files = write_corpus (Filename.concat env.dir "corpus") in
+  let setup, srv, setup_reqs = daemon_setup env ~incremental:false "store" files in
+  let order = seeded_orders env.rng in
+  let pass i =
+    List.map
+      (fun g ->
+        let t, fs = List.assoc g files in
+        daemon_request srv ~incremental:false ~timed:true g t fs)
+      (order i)
+  in
+  let passes = timed_passes env.seconds pass in
+  let traced =
+    if env.traced then traced_passes env (List.length passes) pass else []
+  in
+  Server.shutdown srv;
+  { setups = [ setup ]; setup_reqs; passes; replayed = passes; traced;
+    store = Server.store srv; corpus = [] }
 
 (* A pass walks every group through its edit cycle, interleaved: round r
    edits, in a seeded order, each group whose cycle has an r-th edit, and
    sends an incremental verify for it.  A pass starts and ends with every
    file at its original text.
 
-   The daemon is set up [edit_setups] times, each on a fresh corpus copy
-   and an empty store, and each set-up is followed by one timed pass, which
-   takes longer than --seconds asks for.  A later pass on the same daemon
-   would find the edited methods' verdicts cached, so every timed pass
-   follows its own set-up; spreading the timed passes over the run also
-   evens out the host's speed drifting from one half-minute to the next.
-   A traced run then sets up once more and replays one pass traced. *)
+   The daemon is set up on a fresh corpus copy and an empty store, and one
+   timed pass follows, which takes longer than --seconds asks for: a
+   second pass on the same daemon would find the edited methods' verdicts
+   cached.  A traced run then sets up once more and replays the pass
+   traced. *)
 let edit_stream env : outcome_of_run =
   let cycles = List.map (fun (g, t) -> (g, edit_cycle env.rng t)) (Lazy.force originals) in
   let rounds =
@@ -539,27 +677,25 @@ let edit_stream env : outcome_of_run =
   in
   let share tag (timed : (int -> request list) -> pass list) =
     let files = write_corpus (Filename.concat env.dir ("corpus-" ^ tag)) in
-    let dt, srv, reqs = daemon_setup env ("store-" ^ tag) files in
+    let dt, srv, reqs = daemon_setup env ~incremental:true ("store-" ^ tag) files in
     let passes = timed (pass srv files) in
     Server.shutdown srv;
     (dt, srv, reqs, passes)
   in
-  let shares =
-    List.init edit_setups (fun i -> share (string_of_int i) (fun p -> [ one_pass p 0 ]))
-  in
-  let _, last_srv, _, last_passes = List.nth shares (edit_setups - 1) in
-  let setups = List.map (fun (dt, _, _, _) -> dt) shares in
-  let setup_reqs = List.concat_map (fun (_, _, r, _) -> r) shares in
-  let passes = List.concat_map (fun (_, _, _, p) -> p) shares in
+  let setup, srv, setup_reqs, passes = share "timed" (fun p -> [ one_pass p 0 ]) in
   if not env.traced then
-    { setups; setup_reqs; passes; replayed = []; traced = [];
-      store = Server.store last_srv; corpus = [] }
-  else
+    { setups = [ setup ]; setup_reqs; passes; replayed = []; traced = [];
+      store = Server.store srv; corpus = [] }
+  else begin
+    (* the traced replay's set-up is not reported either *)
+    calibrating := false;
     let _, srv, reqs, traced = share "traced" (traced_passes env 1) in
-    { setups; setup_reqs = setup_reqs @ reqs; passes; replayed = last_passes;
+    { setups = [ setup ]; setup_reqs = setup_reqs @ reqs; passes; replayed = passes;
       traced; store = Server.store srv; corpus = [] }
+  end
 
-let workloads = [ ("cold_corpus", cold_corpus); ("edit_stream", edit_stream) ]
+let workloads =
+  [ ("cold_corpus", cold_corpus); ("warm_resubmit", warm_resubmit); ("edit_stream", edit_stream) ]
 
 (* ------------------------------------------------------------------ *)
 (* Cross-check against the CLI                                         *)
@@ -665,25 +801,32 @@ let decided_total reqs =
     (0, 0) reqs
 
 let group_median_s reqs g =
-  median (List.filter_map (fun r -> if r.group = g then Some r.latency else None) reqs)
+  median (List.filter_map (fun r -> if r.group = g then Some r.norm else None) reqs)
 
+(* times are at reference speed; the notes give the wall times beside them *)
 let end_to_end (o : outcome_of_run) ~attempted ~failed ~rss : metric list * string list =
   let reqs = requests_of o.passes in
-  let lat_ms = List.map (fun r -> 1000. *. r.latency) reqs in
-  let n = List.length lat_ms in
+  let norm_ms = List.map (fun r -> 1000. *. r.norm) reqs in
+  let wall_ms = List.map (fun r -> 1000. *. r.latency) reqs in
+  let n = List.length norm_ms in
   let d, t = decided_total reqs in
   let beyond p = n - 1 - min (n - 1) (int_of_float (p *. float n)) in
   ( [ m "setup_s" "s" (median o.setups);
-      m "pass_s" "s" (median (List.map fst o.passes));
-      m "request_ms_p50" "ms" (percentile 0.5 lat_ms);
-      m "request_ms_p90" "ms" (percentile 0.9 lat_ms);
+      m "pass_s" "s" (median (List.map pass_norm o.passes));
+      m "request_ms_p50" "ms" (percentile 0.5 norm_ms);
+      m "request_ms_p90" "ms" (percentile 0.9 norm_ms);
       m "decided_ratio" "ratio" (ratio (float d) (float t));
       m "ok_ratio" "ratio" (1. -. ratio (float failed) (float attempted));
       m "peak_rss_mb" "MB" rss ],
-    [ Printf.sprintf "setup_s: median of %d set-ups" (List.length o.setups);
-      Printf.sprintf "pass_s: median of %d passes" (List.length o.passes);
-      Printf.sprintf "request_ms_p50: %d samples, %d beyond" n (beyond 0.5);
-      Printf.sprintf "request_ms_p90: %d samples, %d beyond" n (beyond 0.9);
+    [ Printf.sprintf "calibration: median burst %.3f ms over %d bursts, reference %.3f ms"
+        (1000. *. median !bursts) (List.length !bursts) (1000. *. calib_ref_s);
+      Printf.sprintf "setup_s: median of %d set-ups" (List.length o.setups);
+      Printf.sprintf "pass_s: median of %d passes; wall time %.6f s" (List.length o.passes)
+        (median (List.map fst o.passes));
+      Printf.sprintf "request_ms_p50: %d samples, %d beyond; wall time %.6f ms" n (beyond 0.5)
+        (percentile 0.5 wall_ms);
+      Printf.sprintf "request_ms_p90: %d samples, %d beyond; wall time %.6f ms" n (beyond 0.9)
+        (percentile 0.9 wall_ms);
       Printf.sprintf "decided_ratio: %d/%d obligations" d t ] )
 
 let per_layer env (o : outcome_of_run) : metric list =
@@ -786,7 +929,7 @@ let () =
   let cli = ref "" and prepare_only = ref false in
   Arg.parse
     [ ("--prepare", Arg.Set prepare_only, " compute the reference answers and exit");
-      ("--workload", Arg.Set_string workload, " cold_corpus | edit_stream");
+      ("--workload", Arg.Set_string workload, " cold_corpus | warm_resubmit | edit_stream");
       ("--seed", Arg.Set_int seed, " seed for every generated input");
       ("--seconds", Arg.Set_int seconds, " length of the timed phase");
       ("--trace", Arg.Set_int trace, " 1: traced replay, print per-layer metrics");
