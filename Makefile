@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI should run.
 
-.PHONY: all build test check fuzz-smoke perf-smoke bench-sched bench-scaling bench-daemon bench-incremental bench-fol bench-mona serve-smoke bench bench-json clean
+.PHONY: all build test check fuzz-smoke e2e-self-test bench-sched bench-scaling bench-daemon bench-incremental bench-fol bench-mona serve-smoke bench bench-json clean
 
 all: build
 
@@ -24,7 +24,7 @@ check:
 	dune exec -- jahob trace-check trace_smoke.jsonl
 	rm -f trace_smoke.jsonl
 	$(MAKE) fuzz-smoke
-	$(MAKE) perf-smoke
+	$(MAKE) e2e-self-test
 	$(MAKE) bench-sched
 	$(MAKE) bench-scaling
 	$(MAKE) bench-daemon
@@ -44,12 +44,11 @@ fuzz-smoke:
 	dune exec -- jahob fuzz --seed 42 --fol 510
 	dune exec -- jahob fuzz --seed 42 --mona 400
 
-# ratio guard for the hash-consing kernel (mirrors trace_overhead): the
-# experiment itself fails unless the cache-key microbenchmark keeps a
-# >=2x advantage, the end-to-end run does not regress, and verdicts are
-# identical with the kernel on and off; refreshes BENCH_hashcons.json
-perf-smoke:
-	dune exec bench/main.exe -- hashcons
+# a brief traced and untraced run of every end-to-end benchmark workload:
+# proves the benchmark program still builds against lib/ and that each
+# metric it declares is printed with its unit and no request failed
+e2e-self-test:
+	python3 e2ebench/run.py --self-test
 
 # guarded A/B of the adaptive scheduler: the experiment fails unless
 # adaptive routing+ordering beats the fixed cascade by >=15% end to end

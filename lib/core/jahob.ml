@@ -56,17 +56,14 @@ type options = {
   use_cache : bool; (* memoize verdicts of repeated obligations *)
   cache_cap : int; (* verdict-cache entry cap; 0 = the generous default *)
   budget_s : float option; (* wall-clock budget per prover call *)
-  use_hashcons : bool; (* the hash-consed formula kernel; off = plain *)
   sched : Dispatch.Sched.policy; (* fixed cascade or adaptive routing *)
   race : int; (* admitted provers raced per obligation; 1 = cascade *)
-  mona_engine : Mona.Ws1s.engine; (* WS1S automata engine: Bdd or Dense *)
 }
 
 let default_options () =
   { provers = default_provers (); infer_loop_invariants = true;
     jobs = 1; use_cache = true; cache_cap = 0; budget_s = None;
-    use_hashcons = true; sched = Dispatch.Sched.Adaptive; race = 1;
-    mona_engine = Mona.Ws1s.Bdd }
+    sched = Dispatch.Sched.Adaptive; race = 1 }
 
 (* a ceiling on worker domains: beyond any real core count, more domains
    only add stop-the-world GC synchronization cost *)
@@ -128,13 +125,6 @@ type engine = {
 }
 
 let create_engine (opts : options) : engine =
-  (* the kernel switch is global (memo wrappers consult it on each call),
-     so flipping it here covers the whole pipeline, worker domains
-     included *)
-  Logic.Hashcons.set_enabled opts.use_hashcons;
-  (* same pattern for the WS1S automata engine: the MONA route reads the
-     process default at each decision, worker domains included *)
-  Mona.Ws1s.set_default_engine opts.mona_engine;
   (* one pool serves both fan-out levels: methods are verified in
      parallel and each method's obligations fan out on the same
      work-stealing deques (Pool.map nests safely) *)
@@ -291,8 +281,6 @@ let report_ok (methods : method_report list) : bool =
     methods
 
 let verify_program_with (e : engine) (prog : Ast.program) : program_report =
-  let opts = e.eng_opts in
-  Logic.Hashcons.set_enabled opts.use_hashcons;
   Option.iter Dispatch.Cache.new_epoch e.eng_cache;
   let tasks =
     Trace.with_span ~cat:"frontend" "desugar" (fun () ->
@@ -316,7 +304,6 @@ type stored_method = {
   sm_digest : string; (* structural digest of the method itself *)
   sm_ctx : string; (* Vcgen.Deps.context_digest at record time *)
   sm_infer : bool; (* infer_loop_invariants when the verdicts were made *)
-  sm_mona : string; (* WS1S engine name when the verdicts were made *)
   sm_deps : (string * string) list; (* dep key -> digest at record time *)
   sm_verdicts : (string * string * string) list;
       (* (obligation name, verdict kind, prover); only settled verdicts
@@ -359,11 +346,6 @@ let invalidation_reasons (opts : options) (source : method_source)
   | Some sm ->
     if sm.sm_ctx <> ctx then Some [ "ctx" ]
     else if sm.sm_infer <> opts.infer_loop_invariants then Some [ "options" ]
-    else if sm.sm_mona <> Mona.Ws1s.engine_name opts.mona_engine then
-      (* verdicts from one automata engine are never replayed under the
-         other, even though the engines should agree: an A/B escape-hatch
-         run must actually exercise the engine it asked for *)
-      Some [ "options" ]
     else if sm.sm_digest <> digest then Some [ "method" ]
     else begin
       let changed =
@@ -399,7 +381,6 @@ let replay_report ((oname, kind, prover) : string * string * string) :
 let verify_program_inc (e : engine) ~(source : method_source)
     (prog : Ast.program) : program_report =
   let opts = e.eng_opts in
-  Logic.Hashcons.set_enabled opts.use_hashcons;
   Option.iter Dispatch.Cache.new_epoch e.eng_cache;
   let ctx =
     Trace.with_span ~cat:"frontend" "ctx-digest" (fun () ->
@@ -455,7 +436,6 @@ let verify_program_inc (e : engine) ~(source : method_source)
         source.record_method
           { sm_name = name; sm_digest = dg; sm_ctx = ctx;
             sm_infer = opts.infer_loop_invariants;
-            sm_mona = Mona.Ws1s.engine_name opts.mona_engine;
             sm_deps = Vcgen.Deps.task_deps prog ~home:c.Ast.c_name task;
             sm_verdicts =
               List.map

@@ -55,10 +55,6 @@ type options = {
   budget_s : float option;
       (** wall-clock budget per prover call; [None] leaves provers
           unbounded *)
-  use_hashcons : bool;
-      (** enable the hash-consed formula kernel and its memo tables
-          ({!Logic.Hashcons}); [false] runs every structural pass plain —
-          the A/B escape hatch behind [jahob verify --no-hashcons] *)
   sched : Dispatch.Sched.policy;
       (** [Adaptive] (the default) routes each obligation through
           fragment admission and the learned prover ordering;
@@ -69,11 +65,6 @@ type options = {
           domains (losers are cancelled at their next {!Deadline}
           checkpoint); 1 (the default) runs the plain cascade.  Only
           effective with [jobs > 1]. *)
-  mona_engine : Mona.Ws1s.engine;
-      (** which automata engine decides WS1S obligations on the MONA
-          route: [Bdd] (the default, symbolic MTBDD transitions) or
-          [Dense] (the original 2^width-table engine) — the A/B escape
-          hatch behind [jahob verify --mona-engine] *)
 }
 
 val default_options : unit -> options
@@ -82,8 +73,7 @@ val default_options : unit -> options
     worker pool, the verdict cache, the adaptive scheduler's EMAs and the
     per-prover statistics.  A one-shot {!verify_files} builds a throwaway
     engine; [jahob serve] builds one at startup and answers every request
-    from it (the hash-consing store is process-global, so it stays warm
-    for free). *)
+    from it. *)
 type engine
 
 val create_engine : options -> engine
@@ -110,7 +100,6 @@ type stored_method = {
   sm_digest : string;
   sm_ctx : string;
   sm_infer : bool;
-  sm_mona : string;  (** {!Mona.Ws1s.engine_name} at record time *)
   sm_deps : (string * string) list;
   sm_verdicts : (string * string * string) list;
       (** (obligation name, verdict kind ["valid"]/["invalid"], prover) *)

@@ -1,9 +1,8 @@
 (** The resident verification server behind [jahob serve].
 
     One server owns one {!Jahob_core.Jahob.engine} — worker pool, verdict
-    cache, adaptive-scheduler EMAs — plus (because the hash-consing store
-    is process-global) the shared formula kernel, and optionally one
-    on-disk {!Store}.  Requests arrive as JSONL (see {!Proto}) over a
+    cache, adaptive-scheduler EMAs — and optionally one on-disk
+    {!Store}.  Requests arrive as JSONL (see {!Proto}) over a
     Unix domain socket or stdio; each request is answered from the warm
     engine, so the Nth client pays neither prover startup nor re-proving
     of obligations any earlier client (or any earlier run, via the
@@ -222,9 +221,7 @@ let handle_stats (t : t) id : string =
   Proto.line
     (Proto.id_fields id
     @ [ Proto.fld_int "requests" t.requests;
-        Proto.fld_float "uptime_s" (Clock.now () -. t.started);
-        Proto.fld_str "mona_engine"
-          (Mona.Ws1s.engine_name (Mona.Ws1s.current_default_engine ())) ]
+        Proto.fld_float "uptime_s" (Clock.now () -. t.started) ]
     @ cache_fields @ store_fields)
 
 (** Handle one request line; [`Stop] after a shutdown request. *)

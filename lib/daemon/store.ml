@@ -77,7 +77,7 @@ let default_cap = 100_000
 (* ------------------------------------------------------------------ *)
 
 (* bump when the persisted layout itself changes *)
-let format_version = "jahob-store/3"
+let format_version = "jahob-store/4"
 
 (* every probe pokes at a convention the canonical printer encodes:
    integer vs set comparison tokens, set difference vs minus, binder
@@ -95,22 +95,17 @@ let probe_texts =
     "card {z. z : A} = 1";
   ]
 
-(* memoized per WS1S engine: the engine is a process-wide default that
-   tests (and [--mona-engine]) flip within one process, and verdicts
-   decided by one automata engine must never be replayed under the
-   other *)
-let fingerprint_memo : (string * string) option ref = ref None
+(* computed once per process; a racing second computation yields the
+   same string *)
+let fingerprint_memo : string option ref = ref None
 
 (** The fingerprint of the digest scheme in force in this binary. *)
 let fingerprint () : string =
-  let engine = Mona.Ws1s.engine_name (Mona.Ws1s.current_default_engine ()) in
   match !fingerprint_memo with
-  | Some (e, fp) when e = engine -> fp
-  | _ ->
+  | Some fp -> fp
+  | None ->
     let buf = Buffer.create 512 in
     Buffer.add_string buf format_version;
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf ("mona-engine:" ^ engine);
     List.iter
       (fun text ->
         match Parser.parse_opt text with
@@ -119,7 +114,7 @@ let fingerprint () : string =
           Buffer.add_char buf '\n';
           Buffer.add_string buf
             (Pprint.to_canonical_string
-               (Form.alpha_normalize_shared ~keep_types:true f));
+               (Form.alpha_normalize ~keep_types:true f));
           Buffer.add_char buf '|';
           Buffer.add_string buf (Sequent.digest s)
         | None ->
@@ -128,7 +123,7 @@ let fingerprint () : string =
           Buffer.add_string buf ("\nunparseable:" ^ text))
       probe_texts;
     let fp = Digest.to_hex (Digest.string (Buffer.contents buf)) in
-    fingerprint_memo := Some (engine, fp);
+    fingerprint_memo := Some fp;
     fp
 
 (* ------------------------------------------------------------------ *)
@@ -136,14 +131,16 @@ let fingerprint () : string =
 (* ------------------------------------------------------------------ *)
 
 (* magic line first, so `head -1` identifies the file and a truncated
-   or foreign file fails before Marshal ever runs.  Older magics (v1:
-   no dependency index; v2: no WS1S-engine key in [stored_method]) are
+   or foreign file fails before Marshal ever runs.  Older magics are
    recognized only to be refused with a precise reason — running
    Marshal against an old payload with the current type would be
    undefined behavior, so the version check must happen on raw bytes. *)
-let magic = "jahob-verdict-store/3\n"
-let magic_v2 = "jahob-verdict-store/2\n"
-let magic_v1 = "jahob-verdict-store\n"
+let magic = "jahob-verdict-store/4\n"
+
+let old_magics =
+  [ ("jahob-verdict-store/3\n", "v3 (WS1S-engine key in method records)");
+    ("jahob-verdict-store/2\n", "v2 (older method-record layout)");
+    ("jahob-verdict-store\n", "v1 (no dependency index)") ]
 
 type persisted = {
   p_fingerprint : string;
@@ -168,19 +165,17 @@ let read_file (path : string) : (persisted, string) result =
             let (p : persisted) = Marshal.from_channel ic in
             Ok p
           end
-          else if String.length m >= String.length magic_v2
-                  && String.sub m 0 (String.length magic_v2) = magic_v2
-          then
-            Error
-              "version skew: store format v2 (no WS1S-engine key), this \
-               binary writes v3"
-          else if String.length m >= String.length magic_v1
-                  && String.sub m 0 (String.length magic_v1) = magic_v1
-          then
-            Error
-              "version skew: store format v1 (no dependency index), this \
-               binary writes v3"
-          else Error "bad magic (not a verdict store)"
+          else
+            match
+              List.find_opt
+                (fun (old, _) -> String.starts_with ~prefix:old m)
+                old_magics
+            with
+            | Some (_, what) ->
+              Error
+                ("version skew: store format " ^ what ^ ", this binary \
+                  writes v4")
+            | None -> Error "bad magic (not a verdict store)"
         with
         | End_of_file -> Error "truncated store file"
         | Failure e -> Error ("corrupt store file: " ^ e)

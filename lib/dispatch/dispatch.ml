@@ -157,13 +157,10 @@ let bump_stats (d : t) (name : string) (upd : prover_stats -> unit) : unit =
 (* ------------------------------------------------------------------ *)
 
 (* Keep hypotheses connected to the goal through shared free variables.
-   Each hypothesis's free-variable set is computed once up front
-   ([Form.fv_shared] — answered from the kernel's per-node memo when the
-   hypothesis is already interned, e.g. when it reached the verdict-cache
-   digest path unrebuilt) and the fixpoint then only manipulates the
-   precomputed sets. *)
+   Each hypothesis's free-variable set is computed once up front and the
+   fixpoint then only manipulates the precomputed sets. *)
 let relevant_hyps (hyps : Form.t list) (goal : Form.t) : Form.t list =
-  let hyp_fvs = List.map (fun h -> (h, Form.fv_shared h)) hyps in
+  let hyp_fvs = List.map (fun h -> (h, Form.fv h)) hyps in
   let rec grow (relevant : Form.Sset.t) =
     let next =
       List.fold_left
@@ -174,7 +171,7 @@ let relevant_hyps (hyps : Form.t list) (goal : Form.t) : Form.t list =
     in
     if Form.Sset.equal next relevant then relevant else grow next
   in
-  let reachable = grow (Form.fv_shared goal) in
+  let reachable = grow (Form.fv goal) in
   List.filter_map
     (fun (h, hv) ->
       if

@@ -136,7 +136,7 @@ let functional_step (universals : string list) (p : Form.t) : term option =
     | Form.App (Form.Const Form.Eq, [ lhs; Form.Var v' ]) when v' = v -> (
       match Form.strip_types lhs with
       | Form.App (Form.Const Form.FieldRead, [ fld; Form.Var u' ])
-        when u' = u && not (List.mem u (Form.fv_list_shared fld)) ->
+        when u' = u && not (List.mem u (Form.fv_list fld)) ->
         (* step function = the field (possibly an updated field term) *)
         Some (fol_term universals fld)
       | _ -> None)
@@ -421,10 +421,6 @@ type outcome = Proof | Saturated | GaveUp
     fuzzer's engine differential. *)
 type engine = Indexed | Naive
 
-(* read once at module init: one getenv per process, not one per
-   given-clause iteration *)
-let fol_debug = Sys.getenv_opt "FOL_DEBUG" <> None
-
 (** The original engine: O(active) partner scans, unit-only forward
     subsumption, weight-only passive queue. *)
 let refute_naive ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
@@ -470,11 +466,6 @@ let refute_naive ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
         result := Some GaveUp
       else begin
         let ((_, _, given) as entry) = Pq.min_elt !passive in
-        (if fol_debug then
-           Format.eprintf "pop total=%d passive=%d active=%d given=%a@."
-             !total (Pq.cardinal !passive)
-             (List.length !active_usable + List.length !active_sos)
-             pp_clause given);
         passive := Pq.remove entry !passive;
         if unit_subsumed given && clause_size given > 3 then ()
         else begin
@@ -618,9 +609,6 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
           result := Some Saturated
         | Some given ->
           let gcl = given.Index.cl in
-          if fol_debug then
-            Format.eprintf "pop total=%d passive=%d active_lits=%d given=%a@."
-              !total (Pq.cardinal !passive) idx.Index.active_lits pp_clause gcl;
           (match Index.forward_subsumed idx gcl with
           | Some _ -> Index.retire idx given
           | None ->
@@ -729,7 +717,7 @@ let instantiate_foralls (cands : Form.t list) (hyps : Form.t list) :
             (fun tuple ->
               let sub = List.map2 (fun (x, _) c -> (x, c)) vars tuple in
               (* one fresh tree per instantiation: the memo never pays here *)
-              let inst = Simplify.simplify_plain (Form.subst_list_shared sub body) in
+              let inst = Simplify.simplify (Form.subst_list sub body) in
               if Form.is_true inst then None else Some inst)
             (tuples arity)
       | _ -> [])

@@ -143,14 +143,14 @@ let extensionalize_goal (s : Sequent.t) : Sequent.t =
     { s with
       Sequent.goal =
         (* fresh witness name: memoizing could never hit, stay plain *)
-        Simplify.simplify_plain
+        Simplify.simplify
           (Form.mk_iff (Form.mk_elem w a) (Form.mk_elem w b))
     }
   | Form.App (Form.Const Form.Subseteq, [ a; b ]) ->
     let w = w () in
     { s with
       Sequent.goal =
-        Simplify.simplify_plain
+        Simplify.simplify
           (Form.mk_impl (Form.mk_elem w a) (Form.mk_elem w b))
     }
   | _ -> s
@@ -165,7 +165,7 @@ let saturate ?(rounds = 3) (s : Sequent.t) : Sequent.t =
   let fresh_facts = ref [] in
   let note f =
     (* each produced instance is a fresh tree; the memo never pays here *)
-    let f = Simplify.simplify_plain f in
+    let f = Simplify.simplify f in
     if
       (not (Form.is_true f))
       && (not (List.exists (Form.equal f) !seen))
@@ -189,14 +189,14 @@ let saturate ?(rounds = 3) (s : Sequent.t) : Sequent.t =
         let propagated =
           match Form.strip_types h with
           | Form.App (Form.Const Form.Impl, [ a; b ]) ->
-            let holds g = List.exists (Form.equal (Simplify.simplify_plain g)) !seen in
+            let holds g = List.exists (Form.equal (Simplify.simplify g)) !seen in
             if List.for_all holds (Form.conjuncts a) then Form.conjuncts b
             else []
           | _ -> []
         in
         List.iter
           (fun f ->
-            let f = Simplify.simplify_plain f in
+            let f = Simplify.simplify f in
             if not (Form.is_true f) then produced := f :: !produced)
           (insts @ points @ propagated))
       frontier;

@@ -111,14 +111,10 @@ let fresh_renaming (s : t) : Form.t Form.Smap.t =
 let canonicalize (s : t) : t =
   let ren = fresh_renaming s in
   let rename f = if Form.Smap.is_empty ren then f else Form.subst ren f in
-  (* [alpha_normalize_shared] and [to_canonical_string] are memoized
-     through the hash-consing kernel, so hypotheses shared across the
-     obligations of one method (split_vc reuses them physically) are
-     normalized and printed once per run, not once per obligation. *)
   let keyed =
     List.map
       (fun h ->
-        let h = Form.alpha_normalize_shared ~keep_types:true (rename h) in
+        let h = Form.alpha_normalize ~keep_types:true (rename h) in
         (Pprint.to_canonical_string h, h))
       s.hyps
   in
@@ -127,7 +123,7 @@ let canonicalize (s : t) : t =
   in
   { s with
     hyps = List.map snd keyed;
-    goal = Form.alpha_normalize_shared ~keep_types:true (rename s.goal) }
+    goal = Form.alpha_normalize ~keep_types:true (rename s.goal) }
 
 (** A stable key for the canonicalized sequent: the MD5 digest of its
     {e canonical} printing ({!Pprint.to_canonical_string} — the surface
@@ -135,7 +131,7 @@ let canonicalize (s : t) : t =
     it could return a cached verdict for the wrong obligation).  [name]
     does not participate — obligations regenerated under different labels
     still collide, which is the point. *)
-let digest_plain (s : t) : string =
+let digest (s : t) : string =
   let c = canonicalize s in
   let buf = Buffer.create 256 in
   List.iter
@@ -147,22 +143,8 @@ let digest_plain (s : t) : string =
   Buffer.add_string buf (Pprint.to_canonical_string c.goal);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let digest_memo : string Hashcons.Memo.t = Hashcons.Memo.create ()
-
-let digest (s : t) : string =
-  if not (Hashcons.enabled ()) then digest_plain s
-  else
-    (* keyed by the interned implication form: structurally identical
-       sequents (the common re-dispatch case) share one entry, while
-       sequents differing only in hypothesis order each compute once and
-       land on the same digest via canonicalization *)
-    Hashcons.Memo.find_or_add digest_memo (Form.htag (Form.import (to_form s)))
-      (fun () -> digest_plain s)
-
 (** The sequent's refutation form, [simplify (hyps /\ ~goal)] — what the
-    refutation-based front ends (smt, bapa, fol) actually translate.
-    Centralized so they all hit the same simplify memo entry instead of
-    each re-simplifying the same obligation. *)
+    refutation-based front ends (smt, bapa, fol) actually translate. *)
 let refutand (s : t) : Form.t =
   Simplify.simplify (Form.mk_and (s.hyps @ [ Form.mk_not s.goal ]))
 
@@ -201,7 +183,7 @@ let traced_prover (p : prover) : prover =
           let sp =
             Trace.start_span ~cat:"prover"
               ~args:(fun () ->
-                [ ("size", Trace.I (Form.size_shared (to_form s)));
+                [ ("size", Trace.I (Form.size (to_form s)));
                   ("hyps", Trace.I (List.length s.hyps)) ])
               p.prover_name
           in

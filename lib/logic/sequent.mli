@@ -43,8 +43,7 @@ val canonicalize : t -> t
 val digest : t -> string
 
 (** The sequent's refutation form, [Simplify.simplify (hyps /\ ~goal)] —
-    the formula the refutation-based provers (smt, bapa, fol) translate.
-    Centralized so they share one memoized simplification per obligation. *)
+    the formula the refutation-based provers (smt, bapa, fol) translate. *)
 val refutand : t -> Form.t
 
 val pp : Format.formatter -> t -> unit

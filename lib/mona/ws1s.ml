@@ -304,19 +304,6 @@ let singleton_automaton ~width ~track =
    for differential testing, exactly as Fol keeps [Naive]) *)
 type engine = Bdd | Dense
 
-let engine_name = function Bdd -> "bdd" | Dense -> "dense"
-
-let engine_of_name = function
-  | "bdd" -> Some Bdd
-  | "dense" -> Some Dense
-  | _ -> None
-
-(* the process-wide default, settable from the CLI escape hatch
-   ([jahob verify --mona-engine dense]); read by prover-pool domains *)
-let default_engine : engine Atomic.t = Atomic.make Bdd
-let set_default_engine (e : engine) : unit = Atomic.set default_engine e
-let current_default_engine () : engine = Atomic.get default_engine
-
 (* high-water mark of automaton states across all decisions, for the
    bench tables; Trace counters are summing, so a max lives here *)
 let peak = Atomic.make 0
@@ -494,11 +481,8 @@ let decode_word (tracks : var array) (word : int list) : model =
 
 (** Satisfiability; [fo] lists the free first-order variables (constrained
     to singletons).  Returns a satisfying assignment when satisfiable.
-    [engine] defaults to the process-wide {!set_default_engine} choice. *)
-let satisfiable ?engine ?(fo = []) (f : t) : model option =
-  let engine =
-    match engine with Some e -> e | None -> current_default_engine ()
-  in
+    [engine] defaults to [Bdd]. *)
+let satisfiable ?(engine = Bdd) ?(fo = []) (f : t) : model option =
   match engine with
   | Dense ->
     let c = compile f in
@@ -519,10 +503,7 @@ let satisfiable ?engine ?(fo = []) (f : t) : model option =
 
 (** Validity over all assignments (free first-order variables range over
     positions, second-order over finite sets). *)
-let valid ?engine ?(fo = []) (f : t) : bool =
-  let engine =
-    match engine with Some e -> e | None -> current_default_engine ()
-  in
+let valid ?(engine = Bdd) ?(fo = []) (f : t) : bool =
   match engine with
   | Dense ->
     let c = compile (Not f) in

@@ -79,9 +79,9 @@ let max_free_vars = 5
    oracle's object-sorted reading.  [env] can pre-sort the vocabulary (the
    fuzzer passes its fragment environment) to resolve otherwise-ambiguous
    comparisons like [k < j]. *)
-let prepare_plain ?(env = Typecheck.Smap.empty) (s : Sequent.t) : Pform.t =
+let prepare ?(env = Typecheck.Smap.empty) (s : Sequent.t) : Pform.t =
   let f = Sequent.to_form s in
-  if Form.size_shared f > max_size then out "sequent too large";
+  if Form.size f > max_size then out "sequent too large";
   match Typecheck.infer ~env f with
   | exception Typecheck.Type_error msg -> out "ill-typed: %s" msg
   | f, (Ftype.Bool | Ftype.Tvar _), free ->
@@ -95,29 +95,6 @@ let prepare_plain ?(env = Typecheck.Smap.empty) (s : Sequent.t) : Pform.t =
       out "too many free variables";
     translate f
   | _, ty, _ -> out "not a formula: %s" (Ftype.to_string ty)
-
-let prepare_memo : (Pform.t, string) result Hashcons.Memo.t =
-  Hashcons.Memo.create ()
-
-(* [in_fragment] and [prove] both call [prepare], so without memoization
-   every dispatched obligation is typechecked and translated twice.  The
-   memo is keyed by the interned implication form and also remembers
-   rejections (as [Error]), which re-raise as [Out_of_fragment].  Calls
-   with a non-empty typing environment bypass the memo: the result then
-   depends on the environment, not just the formula. *)
-let prepare ?(env = Typecheck.Smap.empty) (s : Sequent.t) : Pform.t =
-  if (not (Hashcons.enabled ())) || not (Typecheck.Smap.is_empty env) then
-    prepare_plain ~env s
-  else
-    let tag = Form.htag (Form.import (Sequent.to_form s)) in
-    match
-      Hashcons.Memo.find_or_add prepare_memo tag (fun () ->
-          match prepare_plain ~env s with
-          | p -> Ok p
-          | exception Out_of_fragment m -> Error m)
-    with
-    | Ok p -> p
-    | Error m -> raise (Out_of_fragment m)
 
 let in_fragment ?env (s : Sequent.t) : bool =
   match prepare ?env s with _ -> true | exception Out_of_fragment _ -> false

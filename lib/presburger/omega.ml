@@ -58,9 +58,6 @@ let fresh_var () =
   Printf.sprintf "_omega%d" (Atomic.fetch_and_add fresh_counter 1 + 1)
 
 let rec eliminate_equalities (sys : system) : system =
-  (if Sys.getenv_opt "OMEGA_DEBUG" <> None then
-     Printf.eprintf "elim eqs=%d ineqs=%d\n%!" (List.length sys.eqs)
-       (List.length sys.ineqs));
   match sys.eqs with
   | [] -> sys
   | e :: rest -> (
@@ -165,8 +162,6 @@ let dedupe_ineqs (ts : Linterm.t list) : Linterm.t list =
 let max_ineqs = 4000
 
 let rec feasible_ineqs (fuel : int) (ineqs : Linterm.t list) : verdict =
-  (if Sys.getenv_opt "OMEGA_DEBUG" <> None then
-     Printf.eprintf "feasible fuel=%d ineqs=%d\n%!" fuel (List.length ineqs));
   if fuel <= 0 then raise Fuel_exhausted
   else
     match

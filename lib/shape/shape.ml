@@ -119,11 +119,7 @@ let inductive ?memo (dispatcher : Dispatch.t) (l : Gcl.Cmd.loop)
   let check (sequent : Sequent.t) : bool =
     match (Dispatch.prove_sequent dispatcher sequent).Dispatch.verdict with
     | Sequent.Valid -> true
-    | Sequent.Invalid _ | Sequent.Unknown _ ->
-      (if Sys.getenv_opt "SHAPE_DEBUG2" <> None then
-         Format.eprintf "consecution failed for %s:@.%a@.@."
-           (Pprint.to_string p) Sequent.pp sequent);
-      false
+    | Sequent.Invalid _ | Sequent.Unknown _ -> false
     | exception _ -> false
   in
   List.for_all
@@ -175,20 +171,11 @@ let infer ?(drop = []) ?cache ?memo ~(provers : Sequent.prover list)
       end
     in
     let result = stabilize 0 cands in
-    (if Sys.getenv_opt "SHAPE_DEBUG" <> None then begin
-       Printf.eprintf "=== inferred invariant (%d of %d candidates) ===\n"
-         (List.length result) (List.length cands);
-       List.iter
-         (fun c -> Printf.eprintf "  %s\n" (Pprint.to_string c))
-         result;
-       Printf.eprintf "  dropped:\n";
-       List.iter
-         (fun c ->
-           if not (List.exists (Form.equal c) result) then
-             Printf.eprintf "    %s\n" (Pprint.to_string c))
-         cands;
-       Printf.eprintf "%!"
-     end);
+    Trace.instant ~cat:"shape"
+      ~args:(fun () ->
+        [ ("kept", Trace.I (List.length result));
+          ("dropped", Trace.I (List.length cands - List.length result)) ])
+      "houdini";
     if result = [] then None else Some (Form.mk_and result)
   end
 

@@ -655,11 +655,10 @@ let check_sat (f : Form.t) : [ `Sat of bool | `Unsat ] =
   let ok = ok && Sat.add_clause solver [ root ] in
   if not ok then `Unsat
   else begin
+    let last_round = ref 0 in
     let rec loop rounds precise_so_far =
       Deadline.check ();
-      (if Sys.getenv_opt "SMT_DEBUG" <> None && rounds mod 100 = 0 then
-         Printf.eprintf "smt round %d, atoms %d\n%!" rounds
-           (List.length ctx.atoms));
+      last_round := rounds;
       if rounds > max_theory_rounds then `Sat false
       else
         match Sat.solve solver with
@@ -673,22 +672,6 @@ let check_sat (f : Form.t) : [ `Sat of bool | `Unsat ] =
           in
           (match theory_check ctx assigned with
           | Consistent has_opaque ->
-            (if Sys.getenv_opt "SMT_DEBUG" <> None then begin
-               Printf.eprintf "=== consistent model ===\n";
-               List.iter
-                 (fun (f, a, v) ->
-                   let kind =
-                     match a with
-                     | Arith _ -> "arith"
-                     | Equal _ -> "equal"
-                     | Both _ -> "both"
-                     | Opaque _ -> "opaque"
-                   in
-                   Printf.eprintf "  [%s] %s = %b\n" kind
-                     (Pprint.to_string f) (Sat.lit_true m v))
-                 ctx.atoms;
-               Printf.eprintf "========================\n%!"
-             end);
             `Sat (not has_opaque && precise_so_far)
           | Conflict ->
             (* greedily minimize the conflicting literal set so the
@@ -719,7 +702,13 @@ let check_sat (f : Form.t) : [ `Sat of bool | `Unsat ] =
               loop (rounds + 1) precise_so_far
             else `Unsat)
     in
-    loop 0 true
+    let r = loop 0 true in
+    Trace.instant ~cat:"smt"
+      ~args:(fun () ->
+        [ ("rounds", Trace.I !last_round);
+          ("atoms", Trace.I (List.length ctx.atoms)) ])
+      "theory-rounds";
+    r
   end
 
 (** Does the sequent lie entirely within the QF_UFLIA (plus
@@ -739,8 +728,6 @@ let in_fragment (s : Sequent.t) : bool =
 
 (** Prove a sequent by refuting hypotheses + negated goal. *)
 let prove (s : Sequent.t) : Sequent.verdict =
-  (* [Sequent.refutand] is simplified through the shared memo, so the
-     in_fragment probe and the proof attempt pay for one simplification *)
   match check_sat (Sequent.refutand s) with
   | `Unsat -> Sequent.Valid
   | `Sat true -> Sequent.Invalid "SMT found a theory-consistent countermodel"

@@ -131,7 +131,7 @@ let test_store_fingerprint_mismatch () =
       f_methods = [||] }
   in
   Out_channel.with_open_bin p (fun oc ->
-      Out_channel.output_string oc "jahob-verdict-store/3\n";
+      Out_channel.output_string oc "jahob-verdict-store/4\n";
       Marshal.to_channel oc fake []);
   let logged = ref [] in
   let s = Daemon.Store.load ~log:(fun m -> logged := m :: !logged) p in
@@ -177,62 +177,40 @@ let test_store_v1_version_skew () =
   Alcotest.(check int) "v1 entries refused" 0 (Daemon.Store.entries s);
   Alcotest.(check int) "v1 method records refused" 0
     (Daemon.Store.method_count s);
-  (* the cold store is fully usable and rewrites the file as v3 *)
+  (* the cold store is fully usable and rewrites the file as v4 *)
   Daemon.Store.add s d1 Sequent.Valid None;
   Daemon.Store.save s;
   let s' = Daemon.Store.load ~log:quiet p in
-  Alcotest.(check bool) "rewritten as v3" true
+  Alcotest.(check bool) "rewritten as v4" true
     (Daemon.Store.status s' = Daemon.Store.Warm 1);
   Sys.remove p
 
-(* a v2 store (no WS1S-engine key in the method records) carries Marshal
-   payloads of the older [stored_method] layout; it must be refused on
-   its raw magic line with a version-skew reason, never unmarshalled *)
+(* v2 and v3 stores carry Marshal payloads of older [stored_method]
+   layouts (v3 had a WS1S-engine key, v2 predates it); each must be
+   refused on its raw magic line with a version-skew reason naming the
+   version, never unmarshalled *)
 let test_store_v2_version_skew () =
-  let p = fresh_path () in
-  Out_channel.with_open_bin p (fun oc ->
-      Out_channel.output_string oc "jahob-verdict-store/2\n";
-      Out_channel.output_string oc "opaque v2 payload, never unmarshalled");
-  let logged = ref [] in
-  let s = Daemon.Store.load ~log:(fun m -> logged := m :: !logged) p in
-  (match Daemon.Store.status s with
-  | Daemon.Store.Cold why ->
-    Alcotest.(check bool) "reason names the version skew" true
-      (has_substring why "version skew");
-    Alcotest.(check bool) "reason names v2" true (has_substring why "v2")
-  | st ->
-    Alcotest.failf "expected cold start, got %s"
-      (Daemon.Store.status_to_string st));
-  Alcotest.(check bool) "skew logged" true (!logged <> []);
-  Alcotest.(check int) "v2 entries refused" 0 (Daemon.Store.entries s);
-  Sys.remove p
-
-(* a store written under one WS1S engine must be a fingerprint-mismatch
-   cold start under the other, and warm again under the writing engine:
-   BDD and dense verdicts never mix through the store *)
-let test_store_engine_fingerprint () =
-  let saved = Mona.Ws1s.current_default_engine () in
-  Fun.protect
-    ~finally:(fun () -> Mona.Ws1s.set_default_engine saved)
-    (fun () ->
+  List.iter
+    (fun v ->
       let p = fresh_path () in
-      Mona.Ws1s.set_default_engine Mona.Ws1s.Bdd;
-      let s = Daemon.Store.load ~log:quiet p in
-      Daemon.Store.add s d1 Sequent.Valid None;
-      Daemon.Store.save s;
-      Mona.Ws1s.set_default_engine Mona.Ws1s.Dense;
-      (match Daemon.Store.status (Daemon.Store.load ~log:quiet p) with
+      Out_channel.with_open_bin p (fun oc ->
+          Out_channel.output_string oc ("jahob-verdict-store/" ^ v ^ "\n");
+          Out_channel.output_string oc "opaque payload, never unmarshalled");
+      let logged = ref [] in
+      let s = Daemon.Store.load ~log:(fun m -> logged := m :: !logged) p in
+      (match Daemon.Store.status s with
       | Daemon.Store.Cold why ->
-        Alcotest.(check bool) "reason names the fingerprint" true
-          (has_substring why "fingerprint")
+        Alcotest.(check bool) "reason names the version skew" true
+          (has_substring why "version skew");
+        Alcotest.(check bool) ("reason names v" ^ v) true
+          (has_substring why ("v" ^ v))
       | st ->
-        Alcotest.failf "expected cold start under dense, got %s"
+        Alcotest.failf "expected cold start for v%s, got %s" v
           (Daemon.Store.status_to_string st));
-      Mona.Ws1s.set_default_engine Mona.Ws1s.Bdd;
-      Alcotest.(check bool) "warm again under the writing engine" true
-        (Daemon.Store.status (Daemon.Store.load ~log:quiet p)
-        = Daemon.Store.Warm 1);
+      Alcotest.(check bool) "skew logged" true (!logged <> []);
+      Alcotest.(check int) "old entries refused" 0 (Daemon.Store.entries s);
       Sys.remove p)
+    [ "2"; "3" ]
 
 (* the schema-v2 method/dependency index survives save/load *)
 let test_store_method_records () =
@@ -244,7 +222,6 @@ let test_store_method_records () =
       sm_digest = "dg";
       sm_ctx = "ctx";
       sm_infer = true;
-      sm_mona = "bdd";
       sm_deps = [ ("ct:C.n", "d1"); ("inv:C", "d0") ];
       sm_verdicts = [ ("postcondition of m", "valid", "smt") ] }
   in
@@ -512,6 +489,49 @@ let test_server_incremental_protocol () =
   Daemon.Server.shutdown t
 
 (* ------------------------------------------------------------------ *)
+(* Soak: a resident daemon's live heap stays flat                      *)
+(* ------------------------------------------------------------------ *)
+
+let soak_request id group =
+  let dir = examples_dir ^ "/" ^ group in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".java")
+    |> List.sort compare
+    |> List.map (fun f -> jstr (dir ^ "/" ^ f))
+  in
+  Printf.sprintf {|{"id":%d,"cmd":"verify","files":[%s]}|} id
+    (String.concat "," files)
+
+(* live heap in KB after a full major collection *)
+let live_kb () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words * (Sys.word_size / 8) / 1024
+
+(* one daemon answers the same five small groups twelve times over; once
+   the first pass has warmed its tables, every later pass is answered
+   from them, so the live heap after pass 12 must match pass 2 *)
+let test_server_soak_memory () =
+  let t = server () in
+  let reqs =
+    List.mapi soak_request [ "arrays"; "assoc"; "game"; "global"; "stack" ]
+  in
+  let live = Array.make 13 0 in
+  for pass = 1 to 12 do
+    List.iter
+      (fun req ->
+        let resp, _ = Daemon.Server.handle t req in
+        Alcotest.(check bool) "verified" true
+          (member "ok" (json_of resp) = Trace.Json.Bool true))
+      reqs;
+    live.(pass) <- live_kb ()
+  done;
+  Daemon.Server.shutdown t;
+  if live.(12) - live.(2) > 64 then
+    Alcotest.failf "live heap grew from %d KB (pass 2) to %d KB (pass 12)"
+      live.(2) live.(12)
+
+(* ------------------------------------------------------------------ *)
 (* Deadlines against a stepping wall clock                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -710,8 +730,6 @@ let suite =
           test_store_v1_version_skew;
         Alcotest.test_case "store: v2 version skew" `Quick
           test_store_v2_version_skew;
-        Alcotest.test_case "store: engine-keyed fingerprint" `Quick
-          test_store_engine_fingerprint;
         Alcotest.test_case "store: method records round-trip" `Quick
           test_store_method_records;
         Alcotest.test_case "store: kill -9 mid-write" `Quick
@@ -729,6 +747,8 @@ let suite =
           test_server_incremental_protocol;
         Alcotest.test_case "server: restart, identical verdicts" `Slow
           test_server_restart_identical;
+        Alcotest.test_case "server: soak keeps the live heap flat" `Quick
+          test_server_soak_memory;
         Alcotest.test_case "deadline: survives wall-clock step" `Quick
           test_deadline_survives_wall_step;
         Alcotest.test_case "deadline: still expires monotonically" `Quick

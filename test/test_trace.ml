@@ -235,6 +235,10 @@ let test_trace_covers_prover_attempts () =
     (has (fun e ->
          str "ph" e = Some "E" && str "cat" e = Some "prover"
          && arg "verdict" e = Some "valid"));
+  Alcotest.(check bool) "smt reports its theory rounds" true
+    (has (fun e ->
+         str "ph" e = Some "i" && str "cat" e = Some "smt"
+         && str "name" e = Some "theory-rounds"));
   Alcotest.(check bool) "first obligation attributed as a miss" true
     (has (fun e ->
          str "ph" e = Some "E" && str "cat" e = Some "obligation"
