@@ -164,7 +164,7 @@ let s3_card () =
 
 let prove_with (p : Sequent.prover) hyps goal =
   let s = Sequent.make (List.map Parser.parse hyps) (Parser.parse goal) in
-  p.Sequent.prove s
+  try p.Sequent.prove s with Sequent.Resource_limited why -> Sequent.Unknown why
 
 let s3_dp () =
   header "S3-DP: each integrated decision procedure on its home fragment";
@@ -931,9 +931,9 @@ let sched_bench () =
 
 (* the fully-verified groups: every obligation settles, so every verdict
    is cacheable.  list/ is excluded by design — its implementation-side
-   obligations answer Unknown, which the cache (correctly) never stores,
-   so they are re-proved on every replay and would only measure prover
-   time, not daemon warmth. *)
+   obligations answer Unknown, which the on-disk store never keeps, so a
+   restarted daemon re-proves them and would only measure prover time,
+   not daemon warmth. *)
 let daemon_suite =
   [ [ "list_annotated/Client.java"; "list_annotated/List.java" ];
     [ "global/Buffer.java" ];
@@ -1369,6 +1369,7 @@ let fol_outcome_name = function
   | Ok Fol.Proof -> "proof"
   | Ok Fol.Saturated -> "saturated"
   | Ok Fol.GaveUp -> "gave-up"
+  | Ok Fol.TimedOut -> "timed-out"
   | Error _ -> "untranslatable"
 
 let fol_bench () =

@@ -207,6 +207,8 @@ let handle_stats (t : t) id : string =
       [ Proto.fld_int "cache_hits" k.Dispatch.Cache.hit_count;
         Proto.fld_int "cache_misses" k.Dispatch.Cache.miss_count;
         Proto.fld_int "cache_entries" k.Dispatch.Cache.entries;
+        Proto.fld_int "cache_unknown_entries" k.Dispatch.Cache.unknown_entries;
+        Proto.fld_int "cache_unknown_replayed" k.Dispatch.Cache.unknown_replayed;
         Proto.fld_int "cache_evicted" k.Dispatch.Cache.evicted_count ]
   in
   let store_fields =

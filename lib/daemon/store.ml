@@ -261,9 +261,10 @@ let find (t : t) (digest : string) : (Sequent.verdict * string option) option =
   | None -> Trace.incr "store.miss");
   r
 
-(** Record a settled verdict.  [Unknown] is rejected here for the same
-    reason the in-memory cache never stores it: it depends on the
-    portfolio and budgets in force, not on the obligation. *)
+(** Record a settled verdict.  [Unknown] is rejected: the in-memory
+    cache keeps one only for the portfolio that produced it in this
+    process, while the store is keyed by the bare digest and outlives
+    the process. *)
 let add (t : t) (digest : string) (verdict : Sequent.verdict)
     (prover : string option) : unit =
   match verdict with

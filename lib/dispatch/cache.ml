@@ -8,13 +8,27 @@
     and bound-variable names don't matter) and the verdict plus the name
     of the prover that settled it are stored.
 
+    {2 Unknown verdicts}
+
+    [Valid] and [Invalid] are facts about the obligation, so they are
+    stored under the bare digest and answer every dispatcher.  An
+    [Unknown] is a fact about the portfolio that tried: the dispatcher
+    publishes one only when no attempt on it was resource-limited (no
+    budget, cancellation, crash or wall-clock cut-off), and it is stored
+    under the digest {e qualified by that portfolio}, so it is replayed
+    only to a dispatcher that would have tried the same provers the same
+    way — never, say, to the full portfolio from shape inference's
+    smt+fol dispatcher sharing this cache.  Such entries never leave the
+    process: {!fold_settled} skips them.
+
     {2 Sharding}
 
     The old implementation was one [Hashtbl] behind one mutex: every
     lookup from every domain serialized on a single lock.  The table is
     now split into 64 independent shards selected by the key's hash, so
     two domains contend only when their digests land in the same shard;
-    each shard carries its own lock, condvar and counters.  A contended
+    each shard carries its own lock, condvar and counters.  A portfolio's
+    unknown entry lives in the shard of its bare digest.  A contended
     acquisition counter ({!lock_stats}) keeps the claim honest: the
     scaling bench records it as evidence the cache is off the critical
     path.
@@ -27,12 +41,14 @@
     first caller {e claims} the key and proves; later callers block on
     the shard's condvar and are served the published verdict as a hit,
     exactly as they would have been sequentially.  A claim owner must
-    {!publish} a settled verdict or {!abandon} the claim (Unknown
-    verdicts are never cached); an abandon wakes the waiters, and the
-    first to re-check claims the key afresh — so an obligation that
-    settles as Unknown is re-attempted exactly as often as it would be
-    at [-j 1].  Counters are bumped once per {!acquire}, at resolution,
-    which makes [hit_count]/[miss_count] deterministic across [-j]. *)
+    {!publish} its verdict or {!abandon} the claim (a resource-limited
+    Unknown, a prover exception).  Publishing an Unknown stores the
+    qualified entry and releases the claim in one step, so waiters of
+    the same portfolio replay it; an abandon wakes the waiters, and the
+    first to re-check claims the key afresh — so a resource-limited
+    Unknown is re-attempted exactly as often as it would be at [-j 1].
+    Counters are bumped once per {!acquire}, at resolution, which makes
+    [hit_count]/[miss_count] deterministic across [-j]. *)
 
 open Logic
 
@@ -54,8 +70,10 @@ type shard = {
   lock : Mutex.t;
   settled : Condition.t; (* signalled on publish and abandon *)
   table : (string, state) Hashtbl.t;
+      (* bare digests, and the portfolio-qualified keys of Unknowns *)
   mutable hits : int;
   mutable misses : int;
+  mutable replayed : int; (* hits served by an Unknown entry *)
   mutable waits : int; (* lookups that blocked on an in-flight claim *)
   mutable evicted : int; (* settled entries dropped by [trim] *)
 }
@@ -100,6 +118,7 @@ let create ?(cap = default_cap) () : t =
             table = Hashtbl.create 16;
             hits = 0;
             misses = 0;
+            replayed = 0;
             waits = 0;
             evicted = 0 });
     mask = shard_count - 1;
@@ -114,56 +133,93 @@ let key (s : Sequent.t) : string = Sequent.digest s
 let shard_of (c : t) (k : string) : shard =
   c.shards.(Hashtbl.hash k land c.mask)
 
+(* where [portfolio]'s Unknown for bare key [k] is stored (in [k]'s
+   shard); digests are hex, so no bare key contains the separator *)
+let unknown_key (k : string) (portfolio : string) : string =
+  k ^ "?" ^ portfolio
+
+let is_unknown (e : entry) =
+  match e.verdict with Sequent.Unknown _ -> true | _ -> false
+
 type claim =
   | Hit of entry (* served from the cache (possibly after a wait) *)
   | Claimed (* this caller owns the key: publish or abandon it *)
 
-(** Look the key up, claiming it if absent.  Exactly one hit or miss is
-    counted per call, at resolution time, so the counters do not depend
-    on how claims interleave.  [waits] counts blocked lookups and is the
-    only schedule-dependent counter. *)
-let acquire (c : t) (k : string) : claim =
+(** Look the key up, claiming it if absent.  With [portfolio], a settled
+    verdict is preferred and that portfolio's Unknown is replayed
+    otherwise.  Exactly one hit or miss is counted per call, at
+    resolution time, so the counters do not depend on how claims
+    interleave.  [waits] counts blocked lookups and is the only
+    schedule-dependent counter. *)
+let acquire ?portfolio (c : t) (k : string) : claim =
   let sh = shard_of c k in
+  let hit sl =
+    sh.hits <- sh.hits + 1;
+    sl.used <- Atomic.get c.epoch;
+    let replay = is_unknown sl.entry in
+    if replay then sh.replayed <- sh.replayed + 1;
+    Mutex.unlock sh.lock;
+    Trace.incr "cache.hit";
+    if replay then Trace.incr "cache.unknown_replayed";
+    Hit sl.entry
+  in
   lock_shard sh;
   let rec resolve () =
     match Hashtbl.find_opt sh.table k with
-    | Some (Done sl) ->
-      sh.hits <- sh.hits + 1;
-      sl.used <- Atomic.get c.epoch;
-      Mutex.unlock sh.lock;
-      Trace.incr "cache.hit";
-      Hit sl.entry
+    | Some (Done sl) -> hit sl
     | Some Inflight ->
       sh.waits <- sh.waits + 1;
       Trace.incr "cache.wait";
       Condition.wait sh.settled sh.lock;
       resolve ()
-    | None ->
-      Hashtbl.replace sh.table k Inflight;
-      sh.misses <- sh.misses + 1;
-      Mutex.unlock sh.lock;
-      Trace.incr "cache.miss";
-      Claimed
+    | None -> (
+      let replay =
+        match portfolio with
+        | Some p -> Hashtbl.find_opt sh.table (unknown_key k p)
+        | None -> None
+      in
+      match replay with
+      | Some (Done sl) -> hit sl
+      | Some Inflight | None ->
+        Hashtbl.replace sh.table k Inflight;
+        sh.misses <- sh.misses + 1;
+        Mutex.unlock sh.lock;
+        Trace.incr "cache.miss";
+        Claimed)
   in
   resolve ()
 
+(* drop an in-flight claim on [k]; the caller holds the shard lock *)
+let release_claim (sh : shard) (k : string) : unit =
+  match Hashtbl.find_opt sh.table k with
+  | Some Inflight -> Hashtbl.remove sh.table k
+  | Some (Done _) | None -> ()
+
 (** Publish the verdict for a key (normally one this caller claimed) and
-    wake any waiters. *)
-let publish (c : t) (k : string) (e : entry) : unit =
+    wake any waiters.  A settled verdict is stored under [k].  An Unknown
+    is stored under [k] qualified by [portfolio] — not at all without
+    one — and the claim on [k] is released in the same critical section,
+    so waiters of that portfolio find the entry when they wake. *)
+let publish ?portfolio (c : t) (k : string) (e : entry) : unit =
   let sh = shard_of c k in
   lock_shard sh;
-  Hashtbl.replace sh.table k (Done { entry = e; used = Atomic.get c.epoch });
+  let slot = Done { entry = e; used = Atomic.get c.epoch } in
+  if not (is_unknown e) then Hashtbl.replace sh.table k slot
+  else begin
+    Option.iter
+      (fun p -> Hashtbl.replace sh.table (unknown_key k p) slot)
+      portfolio;
+    release_claim sh k
+  end;
   Condition.broadcast sh.settled;
   Mutex.unlock sh.lock
 
-(** Give a claim up without caching anything (Unknown verdicts, prover
-    exceptions).  The first waiter to wake re-claims the key. *)
+(** Give a claim up without caching anything (resource-limited Unknowns,
+    prover exceptions).  The first waiter to wake re-claims the key. *)
 let abandon (c : t) (k : string) : unit =
   let sh = shard_of c k in
   lock_shard sh;
-  (match Hashtbl.find_opt sh.table k with
-  | Some Inflight -> Hashtbl.remove sh.table k
-  | Some (Done _) | None -> ());
+  release_claim sh k;
   Condition.broadcast sh.settled;
   Mutex.unlock sh.lock
 
@@ -244,8 +300,9 @@ let preload (c : t) (kvs : (string * entry) list) : unit =
     kvs
 
 (** Fold over the settled entries in deterministic (key-sorted) order —
-    how a persistent store drains the cache after a batch.  Takes the
-    shard locks one at a time; call between batches. *)
+    how a persistent store drains the cache after a batch.  Unknown
+    entries are skipped: they hold only for this process's portfolios.
+    Takes the shard locks one at a time; call between batches. *)
 let fold_settled (c : t) (f : 'a -> string -> entry -> 'a) (init : 'a) : 'a =
   let kvs =
     Array.fold_left
@@ -255,8 +312,8 @@ let fold_settled (c : t) (f : 'a -> string -> entry -> 'a) (init : 'a) : 'a =
           Hashtbl.fold
             (fun k st acc ->
               match st with
-              | Done sl -> (k, sl.entry) :: acc
-              | Inflight -> acc)
+              | Done sl when not (is_unknown sl.entry) -> (k, sl.entry) :: acc
+              | Done _ | Inflight -> acc)
             sh.table acc
         in
         Mutex.unlock sh.lock;
@@ -270,7 +327,9 @@ type counters = {
   hit_count : int;
   miss_count : int;
   wait_count : int;
-  entries : int;
+  entries : int; (* every stored verdict, Unknown entries included *)
+  unknown_entries : int;
+  unknown_replayed : int; (* hits served by an Unknown entry *)
   evicted_count : int;
 }
 
@@ -278,22 +337,27 @@ let counters (c : t) : counters =
   Array.fold_left
     (fun acc sh ->
       lock_shard sh;
-      let settled_entries =
+      let entries, unknowns =
         Hashtbl.fold
-          (fun _ st n -> match st with Done _ -> n + 1 | Inflight -> n)
-          sh.table 0
+          (fun _ st (n, u) ->
+            match st with
+            | Done sl -> (n + 1, if is_unknown sl.entry then u + 1 else u)
+            | Inflight -> (n, u))
+          sh.table (0, 0)
       in
       let r =
         { hit_count = acc.hit_count + sh.hits;
           miss_count = acc.miss_count + sh.misses;
           wait_count = acc.wait_count + sh.waits;
-          entries = acc.entries + settled_entries;
+          entries = acc.entries + entries;
+          unknown_entries = acc.unknown_entries + unknowns;
+          unknown_replayed = acc.unknown_replayed + sh.replayed;
           evicted_count = acc.evicted_count + sh.evicted }
       in
       Mutex.unlock sh.lock;
       r)
     { hit_count = 0; miss_count = 0; wait_count = 0; entries = 0;
-      evicted_count = 0 }
+      unknown_entries = 0; unknown_replayed = 0; evicted_count = 0 }
     c.shards
 
 (** Hit rate over all lookups so far; 0 when nothing was looked up. *)

@@ -14,7 +14,17 @@
     Obligations are independent, so [prove_all] fans them out across the
     domains of an optional {!Pool.t}.  An optional verdict {!Cache.t}
     settles repeated obligations once, and [with_budget] bounds the
-    wall-clock time of any single prover call. *)
+    wall-clock time of any single prover call.
+
+    The cache also replays [Unknown] — but only an Unknown that no
+    resource limit produced, and only to a dispatcher with the same
+    portfolio.  Every attempt reports whether it was resource-limited:
+    a budget exceeded or cancelled, a {!Deadline.Expired}, a prover
+    that raised, or a prover's own {!Sequent.Resource_limited} (fol's
+    wall-clock cut-off, cooper's stack overflow).  Fuel, clause caps,
+    saturation and fragment rejections are deterministic: re-running the
+    same portfolio on the same obligation gives the same Unknown, so
+    replaying it is as trustworthy as a fresh attempt. *)
 
 open Logic
 
@@ -37,103 +47,123 @@ type report = {
   verdict : Sequent.verdict;
   prover : string option; (* which prover settled it *)
   cached : bool; (* true when the verdict came from the cache *)
+  limited : bool; (* an Unknown that some attempt's resource limit produced *)
 }
 
 type t = {
   provers : Sequent.prover list;
+  budget_s : float option; (* wall-clock budget per prover attempt *)
+  portfolio : string; (* qualifies this dispatcher's cached Unknowns *)
   stats : (string, prover_stats) Hashtbl.t;
   stats_mutex : Mutex.t; (* guards [stats]: domains update it concurrently *)
   pool : Pool.t option; (* fan obligations out when present *)
   cache : Cache.t option; (* verdict memoization when present *)
   sched : Sched.t; (* routing/ordering policy for the cascade *)
-  mutable simplify_first : bool;
-  mutable filter_assumptions : bool;
-  mutable ground_saturate : bool;
+  simplify_first : bool;
+  filter_assumptions : bool;
+  ground_saturate : bool;
 }
 
 (* ------------------------------------------------------------------ *)
 (* Per-prover wall-clock budgets                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* [p s] under a wall-clock budget, and whether the budget — or an
+   enclosing cancellation reaching through it — cut the attempt short.
+   The prover runs in a helper thread under a {!Deadline} token; on
+   timeout the waiter {e cancels} the token and returns immediately, and
+   the helper stops at its next checkpoint (every search loop in the
+   portfolio polls one) instead of burning a core to completion.  The
+   helper's token is parented to the calling thread's token, if any, so
+   an enclosing race that cancels its losers reaches through the budget.
+   Exceptions other than {!Deadline.Expired} are re-raised in the
+   caller, where the dispatcher counts them. *)
+let run_budgeted ~(budget_s : float) (p : Sequent.prover) (s : Sequent.t) :
+    Sequent.verdict * bool =
+  let caller = Deadline.current () in
+  let token = Deadline.make ~deadline_in:budget_s ?parent:caller () in
+  let result = Atomic.make None in
+  let (_ : Thread.t) =
+    Thread.create
+      (fun () ->
+        let r =
+          try Ok (Deadline.with_token token (fun () -> p.Sequent.prove s))
+          with e -> Error e
+        in
+        Atomic.set result (Some r))
+      ()
+  in
+  (* whether the expiry was this budget's own deadline or an enclosing
+     token (a race that already settled) reaching through; drives both
+     the verdict message and the counters *)
+  let cancelled () =
+    Trace.incr "deadline.cancelled";
+    (Sequent.Unknown "attempt cancelled", true)
+  in
+  let budget_exceeded () =
+    Trace.incr "budget.exceeded";
+    Trace.instant ~cat:"budget"
+      ~args:(fun () ->
+        [ ("prover", Trace.S p.Sequent.prover_name);
+          ("budget_s", Trace.F budget_s) ])
+      "exceeded";
+    (Sequent.Unknown (Printf.sprintf "budget of %gs exceeded" budget_s), true)
+  in
+  let rec wait delay =
+    match Atomic.get result with
+    | Some (Ok v) -> (v, false)
+    | Some (Error Deadline.Expired) ->
+      (* the helper hit a checkpoint first; an explicit cancel request
+         means a race settled elsewhere, otherwise the token timed out on
+         its own — that is the budget *)
+      if Deadline.cancel_requested token then cancelled ()
+      else budget_exceeded ()
+    | Some (Error e) -> raise e
+    | None ->
+      if Deadline.expired token then begin
+        (* stop the helper at its next checkpoint and answer now *)
+        let raced_away = Deadline.cancel_requested token in
+        Deadline.cancel token;
+        if raced_away then cancelled () else budget_exceeded ()
+      end
+      else begin
+        Thread.delay delay;
+        wait (Float.min (delay *. 2.) 0.01)
+      end
+  in
+  wait 2e-4
+
 (** [with_budget ~budget_s p] answers [Unknown] once [p] has run for
     [budget_s] seconds of wall-clock time, so one pathological query
-    cannot stall the portfolio.  The prover runs in a helper thread under
-    a {!Deadline} token; on timeout the waiter {e cancels} the token and
-    returns immediately — the helper then stops at its next checkpoint
-    (every search loop in the portfolio polls one) instead of burning a
-    core to completion as the pre-deadline implementation did.
-
-    The helper's token is parented to the calling thread's token, if any,
-    so an enclosing race that cancels its losers reaches through the
-    budget wrapper.  Exceptions other than {!Deadline.Expired} are
-    re-raised in the caller, where the dispatcher counts them. *)
+    cannot stall the portfolio.  A dispatcher created with [~budget_s]
+    applies the same budget itself, so that it can tell a budgeted
+    Unknown from a deterministic one. *)
 let with_budget ~(budget_s : float) (p : Sequent.prover) : Sequent.prover =
   { Sequent.prover_name = p.Sequent.prover_name;
-    prove =
-      (fun s ->
-        let caller = Deadline.current () in
-        let token = Deadline.make ~deadline_in:budget_s ?parent:caller () in
-        let result = Atomic.make None in
-        let (_ : Thread.t) =
-          Thread.create
-            (fun () ->
-              let r =
-                try Ok (Deadline.with_token token (fun () -> p.Sequent.prove s))
-                with e -> Error e
-              in
-              Atomic.set result (Some r))
-            ()
-        in
-        (* whether the expiry was this budget's own deadline or an
-           enclosing token (a race that already settled) reaching
-           through; drives both the verdict message and the counters *)
-        let cancelled () =
-          Trace.incr "deadline.cancelled";
-          Sequent.Unknown "attempt cancelled"
-        in
-        let budget_exceeded () =
-          Trace.incr "budget.exceeded";
-          Trace.instant ~cat:"budget"
-            ~args:(fun () ->
-              [ ("prover", Trace.S p.Sequent.prover_name);
-                ("budget_s", Trace.F budget_s) ])
-            "exceeded";
-          Sequent.Unknown (Printf.sprintf "budget of %gs exceeded" budget_s)
-        in
-        let rec wait delay =
-          match Atomic.get result with
-          | Some (Ok v) -> v
-          | Some (Error Deadline.Expired) ->
-            (* the helper hit a checkpoint first; an explicit cancel
-               request means a race settled elsewhere, otherwise the
-               token timed out on its own — that is the budget *)
-            if Deadline.cancel_requested token then cancelled ()
-            else budget_exceeded ()
-          | Some (Error e) -> raise e
-          | None ->
-            if Deadline.expired token then begin
-              (* stop the helper at its next checkpoint and answer now *)
-              let raced_away = Deadline.cancel_requested token in
-              Deadline.cancel token;
-              if raced_away then cancelled () else budget_exceeded ()
-            end
-            else begin
-              Thread.delay delay;
-              wait (Float.min (delay *. 2.) 0.01)
-            end
-        in
-        wait 2e-4) }
+    prove = (fun s -> fst (run_budgeted ~budget_s p s)) }
+
+(* What decides a deterministic Unknown: the provers tried and the
+   preprocessing before them.  Order, admission and racing do not —
+   admission skips only provers that would answer Unknown, and an
+   Unknown means every admitted prover was tried. *)
+let portfolio_of ~simplify_first ~filter_assumptions ~ground_saturate
+    (provers : Sequent.prover list) : string =
+  let flag b c = if b then c else "-" in
+  String.concat ","
+    (List.sort_uniq String.compare
+       (List.map (fun p -> p.Sequent.prover_name) provers))
+  ^ ";" ^ flag simplify_first "s" ^ flag filter_assumptions "f"
+  ^ flag ground_saturate "g"
 
 let create ?(simplify_first = true) ?(filter_assumptions = true)
     ?(ground_saturate = true) ?pool ?cache ?budget_s ?sched
     (provers : Sequent.prover list) : t =
-  let provers =
-    match budget_s with
-    | None -> provers
-    | Some budget_s -> List.map (with_budget ~budget_s) provers
-  in
   let sched = match sched with Some s -> s | None -> Sched.create () in
-  { provers; stats = Hashtbl.create 8; stats_mutex = Mutex.create ();
+  { provers; budget_s;
+    portfolio =
+      portfolio_of ~simplify_first ~filter_assumptions ~ground_saturate
+        provers;
+    stats = Hashtbl.create 8; stats_mutex = Mutex.create ();
     pool; cache; sched; simplify_first; filter_assumptions; ground_saturate }
 
 let sched (d : t) : Sched.t = d.sched
@@ -217,20 +247,30 @@ let settled = function
   | Sequent.Valid | Sequent.Invalid _ -> true
   | Sequent.Unknown _ -> false
 
-(* one timed prover attempt: stats, crash accounting, EMA feedback *)
+(* one timed prover attempt: stats, crash accounting, EMA feedback.
+   The flag says whether a resource limit produced the verdict: the
+   budget, a cancellation, a crash or the prover's own
+   [Resource_limited] *)
 let attempt (d : t) ~(signature : string) (s : Sequent.t)
-    (p : Sequent.prover) : Sequent.verdict =
+    (p : Sequent.prover) : Sequent.verdict * bool =
   let name = p.Sequent.prover_name in
   bump_stats d name (fun st -> st.attempts <- st.attempts + 1);
   let t0 = Clock.now () in
-  let v =
-    match p.Sequent.prove s with
-    | v -> v
+  let v, limited =
+    match
+      match d.budget_s with
+      | None -> (p.Sequent.prove s, false)
+      | Some budget_s -> run_budgeted ~budget_s p s
+    with
+    | r -> r
     | exception Deadline.Expired ->
       (* a racing sibling settled first; not a crash *)
       Trace.incr "sched.race_cancelled";
-      Sequent.Unknown "attempt cancelled"
-    | exception e -> note_raised d name e
+      (Sequent.Unknown "attempt cancelled", true)
+    | exception Sequent.Resource_limited why ->
+      Trace.incr "prover.resource_limited";
+      (Sequent.Unknown why, true)
+    | exception e -> (note_raised d name e, true)
   in
   (match d.sched.Sched.policy with
   | Sched.Fixed -> ()
@@ -242,37 +282,41 @@ let attempt (d : t) ~(signature : string) (s : Sequent.t)
   | Sequent.Invalid _ ->
     bump_stats d name (fun st -> st.refuted <- st.refuted + 1)
   | Sequent.Unknown _ -> ());
-  v
+  (v, limited)
 
 let report_of (s : Sequent.t) (p : Sequent.prover) (v : Sequent.verdict) :
     report =
   { sequent = s; verdict = v; prover = Some p.Sequent.prover_name;
-    cached = false }
+    cached = false; limited = false }
 
 (* race [ps] on the pool: every racer runs under its own cancel token,
    the first settled verdict wins and cancels the others, which unwind at
    their next Deadline checkpoint.  Pool.map is nest-safe (the calling
    worker helps run its own race), so with a busy pool this degrades to
    the sequential cascade: later racers find the winner already posted
-   and return without running, or get cancelled at their first poll. *)
+   and return without running, or get cancelled at their first poll.
+   Without a winner, the flag says whether any racer was
+   resource-limited. *)
 let race_attempts (d : t) ~(signature : string) (pool : Pool.t)
-    (s : Sequent.t) (ps : Sequent.prover list) : report option =
+    (s : Sequent.t) (ps : Sequent.prover list) : report option * bool =
   Trace.incr "sched.race";
   let winner = Atomic.make None in
+  let limited = Atomic.make false in
   let entries =
     List.map (fun p -> (p, Deadline.make ?parent:(Deadline.current ()) ())) ps
   in
   let run (p, token) =
     if Atomic.get winner <> None then ()
     else
-      let v =
+      let v, l =
         match Deadline.with_token token (fun () -> attempt d ~signature s p)
         with
-        | v -> v
+        | r -> r
         | exception Deadline.Expired ->
           Trace.incr "sched.race_cancelled";
-          Sequent.Unknown "attempt cancelled"
+          (Sequent.Unknown "attempt cancelled", true)
       in
+      if l then Atomic.set limited true;
       if settled v then
         if Atomic.compare_and_set winner None (Some (v, p)) then
           List.iter
@@ -280,7 +324,8 @@ let race_attempts (d : t) ~(signature : string) (pool : Pool.t)
             entries
   in
   let (_ : unit list) = Pool.map pool run entries in
-  Option.map (fun (v, p) -> report_of s p v) (Atomic.get winner)
+  (Option.map (fun (v, p) -> report_of s p v) (Atomic.get winner),
+   Atomic.get limited)
 
 (* the scheduler-driven cascade: order the portfolio (learned EMAs under
    Adaptive, as declared under Fixed), skip provers whose admission
@@ -288,11 +333,12 @@ let race_attempts (d : t) ~(signature : string) (pool : Pool.t)
    or race them [race] at a time *)
 let run_cascade (d : t) (s : Sequent.t) : report =
   let signature = Sched.signature s in
-  let give_up () =
+  let give_up limited =
     { sequent = s;
       verdict = Sequent.Unknown "no prover settled the goal";
       prover = None;
-      cached = false }
+      cached = false;
+      limited }
   in
   (* admission is evaluated lazily, in attempt order: once a prover
      settles the goal, the predicates of everyone behind it never run *)
@@ -309,9 +355,9 @@ let run_cascade (d : t) (s : Sequent.t) : report =
   let race_width =
     match d.pool with None -> 1 | Some _ -> Sched.race d.sched
   in
-  let rec go = function
-    | [] -> give_up ()
-    | p :: rest when not (admit p) -> go rest
+  let rec go limited = function
+    | [] -> give_up limited
+    | p :: rest when not (admit p) -> go limited rest
     | p :: rest when race_width > 1 -> (
       (* collect up to race_width admitted provers, racing them as a
          group; admission of provers beyond the group stays lazy *)
@@ -325,19 +371,19 @@ let run_cascade (d : t) (s : Sequent.t) : report =
       match group with
       | [ lone ] -> (
         match attempt d ~signature s lone with
-        | v when settled v -> report_of s lone v
-        | _ -> go rest)
+        | v, _ when settled v -> report_of s lone v
+        | _, l -> go (limited || l) rest)
       | group -> (
         let pool = Option.get d.pool in
         match race_attempts d ~signature pool s group with
-        | Some r -> r
-        | None -> go rest))
+        | Some r, _ -> r
+        | None, l -> go (limited || l) rest))
     | p :: rest -> (
       match attempt d ~signature s p with
-      | v when settled v -> report_of s p v
-      | _ -> go rest)
+      | v, _ when settled v -> report_of s p v
+      | _, l -> go (limited || l) rest)
   in
-  go (Sched.order d.sched ~signature d.provers)
+  go false (Sched.order d.sched ~signature d.provers)
 
 (* the portfolio run proper, after the cache has been consulted *)
 let prove_uncached (d : t) (s : Sequent.t) : report =
@@ -361,7 +407,9 @@ let prove_uncached (d : t) (s : Sequent.t) : report =
     else s
   in
   match syntactic s with
-  | Some v -> { sequent = s; verdict = v; prover = Some "syntactic"; cached = false }
+  | Some v ->
+    { sequent = s; verdict = v; prover = Some "syntactic"; cached = false;
+      limited = false }
   | None ->
     let s =
       if d.ground_saturate then
@@ -384,28 +432,30 @@ let prove_sequent_inner (d : t) (s : Sequent.t) : report =
   | None -> prove_uncached d s
   | Some cache -> (
     let k = Cache.key s in
-    match Cache.acquire cache k with
+    let portfolio = d.portfolio in
+    match Cache.acquire ~portfolio cache k with
     | Cache.Hit e ->
       { sequent = s;
         verdict = e.Cache.verdict;
         prover = e.Cache.prover;
-        cached = true }
+        cached = true;
+        limited = false }
     | Cache.Claimed -> (
       (* we hold the in-flight claim for [k]: identical obligations on
          other domains are blocked in [acquire] until we settle it, so
          the claim must be released on every exit path *)
       match prove_uncached d s with
       | r ->
-        (* only settled verdicts are cacheable: an [Unknown] depends on
-           the portfolio composition and per-prover budgets in force at
-           the time, so replaying it would mask a later, better-
-           resourced attempt from succeeding *)
-        (match r.verdict with
-        | Sequent.Valid | Sequent.Invalid _ ->
-          Cache.publish cache k { Cache.verdict = r.verdict; prover = r.prover }
-        | Sequent.Unknown _ ->
+        (* a resource-limited Unknown is not what a fresh attempt would
+           return — a later, better-resourced one may succeed — so it is
+           not cached; any other Unknown is stored for this portfolio *)
+        if r.limited then begin
           Cache.abandon cache k;
-          Trace.incr "cache.unknown_not_cached");
+          Trace.incr "cache.unknown_not_cached"
+        end
+        else
+          Cache.publish ~portfolio cache k
+            { Cache.verdict = r.verdict; prover = r.prover };
         r
       | exception e ->
         Cache.abandon cache k;
@@ -414,9 +464,11 @@ let prove_sequent_inner (d : t) (s : Sequent.t) : report =
 (** Prove one sequent with the portfolio, consulting the verdict cache
     first.  The cache key is computed on the incoming sequent, before any
     simplification, so a repeated obligation costs one canonicalization
-    and nothing else.  Only [Valid]/[Invalid] verdicts are cached —
-    [Unknown] depends on budgets and portfolio order, so it is re-attempted
-    on every call. *)
+    and nothing else.  [Valid]/[Invalid] verdicts are cached for every
+    dispatcher; an [Unknown] only when no attempt on it was
+    resource-limited, and then only for dispatchers with this one's
+    portfolio — a resource-limited Unknown is re-attempted on every
+    call. *)
 let prove_sequent (d : t) (s : Sequent.t) : report =
   if not (Trace.enabled ()) then prove_sequent_inner d s
   else begin
@@ -507,9 +559,11 @@ let pp_stats ppf (d : t) =
   | Some c ->
     let k = Cache.counters c in
     Format.fprintf ppf
-      "@,  %-12s hits %7d   misses %5d   entries %4d   hit rate %.1f%%"
+      "@,  %-12s hits %7d   misses %5d   entries %4d   hit rate %.1f%%   \
+       unknown entries %d   replayed %d"
       "cache" k.Cache.hit_count k.Cache.miss_count k.Cache.entries
-      (100. *. Cache.hit_rate c)
+      (100. *. Cache.hit_rate c) k.Cache.unknown_entries
+      k.Cache.unknown_replayed
 
 let pp_summary ppf (s : summary) =
   Format.fprintf ppf "%d obligations: %d valid, %d invalid, %d unknown"

@@ -412,7 +412,9 @@ let theory_axioms (clauses : clause list) : clause list =
 (* Given-clause resolution loops                                       *)
 (* ------------------------------------------------------------------ *)
 
-type outcome = Proof | Saturated | GaveUp
+(** [GaveUp] is the deterministic clause cap; [TimedOut] is the
+    wall-clock cut-off, whose verdict depends on the host and its load. *)
+type outcome = Proof | Saturated | GaveUp | TimedOut
 
 (** Which saturation engine runs a refutation.  [Indexed] is the default:
     discrimination-tree partner retrieval, full forward/backward
@@ -462,8 +464,8 @@ let refute_naive ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
     while !result = None do
       Deadline.check ();
       if Pq.is_empty !passive then result := Some Saturated
-      else if !total > max_clauses || Clock.now () > deadline then
-        result := Some GaveUp
+      else if !total > max_clauses then result := Some GaveUp
+      else if Clock.now () > deadline then result := Some TimedOut
       else begin
         let ((_, _, given) as entry) = Pq.min_elt !passive in
         passive := Pq.remove entry !passive;
@@ -599,8 +601,8 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
     while !result = None do
       Deadline.check ();
       if Pq.is_empty !passive then result := Some Saturated
-      else if !total > max_clauses || Clock.now () > deadline then
-        result := Some GaveUp
+      else if !total > max_clauses then result := Some GaveUp
+      else if Clock.now () > deadline then result := Some TimedOut
       else
         match pop_given () with
         | None ->
@@ -770,17 +772,27 @@ let outcome_with ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
   | o -> Ok o
   | exception Untranslatable what -> Error what
 
-(** Prove a sequent; [set_vars] names the variables known to denote sets
-    (they get extensionality treatment). *)
-let prove_with ?engine ?(set_vars = []) (s : Sequent.t) : Sequent.verdict =
+let timed_out_reason = "resolution wall-clock limit reached"
+
+(* the portfolio entry: the wall-clock cut-off raises, so the dispatcher
+   can tell it from the deterministic give-ups *)
+let prove_limited ?engine ~set_vars (s : Sequent.t) : Sequent.verdict =
   match outcome_with ?engine ~set_vars s with
   | Ok Proof -> Sequent.Valid
   | Ok Saturated ->
     (* saturation without equality-completeness caveats: the clause set is
        satisfiable, but our translation abstracts sorts, so stay safe *)
     Sequent.Unknown "resolution saturated without a proof"
-  | Ok GaveUp -> Sequent.Unknown "resolution budget exhausted"
+  | Ok GaveUp -> Sequent.Unknown "resolution clause budget exhausted"
+  | Ok TimedOut -> raise (Sequent.Resource_limited timed_out_reason)
   | Error what -> Sequent.Unknown ("not first-order translatable: " ^ what)
+
+(** Prove a sequent; [set_vars] names the variables known to denote sets
+    (they get extensionality treatment).  A wall-clock cut-off answers
+    [Unknown] here; only {!prover} raises {!Sequent.Resource_limited}. *)
+let prove_with ?engine ?(set_vars = []) (s : Sequent.t) : Sequent.verdict =
+  try prove_limited ?engine ~set_vars s
+  with Sequent.Resource_limited why -> Sequent.Unknown why
 
 (* infer set-typed variables from the formula so the prover can be used
    standalone *)
@@ -814,4 +826,6 @@ let in_fragment (s : Sequent.t) : bool =
   | exception Untranslatable _ -> false
 
 let prover : Sequent.prover =
-  Sequent.traced_prover { prover_name = "fol"; prove }
+  Sequent.traced_prover
+    { prover_name = "fol";
+      prove = (fun s -> prove_limited ~set_vars:(infer_set_vars s) s) }

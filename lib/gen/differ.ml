@@ -166,6 +166,7 @@ let check ?(parties = default_parties ()) ?sched (cfg : config)
           let prover = with_budget cfg p.prover in
           let v =
             try prover.Sequent.prove s with
+            | Sequent.Resource_limited why -> Sequent.Unknown why
             | Stack_overflow -> Sequent.Unknown "stack overflow"
             | e -> Sequent.Unknown ("raised: " ^ Printexc.to_string e)
           in

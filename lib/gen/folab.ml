@@ -7,9 +7,9 @@
     the {!Fol.Proof}/{!Fol.Saturated} axis — the indexed engine's
     subsumption and dedup may only change {e how fast} a verdict arrives,
     never which one — and a [Proof] must never contradict the finite-model
-    oracle's countermodel.  [GaveUp] is the one timing-dependent outcome,
-    so it is never flagged: a campaign run is deterministic for a fixed
-    seed. *)
+    oracle's countermodel.  [GaveUp] (the clause cap) and [TimedOut] (the
+    wall-clock cut-off, the one timing-dependent outcome) are never
+    flagged: a campaign run is deterministic for a fixed seed. *)
 
 type config = {
   ab_seed : int;
@@ -55,6 +55,7 @@ let outcome_name = function
   | Ok Fol.Proof -> "proof"
   | Ok Fol.Saturated -> "saturated"
   | Ok Fol.GaveUp -> "gave-up"
+  | Ok Fol.TimedOut -> "timed-out"
   | Error _ -> "untranslatable"
 
 let run ?(config = default_config) () : report =
@@ -80,7 +81,7 @@ let run ?(config = default_config) () : report =
       (match ind with
       | Ok Fol.Proof -> incr proofs
       | Ok Fol.Saturated -> incr saturated
-      | Ok Fol.GaveUp -> incr gave_up
+      | Ok (Fol.GaveUp | Fol.TimedOut) -> incr gave_up
       | Error _ -> ());
       (match (ind, nai) with
       | Ok Fol.Proof, Ok Fol.Saturated | Ok Fol.Saturated, Ok Fol.Proof ->

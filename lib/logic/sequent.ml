@@ -22,6 +22,8 @@ type prover = {
   prove : t -> verdict;
 }
 
+exception Resource_limited of string
+
 let make ?(name = "goal") hyps goal = { name; hyps; goal }
 
 (** The sequent as a single implication formula. *)
@@ -101,14 +103,10 @@ let fresh_renaming (s : t) : Form.t Form.Smap.t =
     (fun x f -> match f with Form.Var y -> not (String.equal x y) | _ -> true)
     !map
 
-(** Canonical form for caching: fresh constants ([base__N], minted by
-    {!Form.fresh_name}) are renumbered by first occurrence, every
-    hypothesis and the goal are alpha-normalized (bound variables renamed
-    by binding depth, sorts and type annotations preserved), then the
-    hypotheses are sorted and deduplicated by their canonical printing.
-    Two sequents that differ only in hypothesis order, bound-variable
-    names or the fresh-counter offset canonicalize identically. *)
-let canonicalize (s : t) : t =
+(* The canonical hypotheses, each paired with its canonical printing
+   (sorted and deduplicated by that printing), and the canonical goal.
+   [canonicalize] keeps the trees; [digest] reuses the printings. *)
+let canonical_parts (s : t) : (string * Form.t) list * Form.t =
   let ren = fresh_renaming s in
   let rename f = if Form.Smap.is_empty ren then f else Form.subst ren f in
   let keyed =
@@ -118,30 +116,83 @@ let canonicalize (s : t) : t =
         (Pprint.to_canonical_string h, h))
       s.hyps
   in
-  let keyed =
-    List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) keyed
-  in
-  { s with
-    hyps = List.map snd keyed;
-    goal = Form.alpha_normalize ~keep_types:true (rename s.goal) }
+  ( List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) keyed,
+    Form.alpha_normalize ~keep_types:true (rename s.goal) )
+
+(** Canonical form for caching: fresh constants ([base__N], minted by
+    {!Form.fresh_name}) are renumbered by first occurrence, every
+    hypothesis and the goal are alpha-normalized (bound variables renamed
+    by binding depth, sorts and type annotations preserved), then the
+    hypotheses are sorted and deduplicated by their canonical printing.
+    Two sequents that differ only in hypothesis order, bound-variable
+    names or the fresh-counter offset canonicalize identically. *)
+let canonicalize (s : t) : t =
+  let keyed, goal = canonical_parts s in
+  { s with hyps = List.map snd keyed; goal }
+
+(* Per-domain scratch space for [digest]: the goal's printing and the
+   assembled text are written into buffers that keep their capacity
+   across calls, so a digest allocates no doubling buffer and no
+   concatenated copy (large strings go straight to the major heap).
+   Systhreads share their domain's scratch — a budgeted prover runs on a
+   helper thread — so [busy] hands the scratch to one caller at a time
+   and any other caller allocates its own. *)
+type scratch = {
+  busy : bool Atomic.t;
+  goal_buf : Buffer.t;
+  mutable text : Bytes.t;
+}
+
+let new_scratch () =
+  { busy = Atomic.make false; goal_buf = Buffer.create 256;
+    text = Bytes.create 1024 }
+
+let scratch_key : scratch Domain.DLS.key = Domain.DLS.new_key new_scratch
+
+let with_scratch (f : scratch -> 'a) : 'a =
+  let sc = Domain.DLS.get scratch_key in
+  if Atomic.compare_and_set sc.busy false true then
+    match f sc with
+    | r ->
+      Atomic.set sc.busy false;
+      r
+    | exception e ->
+      Atomic.set sc.busy false;
+      raise e
+  else f (new_scratch ())
 
 (** A stable key for the canonicalized sequent: the MD5 digest of its
     {e canonical} printing ({!Pprint.to_canonical_string} — the surface
     printer is ambiguous between integer and set operators, so keying on
-    it could return a cached verdict for the wrong obligation).  [name]
+    it could return a cached verdict for the wrong obligation): each
+    hypothesis followed by a newline, then ["|-"] and the goal.  [name]
     does not participate — obligations regenerated under different labels
     still collide, which is the point. *)
 let digest (s : t) : string =
-  let c = canonicalize s in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun h ->
-      Buffer.add_string buf (Pprint.to_canonical_string h);
-      Buffer.add_char buf '\n')
-    c.hyps;
-  Buffer.add_string buf "|-";
-  Buffer.add_string buf (Pprint.to_canonical_string c.goal);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  let keyed, goal = canonical_parts s in
+  with_scratch (fun sc ->
+      Buffer.clear sc.goal_buf;
+      Pprint.canonical sc.goal_buf goal;
+      let len =
+        List.fold_left
+          (fun n (h, _) -> n + String.length h + 1)
+          (2 + Buffer.length sc.goal_buf)
+          keyed
+      in
+      if Bytes.length sc.text < len then
+        sc.text <- Bytes.create (max len (2 * Bytes.length sc.text));
+      let pos =
+        List.fold_left
+          (fun pos (h, _) ->
+            let n = String.length h in
+            Bytes.blit_string h 0 sc.text pos n;
+            Bytes.set sc.text (pos + n) '\n';
+            pos + n + 1)
+          0 keyed
+      in
+      Bytes.blit_string "|-" 0 sc.text pos 2;
+      Buffer.blit sc.goal_buf 0 sc.text (pos + 2) (Buffer.length sc.goal_buf);
+      Digest.to_hex (Digest.subbytes sc.text 0 len))
 
 (** The sequent's refutation form, [simplify (hyps /\ ~goal)] — what the
     refutation-based front ends (smt, bapa, fol) actually translate. *)
@@ -193,6 +244,12 @@ let traced_prover (p : prover) : prover =
               ~args:(fun () -> [ ("verdict", Trace.S (verdict_kind v)) ])
               sp;
             v
+          | exception (Resource_limited why as e) ->
+            Trace.finish_span
+              ~args:(fun () ->
+                [ ("verdict", Trace.S "unknown"); ("limited", Trace.S why) ])
+              sp;
+            raise e
           | exception e ->
             Trace.finish_span
               ~args:(fun () -> [ ("raised", Trace.S (Printexc.to_string e)) ])

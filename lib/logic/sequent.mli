@@ -19,6 +19,13 @@ type prover = {
   prove : t -> verdict;
 }
 
+(** Raised by a prover that gives up because a resource that varies from
+    run to run ran out — its own wall-clock cut-off, the native stack —
+    rather than at a deterministic limit (fuel, a clause cap, a fragment
+    check), which it reports as [Unknown].  The dispatcher turns it into
+    [Unknown reason] and never replays that verdict from its cache. *)
+exception Resource_limited of string
+
 (** Build a sequent; [name] defaults to ["goal"]. *)
 val make : ?name:string -> Form.t list -> Form.t -> t
 
@@ -34,7 +41,9 @@ val of_form : ?name:string -> Form.t -> t
 val canonicalize : t -> t
 
 (** Stable cache key: MD5 of the canonicalized sequent's {e canonical}
-    printing ({!Pprint.to_canonical_string}).  Invariant under hypothesis
+    printing ({!Pprint.to_canonical_string}) — each hypothesis followed
+    by a newline, then ["|-"] and the goal — computed without building
+    that text as one string.  Invariant under hypothesis
     reordering, duplicate hypotheses and bound-variable renaming; the
     [name] field is ignored.  Distinct operators that share surface syntax
     ([<=] vs subset-or-equal, [-] vs set difference) and binders that

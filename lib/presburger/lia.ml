@@ -111,7 +111,9 @@ let prove (s : Sequent.t) : Sequent.verdict =
     match Cooper.valid ~cap:200_000 p with
     | true -> Sequent.Valid
     | false -> Sequent.Invalid "Presburger countermodel (Cooper)"
-    | exception Stack_overflow -> Sequent.Unknown "cooper: stack overflow"
+    | exception Stack_overflow ->
+      (* the stack depends on the thread this runs on: a resource limit *)
+      raise (Sequent.Resource_limited "cooper: stack overflow")
     | exception Cooper.Fuel_exhausted -> Sequent.Unknown "cooper: fuel exhausted"
     | exception Omega.Fuel_exhausted -> Sequent.Unknown "cooper: fuel exhausted")
 

@@ -53,38 +53,6 @@ let candidates ~(seeds : Form.t list) (l : Gcl.Cmd.loop) : Form.t list =
   dedup (base @ negs)
 
 (* ------------------------------------------------------------------ *)
-(* Candidate-check memo                                                *)
-(* ------------------------------------------------------------------ *)
-
-(** Outcomes of individual candidate checks (initiation/consecution
-    splits), keyed by canonical sequent digest.  Unlike the verdict
-    cache this {e does} retain failures that came from [Unknown] — which
-    the verdict cache must never do, because Unknown depends on the
-    portfolio and budgets in force.  Here it is sound: a memoized
-    outcome only decides which candidates Houdini keeps, the result is
-    speculative by contract, and the VC pass re-verifies initiation and
-    consecution of whatever was kept.  A resident engine carries one
-    across requests so re-inferring the same loop costs no prover time. *)
-type memo = {
-  memo_tbl : (string, bool) Hashtbl.t;
-  memo_lock : Mutex.t; (* method tasks run on pool domains *)
-}
-
-let create_memo () : memo =
-  { memo_tbl = Hashtbl.create 256; memo_lock = Mutex.create () }
-
-let memo_find (m : memo) (k : string) : bool option =
-  Mutex.lock m.memo_lock;
-  let r = Hashtbl.find_opt m.memo_tbl k in
-  Mutex.unlock m.memo_lock;
-  r
-
-let memo_add (m : memo) (k : string) (v : bool) : unit =
-  Mutex.lock m.memo_lock;
-  (if not (Hashtbl.mem m.memo_tbl k) then Hashtbl.replace m.memo_tbl k v);
-  Mutex.unlock m.memo_lock
-
-(* ------------------------------------------------------------------ *)
 (* Houdini loop                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -105,7 +73,7 @@ let rec assume_asserts (c : Gcl.Cmd.command) : Gcl.Cmd.command =
   | Gcl.Cmd.Skip | Gcl.Cmd.Assume _ | Gcl.Cmd.Assign _ | Gcl.Cmd.Havoc _ -> c
 
 (* one consecution check: I /\ cond ==> wp(prelude; body, p) *)
-let inductive ?memo (dispatcher : Dispatch.t) (l : Gcl.Cmd.loop)
+let inductive (dispatcher : Dispatch.t) (l : Gcl.Cmd.loop)
     (invariant_parts : Form.t list) (p : Form.t) : bool =
   let wp_opts = { Vcgen.infer_invariant = (fun _ -> None) } in
   let iteration =
@@ -124,28 +92,13 @@ let inductive ?memo (dispatcher : Dispatch.t) (l : Gcl.Cmd.loop)
   in
   List.for_all
     (fun (sq : Sequent.t) ->
-      let sequent =
-        { sq with Sequent.hyps = invariant_parts @ sq.Sequent.hyps }
-      in
-      match memo with
-      | None -> check sequent
-      | Some m -> begin
-        let k = Sequent.digest sequent in
-        match memo_find m k with
-        | Some v ->
-          Trace.incr "shape.memo_hit";
-          v
-        | None ->
-          let v = check sequent in
-          memo_add m k v;
-          v
-      end)
+      check { sq with Sequent.hyps = invariant_parts @ sq.Sequent.hyps })
     splits
 
 (** The largest inductive conjunction of candidates (Houdini).  [seeds]
     provide the vocabulary; the result is speculative and must be
     re-verified by the caller. *)
-let infer ?(drop = []) ?cache ?memo ~(provers : Sequent.prover list)
+let infer ?(drop = []) ?cache ~(provers : Sequent.prover list)
     ~(seeds : Form.t list) (l : Gcl.Cmd.loop) : Form.t option =
   let cands =
     List.filter
@@ -156,15 +109,17 @@ let infer ?(drop = []) ?cache ?memo ~(provers : Sequent.prover list)
   else begin
     (* share the caller's verdict cache when given: initiation and
        preservation checks repeat across weakening rounds and across
-       daemon requests, and their Valid/Invalid verdicts are semantic
-       facts independent of which dispatcher settled them *)
+       daemon requests.  Their Valid/Invalid verdicts are semantic facts
+       independent of which dispatcher settled them; their deterministic
+       Unknowns are kept under this smt+fol portfolio and replayed only
+       to dispatchers with the same one *)
     let dispatcher = Dispatch.create ?cache provers in
     let max_rounds = 5 in
     let rec stabilize round (current : Form.t list) =
       if round >= max_rounds then current
       else begin
         let survivors =
-          List.filter (fun p -> inductive ?memo dispatcher l current p) current
+          List.filter (fun p -> inductive dispatcher l current p) current
         in
         if List.length survivors = List.length current then current
         else stabilize (round + 1) survivors
@@ -189,7 +144,6 @@ let infer_loop_invariant (_prog : Javaparser.Ast.program)
 (** As {!infer_loop_invariant} but with explicit per-method seeds and a
     blacklist of candidates that failed initiation in an earlier round
     (counterexample-driven weakening). *)
-let infer_with_seeds ?(drop = []) ?cache ?memo
-    (provers : Sequent.prover list) (seeds : Form.t list) :
-    Gcl.Cmd.loop -> Form.t option =
-  fun loop -> infer ~drop ?cache ?memo ~provers ~seeds loop
+let infer_with_seeds ?(drop = []) ?cache (provers : Sequent.prover list)
+    (seeds : Form.t list) : Gcl.Cmd.loop -> Form.t option =
+  fun loop -> infer ~drop ?cache ~provers ~seeds loop

@@ -67,6 +67,46 @@ let test_store_rejects_unknown () =
   Alcotest.(check int) "unknown not stored" 0 (Daemon.Store.entries s);
   Alcotest.(check bool) "not dirty" false (Daemon.Store.dirty s)
 
+let test_store_drain_skips_unknown () =
+  (* the in-memory cache keeps deterministic Unknowns for its own
+     portfolio; draining it into the store carries only settled ones *)
+  let cache = Dispatch.Cache.create () in
+  let unknown =
+    Dispatch.create ~cache
+      [ { Sequent.prover_name = "giveup";
+          prove = (fun _ -> Sequent.Unknown "out of fragment") } ]
+  in
+  let valid =
+    Dispatch.create ~cache
+      [ { Sequent.prover_name = "yes"; prove = (fun _ -> Sequent.Valid) } ]
+  in
+  let obligation hyps goal =
+    Sequent.make (List.map Parser.parse hyps) (Parser.parse goal)
+  in
+  ignore (Dispatch.prove_sequent unknown (obligation [ "x < y" ] "p..g = q"));
+  ignore (Dispatch.prove_sequent unknown (obligation [ "y < z" ] "p..h = q"));
+  ignore (Dispatch.prove_sequent valid (obligation [ "x < z" ] "p..g = q"));
+  let k = Dispatch.Cache.counters cache in
+  Alcotest.(check int) "cache holds two unknowns" 2
+    k.Dispatch.Cache.unknown_entries;
+  Alcotest.(check int) "and one settled verdict" 3 k.Dispatch.Cache.entries;
+  let p = fresh_path () in
+  let s = Daemon.Store.load ~log:quiet p in
+  Alcotest.(check int) "only the settled verdict drained" 1
+    (Daemon.Store.absorb_cache s cache);
+  Daemon.Store.save s;
+  let s' = Daemon.Store.load ~log:quiet p in
+  Alcotest.(check bool) "reloads one verdict" true
+    (Daemon.Store.status s' = Daemon.Store.Warm 1);
+  Alcotest.(check bool) "no unknown preloaded" true
+    (List.for_all
+       (fun (_, e) ->
+         match e.Dispatch.Cache.verdict with
+         | Sequent.Unknown _ -> false
+         | _ -> true)
+       (Daemon.Store.to_preload s'));
+  Sys.remove p
+
 (* ------------------------------------------------------------------ *)
 (* Store: robustness                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -374,6 +414,34 @@ let test_server_prove_and_cache () =
     (member "cached" (json_of resp) = Trace.Json.Bool true);
   Daemon.Server.shutdown t;
   Sys.remove p
+
+let test_server_unknown_replayed () =
+  (* outside every prover's fragment, and no resource limit involved:
+     the second request replays the Unknown, stats count it, and the
+     store never receives it *)
+  let p = fresh_path () in
+  let t = server ~store_path:p () in
+  let req = {|{"id":1,"cmd":"prove","hyps":[],"goal":"x * y = y * x"}|} in
+  let v1 = json_of (fst (Daemon.Server.handle t req)) in
+  let v2 = json_of (fst (Daemon.Server.handle t req)) in
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) "unknown" true
+        (member "verdict" v = Trace.Json.Str "unknown"))
+    [ v1; v2 ];
+  Alcotest.(check bool) "first attempt proved" true
+    (member "cached" v1 = Trace.Json.Bool false);
+  Alcotest.(check bool) "second replayed" true
+    (member "cached" v2 = Trace.Json.Bool true);
+  let stats = json_of (fst (Daemon.Server.handle t {|{"cmd":"stats"}|})) in
+  Alcotest.(check bool) "one unknown entry" true
+    (member "cache_unknown_entries" stats = Trace.Json.Num 1.);
+  Alcotest.(check bool) "one replay" true
+    (member "cache_unknown_replayed" stats = Trace.Json.Num 1.);
+  Daemon.Server.shutdown t;
+  let s = Daemon.Store.load ~log:quiet p in
+  Alcotest.(check int) "store holds no Unknown" 0 (Daemon.Store.entries s);
+  if Sys.file_exists p then Sys.remove p
 
 let test_server_restart_identical () =
   let p = fresh_path () in
@@ -722,6 +790,8 @@ let suite =
         Alcotest.test_case "store: round-trip" `Quick test_store_round_trip;
         Alcotest.test_case "store: Unknown rejected" `Quick
           test_store_rejects_unknown;
+        Alcotest.test_case "store: cache drain skips Unknown" `Quick
+          test_store_drain_skips_unknown;
         Alcotest.test_case "store: truncated file" `Quick test_store_truncated;
         Alcotest.test_case "store: bad magic" `Quick test_store_bad_magic;
         Alcotest.test_case "store: fingerprint mismatch" `Quick
@@ -745,6 +815,8 @@ let suite =
           test_server_prove_and_cache;
         Alcotest.test_case "server: incremental verify protocol" `Quick
           test_server_incremental_protocol;
+        Alcotest.test_case "server: unknown replayed, never stored" `Quick
+          test_server_unknown_replayed;
         Alcotest.test_case "server: restart, identical verdicts" `Slow
           test_server_restart_identical;
         Alcotest.test_case "server: soak keeps the live heap flat" `Quick

@@ -235,34 +235,154 @@ let test_cache_hit () =
   Alcotest.(check int) "two hits" 2 k.Dispatch.Cache.hit_count;
   Alcotest.(check int) "one miss" 1 k.Dispatch.Cache.miss_count
 
-(* a prover that gives up on its first call and succeeds on the second *)
-let unknown_then_valid (count : int ref) : Sequent.prover =
-  { Sequent.prover_name = "flaky";
-    prove =
-      (fun _ ->
-        incr count;
-        if !count = 1 then Sequent.Unknown "first try" else Sequent.Valid) }
+(* a prover that counts its calls and always gives up the same way *)
+let giving_up ?(name = "giveup") (count : int Atomic.t) : Sequent.prover =
+  { Sequent.prover_name = name;
+    prove = (fun _ -> Atomic.incr count; Sequent.Unknown "out of fragment") }
 
-let test_unknown_not_cached () =
-  let count = ref 0 in
+let test_unknown_replayed () =
+  let count = Atomic.make 0 in
   let cache = Dispatch.Cache.create () in
-  let d = Dispatch.create ~cache [ unknown_then_valid count ] in
+  let d = Dispatch.create ~cache [ giving_up count ] in
   let s = seq [ "x < y" ] "p..g = q" in
   let r1 = Dispatch.prove_sequent d s in
   Alcotest.(check string) "first attempt gives up" "unknown"
     (Sequent.verdict_kind r1.Dispatch.verdict);
-  (* an unknown verdict reflects this run's budgets and portfolio, so it
-     must not be replayed from the cache *)
+  Alcotest.(check bool) "not resource-limited" false r1.Dispatch.limited;
+  (* a deterministic Unknown is what a fresh attempt would answer *)
   let r2 = Dispatch.prove_sequent d s in
-  Alcotest.(check string) "second attempt re-proves" "valid"
+  Alcotest.(check string) "replayed verdict" "unknown"
     (Sequent.verdict_kind r2.Dispatch.verdict);
-  Alcotest.(check int) "prover ran both times" 2 !count;
-  Alcotest.(check bool) "second report not from the cache" false
-    r2.Dispatch.cached;
-  (* the settled verdict is cached as before *)
-  let r3 = Dispatch.prove_sequent d s in
-  Alcotest.(check bool) "third is a cache hit" true r3.Dispatch.cached;
-  Alcotest.(check int) "prover not re-run after settling" 2 !count
+  Alcotest.(check bool) "replay reported as cached" true r2.Dispatch.cached;
+  Alcotest.(check int) "prover ran once" 1 (Atomic.get count);
+  let k = Dispatch.Cache.counters cache in
+  Alcotest.(check int) "one unknown entry" 1 k.Dispatch.Cache.unknown_entries;
+  Alcotest.(check int) "one replay" 1 k.Dispatch.Cache.unknown_replayed;
+  Alcotest.(check int) "replay counted as a hit" 1 k.Dispatch.Cache.hit_count
+
+(* every kind of resource-limited Unknown leaves no cache entry: the
+   next request re-attempts it *)
+let test_limited_unknown_retried () =
+  let s = seq [ "x < y" ] "p..g = q" in
+  let check_retried what ?budget_s ?(around = fun f -> f ()) ?(runs = true)
+      prove =
+    let count = Atomic.make 0 in
+    let p =
+      { Sequent.prover_name = "limited";
+        prove = (fun s -> Atomic.incr count; prove s) }
+    in
+    let cache = Dispatch.Cache.create () in
+    let d = Dispatch.create ~cache ?budget_s [ p ] in
+    let r1 = around (fun () -> Dispatch.prove_sequent d s) in
+    Alcotest.(check string) (what ^ ": gives up") "unknown"
+      (Sequent.verdict_kind r1.Dispatch.verdict);
+    Alcotest.(check bool) (what ^ ": resource-limited") true r1.Dispatch.limited;
+    let r2 = around (fun () -> Dispatch.prove_sequent d s) in
+    Alcotest.(check bool) (what ^ ": not from the cache") false
+      r2.Dispatch.cached;
+    Alcotest.(check bool) (what ^ ": limited again") true r2.Dispatch.limited;
+    if runs then
+      Alcotest.(check int) (what ^ ": prover ran again") 2 (Atomic.get count);
+    Alcotest.(check int) (what ^ ": nothing stored") 0
+      (Dispatch.Cache.counters cache).Dispatch.Cache.entries
+  in
+  check_retried "budget exceeded" ~budget_s:0.02 (fun _ ->
+      Thread.delay 0.3;
+      Sequent.Valid);
+  (* an enclosing token already cancelled: the budget's waiter answers
+     "cancelled" (possibly before its helper thread even starts the
+     prover), and without a budget the prover's own checkpoint raises
+     Deadline.Expired *)
+  let cancelled f =
+    let t = Deadline.make () in
+    Deadline.cancel t;
+    Deadline.with_token t f
+  in
+  let spin _ =
+    while true do
+      Deadline.check ();
+      Thread.delay 0.001
+    done;
+    Sequent.Valid
+  in
+  check_retried "cancelled under a budget" ~budget_s:5.0 ~around:cancelled
+    ~runs:false spin;
+  check_retried "deadline expired" ~around:cancelled spin;
+  check_retried "prover raised" (fun _ -> failwith "boom");
+  check_retried "wall-clock cut-off" (fun _ ->
+      raise (Sequent.Resource_limited Fol.timed_out_reason))
+
+let test_unknown_keyed_by_portfolio () =
+  let count = Atomic.make 0 in
+  let cache = Dispatch.Cache.create () in
+  let s = seq [ "x < y" ] "p..g = q" in
+  let small = Dispatch.create ~cache [ giving_up count ] in
+  let full =
+    Dispatch.create ~cache
+      [ giving_up count; giving_up ~name:"other" (Atomic.make 0) ]
+  in
+  let unsimplified =
+    Dispatch.create ~cache ~simplify_first:false [ giving_up count ]
+  in
+  ignore (Dispatch.prove_sequent small s);
+  let r = Dispatch.prove_sequent full s in
+  Alcotest.(check bool) "a larger portfolio re-proves" false r.Dispatch.cached;
+  let r = Dispatch.prove_sequent unsimplified s in
+  Alcotest.(check bool) "other preprocessing re-proves" false r.Dispatch.cached;
+  Alcotest.(check int) "three attempts" 3 (Atomic.get count);
+  (* each portfolio now replays its own entry *)
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) "same portfolio replays" true
+        (Dispatch.prove_sequent d s).Dispatch.cached)
+    [ small; full; unsimplified ];
+  Alcotest.(check int) "no further attempts" 3 (Atomic.get count);
+  (* a settled verdict answers every portfolio *)
+  let valid = Dispatch.create ~cache [ counting_prover (ref 0) ] in
+  let t = seq [ "y < z" ] "p..g = q" in
+  ignore (Dispatch.prove_sequent valid t);
+  Alcotest.(check bool) "valid shared across portfolios" true
+    (Dispatch.prove_sequent full t).Dispatch.cached
+
+let test_unknown_counters_jobs () =
+  (* duplicated obligations, half of them deterministically unknown:
+     the counters come out the same at -j 1 and -j 4 *)
+  let obligations =
+    List.concat
+      (List.init 4 (fun _ ->
+           List.init 12 (fun i ->
+               seq [ Printf.sprintf "x%d < y" i ]
+                 (if i mod 2 = 0 then "p..g = q" else "p..h = q"))))
+  in
+  let run jobs =
+    let count = Atomic.make 0 in
+    let p =
+      { Sequent.prover_name = "half";
+        prove =
+          (fun s ->
+            Atomic.incr count;
+            if Form.fv s.Sequent.goal |> Form.Sset.mem "g" then Sequent.Valid
+            else Sequent.Unknown "out of fragment") }
+    in
+    let pool = if jobs > 1 then Some (Dispatch.Pool.create ~jobs) else None in
+    let cache = Dispatch.Cache.create () in
+    let d = Dispatch.create ?pool ~cache [ p ] in
+    let reports = Dispatch.prove_all d obligations in
+    Option.iter Dispatch.Pool.shutdown pool;
+    let k = Dispatch.Cache.counters cache in
+    ( List.map (fun r -> Sequent.verdict_kind r.Dispatch.verdict) reports,
+      (k.Dispatch.Cache.hit_count, k.Dispatch.Cache.miss_count),
+      (k.Dispatch.Cache.unknown_entries, k.Dispatch.Cache.unknown_replayed),
+      Atomic.get count )
+  in
+  let v1, hm1, u1, c1 = run 1 and v4, hm4, u4, c4 = run 4 in
+  Alcotest.(check (list string)) "same verdicts" v1 v4;
+  Alcotest.(check (pair int int)) "hits/misses" hm1 hm4;
+  Alcotest.(check (pair int int)) "unknown entries/replays" u1 u4;
+  Alcotest.(check (pair int int)) "12 misses, 36 hits" (36, 12) hm1;
+  Alcotest.(check (pair int int)) "6 entries, 18 replays" (6, 18) u1;
+  Alcotest.(check int) "each obligation proved once" c1 c4;
+  Alcotest.(check int) "12 attempts" 12 c1
 
 let test_cache_bypass () =
   (* no cache: every repetition reaches the portfolio (--no-cache) *)
@@ -721,8 +841,14 @@ let suite =
         Alcotest.test_case "digest: binder sorts" `Quick
           test_digest_binder_sorts;
         Alcotest.test_case "cache hit settles once" `Quick test_cache_hit;
-        Alcotest.test_case "unknown verdicts not cached" `Quick
-          test_unknown_not_cached;
+        Alcotest.test_case "deterministic unknown replayed" `Quick
+          test_unknown_replayed;
+        Alcotest.test_case "resource-limited unknown re-attempted" `Quick
+          test_limited_unknown_retried;
+        Alcotest.test_case "unknown keyed by portfolio" `Quick
+          test_unknown_keyed_by_portfolio;
+        Alcotest.test_case "unknown counters same at -j 1 and -j 4" `Quick
+          test_unknown_counters_jobs;
         Alcotest.test_case "no cache re-proves" `Quick test_cache_bypass;
         Alcotest.test_case "claim table: racing domains" `Quick
           test_cache_claim_race;

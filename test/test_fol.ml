@@ -210,7 +210,20 @@ let outcome_name = function
   | Ok Fol.Proof -> "proof"
   | Ok Fol.Saturated -> "saturated"
   | Ok Fol.GaveUp -> "gave-up"
+  | Ok Fol.TimedOut -> "timed-out"
   | Error m -> "untranslatable: " ^ m
+
+let test_cutoff_outcomes () =
+  (* the clause cap and the wall-clock cut-off are distinct outcomes, on
+     both engines; only the cut-off is a resource limit *)
+  let s = Sequent.make [ parse "a = b" ] (parse "a = c") in
+  List.iter
+    (fun engine ->
+      Alcotest.(check string) "clause cap" "gave-up"
+        (outcome_name (Fol.outcome_with ~engine ~max_clauses:0 s));
+      Alcotest.(check string) "wall-clock cut-off" "timed-out"
+        (outcome_name (Fol.outcome_with ~engine ~timeout_s:(-1.) s)))
+    [ Fol.Indexed; Fol.Naive ]
 
 let test_corpus_parity () =
   (* every historical counterexample, both engines, generous caps: the
@@ -240,6 +253,8 @@ let test_corpus_parity () =
 let suite =
   [ ( "fol",
       [ Alcotest.test_case "propositional" `Quick test_propositional;
+        Alcotest.test_case "clause cap vs wall-clock cut-off" `Quick
+          test_cutoff_outcomes;
         Alcotest.test_case "equality" `Quick test_equality_reasoning;
         Alcotest.test_case "quantifiers" `Quick test_quantifiers;
         Alcotest.test_case "set reasoning" `Quick test_set_reasoning;

@@ -3,7 +3,8 @@
     models, alpha-normalization and alpha-equivalence agree with each
     other, canonical printing is injective and independent of physical
     sharing, sequent digests ignore hypothesis order, duplicates,
-    bound-variable names and labels, substitution only depends on the
+    bound-variable names and labels and keep the bytes of the original
+    two-pass digest, substitution only depends on the
     bindings of free variables, simplification is deterministic up to
     alpha-renaming, and all of it gives the same answers when several
     domains run it at once.  Formulas come from the fuzzer's typed
@@ -158,6 +159,26 @@ let prop_digest frag =
       in
       String.equal (Sequent.digest s) (Sequent.digest variant))
 
+(* the digest as it was first written: the whole canonical text built in
+   a growing buffer, hashed in one piece *)
+let reference_digest (s : Sequent.t) : string =
+  let c = Sequent.canonicalize s in
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun h ->
+      Buffer.add_string buf (Pprint.to_canonical_string h);
+      Buffer.add_char buf '\n')
+    c.Sequent.hyps;
+  Buffer.add_string buf "|-";
+  Buffer.add_string buf (Pprint.to_canonical_string c.Sequent.goal);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let prop_digest_bytes frag =
+  QCheck.Test.make
+    ~name:(Formgen.fragment_name frag ^ ": digest bytes = two-pass reference")
+    ~count:60 (arb_sequent frag)
+    (fun s -> String.equal (Sequent.digest s) (reference_digest s))
+
 (* beta reduction mints fresh binder names, so two simplify runs agree
    only up to alpha-renaming — which is what [Form.equal] checks *)
 let prop_simplify frag =
@@ -235,6 +256,41 @@ let stress_domains () =
         r reference)
     results
 
+(* Two systhreads of one domain share its digest scratch space (as a
+   budgeted prover's helper thread does); each must still get the
+   reference bytes, including for sequents large enough to grow it. *)
+let stress_digest_threads () =
+  let sequents =
+    List.concat_map
+      (fun frag ->
+        List.init 25 (fun n -> Formgen.sequent_of_seed frag ~seed:7 ~size:3 n))
+      Formgen.all_fragments
+  in
+  (* every goal appended as hypotheses: large enough to grow the scratch *)
+  let goals = List.map (fun (t : Sequent.t) -> t.Sequent.goal) sequents in
+  let big =
+    List.filteri (fun i _ -> i < 3) sequents
+    |> List.map (fun (s : Sequent.t) ->
+           { s with Sequent.hyps = s.Sequent.hyps @ goals })
+  in
+  let all = sequents @ big in
+  let reference = List.map reference_digest all in
+  let mismatches = Atomic.make 0 in
+  let work () =
+    for _ = 1 to 20 do
+      List.iter2
+        (fun s r ->
+          if not (String.equal (Sequent.digest s) r) then
+            Atomic.incr mismatches;
+          Thread.yield ())
+        all reference
+    done
+  in
+  let threads = List.init 2 (fun _ -> Thread.create work ()) in
+  List.iter Thread.join threads;
+  Alcotest.(check int) "every digest matches the reference" 0
+    (Atomic.get mismatches)
+
 let props =
   List.concat
     [ for_all_fragments prop_canonical_injective;
@@ -244,6 +300,7 @@ let props =
       for_all_fragments prop_alpha;
       for_all_fragments prop_canonical;
       for_all_fragments prop_digest;
+      for_all_fragments prop_digest_bytes;
       for_all_fragments prop_simplify;
       for_all_fragments prop_subst;
       for_all_fragments prop_equal ]
@@ -252,4 +309,6 @@ let suite =
   [ ( "hashcons",
       List.map QCheck_alcotest.to_alcotest props
       @ [ Alcotest.test_case "4-domain concurrent consing" `Quick
-            stress_domains ] ) ]
+            stress_domains;
+          Alcotest.test_case "digest under two systhreads" `Quick
+            stress_digest_threads ] ) ]
