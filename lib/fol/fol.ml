@@ -416,6 +416,16 @@ let theory_axioms (clauses : clause list) : clause list =
     wall-clock cut-off, whose verdict depends on the host and its load. *)
 type outcome = Proof | Saturated | GaveUp | TimedOut
 
+(* tally a refutation's outcome as a [fol.outcome.*] trace counter *)
+let count_outcome (o : outcome) : outcome =
+  Trace.incr
+    (match o with
+    | Proof -> "fol.outcome.proof"
+    | Saturated -> "fol.outcome.saturated"
+    | GaveUp -> "fol.outcome.gave_up"
+    | TimedOut -> "fol.outcome.timed_out");
+  o
+
 (** Which saturation engine runs a refutation.  [Indexed] is the default:
     discrimination-tree partner retrieval, full forward/backward
     subsumption and an age–weight passive queue.  [Naive] is the original
@@ -513,7 +523,11 @@ let refute_naive ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
       picks at [age_weight_ratio] weight picks per age pick, so old heavy
       clauses cannot starve;
     - the dedup table is keyed on {!Folclause.normalize_clause}'s
-      variable-normalized form, so renamed variants collapse. *)
+      variable-normalized form, so renamed variants collapse, and hashed
+      over the whole clause ({!Folclause.hash_clause}).
+
+    Each refutation publishes its index counters, the number of clauses
+    it kept ([fol.kept]) and its outcome ([fol.outcome.*]) to the trace. *)
 let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
     ?(timeout_s = 1.5) ?(age_weight_ratio = 5) ~(usable : clause list)
     ~(sos : clause list) () : outcome =
@@ -522,7 +536,7 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
     List.filter (fun c -> not (is_tautology c)) (List.map normalize_clause usable)
   in
   let sos = List.map normalize_clause sos in
-  if List.exists (fun c -> c = []) (usable @ sos) then Proof
+  if List.exists (fun c -> c = []) (usable @ sos) then count_outcome Proof
   else begin
     let idx = Index.create () in
     let module Pq = Set.Make (struct
@@ -532,15 +546,15 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
     end) in
     let passive = ref Pq.empty in
     let age_queue : Index.entry Queue.t = Queue.create () in
-    let seen = Hashtbl.create 256 in
+    let seen = Tbl.create 256 in
     let total = ref 0 in
     (* [max_clauses] bounds clauses actually {e kept}: duplicates the
        dedup table absorbs and tautologies cost nothing (the naive
        engine charges its budget for every generated clause) *)
     let add_passive c =
-      if Hashtbl.mem seen c then Index.note_dedup idx
+      if Tbl.mem seen c then Index.note_dedup idx
       else if not (is_tautology c) then begin
-        Hashtbl.add seen c ();
+        Tbl.add seen c ();
         incr total;
         let e = Index.register idx c in
         passive := Pq.add (e.Index.weight, e.Index.id, e) !passive;
@@ -641,7 +655,8 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
               new_clauses)
     done;
     Index.flush_stats idx;
-    match !result with Some r -> r | None -> assert false
+    Trace.add "fol.kept" !total;
+    count_outcome (match !result with Some r -> r | None -> assert false)
   end
 
 (** Refute [usable] (axioms + hypotheses, assumed consistent) against the
@@ -725,13 +740,28 @@ let instantiate_foralls (cands : Form.t list) (hyps : Form.t list) :
       | _ -> [])
     hyps
 
-(** Translate a sequent and run the refutation, exposing the raw
-    saturation outcome (and the engine / limit knobs) for differential
-    testing and benchmarking; [Error what] means the sequent is not
-    first-order translatable. *)
-let outcome_with ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
-    ?age_weight_ratio ?(set_vars = []) (s : Sequent.t) :
-    (outcome, string) result =
+(* the free variables' types, inferred once per attempt: they name both
+   the set variables (extensionality) and the object-sorted constants
+   (the [obj] guard units) *)
+let free_types (s : Sequent.t) : Typecheck.env =
+  match Typecheck.infer (Sequent.to_form s) with
+  | _, _, free -> free
+  | exception Typecheck.Type_error _ -> Typecheck.Smap.empty
+
+let set_vars_of (free : Typecheck.env) : string list =
+  Typecheck.Smap.fold
+    (fun x ty acc ->
+      match ty with
+      | Ftype.Set _ -> x :: acc
+      | Ftype.Arrow (_, Ftype.Set _) -> x :: acc (* per-instance set *)
+      | _ -> acc)
+    free []
+
+(* [outcome_with] given the free variables' types, forced only when some
+   clause carries an [obj] guard *)
+let outcome_typed ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
+    ?age_weight_ratio ~set_vars ~(free : Typecheck.env Lazy.t)
+    (s : Sequent.t) : (outcome, string) result =
   match
     let translated_hyps = List.map (set_to_fol set_vars) s.Sequent.hyps in
     let translated_goal = set_to_fol set_vars (Form.mk_not s.Sequent.goal) in
@@ -751,15 +781,12 @@ let outcome_with ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
       in
       if not uses_obj then []
       else
-        match Typecheck.infer (Sequent.to_form s) with
-        | exception Typecheck.Type_error _ -> []
-        | _, _, free ->
-          Typecheck.Smap.fold
-            (fun x ty acc ->
-              if obj_sorted ty then
-                [ obj_lit true (Fn ("c_" ^ x, [])) ] :: acc
-              else acc)
-            free []
+        Typecheck.Smap.fold
+          (fun x ty acc ->
+            if obj_sorted ty then
+              [ obj_lit true (Fn ("c_" ^ x, [])) ] :: acc
+            else acc)
+          (Lazy.force free) []
     in
     let hyp_clauses = obj_var_units @ hyp_clauses in
     let theory = theory_axioms (hyp_clauses @ goal_clauses) in
@@ -772,12 +799,22 @@ let outcome_with ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
   | o -> Ok o
   | exception Untranslatable what -> Error what
 
+(** Translate a sequent and run the refutation, exposing the raw
+    saturation outcome (and the engine / limit knobs) for differential
+    testing and benchmarking; [Error what] means the sequent is not
+    first-order translatable. *)
+let outcome_with ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
+    ?age_weight_ratio ?(set_vars = []) (s : Sequent.t) :
+    (outcome, string) result =
+  outcome_typed ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
+    ?age_weight_ratio ~set_vars ~free:(lazy (free_types s)) s
+
 let timed_out_reason = "resolution wall-clock limit reached"
 
 (* the portfolio entry: the wall-clock cut-off raises, so the dispatcher
    can tell it from the deterministic give-ups *)
-let prove_limited ?engine ~set_vars (s : Sequent.t) : Sequent.verdict =
-  match outcome_with ?engine ~set_vars s with
+let prove_limited ?engine ~set_vars ~free (s : Sequent.t) : Sequent.verdict =
+  match outcome_typed ?engine ~set_vars ~free s with
   | Ok Proof -> Sequent.Valid
   | Ok Saturated ->
     (* saturation without equality-completeness caveats: the clause set is
@@ -791,23 +828,12 @@ let prove_limited ?engine ~set_vars (s : Sequent.t) : Sequent.verdict =
     (they get extensionality treatment).  A wall-clock cut-off answers
     [Unknown] here; only {!prover} raises {!Sequent.Resource_limited}. *)
 let prove_with ?engine ?(set_vars = []) (s : Sequent.t) : Sequent.verdict =
-  try prove_limited ?engine ~set_vars s
+  try prove_limited ?engine ~set_vars ~free:(lazy (free_types s)) s
   with Sequent.Resource_limited why -> Sequent.Unknown why
 
 (* infer set-typed variables from the formula so the prover can be used
    standalone *)
-let infer_set_vars (s : Sequent.t) : string list =
-  let f = Sequent.to_form s in
-  match Typecheck.infer f with
-  | _, _, free ->
-    Typecheck.Smap.fold
-      (fun x ty acc ->
-        match ty with
-        | Ftype.Set _ -> x :: acc
-        | Ftype.Arrow (_, Ftype.Set _) -> x :: acc (* per-instance set *)
-        | _ -> acc)
-      free []
-  | exception Typecheck.Type_error _ -> []
+let infer_set_vars (s : Sequent.t) : string list = set_vars_of (free_types s)
 
 let prove (s : Sequent.t) : Sequent.verdict =
   prove_with ~set_vars:(infer_set_vars s) s
@@ -828,4 +854,10 @@ let in_fragment (s : Sequent.t) : bool =
 let prover : Sequent.prover =
   Sequent.traced_prover
     { prover_name = "fol";
-      prove = (fun s -> prove_limited ~set_vars:(infer_set_vars s) s) }
+      prove =
+        (fun s ->
+          (* one type inference serves the set variables and the [obj]
+             units *)
+          let free = free_types s in
+          prove_limited ~set_vars:(set_vars_of free) ~free:(Lazy.from_val free)
+            s) }

@@ -52,6 +52,25 @@ let rec map_vars f = function
   | V x -> V (f x)
   | Fn (g, args) -> Fn (g, List.map (map_vars f) args)
 
+(* [compare] on the literals' variable-blind skeletons, without building
+   them: every variable equals every other and sorts below any
+   application, exactly as the polymorphic order ranks [V "?"] *)
+let rec compare_blind (a : term) (b : term) : int =
+  match a, b with
+  | V _, V _ -> 0
+  | V _, Fn _ -> -1
+  | Fn _, V _ -> 1
+  | Fn (f, xs), Fn (g, ys) ->
+    let c = String.compare f g in
+    if c <> 0 then c else List.compare compare_blind xs ys
+
+let compare_skeletons (l1 : lit) (l2 : lit) : int =
+  let c = Bool.compare l1.sign l2.sign in
+  if c <> 0 then c
+  else
+    let c = String.compare l1.pred l2.pred in
+    if c <> 0 then c else List.compare compare_blind l1.args l2.args
+
 (* Canonical form up to variable renaming: literals are first ordered by a
    variable-blind skeleton, variables are then renamed _v0, _v1, ... in
    order of first occurrence in that sequence, and the renamed literals
@@ -60,16 +79,41 @@ let rec map_vars f = function
    dedup table keyed on it catches renamed variants; the renaming is
    injective, so equal normal forms are always genuine variants. *)
 let normalize_clause (c : clause) : clause =
-  let blind = map_vars (fun _ -> "?") in
-  let skel l = { l with args = List.map blind l.args } in
-  let ordered =
-    List.stable_sort (fun a b -> compare (skel a) (skel b)) c
-  in
+  let ordered = List.stable_sort compare_skeletons c in
   let vars = List.rev (clause_vars ordered) in
-  let tbl = List.mapi (fun i x -> (x, Printf.sprintf "_v%d" i)) vars in
+  let tbl = List.mapi (fun i x -> (x, "_v" ^ string_of_int i)) vars in
   let f x = match List.assoc_opt x tbl with Some y -> y | None -> x in
   List.sort_uniq compare
     (List.map (fun l -> { l with args = List.map (map_vars f) l.args }) ordered)
+
+(* a hash over every symbol of the clause, for tables keyed on normal
+   forms: the polymorphic [Hashtbl.hash] stops after ten meaningful
+   words, which covers little more than the first literal's sign and
+   predicate, and sends every clause sharing a first literal to one
+   bucket *)
+let hash_clause (c : clause) : int =
+  let mix h x = (h * 65599) + x in
+  let rec term h = function
+    | V x -> mix (mix h 1) (Hashtbl.hash x)
+    | Fn (f, args) ->
+      List.fold_left term (mix (mix h (List.length args + 2)) (Hashtbl.hash f)) args
+  in
+  List.fold_left
+    (fun h l ->
+      List.fold_left term
+        (mix (mix h (Bool.to_int l.sign)) (Hashtbl.hash l.pred))
+        l.args)
+    0 c
+  land max_int
+
+(** Hash tables keyed on clauses, structurally compared and hashed by
+    {!hash_clause}. *)
+module Tbl = Hashtbl.Make (struct
+  type t = clause
+
+  let equal = ( = )
+  let hash = hash_clause
+end)
 
 let is_tautology (c : clause) : bool =
   List.exists
@@ -122,15 +166,16 @@ let subsumes (c1 : clause) (c2 : clause) : bool =
    to cut, exactly as in {!resolvents}. *)
 let resolve_on (c1 : clause) (l1 : lit) (c2 : clause) (l2 : lit) :
     clause option =
-  let rest2 = rename_clause "'" (List.filter (fun l -> l != l2) c2) in
-  let l2 = rename_lit "'" l2 in
+  (* most retrieved partners fail to unify: rename the rest of [c2] only
+     once a resolvent exists *)
   match
-    (try Some (List.fold_left2 unify [] l1.args l2.args)
+    (try Some (List.fold_left2 unify [] l1.args (rename_lit "'" l2).args)
      with No_unifier | Invalid_argument _ -> None)
   with
   | None -> None
   | Some s ->
     let rest1 = List.filter (fun l -> l != l1) c1 in
+    let rest2 = rename_clause "'" (List.filter (fun l -> l != l2) c2) in
     Some (normalize_clause (apply_clause s (rest1 @ rest2)))
 
 (* all binary resolvents of c1 and c2 (c2 freshly renamed) *)

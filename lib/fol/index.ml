@@ -13,13 +13,19 @@
     - the same trees run full-clause subsumption through the two other
       classic retrieval modes.  Forward ("is this clause subsumed by an
       active one?") retrieves {e generalizations}: every active clause
-      designates one watch literal, filed in a watch-tree; a subsumer's
+      files its most specific literal in a watch-tree; a subsumer's
       watch literal necessarily generalizes some literal of the subsumee,
       so querying each literal of the new clause covers all candidates.
       Backward ("which live clauses does this one subsume?") retrieves
-      {e instances} from a tree holding every literal of every registered
-      clause — passive included, so subsumed queued clauses are retired
-      before they are ever picked.
+      {e instances} of the new clause's most specific literal from a tree
+      holding every literal of every registered clause — passive
+      included, so subsumed queued clauses are retired before they are
+      ever picked.  Any literal would be complete in either direction (a
+      subsumee holds an instance of every literal of its subsumer); the
+      most specific one — most non-variable symbols, the crowded
+      equality and sort-guard trees losing ties — matches the fewest
+      stored literals, where an all-variable one such as [~obj(X)]
+      matches its whole tree.
 
     Entries are retired lazily: {!retire} flips the state and retrieval
     filters on it, so deletion costs O(1) and no tree surgery.  Stats are
@@ -35,7 +41,9 @@ type cstate = Passive | Active | Dead
 type entry = {
   id : int;
   cl : clause;
-  cl_r : clause; (* [cl] renamed apart once, reused by every subsumption test *)
+  cl_r : clause;
+      (* [cl] renamed apart once and reused by every subsumption test;
+         most specific literal first, so a failing match fails early *)
   weight : int; (* clause_size: the passive queue's priority *)
   nlits : int; (* List.length: the subsumption length guard *)
   keys : (bool * string) list; (* distinct (sign, pred), sorted *)
@@ -189,11 +197,26 @@ let tree_of family key : node =
     Hashtbl.add family key nd;
     nd
 
+(* how specific a literal is: its non-variable symbols, the crowded
+   equality and sort-guard trees losing ties.  [register] puts the most
+   specific literal first in [cl_r]; both subsumption directions file or
+   query by it *)
+let specificity (l : lit) : int * int =
+  let rec syms n = function
+    | V _ -> n
+    | Fn (_, args) -> List.fold_left syms (n + 1) args
+  in
+  (List.fold_left syms 0 l.args, if l.pred = "=" || l.pred = "obj" then 0 else 1)
+
 let register (t : t) (c : clause) : entry =
   let e =
     { id = t.next_id;
       cl = c;
-      cl_r = rename_clause "!" c;
+      cl_r =
+        rename_clause "!"
+          (List.stable_sort
+             (fun a b -> compare (specificity b) (specificity a))
+             c);
       weight = clause_size c;
       nlits = List.length c;
       keys = clause_keys c;
@@ -205,20 +228,6 @@ let register (t : t) (c : clause) : entry =
     (fun l -> insert_path (tree_of t.all_trees (lit_key l)) l.args (e, l))
     e.cl;
   e
-
-(* the literal a clause is filed under for subsumption retrieval: any
-   literal is sound (a subsumer maps each of its own literals into the
-   subsumee), so prefer a discriminating predicate over the crowded
-   equality and sort-guard trees *)
-let pilot_lit (c : clause) : lit option =
-  match c with
-  | [] -> None
-  | l0 :: rest ->
-    let score l = if l.pred = "=" then 1 else if l.pred = "obj" then 2 else 0 in
-    Some
-      (List.fold_left
-         (fun best l -> if score l < score best then l else best)
-         l0 rest)
 
 let activate (t : t) (e : entry) : unit =
   e.state <- Active;
@@ -238,9 +247,9 @@ let activate (t : t) (e : entry) : unit =
     in
     cell := (e, lr) :: !cell
   | _ -> ());
-  match pilot_lit e.cl with
-  | Some l -> insert_path (tree_of t.watch_trees (lit_key l)) l.args (e, l)
-  | None -> ()
+  match e.cl_r with
+  | l :: _ -> insert_path (tree_of t.watch_trees (lit_key l)) l.args (e, l)
+  | [] -> ()
 
 let retire (t : t) (e : entry) : unit =
   if e.state = Active then t.active_lits <- t.active_lits - List.length e.cl;
@@ -296,8 +305,9 @@ let unit_subsumed (t : t) (c : clause) : entry option =
   hit
 
 (** An active clause subsuming [c], if any: every literal of [c] asks
-    the watch-trees for stored pilot literals generalizing it — the
-    subsumer, wherever it maps its pilot, is found by that literal. *)
+    the watch-trees for stored watch literals generalizing it — the
+    subsumer, wherever it maps its watch literal, is found by that
+    literal. *)
 let forward_subsumed (t : t) (c : clause) : entry option =
   let keys = clause_keys c in
   let n = List.length c in
@@ -327,13 +337,15 @@ let forward_subsumed (t : t) (c : clause) : entry option =
   | None -> None
 
 (** Every live clause other than [e] itself that [e]'s clause subsumes
-    (active {e and passive}; the caller retires them).  One literal of
-    [e] asks the all-clauses trees for stored instances; the owners of
-    those literals are the only clauses [e] can subsume. *)
+    (active {e and passive}; the caller retires them).  [e]'s most
+    specific literal asks the all-clauses trees for stored instances; the
+    owners of those literals are the only clauses [e] can subsume. *)
 let backward_subsumed (t : t) (e : entry) : entry list =
-  match pilot_lit e.cl with
-  | None -> []
-  | Some lp -> (
+  match e.cl_r with
+  | [] -> []
+  | lp :: _ -> (
+    (* [cl_r] leads with the most specific literal; its renamed
+       variables are as blind to the tree as the originals *)
     match Hashtbl.find_opt t.all_trees (lit_key lp) with
     | None -> []
     | Some root ->
@@ -341,12 +353,12 @@ let backward_subsumed (t : t) (e : entry) : entry list =
       let subsumed =
         List.filter
           (fun (c, _) ->
-            (not (Hashtbl.mem seen c.id))
+            c.id <> e.id && c.state <> Dead && e.nlits <= c.nlits
+            && key_subset e.keys c.keys
+            && (not (Hashtbl.mem seen c.id))
             && begin
                  Hashtbl.add seen c.id ();
-                 c.id <> e.id && c.state <> Dead && e.nlits <= c.nlits
-                 && key_subset e.keys c.keys
-                 && subsumes_prepared e.cl_r c.cl
+                 subsumes_prepared e.cl_r c.cl
                end)
           (retrieve_path Instances root lp.args)
       in

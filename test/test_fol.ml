@@ -182,11 +182,51 @@ module Props = struct
         let naive = List.exists (fun a -> subsumes a c) cs in
         indexed = naive)
 
+  (* the backward-subsumption generator widens the vocabulary to the
+     crowded [=] and [obj] trees and to all-variable literals, where the
+     choice of query literal matters most *)
+  let gen_var_lit : lit G.t =
+    let open G in
+    let* sign = bool in
+    let* pred, arity = oneofl [ ("=", 2); ("obj", 1); ("p", 1); ("q", 2) ] in
+    let* args =
+      list_repeat arity
+        (frequency
+           [ (3, oneofl [ Term.V "X"; Term.V "Y"; Term.V "Z" ]); (1, gen_tm) ])
+    in
+    return { sign; pred; args }
+
+  let gen_wide_cl : clause G.t =
+    G.list_size (G.int_range 1 3) (G.frequency [ (1, gen_lit); (1, gen_var_lit) ])
+
+  (* each stored clause is left registered-but-passive, activated, or
+     activated and then retired *)
+  let arb_states_and_cl =
+    QCheck.make
+      ~print:(fun (cs, c) ->
+        Format.asprintf "stored: %s | clause: %s"
+          (String.concat " ; "
+             (List.map
+                (fun (cl, st) -> Printf.sprintf "%s [%d]" (print_cl cl) st)
+                cs))
+          (print_cl c))
+      G.(pair (list_size (int_range 1 8) (pair gen_wide_cl (int_bound 2)))
+           gen_wide_cl)
+
   let prop_backward_subsumption_agrees =
     QCheck.Test.make
       ~name:"indexed backward subsumption agrees with the naive filter"
-      ~count:500 arb_clauses_and_cl (fun (cs, c) ->
-        let idx, entries = activate_all cs in
+      ~count:1000 arb_states_and_cl (fun (cs, c) ->
+        let idx = Index.create () in
+        let entries =
+          List.map
+            (fun (cl, st) ->
+              let e = Index.register idx cl in
+              if st >= 1 then Index.activate idx e;
+              if st = 2 then Index.retire idx e;
+              e)
+            cs
+        in
         let e = Index.register idx c in
         let indexed =
           List.sort_uniq compare
@@ -196,10 +236,30 @@ module Props = struct
           List.sort_uniq compare
             (List.filter_map
                (fun x ->
-                 if subsumes c x.Index.cl then Some x.Index.id else None)
+                 if x.Index.state <> Index.Dead && subsumes c x.Index.cl then
+                   Some x.Index.id
+                 else None)
                entries)
         in
         indexed = naive)
+
+  (* normal forms order literals by their variable-blind skeletons; the
+     allocation-free comparison must rank them as [compare] ranks the
+     built skeletons *)
+  let prop_skeleton_order =
+    QCheck.Test.make ~name:"skeleton comparison agrees with built skeletons"
+      ~count:1000
+      (QCheck.make ~print:print_cl gen_wide_cl)
+      (fun c ->
+        let skel l = { l with args = List.map (map_vars (fun _ -> "?")) l.args } in
+        List.for_all
+          (fun a ->
+            List.for_all
+              (fun b ->
+                Int.compare (compare_skeletons a b) 0
+                = Int.compare (compare (skel a) (skel b)) 0)
+              c)
+          c)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -224,6 +284,82 @@ let test_cutoff_outcomes () =
       Alcotest.(check string) "wall-clock cut-off" "timed-out"
         (outcome_name (Fol.outcome_with ~engine ~timeout_s:(-1.) s)))
     [ Fol.Indexed; Fol.Naive ]
+
+let test_outcome_counters () =
+  (* one [fol.outcome.*] tally per refutation and a [fol.kept] count,
+     visible in the --stats report *)
+  Trace.reset ();
+  Trace.start_collecting ();
+  let s hyps goal = Sequent.make (List.map parse hyps) (parse goal) in
+  Alcotest.(check (list string)) "outcomes"
+    [ "proof"; "saturated"; "gave-up"; "timed-out" ]
+    (List.map outcome_name
+       [ Fol.outcome_with (s [ "a = b"; "b = c" ] "a = c");
+         Fol.outcome_with (s [ "p" ] "q");
+         Fol.outcome_with ~max_clauses:0 (s [ "a = b" ] "a = c");
+         Fol.outcome_with ~timeout_s:(-1.) (s [ "a = b" ] "a = c") ]);
+  Trace.stop ();
+  List.iter
+    (fun o ->
+      Alcotest.(check int) ("fol.outcome." ^ o) 1
+        (Trace.counter_value ("fol.outcome." ^ o)))
+    [ "proof"; "saturated"; "gave_up"; "timed_out" ];
+  Alcotest.(check bool) "fol.kept counted" true
+    (Trace.counter_value "fol.kept" > 0);
+  let report = Format.asprintf "%a" Trace.pp_report () in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " in the stats report") true
+        (Test_daemon.has_substring report k))
+    [ "fol.outcome.gave_up"; "fol.kept" ];
+  Trace.reset ()
+
+(* ------------------------------------------------------------------ *)
+(* Search identity: list-group runs pinned to their search counters     *)
+(* ------------------------------------------------------------------ *)
+
+(* the "# expect: " line of a pinned sequent file *)
+let expected_search path =
+  let prefix = "# expect: " in
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.find_map (fun l ->
+         if String.starts_with ~prefix l then
+           Some
+             (String.sub l (String.length prefix)
+                (String.length l - String.length prefix))
+         else None)
+
+(* the outcome and search counters of one refutation; the wall clock is
+   generous so only the clause cap can end a search *)
+let search_summary s =
+  Trace.reset ();
+  Trace.start_collecting ();
+  let o = Fol.outcome_with ~timeout_s:60. ~set_vars:(Fol.infer_set_vars s) s in
+  Trace.stop ();
+  let c = Trace.counter_value in
+  let r =
+    Printf.sprintf "%s kept=%d dedup=%d forward=%d backward=%d"
+      (outcome_name o) (c "fol.kept") (c "fol.dedup.hits")
+      (c "fol.subsume.forward") (c "fol.subsume.backward")
+  in
+  Trace.reset ();
+  r
+
+let test_search_identity () =
+  (* speed-ups to the given-clause loop must keep the same search: the
+     same clauses kept, deduplicated and subsumed, the same outcome *)
+  let files = Fuzz.Differ.corpus_files "fol_search" in
+  Alcotest.(check bool) "pinned sequents present" true (List.length files >= 3);
+  List.iter
+    (fun path ->
+      match (Fuzz.Differ.load_file path, expected_search path) with
+      | Error msg, _ -> Alcotest.failf "%s: %s" path msg
+      | Ok _, None -> Alcotest.failf "%s: no expect line" path
+      | Ok entry, Some expected ->
+        Alcotest.(check string) (Filename.basename path) expected
+          (search_summary entry.Fuzz.Differ.entry_sequent))
+    files
 
 let test_corpus_parity () =
   (* every historical counterexample, both engines, generous caps: the
@@ -263,6 +399,11 @@ let suite =
         QCheck_alcotest.to_alcotest Props.prop_retrieval_superset;
         QCheck_alcotest.to_alcotest Props.prop_forward_subsumption_agrees;
         QCheck_alcotest.to_alcotest Props.prop_backward_subsumption_agrees;
+        QCheck_alcotest.to_alcotest Props.prop_skeleton_order;
         Alcotest.test_case "corpus engine parity" `Quick test_corpus_parity;
+        Alcotest.test_case "outcome and kept counters" `Quick
+          test_outcome_counters;
+        Alcotest.test_case "search identity on pinned list sequents" `Quick
+          test_search_identity;
       ] );
   ]
