@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI should run.
 
-.PHONY: all build test check fuzz-smoke e2e-self-test bench-sched bench-scaling bench-daemon bench-incremental bench-fol bench-mona serve-smoke bench bench-json clean
+.PHONY: all build test check fuzz-smoke e2e-self-test bench-scaling bench-daemon bench-incremental bench-fol bench-mona serve-smoke bench bench-json clean
 
 all: build
 
@@ -25,7 +25,6 @@ check:
 	rm -f trace_smoke.jsonl
 	$(MAKE) fuzz-smoke
 	$(MAKE) e2e-self-test
-	$(MAKE) bench-sched
 	$(MAKE) bench-scaling
 	$(MAKE) bench-daemon
 	$(MAKE) bench-incremental
@@ -49,14 +48,6 @@ fuzz-smoke:
 # metric it declares is printed with its unit and no request failed
 e2e-self-test:
 	python3 e2ebench/run.py --self-test
-
-# guarded A/B of the adaptive scheduler: the experiment fails unless
-# adaptive routing+ordering beats the fixed cascade by >=15% end to end
-# with identical verdicts, pre-routing actually skips, racing actually
-# races, and a 50ms budget cancels a ~0.3s prover cooperatively;
-# refreshes BENCH_sched.json
-bench-sched:
-	dune exec bench/main.exe -- sched
 
 # scaling guard for the work-stealing pool: verdict counts and cache
 # hit/lookup counters must be identical at every -j (the claim table

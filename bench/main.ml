@@ -665,265 +665,21 @@ let trace_overhead () =
          ((ratio -. 1.) *. 100.))
 
 (* ------------------------------------------------------------------ *)
-(* SCHED: adaptive portfolio scheduler A/B                             *)
+(* Sequent builders shared by the prover experiments                   *)
 (* ------------------------------------------------------------------ *)
 
-let verdict_kind = function
-  | Sequent.Valid -> "valid"
-  | Sequent.Invalid _ -> "invalid"
-  | Sequent.Unknown _ -> "unknown"
-
-(* the routing suite's portfolio: specialists first, the general-purpose
-   SMT endgame last.  This is a defensible declared order — and exactly
-   the order the suite punishes, because its congruence rows are settled
-   instantly by smt but cost fol a slow resolution proof first. *)
-let sched_portfolio () =
-  [ Bapa.prover; Fca.prover; Fol.prover; Presburger.Lia.prover; Smt.prover ]
-
-let sched_sequent hyps goal =
+let parse_sequent hyps goal =
   Sequent.make (List.map Parser.parse hyps) (Parser.parse goal)
 
-(* an EUF congruence chain: fol settles it by resolution in ~0.3s, smt's
-   congruence closure in ~5ms.  [tag] varies every constant so no two
-   instances are the same sequent, while the fragment signature — and
-   hence the learned EMA bucket — stays fixed across instances. *)
-let sched_chain_row tag n =
+(* an EUF congruence chain: smt's congruence closure settles it at once,
+   fol only by a resolution proof.  [tag] varies every constant so no two
+   instances are the same sequent. *)
+let euf_chain_row tag n =
   let v i = Printf.sprintf "%s_%d" tag i in
   let hyps =
     List.init n (fun i -> Printf.sprintf "%s = %s" (v i) (v (i + 1)))
   in
-  sched_sequent hyps (Printf.sprintf "%s..f..g = %s..f..g" (v 0) (v n))
-
-(* name-varied copies of the S3-DP home-fragment rows: each is settled
-   by its specialist, covering valid and invalid verdicts across all
-   fragment signatures so the parity check is not vacuous *)
-let sched_dp_rows p =
-  let reach = "rtrancl_pt (% u v. u..next = v) " in
-  [ sched_sequent
-      [ p ^ "x <= " ^ p ^ "y"; p ^ "y <= " ^ p ^ "x" ]
-      (p ^ "x..f = " ^ p ^ "y..f");
-    sched_sequent [ p ^ "x >= 0" ] (p ^ "x >= 1");
-    sched_sequent
-      [ "card " ^ p ^ "A = 3"; "card " ^ p ^ "B = 4";
-        p ^ "A Int " ^ p ^ "B = {}" ]
-      ("card (" ^ p ^ "A Un " ^ p ^ "B) = 7");
-    sched_sequent [ "card " ^ p ^ "A = 2" ] ("card " ^ p ^ "A = 3");
-    sched_sequent
-      [ reach ^ p ^ "h " ^ p ^ "x"; reach ^ p ^ "h " ^ p ^ "y";
-        p ^ "x..next = " ^ p ^ "y" ]
-      (reach ^ p ^ "x " ^ p ^ "y");
-    sched_sequent
-      [ p ^ "A Int " ^ p ^ "B = {}"; p ^ "o : " ^ p ^ "A";
-        p ^ "A2 = " ^ p ^ "A - {" ^ p ^ "o}";
-        p ^ "B2 = " ^ p ^ "B Un {" ^ p ^ "o}" ]
-      (p ^ "A2 Int " ^ p ^ "B2 = {}");
-  ]
-
-let sched_suite pass =
-  let tag k = Printf.sprintf "p%d%s" pass k in
-  List.init 6 (fun i -> sched_chain_row (tag (Printf.sprintf "c%d" i)) 20)
-  @ sched_dp_rows (tag "v")
-
-let sched_counter_keys =
-  [ "sched.skipped"; "sched.race"; "sched.race_cancelled";
-    "deadline.cancelled"; "budget.exceeded"; "prover.raised" ]
-
-let sched_counters () =
-  List.map (fun k -> (k, Trace.counter_value k)) sched_counter_keys
-
-let sched_counter_delta before after =
-  List.map2 (fun (k, b) (_, a) -> (k, a - b)) before after
-
-let sched_counters_json deltas =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, n) ->
-           Printf.sprintf "\"%s\":%d"
-             (String.map (function '.' -> '_' | c -> c) k)
-             n)
-         deltas)
-  ^ "}"
-
-let sched_bench () =
-  header "SCHED: adaptive scheduler A/B — routing, learned order, racing";
-  Printf.printf
-    "the scheduler pre-routes sequents past provers whose fragment\n\
-    \  predicate rejects them (skip-sound provers only; smt is never\n\
-    \  skipped), orders the survivors by a learned latency/settle-rate\n\
-    \  score per fragment signature, and cancels budget-expired or\n\
-    \  raced-away provers cooperatively at their loop heads.  This runs\n\
-    \  the same workload under --sched fixed and --sched adaptive,\n\
-    \  interleaved, and fails unless adaptive wins by >=15%% with\n\
-    \  identical verdicts everywhere.\n";
-  let admits = Jahob_core.Jahob.default_admissions () in
-  let mk policy race =
-    Dispatch.create
-      ~sched:(Dispatch.Sched.create ~policy ~race ~admits ())
-      (sched_portfolio ())
-  in
-  Trace.start_collecting ();
-  (* -- routing suite: fixed vs adaptive, interleaved passes; the
-        dispatchers persist across passes so the adaptive EMAs learn -- *)
-  let passes = 3 in
-  let fixed_d = mk Dispatch.Sched.Fixed 1 in
-  let adaptive_d = mk Dispatch.Sched.Adaptive 1 in
-  let run_pass d pass =
-    time_it (fun () ->
-        List.map
-          (fun s -> verdict_kind (Dispatch.prove_sequent d s).Dispatch.verdict)
-          (sched_suite pass))
-  in
-  let suite_fixed = ref 0. and suite_adaptive = ref 0. in
-  let fixed_verdicts = ref [] in
-  let before_adaptive = ref (sched_counters ()) in
-  let adaptive_delta = ref [] in
-  for pass = 1 to passes do
-    let vf, tf = run_pass fixed_d pass in
-    fixed_verdicts := !fixed_verdicts @ vf;
-    before_adaptive := sched_counters ();
-    let va, ta = run_pass adaptive_d pass in
-    adaptive_delta :=
-      sched_counter_delta !before_adaptive (sched_counters ())
-      :: !adaptive_delta;
-    suite_fixed := !suite_fixed +. tf;
-    suite_adaptive := !suite_adaptive +. ta;
-    Printf.printf "  pass %d:  fixed %6.2fs   adaptive %6.2fs   verdicts \
-                   identical: %b\n%!"
-      pass tf ta (vf = va);
-    if vf <> va then
-      failwith
-        (Printf.sprintf
-           "pass %d: adaptive scheduling changed a verdict (fixed [%s] vs \
-            adaptive [%s])"
-           pass (String.concat ";" vf) (String.concat ";" va))
-  done;
-  let suite_counters =
-    List.fold_left
-      (fun acc d -> List.map2 (fun (k, a) (_, b) -> (k, a + b)) acc d)
-      (List.map (fun k -> (k, 0)) sched_counter_keys)
-      !adaptive_delta
-  in
-  (* -- racing: a fresh (cold) adaptive dispatcher with --race 4 over a
-        4-domain pool; racing covers the cold start because the settling
-        prover runs concurrently with the slow one from pass one, and
-        the losers are cancelled through their deadline tokens -- *)
-  let pool = Dispatch.Pool.create ~jobs:4 in
-  let race_d =
-    Dispatch.create ~pool
-      ~sched:(Dispatch.Sched.create ~policy:Dispatch.Sched.Adaptive ~race:4
-                ~admits ())
-      (sched_portfolio ())
-  in
-  let race_before = sched_counters () in
-  let race_verdicts = ref [] and race_t = ref 0. in
-  for pass = 1 to passes do
-    let v, t = run_pass race_d pass in
-    race_verdicts := !race_verdicts @ v;
-    race_t := !race_t +. t
-  done;
-  Dispatch.Pool.shutdown pool;
-  let race_counters = sched_counter_delta race_before (sched_counters ()) in
-  Printf.printf "  race 4:  %6.2fs cold (vs %.2fs cold sequential fixed)   \
-                 races %d   cancelled %d\n%!"
-    !race_t !suite_fixed
-    (List.assoc "sched.race" race_counters)
-    (List.assoc "sched.race_cancelled" race_counters
-    + List.assoc "deadline.cancelled" race_counters);
-  (* -- cooperative budget demo: a 50ms budget cancels fol's ~0.3s
-        resolution run at a loop-head checkpoint -- *)
-  let budget_before = sched_counters () in
-  let budget_d =
-    Dispatch.create ~budget_s:0.05
-      ~sched:(Dispatch.Sched.create ~policy:Dispatch.Sched.Fixed ())
-      [ Fol.prover ]
-  in
-  let bv, bt =
-    time_it (fun () ->
-        (Dispatch.prove_sequent budget_d (sched_chain_row "bgt" 20))
-          .Dispatch.verdict)
-  in
-  let budget_counters = sched_counter_delta budget_before (sched_counters ()) in
-  Printf.printf "  budget:  fol under a 50ms budget -> %s in %.3fs \
-                 (budget.exceeded=%d)\n%!"
-    (verdict_kind bv) bt
-    (List.assoc "budget.exceeded" budget_counters);
-  Trace.stop ();
-  Trace.reset ();
-  (* -- end-to-end: the FIG1-4 verification under both policies with the
-        default portfolio; adaptive must not change any method report -- *)
-  let e2e policy =
-    let opts = { (bench_opts ()) with Jahob_core.Jahob.sched = policy } in
-    let files =
-      [ examples_dir ^ "/list/Client.java"; examples_dir ^ "/list/List.java" ]
-    in
-    time_it (fun () -> Jahob_core.Jahob.verify_files ~opts files)
-  in
-  let methods (r : Jahob_core.Jahob.program_report) =
-    List.map
-      (fun (m : Jahob_core.Jahob.method_report) ->
-        let s = m.Jahob_core.Jahob.obligations in
-        ( m.Jahob_core.Jahob.method_name,
-          (s.Dispatch.total, s.Dispatch.valid, s.Dispatch.invalid,
-           s.Dispatch.unknown) ))
-      r.Jahob_core.Jahob.methods
-  in
-  let report_fixed, e2e_fixed = e2e Dispatch.Sched.Fixed in
-  let report_adaptive, e2e_adaptive = e2e Dispatch.Sched.Adaptive in
-  let methods_identical = methods report_fixed = methods report_adaptive in
-  count_report report_adaptive;
-  Printf.printf "  fig1_4:  fixed %5.2fs   adaptive %5.2fs   method reports \
-                 identical: %b\n%!"
-    e2e_fixed e2e_adaptive methods_identical;
-  let total_fixed = !suite_fixed +. e2e_fixed in
-  let total_adaptive = !suite_adaptive +. e2e_adaptive in
-  let ratio = total_adaptive /. total_fixed in
-  Printf.printf
-    "  total:   fixed %5.2fs   adaptive %5.2fs   ratio %.3f  (bound 0.85)\n%!"
-    total_fixed total_adaptive ratio;
-  let json =
-    Printf.sprintf
-      "{\"suite\":{\"passes\":%d,\"sequents_per_pass\":%d,\
-       \"fixed_s\":%.4f,\"adaptive_s\":%.4f,\"counters\":%s},\
-       \"race\":{\"jobs\":4,\"width\":4,\"seconds\":%.4f,\
-       \"verdicts_identical\":%b,\"counters\":%s},\
-       \"budget_demo\":{\"budget_s\":0.05,\"seconds\":%.4f,\
-       \"verdict\":\"%s\",\"counters\":%s},\
-       \"end_to_end\":{\"fixed_s\":%.4f,\"adaptive_s\":%.4f,\
-       \"methods_identical\":%b},\
-       \"total\":{\"fixed_s\":%.4f,\"adaptive_s\":%.4f,\"ratio\":%.4f}}"
-      passes
-      (List.length (sched_suite 0))
-      !suite_fixed !suite_adaptive
-      (sched_counters_json suite_counters)
-      !race_t
-      (!race_verdicts = !fixed_verdicts)
-      (sched_counters_json race_counters)
-      bt (verdict_kind bv)
-      (sched_counters_json budget_counters)
-      e2e_fixed e2e_adaptive methods_identical total_fixed total_adaptive ratio
-  in
-  let oc = open_out "BENCH_sched.json" in
-  Printf.fprintf oc "%s\n" json;
-  close_out oc;
-  Printf.printf "  wrote BENCH_sched.json\n%!";
-  note_json "sched" json;
-  if not methods_identical then
-    failwith "adaptive scheduling changed a fig1_4 method report";
-  if List.assoc "sched.skipped" suite_counters = 0 then
-    failwith "fragment pre-routing never skipped a prover on the suite";
-  if List.assoc "sched.race" race_counters = 0 then
-    failwith "the --race 4 arm never actually raced";
-  if List.assoc "budget.exceeded" budget_counters = 0 then
-    failwith "the 50ms budget did not trip the cooperative deadline";
-  if bt > 0.5 then
-    failwith
-      (Printf.sprintf
-         "budgeted fol ran %.3fs; cooperative cancellation is not working" bt);
-  if ratio > 0.85 then
-    failwith
-      (Printf.sprintf
-         "adaptive/fixed wall-clock ratio %.3f exceeds the 0.85 bound" ratio)
+  parse_sequent hyps (Printf.sprintf "%s..f..g = %s..f..g" (v 0) (v n))
 
 (* ------------------------------------------------------------------ *)
 (* DAEMON: warm daemon replay vs cold CLI runs                         *)
@@ -1019,14 +775,13 @@ let daemon_replay (server : Daemon.Server.t) : daemon_sig list * float =
 let daemon_bench () =
   header "DAEMON: warm daemon replay vs cold CLI runs";
   Printf.printf
-    "a resident daemon keeps the verdict cache and scheduler EMAs warm\n\
-    \  across requests and backs the cache with a persistent on-disk\n\
-    \  store.  This replays the fully-verified example groups as cold CLI\n\
-    \  runs (fresh engine per group) vs warm requests against one\n\
-    \  in-process server, through the real JSONL protocol, and fails\n\
-    \  unless the warm replay is >=%.0fx\n\
-    \  faster with identical verdicts — including after a daemon restart\n\
-    \  that re-serves from disk.\n"
+    "a resident daemon keeps the verdict cache warm across requests\n\
+    \  and backs the cache with a persistent on-disk store.  This\n\
+    \  replays the fully-verified example groups as cold CLI runs (fresh\n\
+    \  engine per group) vs warm requests against one in-process server,\n\
+    \  through the real JSONL protocol, and fails unless the warm replay\n\
+    \  is >=%.0fx faster with identical verdicts — including after a\n\
+    \  daemon restart that re-serves from disk.\n"
     daemon_speedup_floor;
   let store_path =
     Filename.temp_file "jahob_bench_daemon" ".jstore"
@@ -1396,14 +1151,14 @@ let fol_bench () =
       List.init n (fun i -> Printf.sprintf "%s = %s" (v i) (v (i + 1)))
       @ List.init m (fun i -> Printf.sprintf "%sd_%d..f = %se_%d" tag i tag i)
     in
-    sched_sequent hyps (Printf.sprintf "%s..f..g = %s..f..g" (v 0) (v n))
+    parse_sequent hyps (Printf.sprintf "%s..f..g = %s..f..g" (v 0) (v n))
   in
   let member_chain_row tag n =
     let hyps =
       List.init n (fun i ->
           Printf.sprintf "ALL x. x : %sS_%d --> x : %sS_%d" tag i tag (i + 1))
     in
-    sched_sequent
+    parse_sequent
       ((Printf.sprintf "%sa : %sS_0" tag tag) :: hyps)
       (Printf.sprintf "%sa : %sS_%d" tag tag n)
   in
@@ -1413,16 +1168,16 @@ let fol_bench () =
           Printf.sprintf "ALL x. x : %sS_%d & x : %sG --> x : %sS_%d" tag i
             tag tag (i + 1))
     in
-    sched_sequent
+    parse_sequent
       ([ Printf.sprintf "%sa : %sS_0" tag tag;
          Printf.sprintf "%sa : %sG" tag tag ]
       @ hyps)
       (Printf.sprintf "%sa : %sS_%d" tag tag n)
   in
   let suite =
-    [ ("chain10", sched_chain_row "fb_a" 10);
-      ("chain14", sched_chain_row "fb_b" 14);
-      ("chain18", sched_chain_row "fb_c" 18);
+    [ ("chain10", euf_chain_row "fb_a" 10);
+      ("chain14", euf_chain_row "fb_b" 14);
+      ("chain18", euf_chain_row "fb_c" 18);
       ("wide-chain14+400", wide_chain_row "fw" 14 400);
       ("wide-chain14+800", wide_chain_row "fx" 14 800);
       ("member-chain400", member_chain_row "fm" 400);
@@ -1431,20 +1186,20 @@ let fol_bench () =
       ("guarded-chain120", guarded_chain_row "fg" 120);
       ("guarded-chain240", guarded_chain_row "fh" 240);
       ( "set-move",
-        sched_sequent
+        parse_sequent
           [ "A Int B = {}"; "o : A"; "A2 = A - {o}"; "B2 = B Un {o}" ]
           "A2 Int B2 = {}" );
       ( "fresh-add",
-        sched_sequent
+        parse_sequent
           [ "A Int B = {}"; "x ~: B"; "A2 = A Un {x}" ]
           "A2 Int B = {}" );
       ( "subset-chain",
-        sched_sequent
+        parse_sequent
           [ "ALL e. e : s --> e : t"; "ALL e. e : t --> e : u";
             "ALL e. e : u --> e : v" ]
           "ALL e. e : s --> e : v" );
       ( "reach-extend",
-        sched_sequent
+        parse_sequent
           [ "rtrancl_pt (% u v. u..next = v) h x";
             "rtrancl_pt (% u v. u..next = v) h y"; "x..next = y" ]
           "rtrancl_pt (% u v. u..next = v) x y" );
@@ -1846,7 +1601,6 @@ let experiments =
     ("trace_overhead", trace_overhead);
     ("fol", fol_bench);
     ("mona", mona_bench);
-    ("sched", sched_bench);
     ("daemon", daemon_bench);
     ("incremental", incremental_bench);
     ("micro", micro);
@@ -1916,7 +1670,7 @@ let () =
     Printf.printf "\nwrote BENCH_results.json (%d experiments)\n%!"
       (List.length records)
   end;
-  (* a failed guard (sched, trace_overhead, ...) must fail CI *)
+  (* a failed guard (fol, trace_overhead, ...) must fail CI *)
   if !failed <> [] then begin
     Printf.printf "\nFAILED experiments: %s\n%!"
       (String.concat ", " (List.rev !failed));

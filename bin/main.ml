@@ -98,29 +98,6 @@ let budget_arg =
            ~doc:"Wall-clock budget per prover call; a prover exceeding it \
                  answers unknown and the portfolio moves on")
 
-let sched_arg =
-  Arg.(value
-       & opt
-           (enum
-              [ ("adaptive", Dispatch.Sched.Adaptive);
-                ("fixed", Dispatch.Sched.Fixed) ])
-           Dispatch.Sched.Adaptive
-       & info [ "sched" ] ~docv:"POLICY"
-           ~doc:"Portfolio scheduling: $(b,adaptive) skips provers whose \
-                 fragment rejects the obligation and orders the rest by \
-                 learned expected cost-to-solve; $(b,fixed) replays the \
-                 declared cascade order (skipping is sound — only provers \
-                 that would answer unknown are skipped — so verdicts are \
-                 identical under both policies)")
-
-let race_arg =
-  Arg.(value & opt int 1
-       & info [ "race" ] ~docv:"K"
-           ~doc:"Race up to $(docv) admitted provers per obligation on \
-                 idle worker domains; the first settled verdict wins and \
-                 the losers are cancelled at their next deadline \
-                 checkpoint.  Requires --jobs > 1 to actually overlap")
-
 let trace_arg =
   Arg.(value & opt (some string) None
        & info [ "trace" ] ~docv:"FILE"
@@ -138,16 +115,14 @@ let trace_format_arg =
                  $(b,chrome) (a chrome://tracing / Perfetto-loadable JSON \
                  array)")
 
-let make_options ~no_inference ~provers ~jobs ~no_cache ~cache_cap ~budget
-    ~sched ~race : Jahob_core.Jahob.options =
+let make_options ~no_inference ~provers ~jobs ~no_cache ~cache_cap ~budget :
+    Jahob_core.Jahob.options =
   { Jahob_core.Jahob.provers = select_provers provers;
     infer_loop_invariants = not no_inference;
     jobs;
     use_cache = not no_cache;
     cache_cap;
-    budget_s = budget;
-    sched;
-    race }
+    budget_s = budget }
 
 let incremental_arg =
   Arg.(value & flag
@@ -213,11 +188,11 @@ let verify_since (opts : Jahob_core.Jahob.options) ~(base : string list)
 
 let verify_cmd =
   let run files no_inference provers stats jobs no_cache cache_cap budget
-      sched race store store_cap incremental since trace_file trace_format =
+      store store_cap incremental since trace_file trace_format =
     with_frontend_errors (fun () ->
         let opts =
           make_options ~no_inference ~provers ~jobs ~no_cache ~cache_cap
-            ~budget ~sched ~race
+            ~budget
         in
         (* aggregate counters feed --stats; the sink feeds --trace *)
         if stats || trace_file <> None then Trace.start_collecting ();
@@ -260,8 +235,8 @@ let verify_cmd =
   Cmd.v (Cmd.info "verify" ~doc:"Verify all annotated methods")
     Term.(const run $ files_arg $ no_inference_arg $ provers_arg $ stats_arg
           $ jobs_arg $ no_cache_arg $ cache_cap_arg $ budget_arg
-          $ sched_arg $ race_arg $ store_arg $ store_cap_arg
-          $ incremental_arg $ since_arg $ trace_arg $ trace_format_arg)
+          $ store_arg $ store_cap_arg $ incremental_arg $ since_arg
+          $ trace_arg $ trace_format_arg)
 
 let serve_cmd =
   let stdio_flag =
@@ -278,11 +253,11 @@ let serve_cmd =
                    request fanning out on the resident worker pool")
   in
   let run stdio socket no_inference provers jobs no_cache cache_cap budget
-      sched race store store_cap =
+      store store_cap =
     with_frontend_errors (fun () ->
         let opts =
           make_options ~no_inference ~provers ~jobs ~no_cache ~cache_cap
-            ~budget ~sched ~race
+            ~budget
         in
         let cfg =
           { (Daemon.Server.default_config ()) with
@@ -308,11 +283,11 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the resident verification daemon: JSONL requests over a \
              Unix socket or stdio, answered from a warm engine (worker \
-             pool, verdict cache, scheduler EMAs) \
-             optionally backed by a persistent on-disk verdict store")
+             pool, verdict cache), optionally backed by a persistent \
+             on-disk verdict store")
     Term.(const run $ stdio_flag $ socket_arg $ no_inference_arg
           $ provers_arg $ jobs_arg $ no_cache_arg $ cache_cap_arg
-          $ budget_arg $ sched_arg $ race_arg $ store_arg $ store_cap_arg)
+          $ budget_arg $ store_arg $ store_cap_arg)
 
 let vc_cmd =
   let run files =
@@ -464,15 +439,6 @@ let fuzz_cmd =
              ~doc:"Instead of fuzzing, replay every .seq file in $(docv) \
                    and fail if any disagreement persists")
   in
-  let no_sched_check_arg =
-    Arg.(value & flag
-         & info [ "no-sched-check" ]
-             ~doc:"Skip the scheduler cross-check (by default every \
-                   sequent also runs through a fixed-order and an \
-                   adaptive dispatcher, and any verdict-kind difference \
-                   is flagged: reordering and fragment skipping must \
-                   never change Valid/Invalid)")
-  in
   let inc_arg =
     Arg.(value & opt int 0
          & info [ "inc" ] ~docv:"N"
@@ -499,7 +465,7 @@ let fuzz_cmd =
                    its own deadline; settled verdicts must be identical)")
   in
   let run seed count size fragment budget corpus no_oracle max_universe
-      int_range max_models replay no_sched_check inc fol_ab mona_ab =
+      int_range max_models replay inc fol_ab mona_ab =
     let cfg =
       { Fuzz.Differ.seed;
         count;
@@ -509,7 +475,6 @@ let fuzz_cmd =
         max_universe;
         int_range;
         max_models = (if max_models <= 0 then None else Some max_models);
-        check_sched = not no_sched_check;
       }
     in
     if inc > 0 then begin
@@ -598,8 +563,8 @@ let fuzz_cmd =
              finite-model oracle")
     Term.(const run $ seed_arg $ count_arg $ size_arg $ fragment_arg
           $ fuzz_budget_arg $ corpus_arg $ no_oracle_arg $ max_universe_arg
-          $ int_range_arg $ max_models_arg $ replay_arg $ no_sched_check_arg
-          $ inc_arg $ fol_ab_arg $ mona_ab_arg)
+          $ int_range_arg $ max_models_arg $ replay_arg $ inc_arg
+          $ fol_ab_arg $ mona_ab_arg)
 
 let main_cmd =
   Cmd.group

@@ -1,13 +1,13 @@
 (** The one clock helper: monotonic time for measuring and scheduling.
 
-    Deadlines, prover budgets, scheduler latency EMAs and trace
-    timestamps all need to measure {e elapsed} time.  They used to read
+    Deadlines, prover budgets and trace timestamps all need to measure
+    {e elapsed} time.  They used to read
     [Unix.gettimeofday], which measures the {e wall clock} — a clock
     that steps backwards and forwards under NTP corrections and
     suspend/resume.  In a one-shot CLI run that is a rare nuisance; in a
     resident daemon it is a guarantee: a wall-clock step cancels every
-    running prover early (or never), and a negative step poisons the
-    scheduler's latency EMAs with negative samples.
+    running prover early (or never), and a negative step records
+    negative span durations in the trace.
 
     {!now} is therefore CLOCK_MONOTONIC (via the bechamel clock stub —
     the [unix] library of OCaml 5.1 does not expose [clock_gettime]):
@@ -17,7 +17,7 @@
 
     {!wall} additionally applies a test-only offset ({!set_wall_offset})
     so the deadline regression tests can simulate an NTP/suspend step
-    and assert that deadlines, budgets and EMAs no longer care. *)
+    and assert that deadlines and budgets no longer care. *)
 
 (* CLOCK_MONOTONIC in nanoseconds; noalloc C stub, safe from any domain *)
 let now_ns () : int64 = Monotonic_clock.now ()

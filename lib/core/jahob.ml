@@ -35,20 +35,6 @@ let provenance_reasons (p : provenance) : string list =
 let default_provers () : Logic.Sequent.prover list =
   [ Smt.prover; Bapa.prover; Fca.prover; Fol.prover ]
 
-(** Fragment-admission predicates for the scheduler, keyed by prover
-    name.  Only provers whose [in_fragment = false] {e provably} implies
-    [prove = Unknown] may appear here — each of these fails in the same
-    translation front end its predicate runs, so a skip can never change
-    a verdict.  The SMT prover is deliberately absent: it abstracts
-    out-of-fragment atoms propositionally ([Smt.in_fragment] false merely
-    means "some atom is opaque") and can still settle such goals, so it
-    must always be offered the sequent. *)
-let default_admissions () : (string * (Logic.Sequent.t -> bool)) list =
-  [ ("bapa", Bapa.in_fragment);
-    ("mona", Fca.in_fragment);
-    ("fol", Fol.in_fragment);
-    ("cooper", fun s -> Presburger.Lia.in_fragment s) ]
-
 type options = {
   provers : Logic.Sequent.prover list;
   infer_loop_invariants : bool; (* use symbolic shape analysis *)
@@ -56,14 +42,11 @@ type options = {
   use_cache : bool; (* memoize verdicts of repeated obligations *)
   cache_cap : int; (* verdict-cache entry cap; 0 = the generous default *)
   budget_s : float option; (* wall-clock budget per prover call *)
-  sched : Dispatch.Sched.policy; (* fixed cascade or adaptive routing *)
-  race : int; (* admitted provers raced per obligation; 1 = cascade *)
 }
 
 let default_options () =
   { provers = default_provers (); infer_loop_invariants = true;
-    jobs = 1; use_cache = true; cache_cap = 0; budget_s = None;
-    sched = Dispatch.Sched.Adaptive; race = 1 }
+    jobs = 1; use_cache = true; cache_cap = 0; budget_s = None }
 
 (* a ceiling on worker domains: beyond any real core count, more domains
    only add stop-the-world GC synchronization cost *)
@@ -99,10 +82,10 @@ let vcgen_options ?(drop = []) ?cache (opts : options)
 (* ------------------------------------------------------------------ *)
 
 (** Everything that should stay warm across verification requests: the
-    worker pool, the verdict cache, the adaptive scheduler's EMAs and
-    the per-prover statistics (all owned by the one dispatcher).  A
-    one-shot [verify_files] builds a throwaway engine; [jahob serve]
-    builds one at startup and answers every request from it. *)
+    worker pool, the verdict cache and the per-prover statistics (all
+    owned by the one dispatcher).  A one-shot [verify_files] builds a
+    throwaway engine; [jahob serve] builds one at startup and answers
+    every request from it. *)
 type engine = {
   eng_opts : options;
   eng_pool : Dispatch.Pool.t option;
@@ -138,11 +121,7 @@ let create_engine (opts : options) : engine =
     else None
   in
   let dispatcher =
-    Dispatch.create ?pool ?cache ?budget_s:opts.budget_s
-      ~sched:
-        (Dispatch.Sched.create ~policy:opts.sched ~race:opts.race
-           ~admits:(default_admissions ()) ())
-      opts.provers
+    Dispatch.create ?pool ?cache ?budget_s:opts.budget_s opts.provers
   in
   { eng_opts = opts; eng_pool = pool; eng_cache = cache;
     eng_dispatcher = dispatcher; eng_drop_memo = Hashtbl.create 32;

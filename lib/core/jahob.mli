@@ -34,13 +34,6 @@ type program_report = {
     and the first-order prover. *)
 val default_provers : unit -> Logic.Sequent.prover list
 
-(** Fragment-admission predicates for the adaptive scheduler, keyed by
-    prover name.  Listed provers are skipped on sequents their
-    [in_fragment] rejects — sound because each of these fails in the same
-    translation front end the predicate runs.  SMT is deliberately
-    absent (it can settle goals with atoms it abstracts as opaque). *)
-val default_admissions : unit -> (string * (Logic.Sequent.t -> bool)) list
-
 type options = {
   provers : Logic.Sequent.prover list;
   infer_loop_invariants : bool;
@@ -55,25 +48,14 @@ type options = {
   budget_s : float option;
       (** wall-clock budget per prover call; [None] leaves provers
           unbounded *)
-  sched : Dispatch.Sched.policy;
-      (** [Adaptive] (the default) routes each obligation through
-          fragment admission and the learned prover ordering;
-          [Fixed] replays the legacy portfolio-order cascade — the
-          escape hatch behind [jahob verify --sched fixed] *)
-  race : int;
-      (** how many admitted provers to race per obligation on idle pool
-          domains (losers are cancelled at their next {!Deadline}
-          checkpoint); 1 (the default) runs the plain cascade.  Only
-          effective with [jobs > 1]. *)
 }
 
 val default_options : unit -> options
 
 (** Everything that should stay warm across verification requests: the
-    worker pool, the verdict cache, the adaptive scheduler's EMAs and the
-    per-prover statistics.  A one-shot {!verify_files} builds a throwaway
-    engine; [jahob serve] builds one at startup and answers every request
-    from it. *)
+    worker pool, the verdict cache and the per-prover statistics.  A
+    one-shot {!verify_files} builds a throwaway engine; [jahob serve]
+    builds one at startup and answers every request from it. *)
 type engine
 
 val create_engine : options -> engine

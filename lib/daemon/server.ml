@@ -1,8 +1,7 @@
 (** The resident verification server behind [jahob serve].
 
-    One server owns one {!Jahob_core.Jahob.engine} — worker pool, verdict
-    cache, adaptive-scheduler EMAs — and optionally one on-disk
-    {!Store}.  Requests arrive as JSONL (see {!Proto}) over a
+    One server owns one {!Jahob_core.Jahob.engine} — worker pool and
+    verdict cache — and optionally one on-disk {!Store}.  Requests arrive as JSONL (see {!Proto}) over a
     Unix domain socket or stdio; each request is answered from the warm
     engine, so the Nth client pays neither prover startup nor re-proving
     of obligations any earlier client (or any earlier run, via the

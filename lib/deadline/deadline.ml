@@ -6,12 +6,12 @@
     {!check} at its loop head.  A caller that wants to bound or abort the
     computation binds a {!type:token} around it with {!with_token}; once
     the token's deadline passes — or someone calls {!cancel}, e.g. a
-    dispatcher whose racing sibling already settled the goal — the next
-    {!check} in that thread raises {!Expired} and the search unwinds.
+    budget waiter that has already answered — the next {!check} in that
+    thread raises {!Expired} and the search unwinds.
 
-    Tokens nest (budgets inside races): a child token created with
-    [?parent] expires as soon as any ancestor does, so cancelling a race
-    reaches through the budget wrapper's helper thread.
+    Tokens nest: a child token created with [?parent] expires as soon as
+    any ancestor does, so cancelling an enclosing token reaches through
+    the budget wrapper's helper thread.
 
     Cost model: {!check} is a single atomic load while no token is bound
     anywhere in the process (the common, un-budgeted case), and one

@@ -5,11 +5,15 @@
     procedures", with "a simple goal decomposition technique to prove
     different conjuncts in the goal using different decision procedures".
 
-    Each obligation is simplified, then offered to the portfolio in a
-    configurable order.  A prover that answers [Unknown] passes the goal
-    on; [Valid] and [Invalid] are final.  Assumption filtering keeps each
-    query small: hypotheses sharing no symbols with the goal (direct or
-    transitive) are dropped before a prover runs.
+    Each obligation is simplified, then offered to the portfolio in its
+    declared order.  A prover that answers [Unknown] passes the goal on;
+    [Valid] and [Invalid] are final.  There is no separate admission
+    check: a prover outside its fragment gives up in its own translation
+    front end (bapa's [translate], mona's [route_sequent], fol's
+    clausifier, cooper's [prepare]), once per attempt, and says why in
+    its [Unknown].  Assumption filtering keeps each query small:
+    hypotheses sharing no symbols with the goal (direct or transitive)
+    are dropped before a prover runs.
 
     Obligations are independent, so [prove_all] fans them out across the
     domains of an optional {!Pool.t}.  An optional verdict {!Cache.t}
@@ -29,17 +33,15 @@
 open Logic
 
 (* re-export the sibling modules: [dispatch] is this library's main
-   module, so [Pool], [Cache] and [Sched] are only reachable through it *)
+   module, so [Pool] and [Cache] are only reachable through it *)
 module Pool = Pool
 module Cache = Cache
-module Sched = Sched
 
 type prover_stats = {
   mutable attempts : int;
   mutable proved : int;
   mutable refuted : int;
   mutable raised : int; (* attempts that ended in an exception *)
-  mutable skipped : int; (* attempts avoided by fragment pre-routing *)
 }
 
 type report = {
@@ -58,7 +60,6 @@ type t = {
   stats_mutex : Mutex.t; (* guards [stats]: domains update it concurrently *)
   pool : Pool.t option; (* fan obligations out when present *)
   cache : Cache.t option; (* verdict memoization when present *)
-  sched : Sched.t; (* routing/ordering policy for the cascade *)
   simplify_first : bool;
   filter_assumptions : bool;
   ground_saturate : bool;
@@ -75,7 +76,7 @@ type t = {
    the helper stops at its next checkpoint (every search loop in the
    portfolio polls one) instead of burning a core to completion.  The
    helper's token is parented to the calling thread's token, if any, so
-   an enclosing race that cancels its losers reaches through the budget.
+   cancelling an enclosing token reaches through the budget.
    Exceptions other than {!Deadline.Expired} are re-raised in the
    caller, where the dispatcher counts them. *)
 let run_budgeted ~(budget_s : float) (p : Sequent.prover) (s : Sequent.t) :
@@ -93,9 +94,9 @@ let run_budgeted ~(budget_s : float) (p : Sequent.prover) (s : Sequent.t) :
         Atomic.set result (Some r))
       ()
   in
-  (* whether the expiry was this budget's own deadline or an enclosing
-     token (a race that already settled) reaching through; drives both
-     the verdict message and the counters *)
+  (* whether the expiry was this budget's own deadline or a cancelled
+     enclosing token reaching through; drives both the verdict message
+     and the counters *)
   let cancelled () =
     Trace.incr "deadline.cancelled";
     (Sequent.Unknown "attempt cancelled", true)
@@ -114,7 +115,7 @@ let run_budgeted ~(budget_s : float) (p : Sequent.prover) (s : Sequent.t) :
     | Some (Ok v) -> (v, false)
     | Some (Error Deadline.Expired) ->
       (* the helper hit a checkpoint first; an explicit cancel request
-         means a race settled elsewhere, otherwise the token timed out on
+         came from an enclosing token, otherwise the token timed out on
          its own — that is the budget *)
       if Deadline.cancel_requested token then cancelled ()
       else budget_exceeded ()
@@ -122,9 +123,9 @@ let run_budgeted ~(budget_s : float) (p : Sequent.prover) (s : Sequent.t) :
     | None ->
       if Deadline.expired token then begin
         (* stop the helper at its next checkpoint and answer now *)
-        let raced_away = Deadline.cancel_requested token in
+        let cancelled_above = Deadline.cancel_requested token in
         Deadline.cancel token;
-        if raced_away then cancelled () else budget_exceeded ()
+        if cancelled_above then cancelled () else budget_exceeded ()
       end
       else begin
         Thread.delay delay;
@@ -143,9 +144,8 @@ let with_budget ~(budget_s : float) (p : Sequent.prover) : Sequent.prover =
     prove = (fun s -> fst (run_budgeted ~budget_s p s)) }
 
 (* What decides a deterministic Unknown: the provers tried and the
-   preprocessing before them.  Order, admission and racing do not —
-   admission skips only provers that would answer Unknown, and an
-   Unknown means every admitted prover was tried. *)
+   preprocessing before them.  Order does not: an Unknown means every
+   prover was tried and none settled the goal. *)
 let portfolio_of ~simplify_first ~filter_assumptions ~ground_saturate
     (provers : Sequent.prover list) : string =
   let flag b c = if b then c else "-" in
@@ -156,23 +156,20 @@ let portfolio_of ~simplify_first ~filter_assumptions ~ground_saturate
   ^ flag ground_saturate "g"
 
 let create ?(simplify_first = true) ?(filter_assumptions = true)
-    ?(ground_saturate = true) ?pool ?cache ?budget_s ?sched
+    ?(ground_saturate = true) ?pool ?cache ?budget_s
     (provers : Sequent.prover list) : t =
-  let sched = match sched with Some s -> s | None -> Sched.create () in
   { provers; budget_s;
     portfolio =
       portfolio_of ~simplify_first ~filter_assumptions ~ground_saturate
         provers;
     stats = Hashtbl.create 8; stats_mutex = Mutex.create ();
-    pool; cache; sched; simplify_first; filter_assumptions; ground_saturate }
-
-let sched (d : t) : Sched.t = d.sched
+    pool; cache; simplify_first; filter_assumptions; ground_saturate }
 
 let stats_for (d : t) (name : string) : prover_stats =
   match Hashtbl.find_opt d.stats name with
   | Some s -> s
   | None ->
-    let s = { attempts = 0; proved = 0; refuted = 0; raised = 0; skipped = 0 } in
+    let s = { attempts = 0; proved = 0; refuted = 0; raised = 0 } in
     Hashtbl.add d.stats name s;
     s
 
@@ -247,15 +244,13 @@ let settled = function
   | Sequent.Valid | Sequent.Invalid _ -> true
   | Sequent.Unknown _ -> false
 
-(* one timed prover attempt: stats, crash accounting, EMA feedback.
-   The flag says whether a resource limit produced the verdict: the
-   budget, a cancellation, a crash or the prover's own
-   [Resource_limited] *)
-let attempt (d : t) ~(signature : string) (s : Sequent.t)
-    (p : Sequent.prover) : Sequent.verdict * bool =
+(* one prover attempt: stats and crash accounting.  The flag says
+   whether a resource limit produced the verdict: the budget, a
+   cancellation, a crash or the prover's own [Resource_limited] *)
+let attempt (d : t) (s : Sequent.t) (p : Sequent.prover) :
+    Sequent.verdict * bool =
   let name = p.Sequent.prover_name in
   bump_stats d name (fun st -> st.attempts <- st.attempts + 1);
-  let t0 = Clock.now () in
   let v, limited =
     match
       match d.budget_s with
@@ -264,19 +259,14 @@ let attempt (d : t) ~(signature : string) (s : Sequent.t)
     with
     | r -> r
     | exception Deadline.Expired ->
-      (* a racing sibling settled first; not a crash *)
-      Trace.incr "sched.race_cancelled";
+      (* an enclosing deadline expired mid-attempt; not a crash *)
+      Trace.incr "deadline.cancelled";
       (Sequent.Unknown "attempt cancelled", true)
     | exception Sequent.Resource_limited why ->
       Trace.incr "prover.resource_limited";
       (Sequent.Unknown why, true)
     | exception e -> (note_raised d name e, true)
   in
-  (match d.sched.Sched.policy with
-  | Sched.Fixed -> ()
-  | Sched.Adaptive ->
-    Sched.record d.sched ~signature ~prover:name
-      ~latency_s:(Clock.now () -. t0) ~settled:(settled v));
   (match v with
   | Sequent.Valid -> bump_stats d name (fun st -> st.proved <- st.proved + 1)
   | Sequent.Invalid _ ->
@@ -289,101 +279,22 @@ let report_of (s : Sequent.t) (p : Sequent.prover) (v : Sequent.verdict) :
   { sequent = s; verdict = v; prover = Some p.Sequent.prover_name;
     cached = false; limited = false }
 
-(* race [ps] on the pool: every racer runs under its own cancel token,
-   the first settled verdict wins and cancels the others, which unwind at
-   their next Deadline checkpoint.  Pool.map is nest-safe (the calling
-   worker helps run its own race), so with a busy pool this degrades to
-   the sequential cascade: later racers find the winner already posted
-   and return without running, or get cancelled at their first poll.
-   Without a winner, the flag says whether any racer was
-   resource-limited. *)
-let race_attempts (d : t) ~(signature : string) (pool : Pool.t)
-    (s : Sequent.t) (ps : Sequent.prover list) : report option * bool =
-  Trace.incr "sched.race";
-  let winner = Atomic.make None in
-  let limited = Atomic.make false in
-  let entries =
-    List.map (fun p -> (p, Deadline.make ?parent:(Deadline.current ()) ())) ps
-  in
-  let run (p, token) =
-    if Atomic.get winner <> None then ()
-    else
-      let v, l =
-        match Deadline.with_token token (fun () -> attempt d ~signature s p)
-        with
-        | r -> r
-        | exception Deadline.Expired ->
-          Trace.incr "sched.race_cancelled";
-          (Sequent.Unknown "attempt cancelled", true)
-      in
-      if l then Atomic.set limited true;
-      if settled v then
-        if Atomic.compare_and_set winner None (Some (v, p)) then
-          List.iter
-            (fun (q, t) -> if not (q == p) then Deadline.cancel t)
-            entries
-  in
-  let (_ : unit list) = Pool.map pool run entries in
-  (Option.map (fun (v, p) -> report_of s p v) (Atomic.get winner),
-   Atomic.get limited)
-
-(* the scheduler-driven cascade: order the portfolio (learned EMAs under
-   Adaptive, as declared under Fixed), skip provers whose admission
-   predicate rejects the sequent, and either try the survivors in order
-   or race them [race] at a time *)
+(* the cascade: offer the sequent to each prover in portfolio order
+   until one settles it *)
 let run_cascade (d : t) (s : Sequent.t) : report =
-  let signature = Sched.signature s in
-  let give_up limited =
-    { sequent = s;
-      verdict = Sequent.Unknown "no prover settled the goal";
-      prover = None;
-      cached = false;
-      limited }
-  in
-  (* admission is evaluated lazily, in attempt order: once a prover
-     settles the goal, the predicates of everyone behind it never run *)
-  let admit (p : Sequent.prover) : bool =
-    let name = p.Sequent.prover_name in
-    if Sched.admitted d.sched s name then true
-    else begin
-      Trace.incr "sched.skipped";
-      Trace.incr ("sched.skipped." ^ name);
-      bump_stats d name (fun st -> st.skipped <- st.skipped + 1);
-      false
-    end
-  in
-  let race_width =
-    match d.pool with None -> 1 | Some _ -> Sched.race d.sched
-  in
   let rec go limited = function
-    | [] -> give_up limited
-    | p :: rest when not (admit p) -> go limited rest
-    | p :: rest when race_width > 1 -> (
-      (* collect up to race_width admitted provers, racing them as a
-         group; admission of provers beyond the group stays lazy *)
-      let rec take k acc = function
-        | rest when k = 0 -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | q :: rest when not (admit q) -> take k acc rest
-        | q :: rest -> take (k - 1) (q :: acc) rest
-      in
-      let group, rest = take (race_width - 1) [ p ] rest in
-      match group with
-      | [ lone ] -> (
-        match attempt d ~signature s lone with
-        | v, _ when settled v -> report_of s lone v
-        | _, l -> go (limited || l) rest)
-      | group -> (
-        let pool = Option.get d.pool in
-        match race_attempts d ~signature pool s group with
-        | Some r, _ -> r
-        | None, l -> go (limited || l) rest))
+    | [] ->
+      { sequent = s;
+        verdict = Sequent.Unknown "no prover settled the goal";
+        prover = None;
+        cached = false;
+        limited }
     | p :: rest -> (
-      match attempt d ~signature s p with
+      match attempt d s p with
       | v, _ when settled v -> report_of s p v
       | _, l -> go (limited || l) rest)
   in
-  go false (Sched.order d.sched ~signature d.provers)
+  go false d.provers
 
 (* the portfolio run proper, after the cache has been consulted *)
 let prove_uncached (d : t) (s : Sequent.t) : report =
@@ -534,7 +445,7 @@ let stats_snapshot (d : t) : (string * prover_stats) list =
       (fun name s acc ->
         ( name,
           { attempts = s.attempts; proved = s.proved; refuted = s.refuted;
-            raised = s.raised; skipped = s.skipped } )
+            raised = s.raised } )
         :: acc)
       d.stats []
     |> List.sort compare
@@ -551,8 +462,8 @@ let pp_stats ppf (d : t) =
   List.iter
     (fun (name, (s : prover_stats)) ->
       Format.fprintf ppf
-        "@,  %-12s attempts %4d   proved %4d   refuted %4d   raised %3d   skipped %4d"
-        name s.attempts s.proved s.refuted s.raised s.skipped)
+        "@,  %-12s attempts %4d   proved %4d   refuted %4d   raised %3d"
+        name s.attempts s.proved s.refuted s.raised)
     (stats_snapshot d);
   match d.cache with
   | None -> ()

@@ -56,11 +56,6 @@ type config = {
   max_universe : int;
   int_range : int;
   max_models : int option; (** cap on oracle model enumeration *)
-  check_sched : bool;
-      (** also run each sequent through a fixed-order and an adaptive
-          dispatcher and flag any difference in verdict kind: fragment
-          skipping and learned reordering must never change
-          Valid/Invalid *)
 }
 
 let default_config =
@@ -72,7 +67,6 @@ let default_config =
     max_universe = 3;
     int_range = 4;
     max_models = Some 60_000;
-    check_sched = true;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -120,42 +114,10 @@ let with_budget (cfg : config) (p : Sequent.prover) : Sequent.prover =
   if cfg.budget_s > 0. then Dispatch.with_budget ~budget_s:cfg.budget_s p
   else p
 
-(** A fixed-order and an adaptive dispatcher over the same portfolio, for
-    the scheduler cross-check.  Long-lived on purpose: the adaptive side's
-    EMAs learn across the whole campaign, so reordering actually kicks in
-    and gets tested.  The smt party registers no admission predicate
-    (mirroring {!Jahob.default_admissions}: its [in_fragment] is not
-    skip-sound). *)
-let sched_dispatchers ?(parties = default_parties ()) (cfg : config) :
-    Dispatch.t * Dispatch.t =
-  let provers = List.map (fun p -> p.prover) parties in
-  let admits =
-    List.filter_map
-      (fun p ->
-        if p.party_name = "smt" then None else Some (p.party_name, p.admits))
-      parties
-  in
-  let budget_s = if cfg.budget_s > 0. then Some cfg.budget_s else None in
-  let mk policy =
-    Dispatch.create ?budget_s
-      ~sched:(Dispatch.Sched.create ~policy ~admits ())
-      provers
-  in
-  (mk Dispatch.Sched.Fixed, mk Dispatch.Sched.Adaptive)
-
-(* verdict kind of a full dispatcher run, never raising *)
-let dispatch_kind (d : Dispatch.t) (s : Sequent.t) : string =
-  match Dispatch.prove_sequent d s with
-  | r -> Sequent.verdict_kind r.Dispatch.verdict
-  | exception Stack_overflow -> "unknown"
-  | exception _ -> "raised"
-
 (** Route [s] to every admitting party, consult the oracle when any party
     committed to a [Valid]/[Invalid] verdict, and compute disagreement
-    keys.  When [sched] carries the cross-check dispatchers, the sequent
-    additionally runs through the fixed and the adaptive cascade, and a
-    verdict-kind difference becomes a [sched:] disagreement key. *)
-let check ?(parties = default_parties ()) ?sched (cfg : config)
+    keys. *)
+let check ?(parties = default_parties ()) (cfg : config)
     (frag : Formgen.fragment) ?(index = -1) (s : Sequent.t) : finding =
   let verdicts =
     List.filter_map
@@ -182,16 +144,7 @@ let check ?(parties = default_parties ()) ?sched (cfg : config)
            ?max_models:cfg.max_models s)
     else None
   in
-  let sched_keys =
-    match sched with
-    | None -> []
-    | Some (fixed_d, adaptive_d) ->
-      let kf = dispatch_kind fixed_d s in
-      let ka = dispatch_kind adaptive_d s in
-      if kf = ka then []
-      else [ Printf.sprintf "sched:fixed=%s!=adaptive=%s" kf ka ]
-  in
-  let keys = disagreement_keys verdicts oracle @ sched_keys in
+  let keys = disagreement_keys verdicts oracle in
   let suspicious =
     match oracle with
     | Some (Eval.No_countermodel _) ->
@@ -262,7 +215,7 @@ let max_shrink_rechecks = 300
 (** Greedily shrink a flagged sequent: accept any strictly smaller variant
     that still exhibits one of the original disagreement keys, until no
     candidate helps or the recheck budget runs out. *)
-let shrink ?(parties = default_parties ()) ?sched (cfg : config) (f : finding) :
+let shrink ?(parties = default_parties ()) (cfg : config) (f : finding) :
     finding =
   let budget = ref max_shrink_rechecks in
   let orig_keys = f.keys in
@@ -282,7 +235,7 @@ let shrink ?(parties = default_parties ()) ?sched (cfg : config) (f : finding) :
             else begin
               decr budget;
               let fc =
-                check ~parties ?sched cfg best.fragment ~index:best.index c
+                check ~parties cfg best.fragment ~index:best.index c
               in
               if List.exists (fun k -> List.mem k orig_keys) fc.keys then
                 Some fc
@@ -421,10 +374,7 @@ let replay ?(parties = default_parties ()) (cfg : config) (path : string) :
   match load_file path with
   | Error m -> Error m
   | Ok e ->
-    let sched =
-      if cfg.check_sched then Some (sched_dispatchers ~parties cfg) else None
-    in
-    let f = check ~parties ?sched cfg e.entry_fragment e.entry_sequent in
+    let f = check ~parties cfg e.entry_fragment e.entry_sequent in
     if f.keys = [] then Ok f
     else
       Error
@@ -473,15 +423,10 @@ let run ?(parties = default_parties ()) ?(on_finding = fun (_ : finding) -> ())
   let raw = ref 0 in
   let seen_keys : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   let findings = ref [] in
-  (* one dispatcher pair for the whole fragment campaign, so the adaptive
-     side accumulates enough samples to genuinely reorder *)
-  let sched =
-    if cfg.check_sched then Some (sched_dispatchers ~parties cfg) else None
-  in
   for n = 0 to cfg.count - 1 do
     progress n;
     let s = Formgen.sequent_of_seed frag ~seed:cfg.seed ~size:cfg.size n in
-    let f = check ~parties ?sched cfg frag ~index:n s in
+    let f = check ~parties cfg frag ~index:n s in
     List.iter
       (fun (name, v) ->
         let st = List.assoc name per_party in
@@ -503,7 +448,7 @@ let run ?(parties = default_parties ()) ?(on_finding = fun (_ : finding) -> ())
       incr raw;
       if List.exists (fun k -> not (Hashtbl.mem seen_keys k)) f.keys then begin
         List.iter (fun k -> Hashtbl.replace seen_keys k ()) f.keys;
-        let minimized = shrink ~parties ?sched cfg f in
+        let minimized = shrink ~parties cfg f in
         findings := minimized :: !findings;
         on_finding minimized
       end

@@ -223,8 +223,10 @@ let verdict_kind = function
 
 (** Wrap a prover so that every [prove] call becomes a trace span
     (category ["prover"], name = the prover's name) carrying the query
-    size on entry and the verdict on exit.  Costs one atomic load per
-    call while tracing is disabled. *)
+    size on entry and the verdict on exit, plus the [reason] of an
+    [Unknown] — for a front-end rejection, why the sequent is outside the
+    prover's fragment.  Costs one atomic load per call while tracing is
+    disabled. *)
 let traced_prover (p : prover) : prover =
   { p with
     prove =
@@ -241,7 +243,11 @@ let traced_prover (p : prover) : prover =
           match p.prove s with
           | v ->
             Trace.finish_span
-              ~args:(fun () -> [ ("verdict", Trace.S (verdict_kind v)) ])
+              ~args:(fun () ->
+                ("verdict", Trace.S (verdict_kind v))
+                :: (match v with
+                   | Unknown why -> [ ("reason", Trace.S why) ]
+                   | Valid | Invalid _ -> []))
               sp;
             v
           | exception (Resource_limited why as e) ->

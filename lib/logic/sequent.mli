@@ -63,5 +63,6 @@ val verdict_kind : verdict -> string
 
 (** Wrap a prover so every [prove] call becomes a trace span (category
     ["prover"], name = the prover's name) carrying query size on entry and
-    the verdict on exit.  One atomic load per call when tracing is off. *)
+    the verdict on exit, with the [reason] string of an [Unknown].  One
+    atomic load per call when tracing is off. *)
 val traced_prover : prover -> prover

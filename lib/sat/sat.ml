@@ -346,7 +346,7 @@ let solve ?(assumptions = []) (s : t) : result =
     let restart_limit = ref 100 in
     let result = ref None in
     while !result = None do
-      (* cooperative cancellation: lets a dispatcher budget or race this
+      (* cooperative cancellation: lets a dispatcher budget stop this
          solver without abandoning the thread *)
       Deadline.check ();
       match propagate s with

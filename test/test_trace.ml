@@ -199,6 +199,15 @@ let test_chrome_sink () =
 (* End to end: prover attempts and cache attribution in the trace      *)
 (* ------------------------------------------------------------------ *)
 
+(* a string field of a trace event, and one of its args *)
+let str k e =
+  match Trace.Json.member k e with
+  | Some (Trace.Json.Str s) -> Some s
+  | _ -> None
+
+let arg k e =
+  match Trace.Json.member "args" e with Some a -> str k a | None -> None
+
 let test_trace_covers_prover_attempts () =
   Trace.reset ();
   let path = Filename.temp_file "jahob_trace_test" ".jsonl" in
@@ -218,14 +227,6 @@ let test_trace_covers_prover_attempts () =
   | Ok _ -> ()
   | Error m -> Alcotest.fail m);
   let events = List.map Trace.Json.parse (read_lines path) in
-  let str k e =
-    match Trace.Json.member k e with
-    | Some (Trace.Json.Str s) -> Some s
-    | _ -> None
-  in
-  let arg k e =
-    match Trace.Json.member "args" e with Some a -> str k a | None -> None
-  in
   let has f = List.exists f events in
   Alcotest.(check bool) "smt attempt has a prover span" true
     (has (fun e ->
@@ -252,6 +253,50 @@ let test_trace_covers_prover_attempts () =
   Sys.remove path;
   Trace.reset ()
 
+(* a prover outside its fragment gives up in its own front end, once,
+   and its prover span says why *)
+let test_trace_records_give_up_reason () =
+  Trace.reset ();
+  let path = Filename.temp_file "jahob_trace_test" ".jsonl" in
+  Trace.start_collecting ();
+  Trace.open_sink path;
+  let e =
+    Jahob_core.Jahob.create_engine (Jahob_core.Jahob.default_options ())
+  in
+  let reach = "rtrancl_pt (% u v. u..next = v)" in
+  let s =
+    Sequent.make [ Parser.parse "x..next = y" ]
+      (Parser.parse (reach ^ " x y"))
+  in
+  ignore (Dispatch.prove_sequent (Jahob_core.Jahob.engine_dispatcher e) s);
+  Jahob_core.Jahob.shutdown_engine e;
+  Trace.stop ();
+  let events = List.map Trace.Json.parse (read_lines path) in
+  Sys.remove path;
+  Trace.reset ();
+  (* pair each prover span's end with the name its begin carried *)
+  let rec bapa_ends open_ acc = function
+    | [] -> List.rev acc
+    | e :: rest when str "cat" e = Some "prover" -> (
+      match str "ph" e with
+      | Some "B" -> bapa_ends (str "name" e :: open_) acc rest
+      | Some "E" -> (
+        match open_ with
+        | Some "bapa" :: open_ -> bapa_ends open_ (e :: acc) rest
+        | _ :: open_ -> bapa_ends open_ acc rest
+        | [] -> bapa_ends [] acc rest)
+      | _ -> bapa_ends open_ acc rest)
+    | _ :: rest -> bapa_ends open_ acc rest
+  in
+  match bapa_ends [] [] events with
+  | [ e ] ->
+    Alcotest.(check (option string)) "bapa gave up" (Some "unknown")
+      (arg "verdict" e);
+    let reason = Option.value (arg "reason" e) ~default:"" in
+    Alcotest.(check bool) ("reason from bapa's front end: " ^ reason) true
+      (String.length reason >= 5 && String.sub reason 0 5 = "BAPA:")
+  | ends -> Alcotest.failf "expected one bapa span, got %d" (List.length ends)
+
 let suite =
   [ ( "trace",
       [ Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
@@ -263,5 +308,7 @@ let suite =
         Alcotest.test_case "chrome sink" `Quick test_chrome_sink;
         Alcotest.test_case "trace covers prover attempts" `Quick
           test_trace_covers_prover_attempts;
+        Alcotest.test_case "prover span records give-up reason" `Quick
+          test_trace_records_give_up_reason;
       ] );
   ]
