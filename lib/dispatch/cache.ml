@@ -23,21 +23,17 @@
 
     {2 Sharding}
 
-    The old implementation was one [Hashtbl] behind one mutex: every
-    lookup from every domain serialized on a single lock.  The table is
-    now split into 64 independent shards selected by the key's hash, so
-    two domains contend only when their digests land in the same shard;
-    each shard carries its own lock, condvar and counters.  A portfolio's
-    unknown entry lives in the shard of its bare digest.  A contended
-    acquisition counter ({!lock_stats}) keeps the claim honest: the
-    scaling bench records it as evidence the cache is off the critical
-    path.
+    The table is split into 64 independent shards selected by the key's
+    hash, so two domains contend only when their digests land in the
+    same shard, rather than every lookup serializing on one lock; each
+    shard carries its own lock, condvar and counters.  A portfolio's
+    unknown entry lives in the shard of its bare digest.
 
     {2 The in-flight claim table}
 
-    Under the old cache, two domains racing on the same digest both
-    missed and both paid a prover call — duplicated work, and hit/miss
-    counters that changed with [-j].  {!acquire} closes the window: the
+    Two domains racing on the same digest would otherwise both miss and
+    both pay a prover call — duplicated work, and hit/miss counters that
+    change with [-j].  {!acquire} closes the window: the
     first caller {e claims} the key and proves; later callers block on
     the shard's condvar and are served the published verdict as a hit,
     exactly as they would have been sequentially.  A claim owner must
@@ -90,22 +86,6 @@ let shard_count = 64
 (* the default total cap: generous enough that a CLI run never trims,
    small enough that a daemon's residency is bounded (~tens of MB) *)
 let default_cap = 262_144
-
-(* contended lock acquisitions across every cache in the process: the
-   scaling bench's attribution evidence.  Only the slow path pays the
-   atomic bump, so the counter cannot itself become the hot line. *)
-let contended = Atomic.make 0
-
-let lock_shard (sh : shard) =
-  if not (Mutex.try_lock sh.lock) then begin
-    Atomic.incr contended;
-    Mutex.lock sh.lock
-  end
-
-type lock_stats = { contended_acquisitions : int }
-
-let lock_stats () = { contended_acquisitions = Atomic.get contended }
-let reset_lock_stats () = Atomic.set contended 0
 
 (** [create ?cap ()] — [cap] bounds the settled entries kept across
     batch boundaries (split evenly over the shards, so the bound is
@@ -163,7 +143,7 @@ let acquire ?portfolio (c : t) (k : string) : claim =
     if replay then Trace.incr "cache.unknown_replayed";
     Hit sl.entry
   in
-  lock_shard sh;
+  Mutex.lock sh.lock;
   let rec resolve () =
     match Hashtbl.find_opt sh.table k with
     | Some (Done sl) -> hit sl
@@ -202,7 +182,7 @@ let release_claim (sh : shard) (k : string) : unit =
     so waiters of that portfolio find the entry when they wake. *)
 let publish ?portfolio (c : t) (k : string) (e : entry) : unit =
   let sh = shard_of c k in
-  lock_shard sh;
+  Mutex.lock sh.lock;
   let slot = Done { entry = e; used = Atomic.get c.epoch } in
   if not (is_unknown e) then Hashtbl.replace sh.table k slot
   else begin
@@ -218,7 +198,7 @@ let publish ?portfolio (c : t) (k : string) (e : entry) : unit =
     prover exceptions).  The first waiter to wake re-claims the key. *)
 let abandon (c : t) (k : string) : unit =
   let sh = shard_of c k in
-  lock_shard sh;
+  Mutex.lock sh.lock;
   release_claim sh k;
   Condition.broadcast sh.settled;
   Mutex.unlock sh.lock
@@ -227,7 +207,7 @@ let abandon (c : t) (k : string) : unit =
     and does not wait on in-flight claims. *)
 let peek (c : t) (k : string) : entry option =
   let sh = shard_of c k in
-  lock_shard sh;
+  Mutex.lock sh.lock;
   let r =
     match Hashtbl.find_opt sh.table k with
     | Some (Done sl) -> Some sl.entry
@@ -254,7 +234,7 @@ let trim (c : t) : int =
   let dropped = ref 0 in
   Array.iter
     (fun sh ->
-      lock_shard sh;
+      Mutex.lock sh.lock;
       let settled_count =
         Hashtbl.fold
           (fun _ st n -> match st with Done _ -> n + 1 | Inflight -> n)
@@ -290,7 +270,7 @@ let preload (c : t) (kvs : (string * entry) list) : unit =
   List.iter
     (fun (k, e) ->
       let sh = shard_of c k in
-      lock_shard sh;
+      Mutex.lock sh.lock;
       (match Hashtbl.find_opt sh.table k with
       | Some _ -> ()
       | None ->
@@ -307,7 +287,7 @@ let fold_settled (c : t) (f : 'a -> string -> entry -> 'a) (init : 'a) : 'a =
   let kvs =
     Array.fold_left
       (fun acc sh ->
-        lock_shard sh;
+        Mutex.lock sh.lock;
         let acc =
           Hashtbl.fold
             (fun k st acc ->
@@ -336,7 +316,7 @@ type counters = {
 let counters (c : t) : counters =
   Array.fold_left
     (fun acc sh ->
-      lock_shard sh;
+      Mutex.lock sh.lock;
       let entries, unknowns =
         Hashtbl.fold
           (fun _ st (n, u) ->

@@ -60,9 +60,6 @@ type t = {
   stats_mutex : Mutex.t; (* guards [stats]: domains update it concurrently *)
   pool : Pool.t option; (* fan obligations out when present *)
   cache : Cache.t option; (* verdict memoization when present *)
-  simplify_first : bool;
-  filter_assumptions : bool;
-  ground_saturate : bool;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -143,27 +140,18 @@ let with_budget ~(budget_s : float) (p : Sequent.prover) : Sequent.prover =
   { Sequent.prover_name = p.Sequent.prover_name;
     prove = (fun s -> fst (run_budgeted ~budget_s p s)) }
 
-(* What decides a deterministic Unknown: the provers tried and the
-   preprocessing before them.  Order does not: an Unknown means every
-   prover was tried and none settled the goal. *)
-let portfolio_of ~simplify_first ~filter_assumptions ~ground_saturate
-    (provers : Sequent.prover list) : string =
-  let flag b c = if b then c else "-" in
+(* What decides a deterministic Unknown: the provers tried.  Order does
+   not: an Unknown means every prover was tried and none settled the
+   goal. *)
+let portfolio_of (provers : Sequent.prover list) : string =
   String.concat ","
     (List.sort_uniq String.compare
        (List.map (fun p -> p.Sequent.prover_name) provers))
-  ^ ";" ^ flag simplify_first "s" ^ flag filter_assumptions "f"
-  ^ flag ground_saturate "g"
 
-let create ?(simplify_first = true) ?(filter_assumptions = true)
-    ?(ground_saturate = true) ?pool ?cache ?budget_s
-    (provers : Sequent.prover list) : t =
-  { provers; budget_s;
-    portfolio =
-      portfolio_of ~simplify_first ~filter_assumptions ~ground_saturate
-        provers;
+let create ?pool ?cache ?budget_s (provers : Sequent.prover list) : t =
+  { provers; budget_s; portfolio = portfolio_of provers;
     stats = Hashtbl.create 8; stats_mutex = Mutex.create ();
-    pool; cache; simplify_first; filter_assumptions; ground_saturate }
+    pool; cache }
 
 let stats_for (d : t) (name : string) : prover_stats =
   match Hashtbl.find_opt d.stats name with
@@ -299,23 +287,19 @@ let run_cascade (d : t) (s : Sequent.t) : report =
 (* the portfolio run proper, after the cache has been consulted *)
 let prove_uncached (d : t) (s : Sequent.t) : report =
   let s =
-    if d.simplify_first then
-      Trace.with_span ~cat:"dispatch" "simplify" (fun () ->
-          (* joint type inference resolves <=, < and - between sets *)
-          let s =
-            match Typecheck.check_formula (Sequent.to_form s) with
-            | f -> Sequent.of_form ~name:s.Sequent.name f
-            | exception Typecheck.Type_error _ -> s
-          in
-          { s with
-            Sequent.hyps = List.map Simplify.simplify s.Sequent.hyps;
-            goal = Simplify.simplify s.Sequent.goal })
-    else s
+    Trace.with_span ~cat:"dispatch" "simplify" (fun () ->
+        (* joint type inference resolves <=, < and - between sets *)
+        let s =
+          match Typecheck.check_formula (Sequent.to_form s) with
+          | f -> Sequent.of_form ~name:s.Sequent.name f
+          | exception Typecheck.Type_error _ -> s
+        in
+        { s with
+          Sequent.hyps = List.map Simplify.simplify s.Sequent.hyps;
+          goal = Simplify.simplify s.Sequent.goal })
   in
   let s =
-    if d.filter_assumptions then
-      { s with Sequent.hyps = relevant_hyps s.Sequent.hyps s.Sequent.goal }
-    else s
+    { s with Sequent.hyps = relevant_hyps s.Sequent.hyps s.Sequent.goal }
   in
   match syntactic s with
   | Some v ->
@@ -323,17 +307,13 @@ let prove_uncached (d : t) (s : Sequent.t) : report =
       limited = false }
   | None ->
     let s =
-      if d.ground_saturate then
-        Trace.with_span ~cat:"dispatch" "saturate" (fun () ->
-            try
-              let s' = Instantiate.saturate s in
-              (* keep the saturated sequent connected to the goal *)
-              if d.filter_assumptions then
-                { s' with
-                  Sequent.hyps = relevant_hyps s'.Sequent.hyps s'.Sequent.goal }
-              else s'
-            with _ -> s)
-      else s
+      Trace.with_span ~cat:"dispatch" "saturate" (fun () ->
+          try
+            let s' = Instantiate.saturate s in
+            (* keep the saturated sequent connected to the goal *)
+            { s' with
+              Sequent.hyps = relevant_hyps s'.Sequent.hyps s'.Sequent.goal }
+          with _ -> s)
     in
     run_cascade d s
 

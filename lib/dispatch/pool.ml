@@ -3,13 +3,13 @@
 
     The previous pool pushed every task through one mutex+condvar shared
     queue: each task paid two global lock round-trips (claim and
-    completion) and every publication broadcast woke every worker, so the
-    scaling bench spent more time on the pool lock than on proving as
-    [-j] grew.  Here each domain owns a deque: the owner pushes and pops
-    whole batches at the bottom with no lock at all, idle workers steal
-    single tasks from the top of a victim's deque with one CAS, and the
-    pool mutex survives only on cold paths — parking an idle worker,
-    submissions from foreign domains, and shutdown.
+    completion) and every publication broadcast woke every worker, so
+    more time went to the pool lock than to proving as [-j] grew.  Here
+    each domain owns a deque: the owner pushes and pops whole batches at
+    the bottom with no lock at all, idle workers steal single tasks from
+    the top of a victim's deque with one CAS, and the pool mutex survives
+    only on cold paths — parking an idle worker, submissions from foreign
+    domains, and shutdown.
 
     {2 Nesting and deadlock freedom}
 

@@ -412,19 +412,14 @@ let route_sequent (s : Sequent.t) : (W.t * string list, string) result =
 let in_fragment (s : Sequent.t) : bool =
   match route_sequent s with Ok _ -> true | Error _ -> false
 
-(** [prove_with ?engine s]: decide through a specific automata engine
-    ([engine] defaults to [Bdd]) — the hook through which the fuzzer and
-    the mona bench reach the [Dense] reference engine. *)
-let prove_with ?engine (s : Sequent.t) : Sequent.verdict =
+let prove (s : Sequent.t) : Sequent.verdict =
   match route_sequent s with
   | Error what -> Sequent.Unknown ("MONA route: " ^ what)
   | Ok (formula, fo) ->
-    if W.valid ?engine ~fo formula then Sequent.Valid
+    if W.valid ~fo formula then Sequent.Valid
     else
       (* a word countermodel is a genuine singly-linked-list countermodel *)
       Sequent.Invalid "MONA route: word-model countermodel"
-
-let prove (s : Sequent.t) : Sequent.verdict = prove_with s
 
 let prover : Sequent.prover =
   Sequent.traced_prover { prover_name = "mona"; prove }

@@ -429,8 +429,8 @@ let count_outcome (o : outcome) : outcome =
 (** Which saturation engine runs a refutation.  [Indexed] is the default:
     discrimination-tree partner retrieval, full forward/backward
     subsumption and an age–weight passive queue.  [Naive] is the original
-    textbook loop, kept as the A/B baseline for the bench guard and the
-    fuzzer's engine differential. *)
+    textbook loop, kept as the reference for the fuzzer's engine
+    differential and the engine-parity tests. *)
 type engine = Indexed | Naive
 
 (** The original engine: O(active) partner scans, unit-only forward
@@ -520,8 +520,8 @@ let refute_naive ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
       backward subsumption retires every active {e and passive} clause the
       newly activated given clause subsumes;
     - the passive queue alternates between best-weight and oldest-age
-      picks at [age_weight_ratio] weight picks per age pick, so old heavy
-      clauses cannot starve;
+      picks, five weight picks per age pick, so old heavy clauses cannot
+      starve;
     - the dedup table is keyed on {!Folclause.normalize_clause}'s
       variable-normalized form, so renamed variants collapse, and hashed
       over the whole clause ({!Folclause.hash_clause}).
@@ -529,8 +529,8 @@ let refute_naive ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
     Each refutation publishes its index counters, the number of clauses
     it kept ([fol.kept]) and its outcome ([fol.outcome.*]) to the trace. *)
 let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
-    ?(timeout_s = 1.5) ?(age_weight_ratio = 5) ~(usable : clause list)
-    ~(sos : clause list) () : outcome =
+    ?(timeout_s = 1.5) ~(usable : clause list) ~(sos : clause list) () :
+    outcome =
   let deadline = Clock.now () +. timeout_s in
   let usable =
     List.filter (fun c -> not (is_tautology c)) (List.map normalize_clause usable)
@@ -607,7 +607,8 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
     in
     let pop_given () =
       incr picks;
-      if age_weight_ratio > 0 && !picks mod (age_weight_ratio + 1) = 0 then
+      (* five weight picks, then one age pick *)
+      if !picks mod 6 = 0 then
         pop_age (Queue.length age_queue)
       else pop_weight ()
     in
@@ -664,12 +665,11 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
     one SOS-descended parent, the classic Wos-style strategy that keeps
     the equality axioms from feeding on themselves. *)
 let refute ?(engine = Indexed) ?max_clauses ?max_weight ?max_lits ?timeout_s
-    ?age_weight_ratio ~(usable : clause list) ~(sos : clause list) () :
-    outcome =
+    ~(usable : clause list) ~(sos : clause list) () : outcome =
   match engine with
   | Indexed ->
-    refute_indexed ?max_clauses ?max_weight ?max_lits ?timeout_s
-      ?age_weight_ratio ~usable ~sos ()
+    refute_indexed ?max_clauses ?max_weight ?max_lits ?timeout_s ~usable
+      ~sos ()
   | Naive ->
     refute_naive ?max_clauses ?max_weight ?max_lits ?timeout_s ~usable ~sos ()
 
@@ -760,8 +760,8 @@ let set_vars_of (free : Typecheck.env) : string list =
 (* [outcome_with] given the free variables' types, forced only when some
    clause carries an [obj] guard *)
 let outcome_typed ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
-    ?age_weight_ratio ~set_vars ~(free : Typecheck.env Lazy.t)
-    (s : Sequent.t) : (outcome, string) result =
+    ~set_vars ~(free : Typecheck.env Lazy.t) (s : Sequent.t) :
+    (outcome, string) result =
   match
     let translated_hyps = List.map (set_to_fol set_vars) s.Sequent.hyps in
     let translated_goal = set_to_fol set_vars (Form.mk_not s.Sequent.goal) in
@@ -792,7 +792,6 @@ let outcome_typed ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
     let theory = theory_axioms (hyp_clauses @ goal_clauses) in
     let axioms = equality_axioms (theory @ hyp_clauses @ goal_clauses) in
     refute ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
-      ?age_weight_ratio
       ~usable:(axioms @ theory @ hyp_clauses)
       ~sos:goal_clauses ()
   with
@@ -801,13 +800,12 @@ let outcome_typed ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
 
 (** Translate a sequent and run the refutation, exposing the raw
     saturation outcome (and the engine / limit knobs) for differential
-    testing and benchmarking; [Error what] means the sequent is not
-    first-order translatable. *)
+    testing; [Error what] means the sequent is not first-order
+    translatable. *)
 let outcome_with ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
-    ?age_weight_ratio ?(set_vars = []) (s : Sequent.t) :
-    (outcome, string) result =
+    ?(set_vars = []) (s : Sequent.t) : (outcome, string) result =
   outcome_typed ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
-    ?age_weight_ratio ~set_vars ~free:(lazy (free_types s)) s
+    ~set_vars ~free:(lazy (free_types s)) s
 
 let timed_out_reason = "resolution wall-clock limit reached"
 

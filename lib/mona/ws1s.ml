@@ -300,20 +300,10 @@ let singleton_automaton ~width ~track =
 (* ------------------------------------------------------------------ *)
 
 (* which automata engine decides a formula: [Bdd] is the symbolic
-   MTBDD-backed engine, [Dense] the original 2^width-table engine (kept
-   for differential testing, exactly as Fol keeps [Naive]) *)
+   MTBDD-backed engine, [Dense] the original 2^width-table engine, kept
+   as the reference that the mona fuzz campaign and the tests compare
+   against (as Fol keeps [Naive]) *)
 type engine = Bdd | Dense
-
-(* high-water mark of automaton states across all decisions, for the
-   bench tables; Trace counters are summing, so a max lives here *)
-let peak = Atomic.make 0
-
-let rec note_peak n =
-  let cur = Atomic.get peak in
-  if n > cur && not (Atomic.compare_and_set peak cur n) then note_peak n
-
-let peak_states () = Atomic.get peak
-let reset_peak_states () = Atomic.set peak 0
 
 type compiled = {
   dfa : Dfa.t;
@@ -349,39 +339,35 @@ let track_assignment (f : t) : t * var array * int * (var -> int) =
 let compile (f : t) : compiled =
   let f, tracks, width, pos = track_assignment f in
   let rec go f : Dfa.t =
-    let d =
-      match f with
-      | True -> Dfa.top width
-      | False -> Dfa.bottom width
-      | Pred p -> compile_pred ~width ~pos p
-      | Not g -> Dfa.complement (go g)
-      | And gs ->
-        List.fold_left
-          (fun acc g -> Dfa.minimize (Dfa.inter acc (go g)))
-          (Dfa.top width) gs
-      | Or gs ->
-        List.fold_left
-          (fun acc g -> Dfa.minimize (Dfa.union acc (go g)))
-          (Dfa.bottom width) gs
-      | Impl (a, b) -> go (Or [ Not a; b ])
-      | Iff (a, b) -> go (And [ Impl (a, b); Impl (b, a) ])
-      | Ex2 (x, g) ->
-        let d = go g in
-        let p = pos x in
-        Dfa.minimize (Dfa.insert_track (Dfa.project d p) p)
-      | All2 (x, g) -> go (Not (Ex2 (x, Not g)))
-      | Ex1 (x, g) ->
-        let d =
-          Dfa.inter (singleton_automaton ~width ~track:(pos x)) (go g)
-        in
-        let p = pos x in
-        Dfa.minimize (Dfa.insert_track (Dfa.project d p) p)
-      | All1 (x, g) ->
-        (* forall x ranges over singletons only *)
-        go (Not (Ex1 (x, Not g)))
-    in
-    note_peak (Dfa.num_states d);
-    d
+    match f with
+    | True -> Dfa.top width
+    | False -> Dfa.bottom width
+    | Pred p -> compile_pred ~width ~pos p
+    | Not g -> Dfa.complement (go g)
+    | And gs ->
+      List.fold_left
+        (fun acc g -> Dfa.minimize (Dfa.inter acc (go g)))
+        (Dfa.top width) gs
+    | Or gs ->
+      List.fold_left
+        (fun acc g -> Dfa.minimize (Dfa.union acc (go g)))
+        (Dfa.bottom width) gs
+    | Impl (a, b) -> go (Or [ Not a; b ])
+    | Iff (a, b) -> go (And [ Impl (a, b); Impl (b, a) ])
+    | Ex2 (x, g) ->
+      let d = go g in
+      let p = pos x in
+      Dfa.minimize (Dfa.insert_track (Dfa.project d p) p)
+    | All2 (x, g) -> go (Not (Ex2 (x, Not g)))
+    | Ex1 (x, g) ->
+      let d =
+        Dfa.inter (singleton_automaton ~width ~track:(pos x)) (go g)
+      in
+      let p = pos x in
+      Dfa.minimize (Dfa.insert_track (Dfa.project d p) p)
+    | All1 (x, g) ->
+      (* forall x ranges over singletons only *)
+      go (Not (Ex1 (x, Not g)))
   in
   { dfa = Dfa.minimize (go f); tracks }
 
@@ -404,34 +390,30 @@ let compile_sym (f : t) : compiled_sym =
   let f, tracks, width, pos = track_assignment f in
   let man = Bdd.manager () in
   let rec go f : Sdfa.t =
-    let d =
-      match f with
-      | True -> Sdfa.top man width
-      | False -> Sdfa.bottom man width
-      | Pred p -> sym_of_spec man ~width (pred_spec ~pos p)
-      | Not g -> Sdfa.complement (go g)
-      | And gs ->
-        List.fold_left
-          (fun acc g -> Sdfa.minimize (Sdfa.inter acc (go g)))
-          (Sdfa.top man width) gs
-      | Or gs ->
-        List.fold_left
-          (fun acc g -> Sdfa.minimize (Sdfa.union acc (go g)))
-          (Sdfa.bottom man width) gs
-      | Impl (a, b) -> go (Or [ Not a; b ])
-      | Iff (a, b) -> go (And [ Impl (a, b); Impl (b, a) ])
-      | Ex2 (x, g) -> Sdfa.minimize (Sdfa.quantify (go g) (pos x))
-      | All2 (x, g) -> go (Not (Ex2 (x, Not g)))
-      | Ex1 (x, g) ->
-        let d =
-          Sdfa.inter (sym_of_spec man ~width (singleton_spec ~track:(pos x)))
-            (go g)
-        in
-        Sdfa.minimize (Sdfa.quantify d (pos x))
-      | All1 (x, g) -> go (Not (Ex1 (x, Not g)))
-    in
-    note_peak (Sdfa.num_states d);
-    d
+    match f with
+    | True -> Sdfa.top man width
+    | False -> Sdfa.bottom man width
+    | Pred p -> sym_of_spec man ~width (pred_spec ~pos p)
+    | Not g -> Sdfa.complement (go g)
+    | And gs ->
+      List.fold_left
+        (fun acc g -> Sdfa.minimize (Sdfa.inter acc (go g)))
+        (Sdfa.top man width) gs
+    | Or gs ->
+      List.fold_left
+        (fun acc g -> Sdfa.minimize (Sdfa.union acc (go g)))
+        (Sdfa.bottom man width) gs
+    | Impl (a, b) -> go (Or [ Not a; b ])
+    | Iff (a, b) -> go (And [ Impl (a, b); Impl (b, a) ])
+    | Ex2 (x, g) -> Sdfa.minimize (Sdfa.quantify (go g) (pos x))
+    | All2 (x, g) -> go (Not (Ex2 (x, Not g)))
+    | Ex1 (x, g) ->
+      let d =
+        Sdfa.inter (sym_of_spec man ~width (singleton_spec ~track:(pos x)))
+          (go g)
+      in
+      Sdfa.minimize (Sdfa.quantify d (pos x))
+    | All1 (x, g) -> go (Not (Ex1 (x, Not g)))
   in
   { sdfa = Sdfa.minimize (go f); s_tracks = tracks; man }
 
@@ -458,8 +440,7 @@ let with_fo_constraints_sym (c : compiled_sym) (fo : var list) : Sdfa.t =
        c.sdfa
 
 (* publish the symbolic engine's counters after a decision: total nodes
-   hash-consed, computed-cache traffic, and this decision's peak state
-   count (all summing — the process-wide max is [peak_states]) *)
+   hash-consed and computed-cache traffic (all summing) *)
 let publish_sym_counters (man : Bdd.manager) : unit =
   Trace.add "mona.bdd.unique" (Bdd.unique_size man);
   let lookups, hits = Bdd.cache_stats man in

@@ -443,15 +443,27 @@ let test_server_unknown_replayed () =
   Alcotest.(check int) "store holds no Unknown" 0 (Daemon.Store.entries s);
   if Sys.file_exists p then Sys.remove p
 
+(* the fully-verified example groups small enough for a unit test: every
+   obligation settles, so every verdict reaches the store *)
+let small_groups =
+  [ [ "global/Buffer.java" ];
+    [ "assoc/AssocClient.java"; "assoc/Assoc.java" ];
+    [ "game/Game.java" ];
+    [ "arrays/ArrayOps.java" ];
+    [ "stack/Stack.java" ] ]
+
 let test_server_restart_identical () =
   let p = fresh_path () in
-  let file = examples_dir ^ "/stack/Stack.java" in
-  let req =
-    Printf.sprintf {|{"id":1,"cmd":"verify","files":[%s]}|}
-      (jstr file)
+  let reqs =
+    List.mapi
+      (fun i files ->
+        Printf.sprintf {|{"id":%d,"cmd":"verify","files":[%s]}|} i
+          (String.concat ","
+             (List.map (fun f -> jstr (examples_dir ^ "/" ^ f)) files)))
+      small_groups
   in
   let t = server ~store_path:p () in
-  let resp1, _ = Daemon.Server.handle t req in
+  let resps1 = List.map (fun req -> fst (Daemon.Server.handle t req)) reqs in
   Daemon.Server.shutdown t;
   (* the restarted daemon re-serves the same verdicts from disk *)
   let t2 = server ~store_path:p () in
@@ -462,7 +474,7 @@ let test_server_restart_identical () =
       (match st with
       | Some s -> Daemon.Store.status_to_string s
       | None -> "no store"));
-  let resp2, _ = Daemon.Server.handle t2 req in
+  let resps2 = List.map (fun req -> fst (Daemon.Server.handle t2 req)) reqs in
   Daemon.Server.shutdown t2;
   (* byte-identical verdicts: only the cached flags may differ (the
      first run proved, the restart re-served from disk) *)
@@ -483,27 +495,31 @@ let test_server_restart_identical () =
     done;
     Buffer.contents b
   in
-  Alcotest.(check string) "restart verdicts identical" (normalize resp1)
-    (normalize resp2);
-  let v = json_of resp2 in
-  Alcotest.(check bool) "verification ok" true
-    (member "ok" v = Trace.Json.Bool true);
-  (* and they came from the store, not from fresh prover runs *)
-  let all_cached =
-    match member "methods" v with
-    | Trace.Json.Arr ms ->
-      List.for_all
-        (fun m ->
-          match member "obligations" m with
-          | Trace.Json.Arr obs ->
-            List.for_all
-              (fun o -> member "cached" o = Trace.Json.Bool true)
-              obs
-          | _ -> false)
-        ms
-    | _ -> false
-  in
-  Alcotest.(check bool) "all obligations cached after restart" true all_cached;
+  List.iter2
+    (fun resp1 resp2 ->
+      Alcotest.(check string) "restart verdicts identical" (normalize resp1)
+        (normalize resp2);
+      let v = json_of resp2 in
+      Alcotest.(check bool) "verification ok" true
+        (member "ok" v = Trace.Json.Bool true);
+      (* and they came from the store, not from fresh prover runs *)
+      let all_cached =
+        match member "methods" v with
+        | Trace.Json.Arr ms ->
+          List.for_all
+            (fun m ->
+              match member "obligations" m with
+              | Trace.Json.Arr obs ->
+                List.for_all
+                  (fun o -> member "cached" o = Trace.Json.Bool true)
+                  obs
+              | _ -> false)
+            ms
+        | _ -> false
+      in
+      Alcotest.(check bool) "all obligations cached after restart" true
+        all_cached)
+    resps1 resps2;
   Sys.remove p
 
 (* the verify protocol's incremental mode: first request re-verifies

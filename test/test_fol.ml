@@ -361,30 +361,98 @@ let test_search_identity () =
           (search_summary entry.Fuzz.Differ.entry_sequent))
     files
 
+(* saturation-heavy rows beside the corpus: an equality chain that only a
+   resolution proof settles, a guarded chain of three-literal rules (full
+   subsumption), and the paper's set-move and reachability obligations *)
+let saturation_rows =
+  let seq hyps goal = Sequent.make (List.map parse hyps) (parse goal) in
+  let chain n =
+    let v i = Printf.sprintf "fb_%d" i in
+    seq
+      (List.init n (fun i -> Printf.sprintf "%s = %s" (v i) (v (i + 1))))
+      (Printf.sprintf "%s..f..g = %s..f..g" (v 0) (v n))
+  in
+  let guarded_chain n =
+    seq
+      ([ "fga : fgS_0"; "fga : fgG" ]
+      @ List.init n (fun i ->
+            Printf.sprintf "ALL x. x : fgS_%d & x : fgG --> x : fgS_%d" i
+              (i + 1)))
+      (Printf.sprintf "fga : fgS_%d" n)
+  in
+  [ ("chain10", chain 10);
+    ("guarded-chain120", guarded_chain 120);
+    ( "set-move",
+      seq [ "A Int B = {}"; "o : A"; "A2 = A - {o}"; "B2 = B Un {o}" ]
+        "A2 Int B2 = {}" );
+    ( "fresh-add",
+      seq [ "A Int B = {}"; "x ~: B"; "A2 = A Un {x}" ] "A2 Int B = {}" );
+    ( "subset-chain",
+      seq
+        [ "ALL e. e : s --> e : t"; "ALL e. e : t --> e : u";
+          "ALL e. e : u --> e : v" ]
+        "ALL e. e : s --> e : v" );
+    ( "reach-extend",
+      seq
+        [ "rtrancl_pt (% u v. u..next = v) h x";
+          "rtrancl_pt (% u v. u..next = v) h y"; "x..next = y" ]
+        "rtrancl_pt (% u v. u..next = v) x y" );
+  ]
+
 let test_corpus_parity () =
-  (* every historical counterexample, both engines, generous caps: the
-     indexed engine must reach the same Proof/Saturated verdict as the
-     naive one, sequent for sequent *)
+  (* every historical counterexample and the saturation rows, both
+     engines, generous caps: the indexed engine must reach the same
+     Proof/Saturated verdict as the naive one, sequent for sequent *)
   let files = Fuzz.Differ.corpus_files "corpus" in
   Alcotest.(check bool) "corpus present" true (files <> []);
+  let corpus =
+    List.map
+      (fun path ->
+        match Fuzz.Differ.load_file path with
+        | Error msg -> Alcotest.failf "%s: %s" path msg
+        | Ok entry -> (Filename.basename path, entry.Fuzz.Differ.entry_sequent))
+      files
+  in
   List.iter
-    (fun path ->
-      match Fuzz.Differ.load_file path with
-      | Error msg -> Alcotest.failf "%s: %s" path msg
-      | Ok entry ->
-        let s = entry.Fuzz.Differ.entry_sequent in
-        if Fol.in_fragment s then begin
-          let run engine =
-            Fol.outcome_with ~engine ~max_clauses:2000 ~max_weight:10_000
-              ~max_lits:1_000 ~timeout_s:10.0
-              ~set_vars:(Fol.infer_set_vars s) s
-          in
-          let i = run Fol.Indexed and n = run Fol.Naive in
-          if outcome_name i <> outcome_name n then
-            Alcotest.failf "%s: indexed=%s naive=%s" (Filename.basename path)
-              (outcome_name i) (outcome_name n)
-        end)
-    files
+    (fun (name, s) ->
+      if Fol.in_fragment s then begin
+        let run engine =
+          Fol.outcome_with ~engine ~max_clauses:2000 ~max_weight:10_000
+            ~max_lits:1_000 ~timeout_s:10.0 ~set_vars:(Fol.infer_set_vars s) s
+        in
+        let i = run Fol.Indexed and n = run Fol.Naive in
+        if outcome_name i <> outcome_name n then
+          Alcotest.failf "%s: indexed=%s naive=%s" name (outcome_name i)
+            (outcome_name n)
+      end)
+    (corpus @ saturation_rows)
+
+let test_list_no_lost_proofs () =
+  (* under production caps the engines spend their budgets differently,
+     so the check is containment: every List obligation in the fol
+     fragment that the naive engine proves, the indexed engine proves *)
+  let prog =
+    List.concat_map
+      (fun f ->
+        Javaparser.Jparser.parse_program_file
+          (Test_daemon.examples_dir ^ "/list/" ^ f))
+      [ "Client.java"; "List.java" ]
+  in
+  let obligations =
+    List.concat_map Vcgen.method_obligations (Gcl.Desugar.program_tasks prog)
+    |> List.filter Fol.in_fragment
+  in
+  let proves engine s =
+    Fol.outcome_with ~engine ~set_vars:(Fol.infer_set_vars s) s = Ok Fol.Proof
+  in
+  let naive = List.filter (proves Fol.Naive) obligations in
+  Alcotest.(check bool) "naive proves some" true (naive <> []);
+  List.iter
+    (fun s ->
+      if not (proves Fol.Indexed s) then
+        Alcotest.failf "indexed engine lost the naive proof of %s"
+          s.Sequent.name)
+    naive
 
 let suite =
   [ ( "fol",
@@ -401,6 +469,10 @@ let suite =
         QCheck_alcotest.to_alcotest Props.prop_backward_subsumption_agrees;
         QCheck_alcotest.to_alcotest Props.prop_skeleton_order;
         Alcotest.test_case "corpus engine parity" `Quick test_corpus_parity;
+        Alcotest.test_case
+          "the indexed engine proves every List fol-fragment obligation the \
+           naive engine proves"
+          `Quick test_list_no_lost_proofs;
         Alcotest.test_case "outcome and kept counters" `Quick
           test_outcome_counters;
         Alcotest.test_case "search identity on pinned list sequents" `Quick

@@ -522,6 +522,79 @@ let test_ws1s_width20 () =
   Alcotest.(check bool) "reversed chain is not valid" false
     (valid ~engine:Ws1s.Bdd closed')
 
+(* a width-scaling suite with known verdicts: subset chains over w set
+   tracks (the dense engine's letters are 2^w wide), the same chains
+   All2-closed, a first-order transitivity tower and a union tower *)
+let scaling_suite =
+  let x i = Printf.sprintf "X%d" i in
+  let links w = And (List.init (w - 1) (fun i -> Pred (Sub (x i, x (i + 1))))) in
+  let chain w = Impl (links w, Pred (Sub (x 0, x (w - 1)))) in
+  let chain_rev w = Impl (links w, Pred (Sub (x (w - 1), x 0))) in
+  let all2_cover w =
+    List.fold_left (fun acc i -> All2 (x i, acc)) (chain w) (List.init w Fun.id)
+  in
+  let order w =
+    let p i = Printf.sprintf "p%d" i in
+    List.fold_left
+      (fun acc i -> All1 (p i, acc))
+      (Impl
+         ( And (List.init (w - 1) (fun i -> Pred (LessF (p i, p (i + 1))))),
+           Pred (LessF (p 0, p (w - 1))) ))
+      (List.init w Fun.id)
+  in
+  let union_tower k =
+    let u i = Printf.sprintf "U%d" i in
+    Impl
+      ( And
+          (Pred (EqS (u 0, x 0))
+          :: List.init k (fun i -> Pred (EqUnion (u (i + 1), u i, x (i + 1))))),
+        And [ Pred (Sub (x 0, u k)); Pred (Sub (x k, u k)) ] )
+  in
+  [ ("chain6", chain 6, true);
+    ("chain8", chain 8, true);
+    ("chain10", chain 10, true);
+    ("chain12", chain 12, true);
+    ("chain14", chain 14, true);
+    ("chain-rev8", chain_rev 8, false);
+    ("chain-rev12", chain_rev 12, false);
+    ("all2-cover6", all2_cover 6, true);
+    ("all2-cover8", all2_cover 8, true);
+    ("all2-cover10", all2_cover 10, true);
+    ("order6", order 6, true);
+    ("order8", order 8, true);
+    ("order10", order 10, true);
+    ("union-tower3", union_tower 3, true);
+    ("union-tower5", union_tower 5, true);
+  ]
+
+let test_engines_agree_on_suites () =
+  List.iter
+    (fun (name, f, expected) ->
+      Alcotest.(check bool) (name ^ ": bdd verdict") expected
+        (valid ~engine:Ws1s.Bdd f);
+      Alcotest.(check bool) (name ^ ": dense agrees") expected
+        (valid ~engine:Ws1s.Dense f))
+    scaling_suite;
+  (* every obligation of the examples that the MONA route admits:
+     Buffer's global invariants and the association-list lemmas *)
+  let routed =
+    [ "global/Buffer.java"; "assoc/Assoc.java" ]
+    |> List.concat_map (fun f ->
+           Javaparser.Jparser.parse_program_file
+             (Test_daemon.examples_dir ^ "/" ^ f)
+           |> Gcl.Desugar.program_tasks
+           |> List.concat_map Vcgen.method_obligations)
+    |> List.filter_map (fun s -> Result.to_option (Fca.route_sequent s))
+  in
+  Alcotest.(check int) "MONA-routed examples obligations" 5
+    (List.length routed);
+  List.iter
+    (fun (f, fo) ->
+      Alcotest.(check bool) "bdd and dense agree on an examples obligation"
+        (valid ~engine:Ws1s.Bdd ~fo f)
+        (valid ~engine:Ws1s.Dense ~fo f))
+    routed
+
 let suite =
   [ ( "mona.dfa",
       [ Alcotest.test_case "boolean algebra" `Quick test_dfa_basic;
@@ -540,6 +613,8 @@ let suite =
         Alcotest.test_case "free variables" `Quick test_ws1s_free_vars;
         Alcotest.test_case "list shapes" `Quick test_ws1s_list_shapes;
         Alcotest.test_case "width-20 regression" `Quick test_ws1s_width20;
+        Alcotest.test_case "scaling suite and examples: bdd and dense agree"
+          `Quick test_engines_agree_on_suites;
         QCheck_alcotest.to_alcotest prop_ws1s_qf_vs_enumeration;
         QCheck_alcotest.to_alcotest prop_ws1s_engines_agree;
       ] );
