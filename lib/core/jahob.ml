@@ -108,8 +108,8 @@ type engine = {
 
 let create_engine (opts : options) : engine =
   (* one pool serves both fan-out levels: methods are verified in
-     parallel and each method's obligations fan out on the same
-     work-stealing deques (Pool.map nests safely) *)
+     parallel and each method's obligations fan out on the same shared
+     queue (Pool.map nests safely) *)
   let jobs = effective_jobs opts.jobs in
   let pool = if jobs > 1 then Some (Dispatch.Pool.create ~jobs) else None in
   let cache =

@@ -8,8 +8,8 @@
     store) already settled.
 
     Batching model: requests are handled {e serially}, one at a time —
-    the parallelism lives {e inside} a request (the engine's
-    work-stealing pool fans the batch's obligations out).  That keeps
+    the parallelism lives {e inside} a request (the engine's domain
+    pool fans the batch's obligations out).  That keeps
     the cache's epoch/trim discipline trivially correct: each request is
     one batch, [new_epoch] on entry, [trim] on exit (both inside
     [verify_program_with]).

@@ -21,21 +21,13 @@
     smt+fol dispatcher sharing this cache.  Such entries never leave the
     process: {!fold_settled} skips them.
 
-    {2 Sharding}
-
-    The table is split into 64 independent shards selected by the key's
-    hash, so two domains contend only when their digests land in the
-    same shard, rather than every lookup serializing on one lock; each
-    shard carries its own lock, condvar and counters.  A portfolio's
-    unknown entry lives in the shard of its bare digest.
-
     {2 The in-flight claim table}
 
     Two domains racing on the same digest would otherwise both miss and
     both pay a prover call — duplicated work, and hit/miss counters that
     change with [-j].  {!acquire} closes the window: the
     first caller {e claims} the key and proves; later callers block on
-    the shard's condvar and are served the published verdict as a hit,
+    the [settled] condvar and are served the published verdict as a hit,
     exactly as they would have been sequentially.  A claim owner must
     {!publish} its verdict or {!abandon} the claim (a resource-limited
     Unknown, a prover exception).  Publishing an Unknown stores the
@@ -62,59 +54,41 @@ type state =
   | Done of slot
   | Inflight (* some domain holds the claim and is proving *)
 
-type shard = {
-  lock : Mutex.t;
+type t = {
+  lock : Mutex.t; (* guards everything mutable below *)
   settled : Condition.t; (* signalled on publish and abandon *)
   table : (string, state) Hashtbl.t;
       (* bare digests, and the portfolio-qualified keys of Unknowns *)
+  cap : int; (* settled entries kept across batches *)
+  mutable epoch : int; (* batch counter; moves only between batches *)
   mutable hits : int;
   mutable misses : int;
   mutable replayed : int; (* hits served by an Unknown entry *)
-  mutable waits : int; (* lookups that blocked on an in-flight claim *)
   mutable evicted : int; (* settled entries dropped by [trim] *)
 }
 
-type t = {
-  shards : shard array;
-  mask : int;
-  epoch : int Atomic.t; (* batch counter; moves only between batches *)
-  shard_cap : int; (* settled entries a shard may keep across batches *)
-}
-
-let shard_count = 64
-
-(* the default total cap: generous enough that a CLI run never trims,
-   small enough that a daemon's residency is bounded (~tens of MB) *)
+(* the default cap: generous enough that a CLI run never trims, small
+   enough that a daemon's residency is bounded (~tens of MB) *)
 let default_cap = 262_144
 
 (** [create ?cap ()] — [cap] bounds the settled entries kept across
-    batch boundaries (split evenly over the shards, so the bound is
-    enforced per shard; [cap <= 0] means unbounded). *)
+    batch boundaries ([cap <= 0] means unbounded). *)
 let create ?(cap = default_cap) () : t =
-  { shards =
-      Array.init shard_count (fun _ ->
-          { lock = Mutex.create ();
-            settled = Condition.create ();
-            table = Hashtbl.create 16;
-            hits = 0;
-            misses = 0;
-            replayed = 0;
-            waits = 0;
-            evicted = 0 });
-    mask = shard_count - 1;
-    epoch = Atomic.make 0;
-    shard_cap =
-      (if cap <= 0 then max_int
-       else max 1 ((cap + shard_count - 1) / shard_count)) }
+  { lock = Mutex.create ();
+    settled = Condition.create ();
+    table = Hashtbl.create 256;
+    cap = (if cap <= 0 then max_int else cap);
+    epoch = 0;
+    hits = 0;
+    misses = 0;
+    replayed = 0;
+    evicted = 0 }
 
 (** The cache key of a sequent (see {!Logic.Sequent.digest}). *)
 let key (s : Sequent.t) : string = Sequent.digest s
 
-let shard_of (c : t) (k : string) : shard =
-  c.shards.(Hashtbl.hash k land c.mask)
-
-(* where [portfolio]'s Unknown for bare key [k] is stored (in [k]'s
-   shard); digests are hex, so no bare key contains the separator *)
+(* where [portfolio]'s Unknown for bare key [k] is stored; digests are
+   hex, so no bare key contains the separator *)
 let unknown_key (k : string) (portfolio : string) : string =
   k ^ "?" ^ portfolio
 
@@ -129,50 +103,48 @@ type claim =
     verdict is preferred and that portfolio's Unknown is replayed
     otherwise.  Exactly one hit or miss is counted per call, at
     resolution time, so the counters do not depend on how claims
-    interleave.  [waits] counts blocked lookups and is the only
-    schedule-dependent counter. *)
+    interleave; only the [cache.wait] trace counter (blocked lookups)
+    depends on the schedule. *)
 let acquire ?portfolio (c : t) (k : string) : claim =
-  let sh = shard_of c k in
   let hit sl =
-    sh.hits <- sh.hits + 1;
-    sl.used <- Atomic.get c.epoch;
+    c.hits <- c.hits + 1;
+    sl.used <- c.epoch;
     let replay = is_unknown sl.entry in
-    if replay then sh.replayed <- sh.replayed + 1;
-    Mutex.unlock sh.lock;
+    if replay then c.replayed <- c.replayed + 1;
+    Mutex.unlock c.lock;
     Trace.incr "cache.hit";
     if replay then Trace.incr "cache.unknown_replayed";
     Hit sl.entry
   in
-  Mutex.lock sh.lock;
+  Mutex.lock c.lock;
   let rec resolve () =
-    match Hashtbl.find_opt sh.table k with
+    match Hashtbl.find_opt c.table k with
     | Some (Done sl) -> hit sl
     | Some Inflight ->
-      sh.waits <- sh.waits + 1;
       Trace.incr "cache.wait";
-      Condition.wait sh.settled sh.lock;
+      Condition.wait c.settled c.lock;
       resolve ()
     | None -> (
       let replay =
         match portfolio with
-        | Some p -> Hashtbl.find_opt sh.table (unknown_key k p)
+        | Some p -> Hashtbl.find_opt c.table (unknown_key k p)
         | None -> None
       in
       match replay with
       | Some (Done sl) -> hit sl
       | Some Inflight | None ->
-        Hashtbl.replace sh.table k Inflight;
-        sh.misses <- sh.misses + 1;
-        Mutex.unlock sh.lock;
+        Hashtbl.replace c.table k Inflight;
+        c.misses <- c.misses + 1;
+        Mutex.unlock c.lock;
         Trace.incr "cache.miss";
         Claimed)
   in
   resolve ()
 
-(* drop an in-flight claim on [k]; the caller holds the shard lock *)
-let release_claim (sh : shard) (k : string) : unit =
-  match Hashtbl.find_opt sh.table k with
-  | Some Inflight -> Hashtbl.remove sh.table k
+(* drop an in-flight claim on [k]; the caller holds the lock *)
+let release_claim (c : t) (k : string) : unit =
+  match Hashtbl.find_opt c.table k with
+  | Some Inflight -> Hashtbl.remove c.table k
   | Some (Done _) | None -> ()
 
 (** Publish the verdict for a key (normally one this caller claimed) and
@@ -181,40 +153,23 @@ let release_claim (sh : shard) (k : string) : unit =
     one — and the claim on [k] is released in the same critical section,
     so waiters of that portfolio find the entry when they wake. *)
 let publish ?portfolio (c : t) (k : string) (e : entry) : unit =
-  let sh = shard_of c k in
-  Mutex.lock sh.lock;
-  let slot = Done { entry = e; used = Atomic.get c.epoch } in
-  if not (is_unknown e) then Hashtbl.replace sh.table k slot
-  else begin
-    Option.iter
-      (fun p -> Hashtbl.replace sh.table (unknown_key k p) slot)
-      portfolio;
-    release_claim sh k
-  end;
-  Condition.broadcast sh.settled;
-  Mutex.unlock sh.lock
+  Mutex.protect c.lock (fun () ->
+      let slot = Done { entry = e; used = c.epoch } in
+      if not (is_unknown e) then Hashtbl.replace c.table k slot
+      else begin
+        Option.iter
+          (fun p -> Hashtbl.replace c.table (unknown_key k p) slot)
+          portfolio;
+        release_claim c k
+      end;
+      Condition.broadcast c.settled)
 
 (** Give a claim up without caching anything (resource-limited Unknowns,
     prover exceptions).  The first waiter to wake re-claims the key. *)
 let abandon (c : t) (k : string) : unit =
-  let sh = shard_of c k in
-  Mutex.lock sh.lock;
-  release_claim sh k;
-  Condition.broadcast sh.settled;
-  Mutex.unlock sh.lock
-
-(** Non-claiming lookup of a settled verdict; does not touch counters
-    and does not wait on in-flight claims. *)
-let peek (c : t) (k : string) : entry option =
-  let sh = shard_of c k in
-  Mutex.lock sh.lock;
-  let r =
-    match Hashtbl.find_opt sh.table k with
-    | Some (Done sl) -> Some sl.entry
-    | Some Inflight | None -> None
-  in
-  Mutex.unlock sh.lock;
-  r
+  Mutex.protect c.lock (fun () ->
+      release_claim c k;
+      Condition.broadcast c.settled)
 
 (* ------------------------------------------------------------------ *)
 (* Batch boundaries: epochs, trimming, persistence hooks               *)
@@ -223,82 +178,60 @@ let peek (c : t) (k : string) : entry option =
 (** Open a new recency epoch.  Call at a batch boundary (the start of a
     daemon request or a [verify] run); entries resolved from now on are
     stamped with the new epoch. *)
-let new_epoch (c : t) : unit = Atomic.incr c.epoch
+let new_epoch (c : t) : unit =
+  Mutex.protect c.lock (fun () -> c.epoch <- c.epoch + 1)
 
-(** Evict settled entries past the per-shard cap, least-recently-used
-    epoch first (ties broken by key, so eviction is deterministic given
-    the batch sequence).  Must be called between batches — it assumes no
+(** Evict settled entries past the cap, least-recently-used epoch first
+    (ties broken by key, so eviction is deterministic given the batch
+    sequence).  Must be called between batches — it assumes no
     concurrent proving; [Inflight] claims are never evicted.  Returns
     how many entries were dropped. *)
 let trim (c : t) : int =
-  let dropped = ref 0 in
-  Array.iter
-    (fun sh ->
-      Mutex.lock sh.lock;
-      let settled_count =
-        Hashtbl.fold
-          (fun _ st n -> match st with Done _ -> n + 1 | Inflight -> n)
-          sh.table 0
-      in
-      let excess = settled_count - c.shard_cap in
-      if excess > 0 then begin
+  let dropped =
+    Mutex.protect c.lock (fun () ->
         let victims =
           Hashtbl.fold
             (fun k st acc ->
               match st with Done sl -> (sl.used, k) :: acc | Inflight -> acc)
-            sh.table []
-          |> List.sort compare
+            c.table []
         in
-        List.iteri
-          (fun i (_, k) ->
-            if i < excess then begin
-              Hashtbl.remove sh.table k;
-              sh.evicted <- sh.evicted + 1;
-              incr dropped
-            end)
-          victims
-      end;
-      Mutex.unlock sh.lock)
-    c.shards;
-  if !dropped > 0 then Trace.add "cache.evicted" !dropped;
-  !dropped
+        let excess = List.length victims - c.cap in
+        if excess <= 0 then 0
+        else begin
+          List.sort compare victims
+          |> List.iteri (fun i (_, k) ->
+                 if i < excess then Hashtbl.remove c.table k);
+          c.evicted <- c.evicted + excess;
+          excess
+        end)
+  in
+  if dropped > 0 then Trace.add "cache.evicted" dropped;
+  dropped
 
 (** Insert settled verdicts wholesale (a persistent store warming the
     cache).  Existing entries and in-flight claims are left untouched;
     preloaded entries are stamped with the current epoch. *)
 let preload (c : t) (kvs : (string * entry) list) : unit =
-  List.iter
-    (fun (k, e) ->
-      let sh = shard_of c k in
-      Mutex.lock sh.lock;
-      (match Hashtbl.find_opt sh.table k with
-      | Some _ -> ()
-      | None ->
-        Hashtbl.replace sh.table k
-          (Done { entry = e; used = Atomic.get c.epoch }));
-      Mutex.unlock sh.lock)
-    kvs
+  Mutex.protect c.lock (fun () ->
+      List.iter
+        (fun (k, e) ->
+          if not (Hashtbl.mem c.table k) then
+            Hashtbl.replace c.table k (Done { entry = e; used = c.epoch }))
+        kvs)
 
 (** Fold over the settled entries in deterministic (key-sorted) order —
     how a persistent store drains the cache after a batch.  Unknown
     entries are skipped: they hold only for this process's portfolios.
-    Takes the shard locks one at a time; call between batches. *)
+    Call between batches. *)
 let fold_settled (c : t) (f : 'a -> string -> entry -> 'a) (init : 'a) : 'a =
   let kvs =
-    Array.fold_left
-      (fun acc sh ->
-        Mutex.lock sh.lock;
-        let acc =
-          Hashtbl.fold
-            (fun k st acc ->
-              match st with
-              | Done sl when not (is_unknown sl.entry) -> (k, sl.entry) :: acc
-              | Done _ | Inflight -> acc)
-            sh.table acc
-        in
-        Mutex.unlock sh.lock;
-        acc)
-      [] c.shards
+    Mutex.protect c.lock (fun () ->
+        Hashtbl.fold
+          (fun k st acc ->
+            match st with
+            | Done sl when not (is_unknown sl.entry) -> (k, sl.entry) :: acc
+            | Done _ | Inflight -> acc)
+          c.table [])
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   List.fold_left (fun acc (k, e) -> f acc k e) init kvs
@@ -306,7 +239,6 @@ let fold_settled (c : t) (f : 'a -> string -> entry -> 'a) (init : 'a) : 'a =
 type counters = {
   hit_count : int;
   miss_count : int;
-  wait_count : int;
   entries : int; (* every stored verdict, Unknown entries included *)
   unknown_entries : int;
   unknown_replayed : int; (* hits served by an Unknown entry *)
@@ -314,31 +246,21 @@ type counters = {
 }
 
 let counters (c : t) : counters =
-  Array.fold_left
-    (fun acc sh ->
-      Mutex.lock sh.lock;
+  Mutex.protect c.lock (fun () ->
       let entries, unknowns =
         Hashtbl.fold
           (fun _ st (n, u) ->
             match st with
             | Done sl -> (n + 1, if is_unknown sl.entry then u + 1 else u)
             | Inflight -> (n, u))
-          sh.table (0, 0)
+          c.table (0, 0)
       in
-      let r =
-        { hit_count = acc.hit_count + sh.hits;
-          miss_count = acc.miss_count + sh.misses;
-          wait_count = acc.wait_count + sh.waits;
-          entries = acc.entries + entries;
-          unknown_entries = acc.unknown_entries + unknowns;
-          unknown_replayed = acc.unknown_replayed + sh.replayed;
-          evicted_count = acc.evicted_count + sh.evicted }
-      in
-      Mutex.unlock sh.lock;
-      r)
-    { hit_count = 0; miss_count = 0; wait_count = 0; entries = 0;
-      unknown_entries = 0; unknown_replayed = 0; evicted_count = 0 }
-    c.shards
+      { hit_count = c.hits;
+        miss_count = c.misses;
+        entries;
+        unknown_entries = unknowns;
+        unknown_replayed = c.replayed;
+        evicted_count = c.evicted })
 
 (** Hit rate over all lookups so far; 0 when nothing was looked up. *)
 let hit_rate (c : t) : float =

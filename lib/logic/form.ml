@@ -253,35 +253,11 @@ let fv f = fv_acc Sset.empty Sset.empty f
 let fv_list f = Sset.elements (fv f)
 
 (* Fresh-name generation: names use a reserved separator that the parsers
-   never produce, so uniqueness only needs a process-wide id sequence.
-   Bumping one global [Atomic] for every wp-renaming step of every domain
-   makes that counter a contended cache line, so each domain draws blocks
-   of ids from the global counter and hands them out from domain-local
-   state.  Ids are never reused, so names stay unique program-wide; the
-   per-domain record is guarded by its own (domain-private, hence
-   uncontended) mutex because budget-helper systhreads share their
-   domain's DLS slot.  A single-domain run drains blocks in order and
-   produces exactly the sequence the global counter would have. *)
-let fresh_block = 1024
+   never produce, so uniqueness only needs a process-wide id sequence. *)
 let fresh_counter = Atomic.make 0
 
-type fresh_state = { flock : Mutex.t; mutable next : int; mutable limit : int }
-
-let fresh_key : fresh_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { flock = Mutex.create (); next = 0; limit = 0 })
-
 let fresh_name base =
-  let st = Domain.DLS.get fresh_key in
-  Mutex.lock st.flock;
-  if st.next >= st.limit then begin
-    st.next <- Atomic.fetch_and_add fresh_counter fresh_block;
-    st.limit <- st.next + fresh_block
-  end;
-  let n = st.next in
-  st.next <- n + 1;
-  Mutex.unlock st.flock;
-  Printf.sprintf "%s__%d" base (n + 1)
+  Printf.sprintf "%s__%d" base (Atomic.fetch_and_add fresh_counter 1 + 1)
 
 (* [List.map] that returns the input list unchanged (physically) when [f]
    changes no element — keeps rebuilt trees sharing their untouched

@@ -5,10 +5,8 @@
     carry attributes (prover name, verdict, formula size, cache hit/miss,
     queue wait under the domain pool) and feed three sinks:
 
-    + {b aggregate counters}: per-domain accumulators (each domain owns
-      its own tables, so accumulation never contends across domains; a
-      per-domain lock only serializes the rare budget helper threads of
-      the same domain) merged on demand for [--stats]-style reports;
+    + {b aggregate counters}: one table of span totals and named
+      counters under one mutex, read for [--stats]-style reports;
     + {b a JSON-lines event log} ([--trace FILE]): one begin/end/instant
       event per line, validated by {!check_jsonl_file};
     + {b a Chrome [trace_event] export} ([--trace-format chrome]): the
@@ -44,57 +42,33 @@ let epoch = Atomic.make 0.
 let now_s () = Clock.now () -. Atomic.get epoch
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain accumulators                                             *)
+(* Aggregates                                                          *)
 (* ------------------------------------------------------------------ *)
 
 type agg = { mutable count : int; mutable total_s : float }
 
-type acc = {
-  lock : Mutex.t;
-      (* systhreads of one domain (budget helpers) share this record; the
-         lock is per-domain, so domains never contend with each other *)
-  span_aggs : (string, agg) Hashtbl.t; (* "cat:name" -> count/total time *)
-  counts : (string, int ref) Hashtbl.t;
-}
-
-let registry : acc list ref = ref []
-let registry_mutex = Mutex.create ()
-
-let acc_key : acc Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let a =
-        { lock = Mutex.create ();
-          span_aggs = Hashtbl.create 32;
-          counts = Hashtbl.create 32 }
-      in
-      Mutex.lock registry_mutex;
-      registry := a :: !registry;
-      Mutex.unlock registry_mutex;
-      a)
-
-let with_acc (f : acc -> unit) : unit =
-  let a = Domain.DLS.get acc_key in
-  Mutex.lock a.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock a.lock) (fun () -> f a)
+let agg_mutex = Mutex.create ()
+let span_aggs : (string, agg) Hashtbl.t = Hashtbl.create 32 (* "cat:name" *)
+let counts : (string, int ref) Hashtbl.t = Hashtbl.create 32
 
 (** Record one observation of [dt] seconds under [key] (spans do this on
     finish; usable directly for durations measured by other means). *)
 let observe (key : string) (dt : float) : unit =
   if Atomic.get enabled_flag then
-    with_acc (fun a ->
-        match Hashtbl.find_opt a.span_aggs key with
+    Mutex.protect agg_mutex (fun () ->
+        match Hashtbl.find_opt span_aggs key with
         | Some g ->
           g.count <- g.count + 1;
           g.total_s <- g.total_s +. dt
-        | None -> Hashtbl.add a.span_aggs key { count = 1; total_s = dt })
+        | None -> Hashtbl.add span_aggs key { count = 1; total_s = dt })
 
 (** Add [n] to the named counter (no-op while disabled). *)
 let add (name : string) (n : int) : unit =
   if Atomic.get enabled_flag then
-    with_acc (fun a ->
-        match Hashtbl.find_opt a.counts name with
+    Mutex.protect agg_mutex (fun () ->
+        match Hashtbl.find_opt counts name with
         | Some r -> r := !r + n
-        | None -> Hashtbl.add a.counts name (ref n))
+        | None -> Hashtbl.add counts name (ref n))
 
 let incr (name : string) : unit = add name 1
 
@@ -106,41 +80,10 @@ type sink = {
   channel : out_channel;
   format : format;
   mutable first : bool; (* Chrome: comma placement between events *)
-  mutable closed : bool;
 }
 
 let sink_mutex = Mutex.create ()
 let sink : sink option ref = ref None
-
-(* Per-domain event buffers: the sink mutex used to be taken for every
-   single event, which serialized all domains on one global lock right
-   on the proving hot path.  Events are now formatted and appended to a
-   domain-local buffer (guarded by a per-domain lock only because budget
-   helper systhreads share their domain's DLS slot) and the sink mutex
-   is paid once per [flush_threshold] bytes and once at [stop].  Batches
-   are written whole, so each thread's events stay in emission order in
-   the file and the per-tid span balance the validator checks is
-   preserved. *)
-type ebuf = { elock : Mutex.t; ebuf : Buffer.t }
-
-let ebuf_registry : ebuf list ref = ref []
-let ebuf_registry_mutex = Mutex.create ()
-
-let ebuf_key : ebuf Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let b = { elock = Mutex.create (); ebuf = Buffer.create 4096 } in
-      Mutex.lock ebuf_registry_mutex;
-      ebuf_registry := b :: !ebuf_registry;
-      Mutex.unlock ebuf_registry_mutex;
-      b)
-
-let flush_threshold = 32 * 1024
-
-let all_ebufs () : ebuf list =
-  Mutex.lock ebuf_registry_mutex;
-  let ebs = !ebuf_registry in
-  Mutex.unlock ebuf_registry_mutex;
-  ebs
 
 let add_json_string buf s =
   Buffer.add_char buf '"';
@@ -192,11 +135,9 @@ let format_event ~format ~ph ~ts ~tid ~cat ~name (args : args) : string =
     end;
     Buffer.add_string buf "}\n"
   | Chrome ->
-    (* trace_event format: timestamps in microseconds, one process.
-       Every event carries its ",\n" separator as a prefix; the flusher
-       strips it from the first event of the file. *)
+    (* trace_event format: timestamps in microseconds, one process *)
     Buffer.add_string buf
-      (Printf.sprintf ",\n{\"ph\":\"%c\",\"ts\":%.1f,\"pid\":1,\"tid\":%d,\"cat\":" ph
+      (Printf.sprintf "{\"ph\":\"%c\",\"ts\":%.1f,\"pid\":1,\"tid\":%d,\"cat\":" ph
          (ts *. 1e6) tid);
     add_json_string buf cat;
     Buffer.add_string buf ",\"name\":";
@@ -208,41 +149,22 @@ let format_event ~format ~ph ~ts ~tid ~cat ~name (args : args) : string =
     Buffer.add_char buf '}');
   Buffer.contents buf
 
-(* write a domain's pending batch to the sink; call with [eb.elock]
-   held.  Lock order is always elock -> sink_mutex. *)
-let flush_ebuf_locked (eb : ebuf) : unit =
-  if Buffer.length eb.ebuf > 0 then begin
-    Mutex.lock sink_mutex;
-    (match !sink with
-    | Some sk when not sk.closed -> (
-      let s = Buffer.contents eb.ebuf in
-      match sk.format with
-      | Jsonl -> output_string sk.channel s
-      | Chrome ->
-        if sk.first then begin
-          (* drop the leading ",\n" of the file's first event *)
-          sk.first <- false;
-          output_string sk.channel (String.sub s 2 (String.length s - 2))
-        end
-        else output_string sk.channel s)
-    | _ -> ());
-    Mutex.unlock sink_mutex;
-    Buffer.clear eb.ebuf
-  end
-
+(* format outside the lock, then write the whole line under it, so
+   lines from different threads never interleave.  Budget helper threads
+   abandoned past [stop] find no sink and drop their events. *)
 let emit ~ph ~ts ~tid ~cat ~name (args : args) : unit =
   match !sink with
   | None -> ()
   | Some sk ->
-    (* format outside any lock; abandoned budget threads may land here
-       after [stop] — their batch then sits in the buffer until the next
-       [open_sink] discards it *)
     let line = format_event ~format:sk.format ~ph ~ts ~tid ~cat ~name args in
-    let eb = Domain.DLS.get ebuf_key in
-    Mutex.lock eb.elock;
-    Buffer.add_string eb.ebuf line;
-    if Buffer.length eb.ebuf >= flush_threshold then flush_ebuf_locked eb;
-    Mutex.unlock eb.elock
+    Mutex.protect sink_mutex (fun () ->
+        match !sink with
+        | Some cur when cur == sk ->
+          if sk.format = Chrome then
+            if sk.first then sk.first <- false
+            else output_string sk.channel ",\n";
+          output_string sk.channel line
+        | Some _ | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -312,96 +234,51 @@ let start_collecting () : unit =
 (** Attach a file sink.  Call before or after {!start_collecting};
     events only flow while collection is on. *)
 let open_sink ?(format = Jsonl) (path : string) : unit =
-  (* straggler events buffered after a previous [stop] (abandoned budget
-     threads) must not leak into this sink *)
-  List.iter
-    (fun eb ->
-      Mutex.lock eb.elock;
-      Buffer.clear eb.ebuf;
-      Mutex.unlock eb.elock)
-    (all_ebufs ());
   let channel = open_out path in
   if format = Chrome then output_string channel "[\n";
   Mutex.lock sink_mutex;
-  sink := Some { channel; format; first = true; closed = false };
+  sink := Some { channel; format; first = true };
   Mutex.unlock sink_mutex
 
 (** Turn collection off and close the sink (writing the Chrome array
     footer).  Aggregates survive for {!span_stats} / {!counter_list}. *)
 let stop () : unit =
   Atomic.set enabled_flag false;
-  (* drain every domain's pending batch before closing the channel *)
-  List.iter
-    (fun eb ->
-      Mutex.lock eb.elock;
-      flush_ebuf_locked eb;
-      Mutex.unlock eb.elock)
-    (all_ebufs ());
   Mutex.lock sink_mutex;
   (match !sink with
-  | Some sk when not sk.closed ->
-    sk.closed <- true;
+  | Some sk ->
     if sk.format = Chrome then output_string sk.channel "\n]\n";
     close_out sk.channel
-  | _ -> ());
+  | None -> ());
   sink := None;
   Mutex.unlock sink_mutex
 
 (** Drop all accumulated aggregates (tests). *)
 let reset () : unit =
-  Mutex.lock registry_mutex;
-  let accs = !registry in
-  Mutex.unlock registry_mutex;
-  List.iter
-    (fun a ->
-      Mutex.lock a.lock;
-      Hashtbl.reset a.span_aggs;
-      Hashtbl.reset a.counts;
-      Mutex.unlock a.lock)
-    accs
+  Mutex.protect agg_mutex (fun () ->
+      Hashtbl.reset span_aggs;
+      Hashtbl.reset counts)
 
 (* ------------------------------------------------------------------ *)
-(* Reports: merge the per-domain accumulators                          *)
+(* Reports                                                             *)
 (* ------------------------------------------------------------------ *)
 
 type stat = { count : int; total_s : float }
 
-let fold_accs (f : acc -> unit) : unit =
-  Mutex.lock registry_mutex;
-  let accs = !registry in
-  Mutex.unlock registry_mutex;
-  List.iter
-    (fun a ->
-      Mutex.lock a.lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock a.lock) (fun () -> f a))
-    accs
-
-(** Merged span aggregates, sorted by key. *)
+(** Span aggregates, sorted by key. *)
 let span_stats () : (string * stat) list =
-  let tbl : (string, stat) Hashtbl.t = Hashtbl.create 32 in
-  fold_accs (fun a ->
-      Hashtbl.iter
-        (fun k (g : agg) ->
-          let prev =
-            match Hashtbl.find_opt tbl k with
-            | Some s -> s
-            | None -> { count = 0; total_s = 0. }
-          in
-          Hashtbl.replace tbl k
-            { count = prev.count + g.count; total_s = prev.total_s +. g.total_s })
-        a.span_aggs);
-  Hashtbl.fold (fun k s l -> (k, s) :: l) tbl [] |> List.sort compare
+  Mutex.protect agg_mutex (fun () ->
+      Hashtbl.fold
+        (fun k (g : agg) l ->
+          (k, { count = g.count; total_s = g.total_s }) :: l)
+        span_aggs [])
+  |> List.sort compare
 
-(** Merged named counters, sorted by name. *)
+(** Named counters, sorted by name. *)
 let counter_list () : (string * int) list =
-  let tbl : (string, int) Hashtbl.t = Hashtbl.create 32 in
-  fold_accs (fun a ->
-      Hashtbl.iter
-        (fun k r ->
-          Hashtbl.replace tbl k
-            (!r + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-        a.counts);
-  Hashtbl.fold (fun k n l -> (k, n) :: l) tbl [] |> List.sort compare
+  Mutex.protect agg_mutex (fun () ->
+      Hashtbl.fold (fun k r l -> (k, !r) :: l) counts [])
+  |> List.sort compare
 
 let counter_value (name : string) : int =
   Option.value ~default:0 (List.assoc_opt name (counter_list ()))

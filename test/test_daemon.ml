@@ -709,8 +709,8 @@ let test_cache_eviction_deterministic () =
   let h1', m1', e1', v1' = counters_after_eviction ~jobs:1 in
   let h4, m4, e4, v4 = counters_after_eviction ~jobs:4 in
   (* eviction really happened: the cap bit, and some of batch 2 were
-     re-proved misses (the cap is split over the shards, so the exact
-     split depends only on the digests — never on the job count) *)
+     re-proved misses (which keys survive depends only on epochs and
+     digests — never on the job count) *)
   Alcotest.(check bool) "evictions happened" true (v1 > 0);
   Alcotest.(check bool) "batch 2 re-missed evicted keys" true (m1 > 10);
   Alcotest.(check bool) "surviving keys hit" true (h1 > 0);
@@ -738,11 +738,10 @@ let test_cache_cap_via_options () =
   ignore (Dispatch.prove_all d (distinct_sequents n));
   ignore (Dispatch.Cache.trim cache);
   let k = Dispatch.Cache.counters cache in
-  (* the cap splits over 64 shards (here 1 entry each), so after the
-     trim at most one entry per shard survives and everything else is
+  (* after the trim exactly the cap survives and everything else is
      accounted as evicted *)
-  Alcotest.(check bool) "entries bounded by the cap's shard split" true
-    (k.Dispatch.Cache.entries <= 64);
+  Alcotest.(check int) "entries trimmed to the cap" 3
+    k.Dispatch.Cache.entries;
   Alcotest.(check int) "every entry kept or evicted" n
     (k.Dispatch.Cache.entries + k.Dispatch.Cache.evicted_count);
   Alcotest.(check bool) "evictions counted" true

@@ -49,92 +49,67 @@ let test_pool_exception () =
   Dispatch.Pool.shutdown pool;
   Alcotest.(check string) "exception propagates" "boom" r
 
-(* ------------------------------------------------------------------ *)
-(* The work-stealing deque                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_deque_ops () =
-  let open Dispatch.Pool.Deque in
-  let d = create ~capacity:2 () in
-  (* push across several buffer doublings *)
-  for i = 1 to 100 do
-    push d i
-  done;
-  Alcotest.(check int) "size" 100 (size d);
-  Alcotest.(check (option int)) "owner pops newest" (Some 100) (pop d);
-  Alcotest.(check (option int)) "thief steals oldest" (Some 1) (steal d);
-  Alcotest.(check (option int)) "steal advances" (Some 2) (steal d);
-  Alcotest.(check (option int)) "pop unaffected" (Some 99) (pop d);
-  let rec drain n = match pop d with Some _ -> drain (n + 1) | None -> n in
-  Alcotest.(check int) "remaining elements" 96 (drain 0);
-  Alcotest.(check (option int)) "empty pop" None (pop d);
-  Alcotest.(check (option int)) "empty steal" None (steal d)
-
-let test_deque_concurrent_steal () =
-  (* one owner pushing and popping, two thieves stealing: every element
-     is claimed exactly once — none lost, none duplicated *)
-  let open Dispatch.Pool.Deque in
-  let n = 20_000 in
-  let d = create () in
-  let claimed = Array.init n (fun _ -> Atomic.make 0) in
-  let stop = Atomic.make false in
-  let thief () =
-    let rec go () =
-      match steal d with
-      | Some i ->
-        Atomic.incr claimed.(i);
-        go ()
-      | None -> if not (Atomic.get stop) then (Domain.cpu_relax (); go ())
-    in
-    go ()
+let test_pool_nested_exception () =
+  (* an exception in an inner batch surfaces through the outer [map],
+     and the pool is left in a state that runs the next batch *)
+  let pool = Dispatch.Pool.create ~jobs:3 in
+  let r =
+    try
+      ignore
+        (Dispatch.Pool.map pool
+           (fun i ->
+             Dispatch.Pool.map pool
+               (fun j -> if i = 2 && j = 1 then failwith "inner" else j)
+               [ 0; 1; 2 ])
+           [ 0; 1; 2; 3 ]);
+      "no exception"
+    with Failure m -> m
   in
-  let t1 = Domain.spawn thief and t2 = Domain.spawn thief in
-  for i = 0 to n - 1 do
-    push d i;
-    if i mod 3 = 0 then
-      match pop d with Some j -> Atomic.incr claimed.(j) | None -> ()
-  done;
-  let rec drain () =
-    match pop d with
-    | Some j ->
-      Atomic.incr claimed.(j);
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set stop true;
-  Domain.join t1;
-  Domain.join t2;
-  let bad = ref 0 in
-  Array.iter (fun a -> if Atomic.get a <> 1 then incr bad) claimed;
-  Alcotest.(check int) "every element claimed exactly once" 0 !bad
+  Alcotest.(check string) "inner exception propagates" "inner" r;
+  let got = Dispatch.Pool.map pool (fun i -> i + 1) [ 1; 2; 3; 4; 5 ] in
+  Dispatch.Pool.shutdown pool;
+  Alcotest.(check (list int)) "fresh map completes" [ 2; 3; 4; 5; 6 ] got
 
 let test_pool_stress () =
   (* N domains x M tasks with nested submission: every task runs exactly
      once and nothing deadlocks *)
-  let pool = Dispatch.Pool.create ~jobs:4 in
-  let outer = 40 and inner = 25 in
-  let runs = Array.init (outer * inner) (fun _ -> Atomic.make 0) in
-  let totals =
-    Dispatch.Pool.map pool
-      (fun i ->
-        let sub =
-          Dispatch.Pool.map pool
-            (fun j ->
-              Atomic.incr runs.((i * inner) + j);
-              1)
-            (List.init inner (fun j -> j))
-        in
-        List.fold_left ( + ) 0 sub)
-      (List.init outer (fun i -> i))
+  let stress jobs =
+    let pool = Dispatch.Pool.create ~jobs in
+    let outer = 40 and inner = 25 in
+    let runs = Array.init (outer * inner) (fun _ -> Atomic.make 0) in
+    let totals =
+      Dispatch.Pool.map pool
+        (fun i ->
+          let sub =
+            Dispatch.Pool.map pool
+              (fun j ->
+                Atomic.incr runs.((i * inner) + j);
+                1)
+              (List.init inner (fun j -> j))
+          in
+          List.fold_left ( + ) 0 sub)
+        (List.init outer (fun i -> i))
+    in
+    Dispatch.Pool.shutdown pool;
+    let label = Printf.sprintf "-j %d: %s" jobs in
+    Alcotest.(check (list int)) (label "every inner batch completed")
+      (List.init outer (fun _ -> inner))
+      totals;
+    let bad = ref 0 in
+    Array.iter (fun a -> if Atomic.get a <> 1 then incr bad) runs;
+    Alcotest.(check int) (label "each task ran exactly once") 0 !bad
   in
-  Dispatch.Pool.shutdown pool;
-  Alcotest.(check (list int)) "every inner batch completed"
-    (List.init outer (fun _ -> inner))
-    totals;
-  let bad = ref 0 in
-  Array.iter (fun a -> if Atomic.get a <> 1 then incr bad) runs;
-  Alcotest.(check int) "each task ran exactly once" 0 !bad
+  List.iter stress [ 2; 3; 4 ]
+
+let test_fresh_names_distinct () =
+  (* four domains drawing fresh names at once never mint the same one *)
+  let per_domain = 5_000 in
+  let draw () = List.init per_domain (fun _ -> Form.fresh_name "x") in
+  let names =
+    List.init 4 (fun _ -> Domain.spawn draw) |> List.concat_map Domain.join
+  in
+  Alcotest.(check int) "pairwise distinct" (4 * per_domain)
+    (List.length (List.sort_uniq String.compare names))
 
 (* ------------------------------------------------------------------ *)
 (* Canonicalization and digests                                        *)
@@ -743,11 +718,12 @@ let suite =
         Alcotest.test_case "pool nested map" `Quick test_pool_nested;
         Alcotest.test_case "pool exception propagation" `Quick
           test_pool_exception;
-        Alcotest.test_case "deque push/pop/steal" `Quick test_deque_ops;
-        Alcotest.test_case "deque concurrent steal exactly-once" `Quick
-          test_deque_concurrent_steal;
+        Alcotest.test_case "pool nested exception, then a fresh map" `Quick
+          test_pool_nested_exception;
         Alcotest.test_case "pool stress: nested maps, exactly-once" `Quick
           test_pool_stress;
+        Alcotest.test_case "fresh names distinct across domains" `Quick
+          test_fresh_names_distinct;
         Alcotest.test_case "digest: hypothesis order" `Quick
           test_digest_hyp_order;
         Alcotest.test_case "digest: alpha-equivalence" `Quick test_digest_alpha;

@@ -1,6 +1,7 @@
-(** Tracing-layer tests: the disabled fast path, aggregate merging, the
-    JSON reader, sink validity (JSONL balance, Chrome array), and span
-    coverage of prover attempts with cache attribution. *)
+(** Tracing-layer tests: the disabled fast path, aggregates across
+    domains, the JSON reader, sink validity (JSONL balance under
+    concurrent writers, Chrome array), and span coverage of prover
+    attempts with cache attribution. *)
 
 open Logic
 
@@ -14,6 +15,15 @@ let read_lines path =
       List.rev acc
   in
   go []
+
+(* a string field of a trace event, and one of its args *)
+let str k e =
+  match Trace.Json.member k e with
+  | Some (Trace.Json.Str s) -> Some s
+  | _ -> None
+
+let arg k e =
+  match Trace.Json.member "args" e with Some a -> str k a | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* Disabled fast path and aggregates                                   *)
@@ -45,7 +55,7 @@ let test_aggregates () =
     Trace.with_span ~cat:"t" "work" (fun () -> Trace.incr "t.count")
   done;
   Trace.add "t.count" 4;
-  (* a second domain owns its own accumulator; stats merge both *)
+  (* a second domain's observations land in the same aggregates *)
   Domain.join
     (Domain.spawn (fun () ->
          Trace.with_span ~cat:"t" "work" (fun () -> Trace.incr "t.count")));
@@ -131,6 +141,55 @@ let test_jsonl_golden () =
   Sys.remove path;
   Trace.reset ()
 
+let test_jsonl_concurrent_writers () =
+  (* two domains and a budget helper thread write to one sink at once;
+     whole lines and per-thread span balance must survive *)
+  Trace.reset ();
+  let path = Filename.temp_file "jahob_trace_test" ".jsonl" in
+  Trace.start_collecting ();
+  Trace.open_sink path;
+  let n = 300 in
+  let spans cat () =
+    for i = 1 to n do
+      Trace.with_span ~cat ~args:(fun () -> [ ("i", Trace.I i) ]) "work"
+        (fun () -> Trace.instant ~cat "tick")
+    done
+  in
+  let prover =
+    { Sequent.prover_name = "spans";
+      prove = (fun _ -> spans "helper" (); Sequent.Valid) }
+  in
+  (* with a budget, the dispatcher runs the prover on a helper thread *)
+  let d = Dispatch.create ~budget_s:60. [ prover ] in
+  let goal = Sequent.make [ Parser.parse "x < y" ] (Parser.parse "y < x") in
+  let other =
+    Domain.spawn (fun () ->
+        spans "domain" ();
+        Dispatch.prove_sequent d goal)
+  in
+  spans "main" ();
+  let r = Domain.join other in
+  Trace.stop ();
+  Alcotest.(check bool) "budgeted prover ran" true
+    (r.Dispatch.verdict = Sequent.Valid);
+  (match Trace.check_jsonl_file path with
+  | Ok s ->
+    Alcotest.(check bool) "every writer's spans balanced" true
+      (s.Trace.spans >= 3 * n)
+  | Error m -> Alcotest.fail m);
+  let events = List.map Trace.Json.parse (read_lines path) in
+  let tid_of cat =
+    List.find_map
+      (fun e ->
+        if str "cat" e = Some cat then Trace.Json.member "tid" e else None)
+      events
+  in
+  let tids = List.filter_map tid_of [ "main"; "domain"; "helper" ] in
+  Alcotest.(check int) "three distinct writer lanes" 3
+    (List.length (List.sort_uniq compare tids));
+  Sys.remove path;
+  Trace.reset ()
+
 let test_jsonl_check_rejects () =
   let check lines =
     let path = Filename.temp_file "jahob_trace_bad" ".jsonl" in
@@ -198,15 +257,6 @@ let test_chrome_sink () =
 (* ------------------------------------------------------------------ *)
 (* End to end: prover attempts and cache attribution in the trace      *)
 (* ------------------------------------------------------------------ *)
-
-(* a string field of a trace event, and one of its args *)
-let str k e =
-  match Trace.Json.member k e with
-  | Some (Trace.Json.Str s) -> Some s
-  | _ -> None
-
-let arg k e =
-  match Trace.Json.member "args" e with Some a -> str k a | None -> None
 
 let test_trace_covers_prover_attempts () =
   Trace.reset ();
@@ -303,6 +353,8 @@ let suite =
         Alcotest.test_case "aggregates merge" `Quick test_aggregates;
         Alcotest.test_case "json parser" `Quick test_json_parser;
         Alcotest.test_case "jsonl sink golden" `Quick test_jsonl_golden;
+        Alcotest.test_case "jsonl from two domains and a budget helper"
+          `Quick test_jsonl_concurrent_writers;
         Alcotest.test_case "jsonl check rejects" `Quick
           test_jsonl_check_rejects;
         Alcotest.test_case "chrome sink" `Quick test_chrome_sink;
