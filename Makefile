@@ -45,13 +45,18 @@ fuzz-smoke:
 e2e-self-test:
 	python3 e2ebench/run.py --self-test
 
-# one stdio round-trip through the real daemon: a prove request must
-# come back valid on the same line-oriented protocol the socket serves
+# two stdio round-trips through the real daemon on one store file: a
+# prove request must come back valid on the same line-oriented protocol
+# the socket serves, and a second daemon must answer it from the file
+SMOKE_PROVE = '{"id":1,"cmd":"prove","hyps":["x <= y","y <= z"],"goal":"x <= z"}'
 serve-smoke:
-	printf '%s\n' \
-	  '{"id":1,"cmd":"prove","hyps":["x <= y","y <= z"],"goal":"x <= z"}' \
+	rm -f serve_smoke.jstore
+	printf '%s\n' $(SMOKE_PROVE) \
 	  | dune exec -- jahob serve --stdio --store serve_smoke.jstore \
 	  | grep -q '"verdict":"valid"'
+	printf '%s\n' $(SMOKE_PROVE) \
+	  | dune exec -- jahob serve --stdio --store serve_smoke.jstore \
+	  | grep -q '"verdict":"valid".*"cached":true'
 	rm -f serve_smoke.jstore
 
 bench:

@@ -74,8 +74,9 @@ let cache_cap_arg =
   Arg.(value & opt int 0
        & info [ "cache-cap" ] ~docv:"N"
            ~doc:"Cap the verdict cache at $(docv) entries, evicting the \
-                 least recently used at batch boundaries; 0 (the default) \
-                 keeps the generous built-in cap")
+                 least recently used at batch boundaries; the --store file \
+                 holds what the cache holds, so this caps it too; 0 (the \
+                 default) keeps the generous built-in cap")
 
 let store_arg =
   Arg.(value & opt (some string) None
@@ -85,12 +86,6 @@ let store_arg =
                  (atomic temp-then-rename; a store written under a \
                  different digest scheme is refused with a logged cold \
                  start)")
-
-let store_cap_arg =
-  Arg.(value & opt int 0
-       & info [ "store-cap" ] ~docv:"N"
-           ~doc:"Cap the on-disk store at $(docv) entries (LRU-evicted at \
-                 save time); 0 keeps the default cap")
 
 let budget_arg =
   Arg.(value & opt (some float) None
@@ -145,31 +140,24 @@ let since_arg =
 let parse_files (files : string list) : Javaparser.Ast.program =
   List.concat_map Javaparser.Jparser.parse_program_file files
 
-(* verify through a resident engine with the cache preloaded from the
-   persistent store, then drain fresh verdicts back and sync to disk *)
+(* verify through a resident engine whose cache the persistent store
+   preloads, then write the cache back if this run changed it *)
 let verify_with_store (opts : Jahob_core.Jahob.options) ~(store : string)
-    ~(store_cap : int) ~(incremental : bool) (files : string list) :
+    ~(incremental : bool) (files : string list) :
     Jahob_core.Jahob.program_report =
-  let s =
-    if store_cap > 0 then Daemon.Store.load ~cap:store_cap store
-    else Daemon.Store.load store
-  in
   let e = Jahob_core.Jahob.create_engine opts in
   Fun.protect
     ~finally:(fun () -> Jahob_core.Jahob.shutdown_engine e)
     (fun () ->
-      Option.iter
-        (fun c -> Dispatch.Cache.preload c (Daemon.Store.to_preload s))
-        (Jahob_core.Jahob.engine_cache e);
+      let s =
+        Daemon.Store.load ~cache:(Jahob_core.Jahob.engine_cache e) store
+      in
       let report =
         if incremental then
           Jahob_core.Jahob.verify_program_inc e
             ~source:(Daemon.Store.source s) (parse_files files)
         else Jahob_core.Jahob.verify_files_with e files
       in
-      Option.iter
-        (fun c -> ignore (Daemon.Store.absorb_cache s c))
-        (Jahob_core.Jahob.engine_cache e);
       Daemon.Store.sync s;
       report)
 
@@ -188,7 +176,7 @@ let verify_since (opts : Jahob_core.Jahob.options) ~(base : string list)
 
 let verify_cmd =
   let run files no_inference provers stats jobs no_cache cache_cap budget
-      store store_cap incremental since trace_file trace_format =
+      store incremental since trace_file trace_format =
     with_frontend_errors (fun () ->
         let opts =
           make_options ~no_inference ~provers ~jobs ~no_cache ~cache_cap
@@ -208,7 +196,7 @@ let verify_cmd =
             in
             verify_since opts ~base files
           | None, Some path ->
-            verify_with_store opts ~store:path ~store_cap ~incremental files
+            verify_with_store opts ~store:path ~incremental files
           | None, None ->
             if incremental then
               (* no store: in-memory records, so this run is cold — but
@@ -235,7 +223,7 @@ let verify_cmd =
   Cmd.v (Cmd.info "verify" ~doc:"Verify all annotated methods")
     Term.(const run $ files_arg $ no_inference_arg $ provers_arg $ stats_arg
           $ jobs_arg $ no_cache_arg $ cache_cap_arg $ budget_arg
-          $ store_arg $ store_cap_arg $ incremental_arg $ since_arg
+          $ store_arg $ incremental_arg $ since_arg
           $ trace_arg $ trace_format_arg)
 
 let serve_cmd =
@@ -253,7 +241,7 @@ let serve_cmd =
                    request fanning out on the resident worker pool")
   in
   let run stdio socket no_inference provers jobs no_cache cache_cap budget
-      store store_cap =
+      store =
     with_frontend_errors (fun () ->
         let opts =
           make_options ~no_inference ~provers ~jobs ~no_cache ~cache_cap
@@ -262,8 +250,7 @@ let serve_cmd =
         let cfg =
           { (Daemon.Server.default_config ()) with
             Daemon.Server.opts;
-            store_path = store;
-            store_cap }
+            store_path = store }
         in
         match (stdio, socket) with
         | true, Some _ ->
@@ -287,7 +274,7 @@ let serve_cmd =
              on-disk verdict store")
     Term.(const run $ stdio_flag $ socket_arg $ no_inference_arg
           $ provers_arg $ jobs_arg $ no_cache_arg $ cache_cap_arg
-          $ budget_arg $ store_arg $ store_cap_arg)
+          $ budget_arg $ store_arg)
 
 let vc_cmd =
   let run files =

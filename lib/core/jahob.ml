@@ -382,10 +382,20 @@ let verify_program_inc (e : engine) ~(source : method_source)
       prog
   in
   (* drop records of methods that no longer exist, so a re-added method
-     is verified fresh rather than answered from a stale record *)
+     is verified fresh rather than answered from a stale record.  Only
+     this program's classes are swept: a source shared across programs
+     (a daemon's) keeps the other programs' records *)
   let live = List.map (fun (_, _, n, _, _) -> n) decisions in
+  let in_program n =
+    match String.index_opt n '.' with
+    | Some i ->
+      let cls = String.sub n 0 i in
+      List.exists (fun (c : Ast.class_decl) -> c.Ast.c_name = cls) prog
+    | None -> false
+  in
   List.iter
-    (fun n -> if not (List.mem n live) then source.remove_method n)
+    (fun n ->
+      if in_program n && not (List.mem n live) then source.remove_method n)
     (source.list_methods ());
   let verify_one (c, m, name, dg, why) =
     match why with

@@ -46,65 +46,15 @@ let request_id = function
 (* Response construction                                               *)
 (* ------------------------------------------------------------------ *)
 
-(** Minimal JSON writers for response lines.  The trace library already
-    has an escaping writer, but it is private to its sink; this one is
-    the protocol's own, kept tiny. *)
-module J = struct
-  let str (b : Buffer.t) (s : string) : unit =
-    Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"'
-
-  (* re-serialize a parsed JSON value (for echoing request ids) *)
-  let rec value (b : Buffer.t) (v : Json.t) : unit =
-    match v with
-    | Json.Null -> Buffer.add_string b "null"
-    | Json.Bool x -> Buffer.add_string b (if x then "true" else "false")
-    | Json.Num f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string b (Printf.sprintf "%.0f" f)
-      else Buffer.add_string b (Printf.sprintf "%.17g" f)
-    | Json.Str s -> str b s
-    | Json.Arr xs ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char b ',';
-          value b x)
-        xs;
-      Buffer.add_char b ']'
-    | Json.Obj kvs ->
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, x) ->
-          if i > 0 then Buffer.add_char b ',';
-          str b k;
-          Buffer.add_char b ':';
-          value b x)
-        kvs;
-      Buffer.add_char b '}'
-end
-
 type field = string * (Buffer.t -> unit)
 
-let fld_str k v : field = (k, fun b -> J.str b v)
+let fld_str k v : field = (k, fun b -> Json.add_string b v)
 let fld_int k v : field = (k, fun b -> Buffer.add_string b (string_of_int v))
 let fld_bool k v : field =
   (k, fun b -> Buffer.add_string b (if v then "true" else "false"))
 let fld_float k v : field =
   (k, fun b -> Buffer.add_string b (Printf.sprintf "%.6f" v))
-let fld_json k v : field = (k, fun b -> J.value b v)
+let fld_json k v : field = (k, fun b -> Json.add_value b v)
 let fld_arr k (items : (Buffer.t -> unit) list) : field =
   ( k,
     fun b ->
@@ -122,7 +72,7 @@ let obj (fields : field list) : Buffer.t -> unit =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      J.str b k;
+      Json.add_string b k;
       Buffer.add_char b ':';
       v b)
     fields;

@@ -220,9 +220,9 @@ let preload (c : t) (kvs : (string * entry) list) : unit =
         kvs)
 
 (** Fold over the settled entries in deterministic (key-sorted) order —
-    how a persistent store drains the cache after a batch.  Unknown
-    entries are skipped: they hold only for this process's portfolios.
-    Call between batches. *)
+    how a persistent store writes the cache to disk after a batch.
+    Unknown entries are skipped: they hold only for this process's
+    portfolios.  Call between batches. *)
 let fold_settled (c : t) (f : 'a -> string -> entry -> 'a) (init : 'a) : 'a =
   let kvs =
     Mutex.protect c.lock (fun () ->
@@ -235,6 +235,14 @@ let fold_settled (c : t) (f : 'a -> string -> entry -> 'a) (init : 'a) : 'a =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   List.fold_left (fun acc (k, e) -> f acc k e) init kvs
+
+(** The settled-entry cap — also what bounds a persistent store's file. *)
+let cap (c : t) : int = c.cap
+
+(** Lookups that missed so far.  Unlike {!counters} this does not walk
+    the table, so a store can ask after every batch whether anything new
+    may have settled. *)
+let misses (c : t) : int = Mutex.protect c.lock (fun () -> c.misses)
 
 type counters = {
   hit_count : int;

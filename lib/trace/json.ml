@@ -1,8 +1,9 @@
-(** A minimal JSON reader, used to validate the trace sinks.
+(** A minimal JSON reader and writer, shared by the trace sinks and the
+    daemon protocol.
 
     The tracer emits JSON; something in the tree must be able to read it
     back, or the golden tests and [jahob trace-check] would be trusting
-    the writer to check itself.  This is a plain recursive-descent parser
+    the writer to check itself.  The reader is a plain recursive-descent parser
     over the full JSON grammar (RFC 8259): [\uXXXX] escapes are decoded
     to UTF-8 (surrogate pairs combine into astral code points; lone
     surrogates become U+FFFD), and numbers are held as [float]. *)
@@ -258,3 +259,57 @@ let parse_opt (s : string) : t option =
 (** Object field lookup; [None] on non-objects and missing keys. *)
 let member (key : string) (v : t) : t option =
   match v with Obj kvs -> List.assoc_opt key kvs | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Writing                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(** Append [s] as a JSON string literal: quotes, backslashes and control
+    characters escaped, every other byte (UTF-8 included) verbatim. *)
+let add_string (b : Buffer.t) (s : string) : unit =
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+(** Append a parsed value back as JSON (integral numbers print without a
+    fraction, so an echoed request id reads back as it was sent). *)
+let rec add_value (b : Buffer.t) (v : t) : unit =
+  let seq add_item xs =
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char b ',';
+        add_item x)
+      xs
+  in
+  match v with
+  | Null -> Buffer.add_string b "null"
+  | Bool x -> Buffer.add_string b (if x then "true" else "false")
+  | Num f ->
+    if Float.is_integer f && Float.abs f < 1e15 then
+      Buffer.add_string b (Printf.sprintf "%.0f" f)
+    else Buffer.add_string b (Printf.sprintf "%.17g" f)
+  | Str s -> add_string b s
+  | Arr xs ->
+    Buffer.add_char b '[';
+    seq (add_value b) xs;
+    Buffer.add_char b ']'
+  | Obj kvs ->
+    Buffer.add_char b '{';
+    seq
+      (fun (k, x) ->
+        add_string b k;
+        Buffer.add_char b ':';
+        add_value b x)
+      kvs;
+    Buffer.add_char b '}'

@@ -85,24 +85,8 @@ type sink = {
 let sink_mutex = Mutex.create ()
 let sink : sink option ref = ref None
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let add_json_value buf = function
-  | S s -> add_json_string buf s
+  | S s -> Json.add_string buf s
   | I n -> Buffer.add_string buf (string_of_int n)
   | F x ->
     Buffer.add_string buf
@@ -114,7 +98,7 @@ let add_json_args buf (args : args) =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      add_json_string buf k;
+      Json.add_string buf k;
       Buffer.add_char buf ':';
       add_json_value buf v)
     args;
@@ -126,9 +110,9 @@ let format_event ~format ~ph ~ts ~tid ~cat ~name (args : args) : string =
   (match format with
   | Jsonl ->
     Buffer.add_string buf (Printf.sprintf "{\"ph\":\"%c\",\"ts\":%.6f,\"tid\":%d,\"cat\":" ph ts tid);
-    add_json_string buf cat;
+    Json.add_string buf cat;
     Buffer.add_string buf ",\"name\":";
-    add_json_string buf name;
+    Json.add_string buf name;
     if args <> [] then begin
       Buffer.add_char buf ',';
       add_json_args buf args
@@ -139,9 +123,9 @@ let format_event ~format ~ph ~ts ~tid ~cat ~name (args : args) : string =
     Buffer.add_string buf
       (Printf.sprintf "{\"ph\":\"%c\",\"ts\":%.1f,\"pid\":1,\"tid\":%d,\"cat\":" ph
          (ts *. 1e6) tid);
-    add_json_string buf cat;
+    Json.add_string buf cat;
     Buffer.add_string buf ",\"name\":";
-    add_json_string buf name;
+    Json.add_string buf name;
     if args <> [] then begin
       Buffer.add_char buf ',';
       add_json_args buf args

@@ -30,47 +30,99 @@ let d1 = digest_of ([ "x = 1" ], "x = 1")
 let d2 = digest_of ([ "x <= y"; "y <= z" ], "x <= z")
 let d3 = digest_of ([ "card A = 0" ], "A = emptyset")
 
+let has_substring (hay : string) (sub : string) : bool =
+  let n = String.length hay and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub hay i m = sub || go (i + 1)) in
+  go 0
+
+(* [cache] with [k] settled to [verdict], as a verify run leaves it; an
+   Unknown is kept only for [portfolio] *)
+let settle ?portfolio (cache : Dispatch.Cache.t) k verdict prover =
+  match Dispatch.Cache.acquire cache k with
+  | Dispatch.Cache.Claimed ->
+    Dispatch.Cache.publish ?portfolio cache k
+      { Dispatch.Cache.verdict; prover }
+  | Dispatch.Cache.Hit _ -> ()
+
+(* what [cache] answers for [k], if anything *)
+let lookup (cache : Dispatch.Cache.t) k =
+  match Dispatch.Cache.acquire cache k with
+  | Dispatch.Cache.Hit e ->
+    Some (e.Dispatch.Cache.verdict, e.Dispatch.Cache.prover)
+  | Dispatch.Cache.Claimed ->
+    Dispatch.Cache.abandon cache k;
+    None
+
+(* open the store at [p] for a fresh cache *)
+let load_fresh ?(log = quiet) ?cap p =
+  let cache = Dispatch.Cache.create ?cap () in
+  (cache, Daemon.Store.load ~log ~cache:(Some cache) p)
+
+let expect_cold what s =
+  match Daemon.Store.status s with
+  | Daemon.Store.Cold why -> why
+  | st ->
+    Alcotest.failf "%s: expected cold start, got %s" what
+      (Daemon.Store.status_to_string st)
+
 (* ------------------------------------------------------------------ *)
 (* Store: round-trips                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let test_store_fresh () =
   let p = fresh_path () in
-  let s = Daemon.Store.load ~log:quiet p in
+  let _, s = load_fresh p in
   Alcotest.(check bool) "fresh" true (Daemon.Store.status s = Daemon.Store.Fresh);
   Alcotest.(check int) "empty" 0 (Daemon.Store.entries s)
 
 let test_store_round_trip () =
   let p = fresh_path () in
-  let s = Daemon.Store.load ~log:quiet p in
-  Daemon.Store.add s d1 Sequent.Valid (Some "smt");
-  Daemon.Store.add s d2 (Sequent.Invalid "cm") None;
-  Alcotest.(check bool) "dirty" true (Daemon.Store.dirty s);
+  let c, s = load_fresh p in
+  Alcotest.(check bool) "clean after load" false (Daemon.Store.dirty s);
+  settle c d1 Sequent.Valid (Some "smt");
+  settle c d2 (Sequent.Invalid "cm") None;
+  Alcotest.(check bool) "dirty after a miss" true (Daemon.Store.dirty s);
   Daemon.Store.save s;
   Alcotest.(check bool) "clean after save" false (Daemon.Store.dirty s);
-  let s' = Daemon.Store.load ~log:quiet p in
+  ignore (lookup c d1);
+  Alcotest.(check bool) "a hit leaves it clean" false (Daemon.Store.dirty s);
+  let c', s' = load_fresh p in
   Alcotest.(check bool) "warm" true
     (Daemon.Store.status s' = Daemon.Store.Warm 2);
-  (match Daemon.Store.find s' d1 with
-  | Some (Sequent.Valid, Some "smt") -> ()
-  | _ -> Alcotest.fail "d1 verdict lost");
-  (match Daemon.Store.find s' d2 with
-  | Some (Sequent.Invalid "cm", None) -> ()
-  | _ -> Alcotest.fail "d2 verdict lost");
-  Alcotest.(check bool) "absent key" true (Daemon.Store.find s' d3 = None);
+  Alcotest.(check bool) "d1 verdict preloaded" true
+    (lookup c' d1 = Some (Sequent.Valid, Some "smt"));
+  Alcotest.(check bool) "d2 verdict preloaded" true
+    (lookup c' d2 = Some (Sequent.Invalid "cm", None));
+  Alcotest.(check bool) "absent key" true (lookup c' d3 = None);
   Sys.remove p
 
 let test_store_rejects_unknown () =
+  (* the cache replays an Unknown to the portfolio that produced it; the
+     file, keyed by bare digests and outliving the process, never holds
+     one *)
   let p = fresh_path () in
-  let s = Daemon.Store.load ~log:quiet p in
-  Daemon.Store.add s d1 (Sequent.Unknown "gave up") None;
-  Alcotest.(check int) "unknown not stored" 0 (Daemon.Store.entries s);
-  Alcotest.(check bool) "not dirty" false (Daemon.Store.dirty s)
+  let c, s = load_fresh p in
+  settle ~portfolio:"giveup" c d1 (Sequent.Unknown "gave up") None;
+  Alcotest.(check bool) "the cache replays it" true
+    (match Dispatch.Cache.acquire ~portfolio:"giveup" c d1 with
+    | Dispatch.Cache.Hit _ -> true
+    | Dispatch.Cache.Claimed -> false);
+  Daemon.Store.save s;
+  Alcotest.(check int) "unknown not persisted" 0 (Daemon.Store.entries s);
+  let c', s' = load_fresh p in
+  Alcotest.(check bool) "reloads empty" true
+    (Daemon.Store.status s' = Daemon.Store.Warm 0);
+  Alcotest.(check bool) "nothing replayed after reload" true
+    (match Dispatch.Cache.acquire ~portfolio:"giveup" c' d1 with
+    | Dispatch.Cache.Hit _ -> false
+    | Dispatch.Cache.Claimed -> true);
+  Sys.remove p
 
 let test_store_drain_skips_unknown () =
   (* the in-memory cache keeps deterministic Unknowns for its own
-     portfolio; draining it into the store carries only settled ones *)
-  let cache = Dispatch.Cache.create () in
+     portfolio; writing it to the file carries only settled ones *)
+  let p = fresh_path () in
+  let cache, s = load_fresh p in
   let unknown =
     Dispatch.create ~cache
       [ { Sequent.prover_name = "giveup";
@@ -90,111 +142,106 @@ let test_store_drain_skips_unknown () =
   Alcotest.(check int) "cache holds two unknowns" 2
     k.Dispatch.Cache.unknown_entries;
   Alcotest.(check int) "and one settled verdict" 3 k.Dispatch.Cache.entries;
-  let p = fresh_path () in
-  let s = Daemon.Store.load ~log:quiet p in
-  Alcotest.(check int) "only the settled verdict drained" 1
-    (Daemon.Store.absorb_cache s cache);
-  Daemon.Store.save s;
-  let s' = Daemon.Store.load ~log:quiet p in
+  Daemon.Store.sync s;
+  Alcotest.(check int) "only the settled verdict written" 1
+    (Daemon.Store.entries s);
+  let cache', s' = load_fresh p in
   Alcotest.(check bool) "reloads one verdict" true
     (Daemon.Store.status s' = Daemon.Store.Warm 1);
-  Alcotest.(check bool) "no unknown preloaded" true
-    (List.for_all
-       (fun (_, e) ->
-         match e.Dispatch.Cache.verdict with
-         | Sequent.Unknown _ -> false
-         | _ -> true)
-       (Daemon.Store.to_preload s'));
+  let k' = Dispatch.Cache.counters cache' in
+  Alcotest.(check (pair int int)) "no unknown preloaded" (1, 0)
+    (k'.Dispatch.Cache.entries, k'.Dispatch.Cache.unknown_entries);
   Sys.remove p
 
 (* ------------------------------------------------------------------ *)
 (* Store: robustness                                                   *)
 (* ------------------------------------------------------------------ *)
 
+let write_store p =
+  let c, s = load_fresh p in
+  settle c d1 Sequent.Valid None;
+  settle c d2 Sequent.Valid None;
+  Daemon.Store.save s;
+  In_channel.with_open_bin p In_channel.input_all
+
 let test_store_truncated () =
   let p = fresh_path () in
-  let s = Daemon.Store.load ~log:quiet p in
-  Daemon.Store.add s d1 Sequent.Valid None;
-  Daemon.Store.add s d2 Sequent.Valid None;
-  Daemon.Store.save s;
-  (* a torn write from a crashed pre-rename writer: cut the file short *)
-  let full = In_channel.with_open_bin p In_channel.input_all in
-  Out_channel.with_open_bin p (fun oc ->
-      Out_channel.output_string oc
-        (String.sub full 0 (String.length full / 2)));
-  let logged = ref [] in
-  let s' = Daemon.Store.load ~log:(fun m -> logged := m :: !logged) p in
-  (match Daemon.Store.status s' with
-  | Daemon.Store.Cold _ -> ()
-  | st ->
-    Alcotest.failf "expected cold start, got %s"
-      (Daemon.Store.status_to_string st));
-  Alcotest.(check int) "empty after cold start" 0 (Daemon.Store.entries s');
-  Alcotest.(check bool) "cold start logged" true (!logged <> []);
-  (* the daemon can still write a good store over the torn one *)
-  Daemon.Store.add s' d3 Sequent.Valid None;
-  Daemon.Store.save s';
-  Alcotest.(check bool) "recovered" true
-    (Daemon.Store.status (Daemon.Store.load ~log:quiet p)
-    = Daemon.Store.Warm 1);
+  let full = write_store p in
+  (* a torn write from a crashed pre-rename writer, and a file of the
+     right length with one payload byte flipped *)
+  let flipped =
+    let b = Bytes.of_string full in
+    let i = Bytes.length b - 1 in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+    Bytes.to_string b
+  in
+  List.iter
+    (fun (what, bad) ->
+      Out_channel.with_open_bin p (fun oc -> Out_channel.output_string oc bad);
+      let logged = ref [] in
+      let c, s =
+        load_fresh ~log:(fun m -> logged := m :: !logged) p
+      in
+      ignore (expect_cold what s);
+      Alcotest.(check int) (what ^ ": empty after cold start") 0
+        (Daemon.Store.entries s);
+      Alcotest.(check bool) (what ^ ": cold start logged") true
+        (!logged <> []);
+      (* the daemon can still write a good store over the bad one *)
+      settle c d3 Sequent.Valid None;
+      Daemon.Store.save s;
+      Alcotest.(check bool) (what ^ ": recovered") true
+        (Daemon.Store.status (snd (load_fresh p)) = Daemon.Store.Warm 1))
+    [ ("truncated", String.sub full 0 (String.length full / 2));
+      ("one byte flipped", flipped) ];
   Sys.remove p
 
 let test_store_bad_magic () =
   let p = fresh_path () in
-  Out_channel.with_open_bin p (fun oc ->
-      Out_channel.output_string oc "not a store at all");
-  let s = Daemon.Store.load ~log:quiet p in
-  (match Daemon.Store.status s with
-  | Daemon.Store.Cold why ->
-    Alcotest.(check bool) "reason mentions magic" true
-      (String.length why > 0)
-  | st ->
-    Alcotest.failf "expected cold start, got %s"
-      (Daemon.Store.status_to_string st));
+  let full = write_store p in
+  List.iter
+    (fun (what, bad) ->
+      Out_channel.with_open_bin p (fun oc -> Out_channel.output_string oc bad);
+      let why = expect_cold what (snd (load_fresh p)) in
+      Alcotest.(check bool) (what ^ ": reason mentions magic") true
+        (has_substring why "magic"))
+    [ ("not a store", "not a store at all");
+      ("magic byte flipped",
+       "J" ^ String.sub full 1 (String.length full - 1)) ];
   Sys.remove p
 
 (* replicate the on-disk layout with a foreign fingerprint: Marshal is
    structural, so an identically-shaped record round-trips *)
 type fake_persisted = {
   f_fingerprint : string;
-  f_clock : int;
-  f_entries : (string * Sequent.verdict * string option * int) array;
+  f_entries : (string * Dispatch.Cache.entry) array;
   f_methods : Jahob_core.Jahob.stored_method array;
 }
 
 let test_store_fingerprint_mismatch () =
   let p = fresh_path () in
-  let fake =
-    { f_fingerprint = "0123456789abcdef0123456789abcdef";
-      f_clock = 3;
-      f_entries = [| (d1, Sequent.Valid, None, 1) |];
-      f_methods = [||] }
+  let payload =
+    Marshal.to_string
+      { f_fingerprint = "0123456789abcdef0123456789abcdef";
+        f_entries =
+          [| (d1, { Dispatch.Cache.verdict = Sequent.Valid; prover = None }) |];
+        f_methods = [||] }
+      []
   in
   Out_channel.with_open_bin p (fun oc ->
-      Out_channel.output_string oc "jahob-verdict-store/4\n";
-      Marshal.to_channel oc fake []);
+      Printf.fprintf oc "jahob-verdict-store/5\n%d %s\n%s"
+        (String.length payload)
+        (Digest.to_hex (Digest.string payload))
+        payload);
   let logged = ref [] in
-  let s = Daemon.Store.load ~log:(fun m -> logged := m :: !logged) p in
-  (match Daemon.Store.status s with
-  | Daemon.Store.Cold why ->
-    Alcotest.(check bool) "reason names the fingerprint" true
-      (let sub = "fingerprint" in
-       let n = String.length why and m = String.length sub in
-       let rec go i =
-         i + m <= n && (String.sub why i m = sub || go (i + 1))
-       in
-       go 0)
-  | st ->
-    Alcotest.failf "expected cold start, got %s"
-      (Daemon.Store.status_to_string st));
+  let c, s = load_fresh ~log:(fun m -> logged := m :: !logged) p in
+  let why = expect_cold "fingerprint" s in
+  Alcotest.(check bool) "reason names the fingerprint" true
+    (has_substring why "fingerprint");
   Alcotest.(check bool) "mismatch logged" true (!logged <> []);
   Alcotest.(check int) "stale entries refused" 0 (Daemon.Store.entries s);
+  Alcotest.(check bool) "stale verdict not preloaded" true (lookup c d1 = None);
   Sys.remove p
-
-let has_substring (hay : string) (sub : string) : bool =
-  let n = String.length hay and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub hay i m = sub || go (i + 1)) in
-  go 0
 
 (* a v1 store (the pre-method-index format) must trigger a logged cold
    start with a version-skew reason — never a crash, and never a Marshal
@@ -205,30 +252,24 @@ let test_store_v1_version_skew () =
       Out_channel.output_string oc "jahob-verdict-store\n";
       Out_channel.output_string oc "opaque v1 payload, never unmarshalled");
   let logged = ref [] in
-  let s = Daemon.Store.load ~log:(fun m -> logged := m :: !logged) p in
-  (match Daemon.Store.status s with
-  | Daemon.Store.Cold why ->
-    Alcotest.(check bool) "reason names the version skew" true
-      (has_substring why "version skew")
-  | st ->
-    Alcotest.failf "expected cold start, got %s"
-      (Daemon.Store.status_to_string st));
+  let c, s = load_fresh ~log:(fun m -> logged := m :: !logged) p in
+  Alcotest.(check bool) "reason names the version skew" true
+    (has_substring (expect_cold "v1" s) "version skew");
   Alcotest.(check bool) "skew logged" true (!logged <> []);
   Alcotest.(check int) "v1 entries refused" 0 (Daemon.Store.entries s);
   Alcotest.(check int) "v1 method records refused" 0
     (Daemon.Store.method_count s);
-  (* the cold store is fully usable and rewrites the file as v4 *)
-  Daemon.Store.add s d1 Sequent.Valid None;
+  (* the cold store is fully usable and rewrites the file as v5 *)
+  settle c d1 Sequent.Valid None;
   Daemon.Store.save s;
-  let s' = Daemon.Store.load ~log:quiet p in
-  Alcotest.(check bool) "rewritten as v4" true
-    (Daemon.Store.status s' = Daemon.Store.Warm 1);
+  Alcotest.(check bool) "rewritten as v5" true
+    (Daemon.Store.status (snd (load_fresh p)) = Daemon.Store.Warm 1);
   Sys.remove p
 
-(* v2 and v3 stores carry Marshal payloads of older [stored_method]
-   layouts (v3 had a WS1S-engine key, v2 predates it); each must be
-   refused on its raw magic line with a version-skew reason naming the
-   version, never unmarshalled *)
+(* v2, v3 and v4 stores carry Marshal payloads of older layouts (v4 had
+   the store's own verdict table and no checksum, v3 a WS1S-engine key,
+   v2 predates it); each must be refused on its raw magic line with a
+   version-skew reason naming the version, never unmarshalled *)
 let test_store_v2_version_skew () =
   List.iter
     (fun v ->
@@ -237,25 +278,23 @@ let test_store_v2_version_skew () =
           Out_channel.output_string oc ("jahob-verdict-store/" ^ v ^ "\n");
           Out_channel.output_string oc "opaque payload, never unmarshalled");
       let logged = ref [] in
-      let s = Daemon.Store.load ~log:(fun m -> logged := m :: !logged) p in
-      (match Daemon.Store.status s with
-      | Daemon.Store.Cold why ->
-        Alcotest.(check bool) "reason names the version skew" true
-          (has_substring why "version skew");
-        Alcotest.(check bool) ("reason names v" ^ v) true
-          (has_substring why ("v" ^ v))
-      | st ->
-        Alcotest.failf "expected cold start for v%s, got %s" v
-          (Daemon.Store.status_to_string st));
+      let _, s = load_fresh ~log:(fun m -> logged := m :: !logged) p in
+      let why = expect_cold ("v" ^ v) s in
+      Alcotest.(check bool) "reason names the version skew" true
+        (has_substring why "version skew");
+      Alcotest.(check bool) ("reason names v" ^ v) true
+        (has_substring why ("v" ^ v));
       Alcotest.(check bool) "skew logged" true (!logged <> []);
       Alcotest.(check int) "old entries refused" 0 (Daemon.Store.entries s);
       Sys.remove p)
-    [ "2"; "3" ]
+    [ "2"; "3"; "4" ]
 
-(* the schema-v2 method/dependency index survives save/load *)
+(* the method/dependency index survives save/load; without a cache
+   (--no-cache) the file's verdicts carry over unchanged *)
 let test_store_method_records () =
   let p = fresh_path () in
-  let s = Daemon.Store.load ~log:quiet p in
+  ignore (write_store p);
+  let s = Daemon.Store.load ~log:quiet ~cache:None p in
   let src = Daemon.Store.source s in
   let m1 =
     { Jahob_core.Jahob.sm_name = "C.m";
@@ -270,7 +309,9 @@ let test_store_method_records () =
     { m1 with Jahob_core.Jahob.sm_name = "C.n" };
   Alcotest.(check bool) "dirty after record" true (Daemon.Store.dirty s);
   Daemon.Store.save s;
-  let s' = Daemon.Store.load ~log:quiet p in
+  let s' = Daemon.Store.load ~log:quiet ~cache:None p in
+  Alcotest.(check bool) "verdicts carried over" true
+    (Daemon.Store.status s' = Daemon.Store.Warm 2);
   let src' = Daemon.Store.source s' in
   Alcotest.(check int) "two records on disk" 2 (Daemon.Store.method_count s');
   (match src'.Jahob_core.Jahob.find_method "C.m" with
@@ -288,57 +329,64 @@ let test_store_method_records () =
 
 let test_store_kill9_mid_write () =
   let p = fresh_path () in
-  let s = Daemon.Store.load ~log:quiet p in
-  Daemon.Store.add s d1 Sequent.Valid None;
+  let c, s = load_fresh p in
+  settle c d1 Sequent.Valid None;
   Daemon.Store.save s;
   (* a writer killed before its rename leaves only a stale temp file in
      the directory; the committed store must be untouched by it *)
   let tmp = p ^ ".tmp.killed" in
   Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc "jahob-verdict-store\ngarbage");
-  let s' = Daemon.Store.load ~log:quiet p in
+      Out_channel.output_string oc "jahob-verdict-store/5\ngarbage");
+  let c', s' = load_fresh p in
   Alcotest.(check bool) "survives stale temp" true
     (Daemon.Store.status s' = Daemon.Store.Warm 1);
-  (match Daemon.Store.find s' d1 with
-  | Some (Sequent.Valid, _) -> ()
-  | _ -> Alcotest.fail "verdict lost");
+  Alcotest.(check bool) "verdict kept" true
+    (lookup c' d1 = Some (Sequent.Valid, None));
   Sys.remove tmp;
   Sys.remove p
 
 let test_store_concurrent_clients () =
   let p = fresh_path () in
-  (* two clients share the path; each learns a different verdict *)
-  let a = Daemon.Store.load ~log:quiet p in
-  let b = Daemon.Store.load ~log:quiet p in
-  Daemon.Store.add a d1 Sequent.Valid (Some "smt");
-  Daemon.Store.add b d2 Sequent.Valid (Some "bapa");
+  (* two clients share the path; each cache learns a different verdict *)
+  let ca, a = load_fresh p in
+  let cb, b = load_fresh p in
+  settle ca d1 Sequent.Valid (Some "smt");
+  settle cb d2 Sequent.Valid (Some "bapa");
   Daemon.Store.save a;
   Daemon.Store.save b;
   (* b's save merged a's entry instead of clobbering it *)
-  let s = Daemon.Store.load ~log:quiet p in
+  let c, s = load_fresh p in
   Alcotest.(check bool) "union of both clients" true
     (Daemon.Store.status s = Daemon.Store.Warm 2);
   Alcotest.(check bool) "a's verdict survived" true
-    (Daemon.Store.find s d1 <> None);
+    (lookup c d1 = Some (Sequent.Valid, Some "smt"));
   Alcotest.(check bool) "b's verdict survived" true
-    (Daemon.Store.find s d2 <> None);
+    (lookup c d2 = Some (Sequent.Valid, Some "bapa"));
   Sys.remove p
 
 let test_store_lru_eviction () =
+  (* the file holds what the cache holds: a cache cap of 2 leaves the 2
+     most recently used verdicts on disk, and the merge with the file
+     being replaced does not bring the evicted one back *)
   let p = fresh_path () in
-  let s = Daemon.Store.load ~cap:2 ~log:quiet p in
-  Daemon.Store.add s d1 Sequent.Valid None;
-  Daemon.Store.add s d2 Sequent.Valid None;
-  Daemon.Store.add s d3 Sequent.Valid None;
-  (* freshen d1 so d2 is the least recently used *)
-  ignore (Daemon.Store.find s d1);
+  let c, s = load_fresh ~cap:2 p in
+  Dispatch.Cache.new_epoch c;
+  settle c d1 Sequent.Valid None;
+  settle c d2 Sequent.Valid None;
+  ignore (Dispatch.Cache.trim c);
   Daemon.Store.save s;
-  let s' = Daemon.Store.load ~cap:2 ~log:quiet p in
+  Alcotest.(check int) "both on disk" 2 (Daemon.Store.entries s);
+  Dispatch.Cache.new_epoch c;
+  settle c d3 Sequent.Valid None;
+  ignore (lookup c d1);
+  Alcotest.(check int) "the cap bit" 1 (Dispatch.Cache.trim c);
+  Daemon.Store.save s;
+  let c', s' = load_fresh p in
   Alcotest.(check bool) "capped" true
     (Daemon.Store.status s' = Daemon.Store.Warm 2);
   Alcotest.(check bool) "recently-used survived" true
-    (Daemon.Store.find s' d1 <> None && Daemon.Store.find s' d3 <> None);
-  Alcotest.(check bool) "LRU evicted" true (Daemon.Store.find s' d2 = None);
+    (lookup c' d1 <> None && lookup c' d3 <> None);
+  Alcotest.(check bool) "LRU evicted" true (lookup c' d2 = None);
   Sys.remove p
 
 (* ------------------------------------------------------------------ *)
@@ -353,10 +401,10 @@ let server ?store_path () =
     { (Daemon.Server.default_config ()) with
       Daemon.Server.opts; store_path; log = ignore }
 
-(* a JSON string literal via the protocol's own escaping writer *)
+(* a JSON string literal via the writer the protocol uses *)
 let jstr (s : string) : string =
   let b = Buffer.create (String.length s + 2) in
-  Daemon.Proto.J.str b s;
+  Trace.Json.add_string b s;
   Buffer.contents b
 
 let json_of (resp : string) : Trace.Json.t =
@@ -399,19 +447,32 @@ let test_server_malformed () =
     | _ -> false);
   Daemon.Server.shutdown t
 
+(* [f ()] and the number of store writes it made *)
+let with_saves f =
+  Trace.reset ();
+  Trace.start_collecting ();
+  let r = Fun.protect ~finally:Trace.stop f in
+  let n = Trace.counter_value "store.saved" in
+  Trace.reset ();
+  (r, n)
+
 let test_server_prove_and_cache () =
   let p = fresh_path () in
   let t = server ~store_path:p () in
   let req = {|{"id":1,"cmd":"prove","hyps":["x <= y","y <= z"],"goal":"x <= z"}|} in
-  let resp, _ = Daemon.Server.handle t req in
+  let (resp, _), saves = with_saves (fun () -> Daemon.Server.handle t req) in
   let v = json_of resp in
   Alcotest.(check bool) "valid" true
     (member "verdict" v = Trace.Json.Str "valid");
   Alcotest.(check bool) "first proof not cached" true
     (member "cached" v = Trace.Json.Bool false);
-  let resp, _ = Daemon.Server.handle t req in
+  Alcotest.(check int) "the miss is saved" 1 saves;
+  (* a request answered from the cache, changing no method record,
+     writes nothing *)
+  let (resp, _), saves = with_saves (fun () -> Daemon.Server.handle t req) in
   Alcotest.(check bool) "second proof cached" true
     (member "cached" (json_of resp) = Trace.Json.Bool true);
+  Alcotest.(check int) "the hit is not" 0 saves;
   Daemon.Server.shutdown t;
   Sys.remove p
 
@@ -439,7 +500,7 @@ let test_server_unknown_replayed () =
   Alcotest.(check bool) "one replay" true
     (member "cache_unknown_replayed" stats = Trace.Json.Num 1.);
   Daemon.Server.shutdown t;
-  let s = Daemon.Store.load ~log:quiet p in
+  let _, s = load_fresh p in
   Alcotest.(check int) "store holds no Unknown" 0 (Daemon.Store.entries s);
   if Sys.file_exists p then Sys.remove p
 
@@ -571,6 +632,36 @@ let test_server_incremental_protocol () =
         (member "changed" m = Trace.Json.Bool false))
     (methods_of v2);
   Daemon.Server.shutdown t
+
+(* a store-less daemon keeps its method records for the daemon's life:
+   verifying another program in between must not sweep them *)
+let test_server_incremental_two_programs () =
+  let req id group =
+    let dir = examples_dir ^ "/" ^ group in
+    let files =
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".java")
+      |> List.sort compare
+      |> List.map (fun f -> jstr (dir ^ "/" ^ f))
+    in
+    Printf.sprintf {|{"id":%d,"cmd":"verify","files":[%s],"incremental":true}|}
+      id (String.concat "," files)
+  in
+  let num k v =
+    match member k v with
+    | Trace.Json.Num n -> int_of_float n
+    | _ -> Alcotest.failf "%S is not a number" k
+  in
+  let t = server () in
+  let run r = json_of (fst (Daemon.Server.handle t r)) in
+  let first = run (req 1 "stack") in
+  ignore (run (req 2 "game"));
+  let again = run (req 3 "stack") in
+  Daemon.Server.shutdown t;
+  Alcotest.(check bool) "stack has methods" true (num "reverified" first > 0);
+  Alcotest.(check int) "nothing re-verified" 0 (num "reverified" again);
+  Alcotest.(check int) "every stack method unchanged"
+    (num "reverified" first) (num "unchanged" again)
 
 (* ------------------------------------------------------------------ *)
 (* Soak: a resident daemon's live heap stays flat                      *)
@@ -830,6 +921,9 @@ let suite =
           test_server_prove_and_cache;
         Alcotest.test_case "server: incremental verify protocol" `Quick
           test_server_incremental_protocol;
+        Alcotest.test_case
+          "server: incremental records outlive another program" `Quick
+          test_server_incremental_two_programs;
         Alcotest.test_case "server: unknown replayed, never stored" `Quick
           test_server_unknown_replayed;
         Alcotest.test_case "server: restart, identical verdicts" `Slow
