@@ -10,16 +10,16 @@ build:
 test:
 	dune runtest
 
-# build + full test suite + a traced parallel run of the paper's List
-# figures whose event log must validate (verify exits 1 when not
-# everything proves; only a hard error, exit 2, fails the smoke) + the
-# fuzz smoke + the end-to-end benchmark's self-test + a daemon
-# round-trip.  Performance is judged by e2ebench alone; no step here
+# build + full test suite + a traced, budgeted parallel run of the
+# paper's List figures whose event log must validate (verify exits 1
+# when not everything proves; only a hard error, exit 2, fails the
+# smoke) + the fuzz smoke + the end-to-end benchmark's self-test + a
+# daemon round-trip.  Performance is judged by e2ebench alone; no step here
 # rewrites a committed file
 check:
 	dune build
 	dune runtest
-	dune exec -- jahob verify --trace trace_smoke.jsonl -j 4 --stats \
+	dune exec -- jahob verify --trace trace_smoke.jsonl -j 4 --budget 30 --stats \
 	  examples/list/Client.java examples/list/List.java \
 	  || [ $$? -eq 1 ]
 	dune exec -- jahob trace-check trace_smoke.jsonl

@@ -54,7 +54,9 @@ let with_frontend_errors (f : unit -> int) : int =
 
 let stats_arg =
   Arg.(value & flag
-       & info [ "stats" ] ~doc:"Print per-prover statistics after verifying")
+       & info [ "stats" ]
+           ~doc:"Print the verdict-cache line and the trace's span and \
+                 counter aggregates, per-prover attempts included")
 
 let jobs_arg =
   Arg.(value & opt int 0
@@ -214,7 +216,7 @@ let verify_cmd =
         | report ->
           finish ();
           Format.printf "%a" (Jahob_core.Jahob.pp_report ~stats) report;
-          if stats then Format.printf "%a" Trace.pp_report ();
+          if stats then Format.printf "%a@." Trace.pp_report ();
           if report.Jahob_core.Jahob.ok then 0 else 1
         | exception e ->
           finish ();

@@ -23,7 +23,7 @@ type method_report = {
 type program_report = {
   methods : method_report list;
   ok : bool; (* every obligation of every method proved *)
-  dispatcher : Dispatch.t; (* for per-prover statistics *)
+  dispatcher : Dispatch.t; (* for the verdict-cache statistics *)
 }
 
 let provenance_reasons (p : provenance) : string list =
@@ -69,12 +69,11 @@ let shape_provers (opts : options) : Logic.Sequent.prover list =
       p.Logic.Sequent.prover_name = "smt" || p.Logic.Sequent.prover_name = "fol")
     opts.provers
 
-let vcgen_options ?(drop = []) ?cache (opts : options)
+let vcgen_options ?(drop = []) (opts : options) (shape : Dispatch.t)
     (task : Gcl.Desugar.method_task) : Vcgen.options =
   if opts.infer_loop_invariants then
     { Vcgen.infer_invariant =
-        Shape.infer_with_seeds ~drop ?cache (shape_provers opts)
-          task.Gcl.Desugar.task_seeds }
+        Shape.infer ~drop shape ~seeds:task.Gcl.Desugar.task_seeds }
   else Vcgen.default_options
 
 (* ------------------------------------------------------------------ *)
@@ -82,15 +81,16 @@ let vcgen_options ?(drop = []) ?cache (opts : options)
 (* ------------------------------------------------------------------ *)
 
 (** Everything that should stay warm across verification requests: the
-    worker pool, the verdict cache and the per-prover statistics (all
-    owned by the one dispatcher).  A one-shot [verify_files] builds a
-    throwaway engine; [jahob serve] builds one at startup and answers
-    every request from it. *)
+    worker pool, the verdict cache and the two dispatchers that consult
+    the cache (the portfolio's and shape inference's).  A one-shot
+    [verify_files] builds a throwaway engine; [jahob serve] builds one at
+    startup and answers every request from it. *)
 type engine = {
   eng_opts : options;
   eng_pool : Dispatch.Pool.t option;
   eng_cache : Dispatch.Cache.t option;
   eng_dispatcher : Dispatch.t;
+  eng_shape : Dispatch.t; (* shape inference's Houdini checks *)
   eng_drop_memo : (string, Logic.Form.t list) Hashtbl.t;
   eng_drop_lock : Mutex.t;
       (* converged counterexample-driven drop lists per method, keyed by
@@ -123,8 +123,18 @@ let create_engine (opts : options) : engine =
   let dispatcher =
     Dispatch.create ?pool ?cache ?budget_s:opts.budget_s opts.provers
   in
+  (* shape inference shares the cache and the budget: initiation and
+     preservation checks repeat across weakening rounds and across
+     daemon requests.  Their Valid/Invalid verdicts are semantic facts
+     independent of which dispatcher settled them; their deterministic
+     Unknowns are kept under this smt+fol portfolio and replayed only to
+     dispatchers with the same one *)
+  let shape =
+    Dispatch.create ?cache ?budget_s:opts.budget_s (shape_provers opts)
+  in
   { eng_opts = opts; eng_pool = pool; eng_cache = cache;
-    eng_dispatcher = dispatcher; eng_drop_memo = Hashtbl.create 32;
+    eng_dispatcher = dispatcher; eng_shape = shape;
+    eng_drop_memo = Hashtbl.create 32;
     eng_drop_lock = Mutex.create () }
 
 (* identity of a method for the drop memo: its name plus the digests of
@@ -171,7 +181,6 @@ let shutdown_engine (e : engine) : unit =
 let verify_task_summary (e : engine) (task : Gcl.Desugar.method_task) :
     Dispatch.summary =
   let opts = e.eng_opts in
-  let cache = e.eng_cache in
   let dispatcher = e.eng_dispatcher in
   let rec attempt round key (drop : Logic.Form.t list) =
     Trace.with_span ~cat:"verify"
@@ -182,7 +191,7 @@ let verify_task_summary (e : engine) (task : Gcl.Desugar.method_task) :
       "round"
       (fun () -> attempt_once round key drop)
   and attempt_once round key (drop : Logic.Form.t list) =
-    let vopts = vcgen_options ~drop ?cache opts task in
+    let vopts = vcgen_options ~drop opts e.eng_shape task in
     let obligations = Vcgen.method_obligations ~opts:vopts task in
     let key =
       if round = 0 then Some (drop_key task obligations) else key
@@ -415,10 +424,12 @@ let verify_program_inc (e : engine) ~(source : method_source)
             Gcl.Desugar.method_task prog c m)
       in
       let summary = verify_task_summary e task in
-      source.remove_method name;
       (* only fully settled methods are recorded: the store outlives
          this process, and an Unknown holds only for the portfolio and
-         resources of this run, so it must be retried next run *)
+         resources of this run, so it must be retried next run.  An
+         unsettled method keeps its last settled record, if any: the
+         digests in it keep it from answering for this body, and an
+         edit back to the recorded body replays it *)
       if summary.Dispatch.unknown = 0 then
         source.record_method
           { sm_name = name; sm_digest = dg; sm_ctx = ctx;
@@ -491,8 +502,6 @@ let pp_report ?(stats = false) ppf (r : program_report) =
       Format.fprintf ppf "@[<v 2>%s%s: %a@]@." m.method_name tag
         Dispatch.pp_summary m.obligations)
     r.methods;
-  if stats then
-    Format.fprintf ppf "@[<v 2>prover statistics:%a@]@."
-      Dispatch.pp_stats r.dispatcher;
+  if stats then Dispatch.pp_stats ppf r.dispatcher;
   Format.fprintf ppf "overall: %s@."
     (if r.ok then "VERIFIED" else "NOT FULLY VERIFIED")

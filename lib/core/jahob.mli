@@ -27,7 +27,7 @@ val provenance_reasons : provenance -> string list
 type program_report = {
   methods : method_report list;
   ok : bool;  (** every obligation of every method proved *)
-  dispatcher : Dispatch.t;  (** for per-prover statistics *)
+  dispatcher : Dispatch.t;  (** for the verdict-cache statistics *)
 }
 
 (** The default portfolio in dispatch order: SMT, BAPA, the MONA route,
@@ -53,7 +53,7 @@ type options = {
 val default_options : unit -> options
 
 (** Everything that should stay warm across verification requests: the
-    worker pool, the verdict cache and the per-prover statistics.  A
+    worker pool and the verdict cache.  A
     one-shot {!verify_files} builds a throwaway engine; [jahob serve]
     builds one at startup and answers every request from it. *)
 type engine

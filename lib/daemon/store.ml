@@ -34,7 +34,8 @@
     Concurrent writers (two CLI clients sharing one store path) are
     handled by merging: {!save} re-reads the file it is about to replace
     and keeps the other writer's verdicts and method records that its own
-    cache lacks, while the file stays within the cache's cap.  Verdicts
+    cache lacks, while the file stays within the cache's cap — except the
+    method records this process removed since its last load or save.  Verdicts
     are semantic facts keyed by canonical digests, so a union can never
     replace a verdict with a contradictory one. *)
 
@@ -60,6 +61,9 @@ type t = {
       (* the dependency index: per-method structural digest, context
          digest, dependency digests and settled verdicts — what
          incremental re-verification consults before regenerating VCs *)
+  removed : (string, unit) Hashtbl.t;
+      (* method records removed since the last load or save: the merge
+         in {!save} must not bring them back from the file *)
   mutable status : status;
   mutable entries : int; (* verdicts in the file at the last load or save *)
   mutable methods_changed : bool; (* since the last load or save *)
@@ -206,7 +210,8 @@ let cache_misses = Option.fold ~none:0 ~some:Dispatch.Cache.misses
 let load ?(log = default_log) ~(cache : Dispatch.Cache.t option)
     (path : string) : t =
   let t =
-    { path; cache; methods = Hashtbl.create 64; status = Fresh;
+    { path; cache; methods = Hashtbl.create 64; removed = Hashtbl.create 8;
+      status = Fresh;
       entries = 0; methods_changed = false;
       saved_misses = cache_misses cache; lock = Mutex.create () }
   in
@@ -252,6 +257,7 @@ let find_method (t : t) (name : string) : Jahob.stored_method option =
 let record_method (t : t) (sm : Jahob.stored_method) : unit =
   Mutex.lock t.lock;
   Hashtbl.replace t.methods sm.Jahob.sm_name sm;
+  Hashtbl.remove t.removed sm.Jahob.sm_name;
   t.methods_changed <- true;
   Mutex.unlock t.lock
 
@@ -259,6 +265,7 @@ let remove_method (t : t) (name : string) : unit =
   Mutex.lock t.lock;
   if Hashtbl.mem t.methods name then begin
     Hashtbl.remove t.methods name;
+    Hashtbl.replace t.removed name ();
     t.methods_changed <- true
   end;
   Mutex.unlock t.lock
@@ -290,7 +297,8 @@ let source (t : t) : Jahob.method_source =
 
 (** Write the cache's settled verdicts and the method records to disk:
     merge in what a concurrent writer put at the path since we loaded it
-    (while the file stays within the cache's cap), write a temp file and
+    (while the file stays within the cache's cap, and leaving out the
+    method records removed here since), write a temp file and
     atomically rename it into place.  Without a cache the file's verdicts
     carry over unchanged.  A crash at any point leaves the previous file
     intact. *)
@@ -322,8 +330,9 @@ let save (t : t) : unit =
       in
       Array.iter
         (fun (sm : Jahob.stored_method) ->
-          if not (Hashtbl.mem t.methods sm.Jahob.sm_name) then
-            Hashtbl.replace t.methods sm.Jahob.sm_name sm)
+          let n = sm.Jahob.sm_name in
+          if not (Hashtbl.mem t.methods n || Hashtbl.mem t.removed n) then
+            Hashtbl.replace t.methods n sm)
         disk.p_methods;
       let payload =
         Marshal.to_string
@@ -349,6 +358,7 @@ let save (t : t) : unit =
       (* the atomic commit point: rename never exposes a torn file *)
       Unix.rename tmp t.path;
       t.entries <- Array.length entries;
+      Hashtbl.reset t.removed;
       t.methods_changed <- false;
       t.saved_misses <- misses;
       Trace.incr "store.saved")

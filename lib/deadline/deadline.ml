@@ -5,19 +5,21 @@
     Cooper elimination steps, automata product construction) polls
     {!check} at its loop head.  A caller that wants to bound or abort the
     computation binds a {!type:token} around it with {!with_token}; once
-    the token's deadline passes — or someone calls {!cancel}, e.g. a
-    budget waiter that has already answered — the next {!check} in that
-    thread raises {!Expired} and the search unwinds.
+    the token's deadline passes — or someone calls {!cancel} — the next
+    {!check} under that binding raises {!Expired} and the search unwinds
+    back to the caller.  Nothing runs on another thread: a budget is
+    noticed at the next checkpoint, on the thread that asked for it.
 
     Tokens nest: a child token created with [?parent] expires as soon as
     any ancestor does, so cancelling an enclosing token reaches through
-    the budget wrapper's helper thread.
+    a budget bound inside it.
 
-    Cost model: {!check} is a single atomic load while no token is bound
-    anywhere in the process (the common, un-budgeted case), and one
-    mutex-protected table lookup plus a clock read otherwise.  The clock
-    read is throttled — only every [clock_stride] polls — because some
-    loops checkpoint every few hundred nanoseconds. *)
+    Cost model: a token is bound to the calling domain through one
+    [Domain.DLS] slot, so {!check} takes no lock: one slot read when no
+    token is bound, otherwise an atomic increment, the cancel flags along
+    the parent chain and, every [clock_stride] polls, a clock read —
+    some loops checkpoint every few hundred nanoseconds.  Systhreads of
+    one domain share its slot. *)
 
 exception Expired
 
@@ -58,48 +60,20 @@ let rec horizon (t : t) : float =
   | Some p -> Float.min t.deadline (horizon p)
 
 (* ------------------------------------------------------------------ *)
-(* Thread binding                                                      *)
+(* Domain binding                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Tokens are bound per systhread (pool domains and budget helper
-   threads are distinct threads, each with its own binding).  [active]
-   counts live bindings process-wide so that [check] costs one atomic
-   load when nothing anywhere is budgeted. *)
-let active : int Atomic.t = Atomic.make 0
-let registry : (int, t) Hashtbl.t = Hashtbl.create 16
-let registry_mutex = Mutex.create ()
+let slot : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let self_id () = Thread.id (Thread.self ())
+(** The token bound to the calling domain, if any. *)
+let current () : t option = Domain.DLS.get slot
 
-(** The token bound to the calling thread, if any. *)
-let current () : t option =
-  if Atomic.get active = 0 then None
-  else begin
-    let id = self_id () in
-    Mutex.lock registry_mutex;
-    let r = Hashtbl.find_opt registry id in
-    Mutex.unlock registry_mutex;
-    r
-  end
-
-(** Run [f] with [t] bound as the calling thread's token.  Restores the
+(** Run [f] with [t] bound as the calling domain's token.  Restores the
     previous binding (if any) on exit, so bindings nest. *)
 let with_token (t : t) (f : unit -> 'a) : 'a =
-  let id = self_id () in
-  Mutex.lock registry_mutex;
-  let previous = Hashtbl.find_opt registry id in
-  Hashtbl.replace registry id t;
-  Mutex.unlock registry_mutex;
-  Atomic.incr active;
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.decr active;
-      Mutex.lock registry_mutex;
-      (match previous with
-      | None -> Hashtbl.remove registry id
-      | Some p -> Hashtbl.replace registry id p);
-      Mutex.unlock registry_mutex)
-    f
+  let previous = Domain.DLS.get slot in
+  Domain.DLS.set slot (Some t);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set slot previous) f
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoints                                                         *)
@@ -124,18 +98,10 @@ let probe (t : t) : bool =
     end
   end
 
-(** Poll the calling thread's token: raises {!Expired} when the token
+(** Poll the calling domain's token: raises {!Expired} when the token
     (or any ancestor) is cancelled or past its deadline.  A no-op when
-    the thread has no token. *)
+    no token is bound. *)
 let check () : unit =
-  if Atomic.get active <> 0 then
-    match current () with
-    | None -> ()
-    | Some t -> if probe t then raise Expired
-
-(** [expired t] without raising — for callers that want to poll a token
-    they hold directly (e.g. a dispatcher waiting on a helper). *)
-let expired (t : t) : bool =
-  cancel_requested t
-  || (let h = horizon t in
-      h < infinity && Clock.now () >= h)
+  match Domain.DLS.get slot with
+  | None -> ()
+  | Some t -> if probe t then raise Expired

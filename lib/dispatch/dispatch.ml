@@ -17,8 +17,12 @@
 
     Obligations are independent, so [prove_all] fans them out across the
     domains of an optional {!Pool.t}.  An optional verdict {!Cache.t}
-    settles repeated obligations once, and [with_budget] bounds the
-    wall-clock time of any single prover call.
+    settles repeated obligations once, and a budget bounds the
+    wall-clock time of any single prover call.  A budgeted attempt runs
+    on the thread that asked for it, under a {!Deadline} token: the
+    prover stops at its next checkpoint once the budget is spent.  Each
+    attempt counts itself in the trace counters
+    [prover.<name>.{attempts,proved,refuted,raised}].
 
     The cache also replays [Unknown] — but only an Unknown that no
     resource limit produced, and only to a dispatcher with the same
@@ -37,13 +41,6 @@ open Logic
 module Pool = Pool
 module Cache = Cache
 
-type prover_stats = {
-  mutable attempts : int;
-  mutable proved : int;
-  mutable refuted : int;
-  mutable raised : int; (* attempts that ended in an exception *)
-}
-
 type report = {
   sequent : Sequent.t;
   verdict : Sequent.verdict;
@@ -56,8 +53,6 @@ type t = {
   provers : Sequent.prover list;
   budget_s : float option; (* wall-clock budget per prover attempt *)
   portfolio : string; (* qualifies this dispatcher's cached Unknowns *)
-  stats : (string, prover_stats) Hashtbl.t;
-  stats_mutex : Mutex.t; (* guards [stats]: domains update it concurrently *)
   pool : Pool.t option; (* fan obligations out when present *)
   cache : Cache.t option; (* verdict memoization when present *)
 }
@@ -68,37 +63,24 @@ type t = {
 
 (* [p s] under a wall-clock budget, and whether the budget — or an
    enclosing cancellation reaching through it — cut the attempt short.
-   The prover runs in a helper thread under a {!Deadline} token; on
-   timeout the waiter {e cancels} the token and returns immediately, and
-   the helper stops at its next checkpoint (every search loop in the
-   portfolio polls one) instead of burning a core to completion.  The
-   helper's token is parented to the calling thread's token, if any, so
-   cancelling an enclosing token reaches through the budget.
-   Exceptions other than {!Deadline.Expired} are re-raised in the
-   caller, where the dispatcher counts them. *)
+   The prover runs on the calling thread under a {!Deadline} token
+   parented to the caller's own, and stops at its next checkpoint (every
+   search loop in the portfolio polls one).  A prover that returns
+   before it checkpoints keeps its verdict, however late.  Exceptions
+   other than {!Deadline.Expired} propagate to the dispatcher, which
+   counts them. *)
 let run_budgeted ~(budget_s : float) (p : Sequent.prover) (s : Sequent.t) :
     Sequent.verdict * bool =
-  let caller = Deadline.current () in
-  let token = Deadline.make ~deadline_in:budget_s ?parent:caller () in
-  let result = Atomic.make None in
-  let (_ : Thread.t) =
-    Thread.create
-      (fun () ->
-        let r =
-          try Ok (Deadline.with_token token (fun () -> p.Sequent.prove s))
-          with e -> Error e
-        in
-        Atomic.set result (Some r))
-      ()
+  let token =
+    Deadline.make ~deadline_in:budget_s ?parent:(Deadline.current ()) ()
   in
-  (* whether the expiry was this budget's own deadline or a cancelled
-     enclosing token reaching through; drives both the verdict message
-     and the counters *)
-  let cancelled () =
+  match Deadline.with_token token (fun () -> p.Sequent.prove s) with
+  | v -> (v, false)
+  | exception Deadline.Expired when Deadline.cancel_requested token ->
+    (* an enclosing token was cancelled, not this budget *)
     Trace.incr "deadline.cancelled";
     (Sequent.Unknown "attempt cancelled", true)
-  in
-  let budget_exceeded () =
+  | exception Deadline.Expired ->
     Trace.incr "budget.exceeded";
     Trace.instant ~cat:"budget"
       ~args:(fun () ->
@@ -106,30 +88,6 @@ let run_budgeted ~(budget_s : float) (p : Sequent.prover) (s : Sequent.t) :
           ("budget_s", Trace.F budget_s) ])
       "exceeded";
     (Sequent.Unknown (Printf.sprintf "budget of %gs exceeded" budget_s), true)
-  in
-  let rec wait delay =
-    match Atomic.get result with
-    | Some (Ok v) -> (v, false)
-    | Some (Error Deadline.Expired) ->
-      (* the helper hit a checkpoint first; an explicit cancel request
-         came from an enclosing token, otherwise the token timed out on
-         its own — that is the budget *)
-      if Deadline.cancel_requested token then cancelled ()
-      else budget_exceeded ()
-    | Some (Error e) -> raise e
-    | None ->
-      if Deadline.expired token then begin
-        (* stop the helper at its next checkpoint and answer now *)
-        let cancelled_above = Deadline.cancel_requested token in
-        Deadline.cancel token;
-        if cancelled_above then cancelled () else budget_exceeded ()
-      end
-      else begin
-        Thread.delay delay;
-        wait (Float.min (delay *. 2.) 0.01)
-      end
-  in
-  wait 2e-4
 
 (** [with_budget ~budget_s p] answers [Unknown] once [p] has run for
     [budget_s] seconds of wall-clock time, so one pathological query
@@ -149,23 +107,7 @@ let portfolio_of (provers : Sequent.prover list) : string =
        (List.map (fun p -> p.Sequent.prover_name) provers))
 
 let create ?pool ?cache ?budget_s (provers : Sequent.prover list) : t =
-  { provers; budget_s; portfolio = portfolio_of provers;
-    stats = Hashtbl.create 8; stats_mutex = Mutex.create ();
-    pool; cache }
-
-let stats_for (d : t) (name : string) : prover_stats =
-  match Hashtbl.find_opt d.stats name with
-  | Some s -> s
-  | None ->
-    let s = { attempts = 0; proved = 0; refuted = 0; raised = 0 } in
-    Hashtbl.add d.stats name s;
-    s
-
-(* all stats mutation goes through here; [upd] must not block *)
-let bump_stats (d : t) (name : string) (upd : prover_stats -> unit) : unit =
-  Mutex.lock d.stats_mutex;
-  upd (stats_for d name);
-  Mutex.unlock d.stats_mutex
+  { provers; budget_s; portfolio = portfolio_of provers; pool; cache }
 
 (* ------------------------------------------------------------------ *)
 (* Assumption filtering                                                *)
@@ -219,26 +161,27 @@ let syntactic (s : Sequent.t) : Sequent.verdict option =
 
 (* a prover crash is a portfolio event, not a verdict: count it, leave an
    instant in the trace, and move on as if the prover said Unknown *)
-let note_raised (d : t) (name : string) (e : exn) : Sequent.verdict =
-  Trace.incr "prover.raised";
+let note_raised (name : string) (e : exn) : Sequent.verdict =
+  Trace.incr ("prover." ^ name ^ ".raised");
   Trace.instant ~cat:"dispatch"
     ~args:(fun () ->
       [ ("prover", Trace.S name); ("exn", Trace.S (Printexc.to_string e)) ])
     "prover.raised";
-  bump_stats d name (fun st -> st.raised <- st.raised + 1);
   Sequent.Unknown ("prover raised " ^ Printexc.to_string e)
 
 let settled = function
   | Sequent.Valid | Sequent.Invalid _ -> true
   | Sequent.Unknown _ -> false
 
-(* one prover attempt: stats and crash accounting.  The flag says
-   whether a resource limit produced the verdict: the budget, a
-   cancellation, a crash or the prover's own [Resource_limited] *)
+(* one prover attempt: the per-prover trace counters
+   [prover.<name>.{attempts,proved,refuted,raised}] and crash
+   accounting.  The flag says whether a resource limit produced the
+   verdict: the budget, a cancellation, a crash or the prover's own
+   [Resource_limited] *)
 let attempt (d : t) (s : Sequent.t) (p : Sequent.prover) :
     Sequent.verdict * bool =
   let name = p.Sequent.prover_name in
-  bump_stats d name (fun st -> st.attempts <- st.attempts + 1);
+  Trace.incr ("prover." ^ name ^ ".attempts");
   let v, limited =
     match
       match d.budget_s with
@@ -253,12 +196,11 @@ let attempt (d : t) (s : Sequent.t) (p : Sequent.prover) :
     | exception Sequent.Resource_limited why ->
       Trace.incr "prover.resource_limited";
       (Sequent.Unknown why, true)
-    | exception e -> (note_raised d name e, true)
+    | exception e -> (note_raised name e, true)
   in
   (match v with
-  | Sequent.Valid -> bump_stats d name (fun st -> st.proved <- st.proved + 1)
-  | Sequent.Invalid _ ->
-    bump_stats d name (fun st -> st.refuted <- st.refuted + 1)
+  | Sequent.Valid -> Trace.incr ("prover." ^ name ^ ".proved")
+  | Sequent.Invalid _ -> Trace.incr ("prover." ^ name ^ ".refuted")
   | Sequent.Unknown _ -> ());
   (v, limited)
 
@@ -412,47 +354,21 @@ let summarize (reports : report list) : summary =
   let total = List.length reports in
   { total; valid; invalid; unknown = total - valid - invalid; reports }
 
-(** Per-prover counters accumulated by this dispatcher, copied field by
-    field under [stats_mutex] while pool domains may still be flushing
-    updates.  The returned records are detached snapshots: safe to read,
-    print or serialize while other domains keep proving.  Every consumer
-    that formats stats (including [jahob verify --stats]) must go through
-    here rather than touching the live table. *)
-let stats_snapshot (d : t) : (string * prover_stats) list =
-  Mutex.lock d.stats_mutex;
-  let r =
-    Hashtbl.fold
-      (fun name s acc ->
-        ( name,
-          { attempts = s.attempts; proved = s.proved; refuted = s.refuted;
-            raised = s.raised } )
-        :: acc)
-      d.stats []
-    |> List.sort compare
-  in
-  Mutex.unlock d.stats_mutex;
-  r
-
-let stats = stats_snapshot
-
 (** The dispatcher's verdict cache, if caching is enabled. *)
 let cache (d : t) : Cache.t option = d.cache
 
+(** The verdict-cache line of [--stats], nothing without a cache.  It
+    reads the cache's own counters because table sizes are not trace
+    counters; per-prover counts are (see {!attempt}). *)
 let pp_stats ppf (d : t) =
-  List.iter
-    (fun (name, (s : prover_stats)) ->
-      Format.fprintf ppf
-        "@,  %-12s attempts %4d   proved %4d   refuted %4d   raised %3d"
-        name s.attempts s.proved s.refuted s.raised)
-    (stats_snapshot d);
   match d.cache with
   | None -> ()
   | Some c ->
     let k = Cache.counters c in
     Format.fprintf ppf
-      "@,  %-12s hits %7d   misses %5d   entries %4d   hit rate %.1f%%   \
-       unknown entries %d   replayed %d"
-      "cache" k.Cache.hit_count k.Cache.miss_count k.Cache.entries
+      "verdict cache: hits %d   misses %d   entries %d   hit rate %.1f%%   \
+       unknown entries %d   replayed %d@."
+      k.Cache.hit_count k.Cache.miss_count k.Cache.entries
       (100. *. Cache.hit_rate c) k.Cache.unknown_entries
       k.Cache.unknown_replayed
 

@@ -134,9 +134,9 @@ let canonicalize (s : t) : t =
    assembled text are written into buffers that keep their capacity
    across calls, so a digest allocates no doubling buffer and no
    concatenated copy (large strings go straight to the major heap).
-   Systhreads share their domain's scratch — a budgeted prover runs on a
-   helper thread — so [busy] hands the scratch to one caller at a time
-   and any other caller allocates its own. *)
+   Systhreads of one domain share its scratch (an embedder may run
+   several), so [busy] hands the scratch to one caller at a time and any
+   other caller allocates its own. *)
 type scratch = {
   busy : bool Atomic.t;
   goal_buf : Buffer.t;

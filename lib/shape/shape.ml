@@ -95,11 +95,11 @@ let inductive (dispatcher : Dispatch.t) (l : Gcl.Cmd.loop)
       check { sq with Sequent.hyps = invariant_parts @ sq.Sequent.hyps })
     splits
 
-(** The largest inductive conjunction of candidates (Houdini).  [seeds]
-    provide the vocabulary; the result is speculative and must be
-    re-verified by the caller. *)
-let infer ?(drop = []) ?cache ~(provers : Sequent.prover list)
-    ~(seeds : Form.t list) (l : Gcl.Cmd.loop) : Form.t option =
+(** The largest inductive conjunction of candidates (Houdini), checked
+    through [dispatcher].  [seeds] provide the vocabulary; the result is
+    speculative and must be re-verified by the caller. *)
+let infer ?(drop = []) (dispatcher : Dispatch.t) ~(seeds : Form.t list)
+    (l : Gcl.Cmd.loop) : Form.t option =
   let cands =
     List.filter
       (fun c -> not (List.exists (Form.equal c) drop))
@@ -107,13 +107,6 @@ let infer ?(drop = []) ?cache ~(provers : Sequent.prover list)
   in
   if cands = [] then None
   else begin
-    (* share the caller's verdict cache when given: initiation and
-       preservation checks repeat across weakening rounds and across
-       daemon requests.  Their Valid/Invalid verdicts are semantic facts
-       independent of which dispatcher settled them; their deterministic
-       Unknowns are kept under this smt+fol portfolio and replayed only
-       to dispatchers with the same one *)
-    let dispatcher = Dispatch.create ?cache provers in
     let max_rounds = 5 in
     let rec stabilize round (current : Form.t list) =
       if round >= max_rounds then current
@@ -133,17 +126,3 @@ let infer ?(drop = []) ?cache ~(provers : Sequent.prover list)
       "houdini";
     if result = [] then None else Some (Form.mk_and result)
   end
-
-(** Hook for {!Jahob}: infer invariants for un-annotated loops using the
-    method's contract and class invariants as the vocabulary. *)
-let infer_loop_invariant (_prog : Javaparser.Ast.program)
-    (provers : Sequent.prover list) : Gcl.Cmd.loop -> Form.t option =
-  (* seeds are attached per-task by the driver through this mutable cell *)
-  fun loop -> infer ~provers ~seeds:[] loop
-
-(** As {!infer_loop_invariant} but with explicit per-method seeds and a
-    blacklist of candidates that failed initiation in an earlier round
-    (counterexample-driven weakening). *)
-let infer_with_seeds ?(drop = []) ?cache (provers : Sequent.prover list)
-    (seeds : Form.t list) : Gcl.Cmd.loop -> Form.t option =
-  fun loop -> infer ~drop ?cache ~provers ~seeds loop

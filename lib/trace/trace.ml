@@ -134,8 +134,8 @@ let format_event ~format ~ph ~ts ~tid ~cat ~name (args : args) : string =
   Buffer.contents buf
 
 (* format outside the lock, then write the whole line under it, so
-   lines from different threads never interleave.  Budget helper threads
-   abandoned past [stop] find no sink and drop their events. *)
+   lines from different threads never interleave.  A thread still
+   writing past [stop] finds no sink and drops its events. *)
 let emit ~ph ~ts ~tid ~cat ~name (args : args) : unit =
   match !sink with
   | None -> ()

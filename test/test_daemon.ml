@@ -289,8 +289,9 @@ let test_store_v2_version_skew () =
       Sys.remove p)
     [ "2"; "3"; "4" ]
 
-(* the method/dependency index survives save/load; without a cache
-   (--no-cache) the file's verdicts carry over unchanged *)
+(* the method/dependency index survives save/load, and so does a
+   removal; without a cache (--no-cache) the file's verdicts carry over
+   unchanged *)
 let test_store_method_records () =
   let p = fresh_path () in
   ignore (write_store p);
@@ -325,6 +326,13 @@ let test_store_method_records () =
     (src'.Jahob_core.Jahob.find_method "C.m" = None);
   Alcotest.(check (list string)) "listing after removal" [ "C.n" ]
     (src'.Jahob_core.Jahob.list_methods ());
+  (* the merge with the file must not bring the removed record back *)
+  Daemon.Store.save s';
+  Alcotest.(check (list string)) "removal survives the save" [ "C.n" ]
+    (src'.Jahob_core.Jahob.list_methods ());
+  let s'' = Daemon.Store.load ~log:quiet ~cache:None p in
+  Alcotest.(check (list string)) "removal survives a reload" [ "C.n" ]
+    (Daemon.Store.list_methods s'');
   Sys.remove p
 
 let test_store_kill9_mid_write () =

@@ -9,6 +9,15 @@ let parse = Parser.parse
 let seq ?name hyps goal =
   Sequent.make ?name (List.map parse hyps) (parse goal)
 
+(* sleep [delay] seconds, polling the calling domain's deadline as a
+   prover's search loop would *)
+let sleep_polling delay =
+  let t0 = Clock.now () in
+  while Clock.now () -. t0 < delay do
+    Deadline.check ();
+    Thread.delay 0.001
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -239,8 +248,7 @@ let test_unknown_replayed () =
    next request re-attempts it *)
 let test_limited_unknown_retried () =
   let s = seq [ "x < y" ] "p..g = q" in
-  let check_retried what ?budget_s ?(around = fun f -> f ()) ?(runs = true)
-      prove =
+  let check_retried what ?budget_s ?(around = fun f -> f ()) prove =
     let count = Atomic.make 0 in
     let p =
       { Sequent.prover_name = "limited";
@@ -256,18 +264,15 @@ let test_limited_unknown_retried () =
     Alcotest.(check bool) (what ^ ": not from the cache") false
       r2.Dispatch.cached;
     Alcotest.(check bool) (what ^ ": limited again") true r2.Dispatch.limited;
-    if runs then
-      Alcotest.(check int) (what ^ ": prover ran again") 2 (Atomic.get count);
+    Alcotest.(check int) (what ^ ": prover ran again") 2 (Atomic.get count);
     Alcotest.(check int) (what ^ ": nothing stored") 0
       (Dispatch.Cache.counters cache).Dispatch.Cache.entries
   in
   check_retried "budget exceeded" ~budget_s:0.02 (fun _ ->
-      Thread.delay 0.3;
+      sleep_polling 0.3;
       Sequent.Valid);
-  (* an enclosing token already cancelled: the budget's waiter answers
-     "cancelled" (possibly before its helper thread even starts the
-     prover), and without a budget the prover's own checkpoint raises
-     Deadline.Expired *)
+  (* an enclosing token already cancelled: the prover's first checkpoint
+     raises Deadline.Expired, which a budget reports as "cancelled" *)
   let cancelled f =
     let t = Deadline.make () in
     Deadline.cancel t;
@@ -281,7 +286,7 @@ let test_limited_unknown_retried () =
     Sequent.Valid
   in
   check_retried "cancelled under a budget" ~budget_s:5.0 ~around:cancelled
-    ~runs:false spin;
+    spin;
   check_retried "deadline expired" ~around:cancelled spin;
   check_retried "prover raised" (fun _ -> failwith "boom");
   check_retried "wall-clock cut-off" (fun _ ->
@@ -471,20 +476,33 @@ let mixed_sequents () =
            seq [ x ^ " = 1" ] ("unrelated" ^ x ^ " : S" ^ x); (* unknown *)
          ]))
 
-let totals (d : Dispatch.t) =
-  List.map
-    (fun (name, (s : Dispatch.prover_stats)) ->
-      (name, s.Dispatch.attempts, s.Dispatch.proved, s.Dispatch.refuted))
-    (Dispatch.stats d)
+(* [f ()] and the per-prover trace counters [prover.*] it left *)
+let with_prover_counters f =
+  Trace.reset ();
+  Trace.start_collecting ();
+  let r = Fun.protect ~finally:Trace.stop f in
+  let counters =
+    List.filter
+      (fun (k, _) -> String.starts_with ~prefix:"prover." k)
+      (Trace.counter_list ())
+  in
+  Trace.reset ();
+  (r, counters)
 
 let test_parallel_matches_sequential () =
   let sequents = mixed_sequents () in
   let provers () = Jahob_core.Jahob.default_provers () in
   let d_seq = Dispatch.create (provers ()) in
-  let r_seq = Dispatch.summarize (Dispatch.prove_all d_seq sequents) in
+  let r_seq, c_seq =
+    with_prover_counters (fun () ->
+        Dispatch.summarize (Dispatch.prove_all d_seq sequents))
+  in
   let pool = Dispatch.Pool.create ~jobs:4 in
   let d_par = Dispatch.create ~pool (provers ()) in
-  let r_par = Dispatch.summarize (Dispatch.prove_all d_par sequents) in
+  let r_par, c_par =
+    with_prover_counters (fun () ->
+        Dispatch.summarize (Dispatch.prove_all d_par sequents))
+  in
   Dispatch.Pool.shutdown pool;
   Alcotest.(check (list (pair string (pair int int))))
     "summary counts agree"
@@ -492,10 +510,10 @@ let test_parallel_matches_sequential () =
       ("rest", (r_seq.Dispatch.invalid, r_seq.Dispatch.unknown)) ]
     [ ("totals", (r_par.Dispatch.total, r_par.Dispatch.valid));
       ("rest", (r_par.Dispatch.invalid, r_par.Dispatch.unknown)) ];
-  Alcotest.(check (list (pair string (pair int (pair int int)))))
-    "per-prover stats agree"
-    (List.map (fun (n, a, p, r) -> (n, (a, (p, r)))) (totals d_seq))
-    (List.map (fun (n, a, p, r) -> (n, (a, (p, r)))) (totals d_par));
+  Alcotest.(check bool) "smt attempts counted" true
+    (List.mem_assoc "prover.smt.attempts" c_seq);
+  Alcotest.(check (list (pair string int))) "per-prover stats agree" c_seq
+    c_par;
   (* verdicts come back in input order *)
   List.iter2
     (fun (a : Dispatch.report) (b : Dispatch.report) ->
@@ -510,7 +528,7 @@ let test_parallel_matches_sequential () =
 
 let slow_prover ~delay : Sequent.prover =
   { Sequent.prover_name = "slow";
-    prove = (fun _ -> Thread.delay delay; Sequent.Valid) }
+    prove = (fun _ -> sleep_polling delay; Sequent.Valid) }
 
 let test_budget_exceeded () =
   let p = Dispatch.with_budget ~budget_s:0.02 (slow_prover ~delay:0.4) in
@@ -566,10 +584,10 @@ let test_deadline_nesting () =
   let parent = Deadline.make () in
   let child = Deadline.make ~parent () in
   Alcotest.(check bool) "child alive before cancel" false
-    (Deadline.expired child);
+    (Deadline.cancel_requested child);
   Deadline.cancel parent;
   Alcotest.(check bool) "parent cancel reaches child" true
-    (Deadline.expired child);
+    (Deadline.cancel_requested child);
   (match Deadline.with_token child (fun () -> Deadline.check ()) with
   | () -> Alcotest.fail "checkpoint under a cancelled token must raise"
   | exception Deadline.Expired -> ());
@@ -584,8 +602,8 @@ let test_deadline_nesting () =
         (match Deadline.current () with Some t -> t == outer | None -> false))
 
 let test_budget_cancels_cooperatively () =
-  (* the satellite guarantee: after a budget expiry the helper thread
-     stops at its next checkpoint instead of burning a core *)
+  (* after a budget expiry the prover stops at its next checkpoint and
+     the attempt answers: nothing keeps running behind the caller *)
   let polls = Atomic.make 0 in
   let p =
     Dispatch.with_budget ~budget_s:0.05 (checkpointing_prover polls)
@@ -596,12 +614,9 @@ let test_budget_cancels_cooperatively () =
       (String.length m >= 6 && String.sub m 0 6 = "budget")
   | v ->
     Alcotest.failf "expected unknown, got %s" (Sequent.verdict_to_string v));
-  (* grace period for the helper to observe the cancellation, then the
-     poll counter must be frozen *)
-  Thread.delay 0.05;
   let frozen = Atomic.get polls in
   Alcotest.(check bool) "prover did checkpoint while running" true (frozen > 0);
-  Thread.delay 0.15;
+  Thread.delay 0.05;
   Alcotest.(check int) "no checkpoints after cancellation" frozen
     (Atomic.get polls)
 
@@ -623,9 +638,7 @@ let test_budget_stops_fol () =
   let t0 = Clock.now () in
   let r = Dispatch.prove_sequent d s in
   let elapsed = Clock.now () -. t0 in
-  (* the dispatcher answers at the deadline whatever the prover does;
-     fol's own span shows whether it unwound at a checkpoint too *)
-  Thread.delay 0.1;
+  (* fol's own span shows that it unwound at a checkpoint *)
   let exceeded = Trace.counter_value "budget.exceeded" in
   let fol_span = List.assoc_opt "prover:fol" (Trace.span_stats ()) in
   Trace.stop ();
@@ -649,6 +662,58 @@ let test_budget_stops_fol () =
   | v ->
     Alcotest.failf "expected unknown, got %s" (Sequent.verdict_to_string v)
 
+(* every smt attempt a verification makes is budgeted, shape
+   inference's Houdini checks included: a spinning "smt" that only a
+   budget stops (it gives up on its own after 0.25s, so an unbudgeted
+   attempt shows as a span without a budget.exceeded) *)
+let test_budget_reaches_shape () =
+  let spinner =
+    Sequent.traced_prover
+      { Sequent.prover_name = "smt";
+        prove =
+          (fun _ ->
+            sleep_polling 0.25;
+            Sequent.Unknown "spun out") }
+  in
+  let prog =
+    Javaparser.Jparser.parse_program
+      {|class Counter {
+          public static void count(int n)
+          /*: requires "0 <= n" ensures "True" */
+          {
+              int k = 0;
+              while (k < n) { k = k + 1; }
+          }
+        }|}
+  in
+  let run infer_loop_invariants =
+    let opts =
+      { (Jahob_core.Jahob.default_options ()) with
+        Jahob_core.Jahob.provers = [ spinner ];
+        infer_loop_invariants;
+        budget_s = Some 0.02 }
+    in
+    Trace.reset ();
+    Trace.start_collecting ();
+    Fun.protect ~finally:Trace.stop (fun () ->
+        ignore (Jahob_core.Jahob.verify_program ~opts prog));
+    let spans =
+      match List.assoc_opt "prover:smt" (Trace.span_stats ()) with
+      | Some st -> st.Trace.count
+      | None -> 0
+    in
+    let exceeded = Trace.counter_value "budget.exceeded" in
+    Trace.reset ();
+    (spans, exceeded)
+  in
+  let plain, _ = run false in
+  let spans, exceeded = run true in
+  Alcotest.(check bool)
+    (Printf.sprintf "shape inference tried smt (%d attempts, %d without)"
+       spans plain)
+    true (spans > plain);
+  Alcotest.(check int) "every attempt ended at its budget" spans exceeded
+
 let test_raised_surfaced () =
   (* a crashing prover is counted, not silently swallowed *)
   let crasher =
@@ -656,12 +721,16 @@ let test_raised_surfaced () =
       prove = (fun _ -> failwith "boom") }
   in
   let d = Dispatch.create [ crasher; Smt.prover ] in
-  let r = Dispatch.prove_sequent d (seq [ "x > 0"; "x < 2" ] "x = 1") in
+  let r, counters =
+    with_prover_counters (fun () ->
+        Dispatch.prove_sequent d (seq [ "x > 0"; "x < 2" ] "x = 1"))
+  in
   Alcotest.(check string) "portfolio still settles" "valid"
     (Sequent.verdict_kind r.Dispatch.verdict);
-  let st = List.assoc "crasher" (Dispatch.stats_snapshot d) in
-  Alcotest.(check int) "crash counted" 1 st.Dispatch.raised;
-  Alcotest.(check int) "attempt counted" 1 st.Dispatch.attempts
+  let count k = Option.value ~default:0 (List.assoc_opt k counters) in
+  Alcotest.(check int) "crash counted" 1 (count "prover.crasher.raised");
+  Alcotest.(check int) "attempt counted" 1 (count "prover.crasher.attempts");
+  Alcotest.(check int) "smt proved counted" 1 (count "prover.smt.proved")
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: parallel program verification                           *)
@@ -764,6 +833,8 @@ let suite =
           test_budget_cancels_cooperatively;
         Alcotest.test_case "budget stops fol at its checkpoints" `Quick
           test_budget_stops_fol;
+        Alcotest.test_case "budget reaches shape inference" `Quick
+          test_budget_reaches_shape;
         Alcotest.test_case "dispatch surfaces prover crashes" `Quick
           test_raised_surfaced;
         Alcotest.test_case "verify_program parallel" `Quick

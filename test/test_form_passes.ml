@@ -256,8 +256,8 @@ let stress_domains () =
         r reference)
     results
 
-(* Two systhreads of one domain share its digest scratch space (as a
-   budgeted prover's helper thread does); each must still get the
+(* Two systhreads of one domain share its digest scratch space (an
+   embedder may run several); each must still get the
    reference bytes, including for sequents large enough to grow it. *)
 let stress_digest_threads () =
   let sequents =

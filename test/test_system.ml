@@ -229,7 +229,7 @@ let test_houdini_keeps_inductive () =
     }
   in
   match
-    Shape.infer ~provers:[ Smt.prover ] ~seeds:[ parse "x = 0" ] l
+    Shape.infer (Dispatch.create [ Smt.prover ]) ~seeds:[ parse "x = 0" ] l
   with
   | Some inv ->
     Alcotest.(check bool) "x = 0 kept" true
@@ -249,7 +249,7 @@ let test_houdini_drops_noninductive () =
     }
   in
   match
-    Shape.infer ~provers:[ Smt.prover ]
+    Shape.infer (Dispatch.create [ Smt.prover ])
       ~drop:
         [ Form.mk_not (parse "x = 0");
           Form.mk_not (parse "x >= 0");

@@ -115,7 +115,7 @@ let test_jsonl_golden () =
         "inner"
         (fun () -> ());
       Trace.instant ~cat:"a" "tick");
-  (* a helper thread writes on its own timeline lane *)
+  (* a second systhread writes on its own timeline lane *)
   let t =
     Thread.create
       (fun () -> Trace.with_span ~cat:"b" "helper" (fun () -> ()))
@@ -142,8 +142,8 @@ let test_jsonl_golden () =
   Trace.reset ()
 
 let test_jsonl_concurrent_writers () =
-  (* two domains and a budget helper thread write to one sink at once;
-     whole lines and per-thread span balance must survive *)
+  (* two domains and a systhread write to one sink at once; whole lines
+     and per-thread span balance must survive *)
   Trace.reset ();
   let path = Filename.temp_file "jahob_trace_test" ".jsonl" in
   Trace.start_collecting ();
@@ -157,9 +157,9 @@ let test_jsonl_concurrent_writers () =
   in
   let prover =
     { Sequent.prover_name = "spans";
-      prove = (fun _ -> spans "helper" (); Sequent.Valid) }
+      prove = (fun _ -> spans "prover" (); Sequent.Valid) }
   in
-  (* with a budget, the dispatcher runs the prover on a helper thread *)
+  (* a budgeted prover runs on the thread that asked for it *)
   let d = Dispatch.create ~budget_s:60. [ prover ] in
   let goal = Sequent.make [ Parser.parse "x < y" ] (Parser.parse "y < x") in
   let other =
@@ -167,7 +167,9 @@ let test_jsonl_concurrent_writers () =
         spans "domain" ();
         Dispatch.prove_sequent d goal)
   in
+  let thread = Thread.create (spans "thread") () in
   spans "main" ();
+  Thread.join thread;
   let r = Domain.join other in
   Trace.stop ();
   Alcotest.(check bool) "budgeted prover ran" true
@@ -175,7 +177,7 @@ let test_jsonl_concurrent_writers () =
   (match Trace.check_jsonl_file path with
   | Ok s ->
     Alcotest.(check bool) "every writer's spans balanced" true
-      (s.Trace.spans >= 3 * n)
+      (s.Trace.spans >= 4 * n)
   | Error m -> Alcotest.fail m);
   let events = List.map Trace.Json.parse (read_lines path) in
   let tid_of cat =
@@ -184,9 +186,11 @@ let test_jsonl_concurrent_writers () =
         if str "cat" e = Some cat then Trace.Json.member "tid" e else None)
       events
   in
-  let tids = List.filter_map tid_of [ "main"; "domain"; "helper" ] in
+  let tids = List.filter_map tid_of [ "main"; "domain"; "thread" ] in
   Alcotest.(check int) "three distinct writer lanes" 3
     (List.length (List.sort_uniq compare tids));
+  Alcotest.(check bool) "budgeted prover on the calling domain's lane" true
+    (tid_of "prover" <> None && tid_of "prover" = tid_of "domain");
   Sys.remove path;
   Trace.reset ()
 
@@ -353,7 +357,7 @@ let suite =
         Alcotest.test_case "aggregates merge" `Quick test_aggregates;
         Alcotest.test_case "json parser" `Quick test_json_parser;
         Alcotest.test_case "jsonl sink golden" `Quick test_jsonl_golden;
-        Alcotest.test_case "jsonl from two domains and a budget helper"
+        Alcotest.test_case "jsonl from two domains and a thread"
           `Quick test_jsonl_concurrent_writers;
         Alcotest.test_case "jsonl check rejects" `Quick
           test_jsonl_check_rejects;
