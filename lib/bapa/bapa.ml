@@ -112,13 +112,6 @@ let card_term (n : int) (s : sexp) : Linterm.t =
 (* two-pass translation: first pass collects set/element variables so the
    region count is known; second pass emits the PA formula *)
 let rec collect_vars ?(bare = false) (ctx : ctx) (f : Form.t) : unit =
-  let is_set_op = function
-    | Form.Union | Form.Inter | Form.Diff | Form.FiniteSet | Form.EmptySet
-    | Form.UnivSet ->
-      true
-    | _ -> false
-  in
-  ignore is_set_op;
   let rec atom_sets g =
     match Form.strip_types g with
     | Form.App (Form.Const (Form.Subseteq | Form.Subset), [ a; b ]) ->
@@ -345,12 +338,12 @@ let translate (f : Form.t) : Pform.t =
   in
   Pform.mk_and ((core :: nonneg) @ singleton_constraints)
 
-(** Satisfiability of a quantifier-free BAPA formula.  The translated
-    Presburger formula is put in bounded DNF; each disjunct goes to the
-    Omega test (the paper's own PA back end); Cooper's full quantifier
-    elimination is the fallback for small systems only. *)
-let satisfiable (f : Form.t) : bool =
-  let pa = Presburger.Cooper.nnf (translate f) in
+(** Satisfiability of a translated BAPA formula.  It is put in bounded
+    DNF; each disjunct goes to the Omega test (the paper's own PA back
+    end); Cooper's full quantifier elimination is the fallback for small
+    systems only.  Too large a system raises {!Out_of_fragment}. *)
+let decide (pa : Pform.t) : bool =
+  let pa = Presburger.Cooper.nnf pa in
   let max_branches = 64 in
   let rec dnf (g : Pform.t) : Pform.t list list option =
     match g with
@@ -402,23 +395,100 @@ let satisfiable (f : Form.t) : bool =
     if nvars <= 6 then Presburger.Cooper.satisfiable pa
     else reject "translation outside the Omega-conjunctive fragment"
 
-(** Is the sequent's refutand inside the translatable BAPA fragment?
-    (The decision procedure may still give up later — Omega inconclusive
-    on a large Venn system — but such rejections surface as [Unknown].) *)
-let in_fragment (s : Sequent.t) : bool =
-  match translate (Sequent.refutand s) with
-  | _ -> true
-  | exception Out_of_fragment _ -> false
+(* ------------------------------------------------------------------ *)
+(* Admission                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(** The admission scan: one pass over the sequent as the dispatcher hands
+    it over, before type inference and normalization.  In formula position
+    it takes only the connectives and the atoms {!trans_form} translates;
+    in term position only what {!trans_set}, {!trans_element} and
+    [trans_int_atom] translate.  Anything else (a field read or write, a
+    binder, a function application, [if], [tree], a boolean variable)
+    refuses the sequent, named in the reason — but only when every node of
+    the sequent is {!Simplify.inert}, so that the translation meets the
+    same node unchanged and fails on it: the scan refuses nothing the
+    translation would take.  Nor does it refuse a sequent that a [False]
+    hypothesis or a [True] goal makes trivial.  [Ok ()] admits the
+    sequent to the translation, which may still refuse it. *)
+let admit (s : Sequent.t) : (unit, string) result =
+  let exception Unsettled in
+  let first = ref None in
+  let inert g = if not (Simplify.inert g) then raise Unsettled in
+  let offend g =
+    Form.fold (fun () h -> inert h) () g;
+    if Option.is_none !first then first := Some g
+  in
+  let rec form f =
+    inert f;
+    match Form.strip_types f with
+    | Form.App
+        (Form.Const (Form.Not | Form.And | Form.Or | Form.Impl | Form.Iff), gs)
+      ->
+      List.iter form gs
+    | Form.App
+        ( Form.Const
+            ( Form.Eq | Form.Elem | Form.Subseteq | Form.Subset | Form.Le
+            | Form.Lt | Form.Ge | Form.Gt ),
+          ts ) ->
+      List.iter term ts
+    | g -> offend g
+  and term t =
+    inert t;
+    match Form.strip_types t with
+    | Form.Var _
+    | Form.Const (Form.IntLit _ | Form.Null | Form.EmptySet | Form.UnivSet) ->
+      ()
+    | Form.App
+        ( Form.Const
+            ( Form.Union | Form.Inter | Form.Diff | Form.Minus | Form.FiniteSet
+            | Form.Card | Form.Plus | Form.Uminus | Form.Mult ),
+          ts ) ->
+      List.iter term ts
+    | g -> offend g
+  in
+  (* a [False] hypothesis or a [True] goal makes the refutand [False];
+     a [True] hypothesis or a [False] goal drops out of it *)
+  match
+    if List.exists Form.is_false s.Sequent.hyps || Form.is_true s.Sequent.goal
+    then raise Unsettled;
+    List.iter
+      (fun h -> if not (Form.is_true h) then form h)
+      s.Sequent.hyps;
+    if not (Form.is_false s.Sequent.goal) then form s.Sequent.goal
+  with
+  | () -> (
+    match !first with
+    | None -> Ok ()
+    | Some g -> Error ("outside BAPA: " ^ Pprint.to_string g))
+  | exception Unsettled -> Ok ()
+
+(** Does the sequent pass {!admit}?  (The decision procedure may still
+    give up later — the translation refuses an atom the scan let through,
+    or Omega is inconclusive on a large Venn system — but such rejections
+    surface as [Unknown].) *)
+let in_fragment (s : Sequent.t) : bool = Result.is_ok (admit s)
+
+(* a front-end rejection, by the scan or by the translation *)
+let rejected (what : string) : Sequent.verdict =
+  Trace.incr "prover.bapa.rejected";
+  Sequent.Unknown ("BAPA: " ^ what)
 
 (** Prove a sequent in the BAPA fragment. *)
 let prove (s : Sequent.t) : Sequent.verdict =
-  match satisfiable (Sequent.refutand s) with
-  | true ->
-    (* the translation is complete on its fragment: a PA model yields a
-       BAPA countermodel *)
-    Sequent.Invalid "BAPA countermodel (Venn-region witness)"
-  | false -> Sequent.Valid
-  | exception Out_of_fragment what -> Sequent.Unknown ("BAPA: " ^ what)
+  match admit s with
+  | Error what -> rejected what
+  | Ok () -> (
+    match translate (Sequent.refutand s) with
+    | exception Out_of_fragment what -> rejected what
+    | pa -> (
+      match decide pa with
+      | true ->
+        (* the translation is complete on its fragment: a PA model yields
+           a BAPA countermodel *)
+        Sequent.Invalid "BAPA countermodel (Venn-region witness)"
+      | false -> Sequent.Valid
+      | exception Out_of_fragment what -> Sequent.Unknown ("BAPA: " ^ what)))
 
 let prover : Sequent.prover =
   Sequent.traced_prover { prover_name = "bapa"; prove }

@@ -7,11 +7,13 @@
 
     Each obligation is simplified, then offered to the portfolio in its
     declared order.  A prover that answers [Unknown] passes the goal on;
-    [Valid] and [Invalid] are final.  There is no separate admission
-    check: a prover outside its fragment gives up in its own translation
-    front end (bapa's [translate], mona's [route_sequent], fol's
-    clausifier, cooper's [prepare]), once per attempt, and says why in
-    its [Unknown].  Assumption filtering keeps each query small:
+    [Valid] and [Invalid] are final.  The dispatcher has no admission
+    step: each prover's front end is its admission.  fol and bapa start
+    with a one-pass syntactic scan ([Fol.admit], [Bapa.admit]) before any
+    type inference or rewriting; mona has [route_sequent], cooper
+    [prepare].  A prover outside its fragment gives up there, says why
+    in its [Unknown], and counts the rejection in
+    [prover.<name>.rejected].  Assumption filtering keeps each query small:
     hypotheses sharing no symbols with the goal (direct or transitive)
     are dropped before a prover runs.
 

@@ -414,7 +414,9 @@ let in_fragment (s : Sequent.t) : bool =
 
 let prove (s : Sequent.t) : Sequent.verdict =
   match route_sequent s with
-  | Error what -> Sequent.Unknown ("MONA route: " ^ what)
+  | Error what ->
+    Trace.incr "prover.mona.rejected";
+    Sequent.Unknown ("MONA route: " ^ what)
   | Ok (formula, fo) ->
     if W.valid ~fo formula then Sequent.Valid
     else

@@ -128,8 +128,9 @@ let rec fol_term (universals : string list) (f : Form.t) : term =
 (* a reachability lambda (% u v. E(u) = v) denotes the reflexive
    transitive closure of the *function* E; we translate it as an
    uninterpreted binary predicate rt(E0, x, y) over the step function's
-   translation, and add sound (not complete) closure axioms. *)
-let functional_step (universals : string list) (p : Form.t) : term option =
+   translation, and add sound (not complete) closure axioms.  [step_field]
+   finds E: the field (possibly an updated field term) read at [u]. *)
+let step_field (p : Form.t) : Form.t option =
   match Form.strip_types p with
   | Form.Binder (Form.Lambda, [ (u, _); (v, _) ], body) -> (
     match Form.strip_types body with
@@ -137,8 +138,7 @@ let functional_step (universals : string list) (p : Form.t) : term option =
       match Form.strip_types lhs with
       | Form.App (Form.Const Form.FieldRead, [ fld; Form.Var u' ])
         when u' = u && not (List.mem u (Form.fv_list fld)) ->
-        (* step function = the field (possibly an updated field term) *)
-        Some (fol_term universals fld)
+        Some fld
       | _ -> None)
     | _ -> None)
   | _ -> None
@@ -146,8 +146,9 @@ let functional_step (universals : string list) (p : Form.t) : term option =
 let fol_atom (universals : string list) (f : Form.t) : lit =
   match Form.strip_types f with
   | Form.App (Form.Const Form.Rtrancl, [ p; a; b ]) -> (
-    match functional_step universals p with
-    | Some step ->
+    match step_field p with
+    | Some fld ->
+      let step = fol_term universals fld in
       { sign = true;
         pred = "rt";
         args =
@@ -674,7 +675,7 @@ let refute ?(engine = Indexed) ?max_clauses ?max_weight ?max_lits ?timeout_s
     refute_naive ?max_clauses ?max_weight ?max_lits ?timeout_s ~usable ~sos ()
 
 (* ------------------------------------------------------------------ *)
-(* Prover interface                                                    *)
+(* Translation and refutation of a sequent                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Bounded ground instantiation: universally quantified hypotheses are
@@ -801,61 +802,107 @@ let outcome_typed ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
 (** Translate a sequent and run the refutation, exposing the raw
     saturation outcome (and the engine / limit knobs) for differential
     testing; [Error what] means the sequent is not first-order
-    translatable. *)
+    translatable.  The admission scan ({!admit}) does not run here. *)
 let outcome_with ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
     ?(set_vars = []) (s : Sequent.t) : (outcome, string) result =
   outcome_typed ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
     ~set_vars ~free:(lazy (free_types s)) s
 
+(* ------------------------------------------------------------------ *)
+(* Admission                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* the constructs [fol_atom] and [fol_term] never translate, wherever
+   they occur *)
+let untranslatable (g : Form.t) : bool =
+  match g with
+  | Form.App (Form.Const (Form.Tree | Form.Ite), _) -> true
+  | Form.App (Form.Const Form.Rtrancl, [ p; _; _ ]) -> step_field p = None
+  | Form.App (Form.Const Form.Rtrancl, _) -> true
+  | _ -> false
+
+(** The admission scan: one pass over each formula of the sequent as the
+    dispatcher hands it over, before any type inference or translation,
+    for a [tree], an [if] term, or a reachability whose step is not a
+    field.  It answers the first such subterm, but only from a formula
+    whose every node is {!Simplify.inert}: the translation then meets the
+    construct unchanged and fails on it, so the scan refuses nothing the
+    translation would take.  [Ok ()] admits the sequent to the
+    translation, which may still refuse it. *)
+let admit (s : Sequent.t) : (unit, string) result =
+  let exception Unsettled in
+  let offending f =
+    match
+      Form.fold
+        (fun found g ->
+          if not (Simplify.inert g) then raise Unsettled;
+          match found with
+          | Some _ -> found
+          | None -> if untranslatable g then Some g else None)
+        None f
+    with
+    | found -> found
+    | exception Unsettled -> None
+  in
+  match List.find_map offending (s.Sequent.hyps @ [ s.Sequent.goal ]) with
+  | None -> Ok ()
+  | Some g -> Error (Pprint.to_string g)
+
+(** Does the sequent pass {!admit}?  (The prover is sound-but-incomplete
+    on its fragment — it only ever answers [Valid] or [Unknown] — so
+    membership means "worth asking", not "decides".) *)
+let in_fragment (s : Sequent.t) : bool = Result.is_ok (admit s)
+
+(* ------------------------------------------------------------------ *)
+(* Prover interface                                                    *)
+(* ------------------------------------------------------------------ *)
+
 let timed_out_reason = "resolution wall-clock limit reached"
 
-(* the portfolio entry: the wall-clock cut-off raises, so the dispatcher
-   can tell it from the deterministic give-ups *)
-let prove_limited ?engine ~set_vars ~free (s : Sequent.t) : Sequent.verdict =
-  match outcome_typed ?engine ~set_vars ~free s with
-  | Ok Proof -> Sequent.Valid
-  | Ok Saturated ->
-    (* saturation without equality-completeness caveats: the clause set is
-       satisfiable, but our translation abstracts sorts, so stay safe *)
-    Sequent.Unknown "resolution saturated without a proof"
-  | Ok GaveUp -> Sequent.Unknown "resolution clause budget exhausted"
-  | Ok TimedOut -> raise (Sequent.Resource_limited timed_out_reason)
-  | Error what -> Sequent.Unknown ("not first-order translatable: " ^ what)
+(* a front-end rejection, by the scan or by the translation *)
+let rejected (what : string) : Sequent.verdict =
+  Trace.incr "prover.fol.rejected";
+  Sequent.Unknown ("not first-order translatable: " ^ what)
+
+(* the portfolio entry: the scan, then the translation and the
+   refutation.  One type inference serves the set variables (unless
+   given) and the [obj] units.  The wall-clock cut-off raises, so the
+   dispatcher can tell it from the deterministic give-ups *)
+let prove_limited ?engine ?set_vars (s : Sequent.t) : Sequent.verdict =
+  match admit s with
+  | Error what -> rejected what
+  | Ok () -> (
+    let free = lazy (free_types s) in
+    let set_vars =
+      match set_vars with
+      | Some sv -> sv
+      | None -> set_vars_of (Lazy.force free)
+    in
+    match outcome_typed ?engine ~set_vars ~free s with
+    | Ok Proof -> Sequent.Valid
+    | Ok Saturated ->
+      (* saturation without equality-completeness caveats: the clause set
+         is satisfiable, but our translation abstracts sorts, so stay
+         safe *)
+      Sequent.Unknown "resolution saturated without a proof"
+    | Ok GaveUp -> Sequent.Unknown "resolution clause budget exhausted"
+    | Ok TimedOut -> raise (Sequent.Resource_limited timed_out_reason)
+    | Error what -> rejected what)
 
 (** Prove a sequent; [set_vars] names the variables known to denote sets
-    (they get extensionality treatment).  A wall-clock cut-off answers
-    [Unknown] here; only {!prover} raises {!Sequent.Resource_limited}. *)
-let prove_with ?engine ?(set_vars = []) (s : Sequent.t) : Sequent.verdict =
-  try prove_limited ?engine ~set_vars ~free:(lazy (free_types s)) s
+    (they get extensionality treatment), inferred from the sequent when
+    absent.  A wall-clock cut-off answers [Unknown] here; only {!prover}
+    raises {!Sequent.Resource_limited}. *)
+let prove_with ?engine ?set_vars (s : Sequent.t) : Sequent.verdict =
+  try prove_limited ?engine ?set_vars s
   with Sequent.Resource_limited why -> Sequent.Unknown why
 
 (* infer set-typed variables from the formula so the prover can be used
    standalone *)
 let infer_set_vars (s : Sequent.t) : string list = set_vars_of (free_types s)
 
-let prove (s : Sequent.t) : Sequent.verdict =
-  prove_with ~set_vars:(infer_set_vars s) s
-
-(** Does the whole sequent translate to first-order clauses?  (The prover
-    is sound-but-incomplete on its fragment — it only ever answers [Valid]
-    or [Unknown] — so membership means "worth asking", not "decides".) *)
-let in_fragment (s : Sequent.t) : bool =
-  let set_vars = infer_set_vars s in
-  match
-    List.iter
-      (fun f -> ignore (clausify (set_to_fol set_vars f)))
-      (Form.mk_not s.Sequent.goal :: s.Sequent.hyps)
-  with
-  | () -> true
-  | exception Untranslatable _ -> false
+let prove (s : Sequent.t) : Sequent.verdict = prove_with s
 
 let prover : Sequent.prover =
   Sequent.traced_prover
-    { prover_name = "fol";
-      prove =
-        (fun s ->
-          (* one type inference serves the set variables and the [obj]
-             units *)
-          let free = free_types s in
-          prove_limited ~set_vars:(set_vars_of free) ~free:(Lazy.from_val free)
-            s) }
+    { prover_name = "fol"; prove = (fun s -> prove_limited s) }

@@ -150,6 +150,60 @@ let simplify f =
   in
   loop f 64
 
+(** Is [f] inert at its root?  No rule of {!rewrite_step} applies there
+    (the test over-approximates the rules), no boolean literal below it can
+    absorb a neighbour (a literal operand of a connective, a literal
+    binder body, which [nnf] folds), and no set constant beside it can
+    once a prover's front end expands set atoms into memberships
+    ([{} <= B], [A Un UNIV], [A Int {}], ...).  A formula whose every
+    node is inert is its own {!simplify}, and loses no subterm under that
+    expansion or {!nnf}, so every node of it reaches a prover's
+    translation: the provers' admission scans refuse a construct only
+    inside such formulas. *)
+let inert f =
+  let lit g = match strip_types g with Const (BoolLit _) -> true | _ -> false in
+  let is c g = match strip_types g with Const c' -> c' = c | _ -> false in
+  let app c g =
+    match strip_types g with App (h, _) -> is c h | _ -> false
+  in
+  let set_lit g = is EmptySet g || is UnivSet g in
+  match strip_types f with
+  | Binder (_, _, body) -> not (lit body)
+  | App (h, args) -> (
+    match strip_types h, args with
+    | Binder (Lambda, _, _), _ -> false
+    | Const (And | Or), ([] | [ _ ]) -> false
+    | Const And, gs -> not (List.exists (fun g -> lit g || app And g) gs)
+    | Const Or, gs -> not (List.exists (fun g -> lit g || app Or g) gs)
+    | Const Not, [ g ] -> not (lit g || app Not g)
+    | Const Ite, [ c; a; b ] -> not (lit c || equal a b)
+    | Const (Impl | Iff), [ a; b ] -> not (lit a || lit b || equal a b)
+    | Const Eq, [ a; b ] ->
+      not (is_ite a || is_ite b || is_formula_like a || is_formula_like b
+           || equal a b)
+    | Const Elem, [ a; s ] -> (
+      (not (is_ite a || is_ite s))
+      &&
+      match strip_types s with
+      | Binder (Comprehension, _, _)
+      | Const (EmptySet | UnivSet)
+      | App (Const (FiniteSet | Union | Inter | Diff | Minus), _) ->
+        false
+      | _ -> true)
+    | Const (Le | Lt | Ge | Gt | Subseteq | Subset), [ a; b ] ->
+      (* [<=] and [<] become set inclusions once types are inferred *)
+      not (is_ite a || is_ite b || set_lit a || set_lit b || equal a b)
+    | Const FieldRead, [ fld; _ ] -> (
+      match strip_types fld with
+      | Binder (Lambda, _, _) -> false
+      | _ -> not (app FieldWrite fld))
+    | Const ArrayRead, [ arr; _; _ ] -> not (app ArrayWrite arr)
+    | Const FiniteSet, [] -> false
+    | Const (Union | Inter | Diff | Minus), [ a; b ] ->
+      not (set_lit a || set_lit b)
+    | _ -> true)
+  | _ -> true
+
 (* ------------------------------------------------------------------ *)
 (* Negation normal form                                                *)
 (* ------------------------------------------------------------------ *)

@@ -50,6 +50,34 @@ let test_fragment_rejection () =
   check `Unknown "quantifiers are out of fragment"
     [ "ALL z. z : A" ] "x : A"
 
+(* the admission scan refuses a field read before any normalization,
+   names it, and is [in_fragment]; a plain BAPA sequent passes it *)
+let test_scan_refuses_field_read () =
+  let s =
+    Sequent.make
+      [ Parser.parse "this..List.first : S" ]
+      (Parser.parse "card S >= 1")
+  in
+  (match Bapa.prove s with
+  | Sequent.Unknown why ->
+    Alcotest.(check string) "reason names the read"
+      "BAPA: outside BAPA: this..List.first" why
+  | v ->
+    Alcotest.failf "expected unknown, got %s" (Sequent.verdict_to_string v));
+  Alcotest.(check bool) "outside the fragment" false (Bapa.in_fragment s);
+  Alcotest.(check bool) "the translation refuses it too" true
+    (match Bapa.translate (Sequent.refutand s) with
+    | _ -> false
+    | exception Bapa.Out_of_fragment _ -> true);
+  let plain =
+    Sequent.make
+      (List.map Parser.parse [ "x : S"; "S <= T"; "card T = 1" ])
+      (Parser.parse "T = {x}")
+  in
+  Alcotest.(check bool) "plain sequent admitted" true (Bapa.in_fragment plain);
+  Alcotest.(check string) "plain sequent proved" "valid"
+    (Sequent.verdict_kind (Bapa.prove plain))
+
 (* random cross-check against brute-force over subsets of a 4-element
    universe: validity of small set-algebra sequents *)
 let prop_vs_bruteforce =
@@ -110,6 +138,8 @@ let suite =
         Alcotest.test_case "cardinalities" `Quick test_cardinalities;
         Alcotest.test_case "elements" `Quick test_elements;
         Alcotest.test_case "fragment rejection" `Quick test_fragment_rejection;
+        Alcotest.test_case "admission scan refuses a field read" `Quick
+          test_scan_refuses_field_read;
         QCheck_alcotest.to_alcotest prop_vs_bruteforce;
       ] );
   ]

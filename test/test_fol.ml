@@ -454,6 +454,29 @@ let test_list_no_lost_proofs () =
           s.Sequent.name)
     naive
 
+(* the admission scan refuses a [tree] before any translation, names it,
+   and is [in_fragment]; the refusal is one the translation makes too *)
+let test_scan_refuses_tree () =
+  let s =
+    Sequent.make
+      [ parse "tree [List.first, Node.next]"; parse "x..Node.next = y" ]
+      (parse "y = x..Node.next")
+  in
+  (match Fol.prove s with
+  | Sequent.Unknown why ->
+    Alcotest.(check string) "reason names the atom"
+      "not first-order translatable: tree [List.first, Node.next]" why
+  | v ->
+    Alcotest.failf "expected unknown, got %s" (Sequent.verdict_to_string v));
+  Alcotest.(check bool) "outside the fragment" false (Fol.in_fragment s);
+  Alcotest.(check bool) "the translation refuses it too" true
+    (Result.is_error (Fol.outcome_with ~max_clauses:0 s));
+  (* without the tree the same sequent is admitted and proved *)
+  let s' = { s with Sequent.hyps = List.tl s.Sequent.hyps } in
+  Alcotest.(check bool) "admitted" true (Fol.in_fragment s');
+  Alcotest.(check string) "proved" "valid"
+    (Sequent.verdict_kind (Fol.prove s'))
+
 let suite =
   [ ( "fol",
       [ Alcotest.test_case "propositional" `Quick test_propositional;
@@ -477,5 +500,7 @@ let suite =
           test_outcome_counters;
         Alcotest.test_case "search identity on pinned list sequents" `Quick
           test_search_identity;
+        Alcotest.test_case "admission scan refuses tree" `Quick
+          test_scan_refuses_tree;
       ] );
   ]

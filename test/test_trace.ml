@@ -351,6 +351,48 @@ let test_trace_records_give_up_reason () =
       (String.length reason >= 5 && String.sub reason 0 5 = "BAPA:")
   | ends -> Alcotest.failf "expected one bapa span, got %d" (List.length ends)
 
+(* every front-end rejection is counted: on the paper's List figures each
+   [prover.<name>.rejected] counter equals the number of that prover's
+   spans whose reason is a front-end rejection *)
+let test_rejections_counted () =
+  Trace.reset ();
+  let path = Filename.temp_file "jahob_trace_test" ".jsonl" in
+  Trace.start_collecting ();
+  Trace.open_sink path;
+  ignore
+    (Jahob_core.Jahob.verify_files
+       (List.map
+          (fun f -> Test_daemon.examples_dir ^ "/list/" ^ f)
+          [ "Client.java"; "List.java" ]));
+  Trace.stop ();
+  let events = List.map Trace.Json.parse (read_lines path) in
+  Sys.remove path;
+  let spans_with name prefix =
+    List.length
+      (List.filter
+         (fun e ->
+           str "ph" e = Some "E"
+           && str "cat" e = Some "prover"
+           && str "name" e = Some name
+           &&
+           match arg "reason" e with
+           | Some r -> String.starts_with ~prefix r
+           | None -> false)
+         events)
+  in
+  List.iter
+    (fun (name, prefix) ->
+      let spans = spans_with name prefix in
+      Alcotest.(check bool) (name ^ " rejects some") true (spans > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "prover.%s.rejected" name)
+        spans
+        (Trace.counter_value ("prover." ^ name ^ ".rejected")))
+    [ ("fol", "not first-order translatable");
+      ("bapa", "BAPA: ");
+      ("mona", "MONA route: ") ];
+  Trace.reset ()
+
 let suite =
   [ ( "trace",
       [ Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
@@ -366,5 +408,7 @@ let suite =
           test_trace_covers_prover_attempts;
         Alcotest.test_case "prover span records give-up reason" `Quick
           test_trace_records_give_up_reason;
+        Alcotest.test_case "front-end rejections counted on List" `Quick
+          test_rejections_counted;
       ] );
   ]
