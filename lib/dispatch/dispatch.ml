@@ -5,17 +5,18 @@
     procedures", with "a simple goal decomposition technique to prove
     different conjuncts in the goal using different decision procedures".
 
-    Each obligation is simplified, then offered to the portfolio in its
-    declared order.  A prover that answers [Unknown] passes the goal on;
-    [Valid] and [Invalid] are final.  The dispatcher has no admission
-    step: each prover's front end is its admission.  fol and bapa start
-    with a one-pass syntactic scan ([Fol.admit], [Bapa.admit]) before any
-    type inference or rewriting; mona has [route_sequent], cooper
-    [prepare].  A prover outside its fragment gives up there, says why
-    in its [Unknown], and counts the rejection in
-    [prover.<name>.rejected].  Assumption filtering keeps each query small:
-    hypotheses sharing no symbols with the goal (direct or transitive)
-    are dropped before a prover runs.
+    The dispatcher types and simplifies an obligation jointly, drops the
+    hypotheses sharing no symbols with the goal, directly or transitively
+    ({!Sequent.relevant_hyps}), and settles it syntactically when it can;
+    then it offers that one sequent to the portfolio in declared order.
+    A prover that answers [Unknown] passes the goal on; [Valid] and
+    [Invalid] are final.  Each prover's front end is its admission and
+    prepares its own input: fol and bapa start with a one-pass syntactic
+    scan ([Fol.admit], [Bapa.admit]), mona has [route_sequent], cooper
+    [prepare]; a prover outside its fragment gives up there, says why in
+    its [Unknown] and counts the rejection in [prover.<name>.rejected].
+    smt, and fol once admitted, add ground instances
+    ({!Instantiate.saturate}); bapa and mona never see them.
 
     Obligations are independent, so [prove_all] fans them out across the
     domains of an optional {!Pool.t}.  An optional verdict {!Cache.t}
@@ -112,48 +113,18 @@ let create ?pool ?cache ?budget_s (provers : Sequent.prover list) : t =
   { provers; budget_s; portfolio = portfolio_of provers; pool; cache }
 
 (* ------------------------------------------------------------------ *)
-(* Assumption filtering                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Keep hypotheses connected to the goal through shared free variables.
-   Each hypothesis's free-variable set is computed once up front and the
-   fixpoint then only manipulates the precomputed sets. *)
-let relevant_hyps (hyps : Form.t list) (goal : Form.t) : Form.t list =
-  let hyp_fvs = List.map (fun h -> (h, Form.fv h)) hyps in
-  let rec grow (relevant : Form.Sset.t) =
-    let next =
-      List.fold_left
-        (fun acc (_, hv) ->
-          if Form.Sset.is_empty (Form.Sset.inter hv relevant) then acc
-          else Form.Sset.union acc hv)
-        relevant hyp_fvs
-    in
-    if Form.Sset.equal next relevant then relevant else grow next
-  in
-  let reachable = grow (Form.fv goal) in
-  List.filter_map
-    (fun (h, hv) ->
-      if
-        Form.Sset.is_empty hv
-        || not (Form.Sset.is_empty (Form.Sset.inter hv reachable))
-      then Some h
-      else None)
-    hyp_fvs
-
-(* ------------------------------------------------------------------ *)
 (* Proving                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* cheap syntactic discharge: goal among hypotheses, or trivially true *)
+(* cheap syntactic discharge of the simplified sequent: the goal is true
+   or among the hypotheses, or a hypothesis is false *)
 let syntactic (s : Sequent.t) : Sequent.verdict option =
-  let goal = Simplify.simplify s.Sequent.goal in
-  if Form.is_true goal then Some Sequent.Valid
-  else if
-    List.exists
-      (fun h -> Form.equal (Simplify.simplify h) goal)
-      s.Sequent.hyps
-  then Some Sequent.Valid
-  else if List.exists (fun h -> Form.is_false (Simplify.simplify h)) s.Sequent.hyps
+  let goal = s.Sequent.goal in
+  if
+    Form.is_true goal
+    || List.exists
+         (fun h -> Form.is_false h || Form.equal h goal)
+         s.Sequent.hyps
   then Some Sequent.Valid
   else None
 
@@ -243,23 +214,14 @@ let prove_uncached (d : t) (s : Sequent.t) : report =
           goal = Simplify.simplify s.Sequent.goal })
   in
   let s =
-    { s with Sequent.hyps = relevant_hyps s.Sequent.hyps s.Sequent.goal }
+    { s with
+      Sequent.hyps = Sequent.relevant_hyps s.Sequent.hyps s.Sequent.goal }
   in
   match syntactic s with
   | Some v ->
     { sequent = s; verdict = v; prover = Some "syntactic"; cached = false;
       limited = false }
-  | None ->
-    let s =
-      Trace.with_span ~cat:"dispatch" "saturate" (fun () ->
-          try
-            let s' = Instantiate.saturate s in
-            (* keep the saturated sequent connected to the goal *)
-            { s' with
-              Sequent.hyps = relevant_hyps s'.Sequent.hyps s'.Sequent.goal }
-          with _ -> s)
-    in
-    run_cascade d s
+  | None -> run_cascade d s
 
 (* the cache-consulting path, without the obligation span *)
 let prove_sequent_inner (d : t) (s : Sequent.t) : report =

@@ -864,38 +864,38 @@ let rejected (what : string) : Sequent.verdict =
   Trace.incr "prover.fol.rejected";
   Sequent.Unknown ("not first-order translatable: " ^ what)
 
-(* the portfolio entry: the scan, then the translation and the
-   refutation.  One type inference serves the set variables (unless
-   given) and the [obj] units.  The wall-clock cut-off raises, so the
-   dispatcher can tell it from the deterministic give-ups *)
-let prove_limited ?engine ?set_vars (s : Sequent.t) : Sequent.verdict =
+(* the translation and the refutation of an admitted sequent.  One type
+   inference serves the set variables (unless given) and the [obj]
+   units.  The wall-clock cut-off raises, so the dispatcher can tell it
+   from the deterministic give-ups *)
+let refute ?engine ?set_vars (s : Sequent.t) : Sequent.verdict =
+  let free = lazy (free_types s) in
+  let set_vars =
+    match set_vars with
+    | Some sv -> sv
+    | None -> set_vars_of (Lazy.force free)
+  in
+  match outcome_typed ?engine ~set_vars ~free s with
+  | Ok Proof -> Sequent.Valid
+  | Ok Saturated ->
+    (* saturation without equality-completeness caveats: the clause set
+       is satisfiable, but our translation abstracts sorts, so stay
+       safe *)
+    Sequent.Unknown "resolution saturated without a proof"
+  | Ok GaveUp -> Sequent.Unknown "resolution clause budget exhausted"
+  | Ok TimedOut -> raise (Sequent.Resource_limited timed_out_reason)
+  | Error what -> rejected what
+
+(** Prove a sequent: the scan, then [refute].  [set_vars] names the
+    variables known to denote sets (they get extensionality treatment),
+    inferred from the sequent when absent.  A wall-clock cut-off answers
+    [Unknown] here; only {!prover} raises {!Sequent.Resource_limited}. *)
+let prove_with ?engine ?set_vars (s : Sequent.t) : Sequent.verdict =
   match admit s with
   | Error what -> rejected what
   | Ok () -> (
-    let free = lazy (free_types s) in
-    let set_vars =
-      match set_vars with
-      | Some sv -> sv
-      | None -> set_vars_of (Lazy.force free)
-    in
-    match outcome_typed ?engine ~set_vars ~free s with
-    | Ok Proof -> Sequent.Valid
-    | Ok Saturated ->
-      (* saturation without equality-completeness caveats: the clause set
-         is satisfiable, but our translation abstracts sorts, so stay
-         safe *)
-      Sequent.Unknown "resolution saturated without a proof"
-    | Ok GaveUp -> Sequent.Unknown "resolution clause budget exhausted"
-    | Ok TimedOut -> raise (Sequent.Resource_limited timed_out_reason)
-    | Error what -> rejected what)
-
-(** Prove a sequent; [set_vars] names the variables known to denote sets
-    (they get extensionality treatment), inferred from the sequent when
-    absent.  A wall-clock cut-off answers [Unknown] here; only {!prover}
-    raises {!Sequent.Resource_limited}. *)
-let prove_with ?engine ?set_vars (s : Sequent.t) : Sequent.verdict =
-  try prove_limited ?engine ?set_vars s
-  with Sequent.Resource_limited why -> Sequent.Unknown why
+    try refute ?engine ?set_vars s
+    with Sequent.Resource_limited why -> Sequent.Unknown why)
 
 (* infer set-typed variables from the formula so the prover can be used
    standalone *)
@@ -903,6 +903,13 @@ let infer_set_vars (s : Sequent.t) : string list = set_vars_of (free_types s)
 
 let prove (s : Sequent.t) : Sequent.verdict = prove_with s
 
+(* the portfolio entry: the scan, then [refute] on the admitted sequent
+   saturated with ground instances *)
 let prover : Sequent.prover =
   Sequent.traced_prover
-    { prover_name = "fol"; prove = (fun s -> prove_limited s) }
+    { prover_name = "fol";
+      prove =
+        (fun s ->
+          match admit s with
+          | Error what -> rejected what
+          | Ok () -> refute (Instantiate.saturate s)) }

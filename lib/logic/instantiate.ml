@@ -4,7 +4,8 @@
     conditions and set equalities whose proofs only need finitely many
     ground instances — the object constants already in the sequent.  This
     module saturates a sequent with such instances so that the ground
-    provers (SMT especially) can finish propositionally:
+    provers can finish propositionally.  smt and fol saturate their own
+    input; bapa and mona see the sequent without the instances:
 
     - [ALL x (y). body] hypotheses are instantiated with all object
       candidates (arity at most 2, instance count capped);
@@ -14,7 +15,7 @@
 
     One round of quantifier instantiation can expose new set equalities
     (e.g. a frame condition instantiated at a receiver), so the process
-    runs for a configurable number of rounds. *)
+    runs for three rounds. *)
 
 let max_new_hyps = 500
 
@@ -156,8 +157,11 @@ let extensionalize_goal (s : Sequent.t) : Sequent.t =
   | _ -> s
 
 (** Saturate a sequent with ground instances (the original hypotheses are
-    kept). *)
-let saturate ?(rounds = 3) (s : Sequent.t) : Sequent.t =
+    kept), then keep the hypotheses connected to the goal
+    ({!Sequent.relevant_hyps}).  The trace span keeps the name
+    [dispatch:saturate] that e2ebench's [dispatch.saturate_s] reads. *)
+let saturate (s : Sequent.t) : Sequent.t =
+  Trace.with_span ~cat:"dispatch" "saturate" @@ fun () ->
   let s = extensionalize_goal s in
   let is_set = set_expr_detector s.Sequent.hyps s.Sequent.goal in
   let cands = candidates s.Sequent.hyps s.Sequent.goal in
@@ -215,5 +219,6 @@ let saturate ?(rounds = 3) (s : Sequent.t) : Sequent.t =
       go (k - 1) fresh
     end
   in
-  go rounds (List.map Simplify.simplify s.Sequent.hyps);
-  { s with Sequent.hyps = s.Sequent.hyps @ List.rev !fresh_facts }
+  go 3 (List.map Simplify.simplify s.Sequent.hyps);
+  let hyps = s.Sequent.hyps @ List.rev !fresh_facts in
+  { s with Sequent.hyps = Sequent.relevant_hyps hyps s.Sequent.goal }

@@ -736,5 +736,8 @@ let prove (s : Sequent.t) : Sequent.verdict =
   | exception Out_of_fragment ->
     Sequent.Unknown "formula outside the SMT fragment"
 
+(* the portfolio entry: [prove] on the sequent saturated with ground
+   instances of its quantified and set-valued hypotheses *)
 let prover : Sequent.prover =
-  Sequent.traced_prover { prover_name = "smt"; prove }
+  Sequent.traced_prover
+    { prover_name = "smt"; prove = (fun s -> prove (Instantiate.saturate s)) }

@@ -205,8 +205,50 @@ let test_dispatch_portfolio_order () =
 
 let test_dispatch_relevance_filter () =
   let hyps = List.init 30 (fun i -> parse (Printf.sprintf "u%d = v%d" i i)) in
-  let filtered = Dispatch.relevant_hyps (parse "a = b" :: hyps) (parse "b = a") in
+  let filtered = Sequent.relevant_hyps (parse "a = b" :: hyps) (parse "b = a") in
   Alcotest.(check int) "unrelated hypotheses dropped" 1 (List.length filtered)
+
+let test_dispatch_bapa_unsaturated () =
+  (* saturation would add [x : A --> x : B] and, by unit propagation, the
+     goal itself; bapa's DNF then outgrows its branch cap.  bapa sees the
+     dispatcher's sequent, without ground instances *)
+  let d = Dispatch.create [ Bapa.prover ] in
+  let r =
+    Dispatch.prove_sequent d
+      (Sequent.make [ parse "x : A"; parse "A <= B" ] (parse "x : B"))
+  in
+  Alcotest.(check string) "valid" "valid"
+    (Sequent.verdict_kind r.Dispatch.verdict);
+  Alcotest.(check (option string)) "settled by bapa" (Some "bapa")
+    r.Dispatch.prover
+
+let test_dispatch_contract () =
+  (* smt saturates its own input; a prover after it receives the sequent
+     the dispatcher simplified and filtered: no ground instances, and the
+     set equality goal not extensionalized *)
+  let seen = ref [] in
+  let recorder =
+    { Sequent.prover_name = "recorder";
+      prove =
+        (fun s ->
+          seen := s :: !seen;
+          Sequent.Unknown "recorded") }
+  in
+  let d = Dispatch.create [ Smt.prover; recorder ] in
+  let s =
+    Sequent.make
+      [ parse "ALL v. v : A --> v : B"; parse "x : A & True"; parse "u = w" ]
+      (parse "A = B")
+  in
+  ignore (Dispatch.prove_sequent d s);
+  match !seen with
+  | [ r ] ->
+    Alcotest.(check (list string)) "simplified, filtered, not saturated"
+      [ "ALL v. v : A --> v : B"; "x : A" ]
+      (List.map Pprint.to_string r.Sequent.hyps);
+    Alcotest.(check string) "goal as simplified" "A = B"
+      (Pprint.to_string r.Sequent.goal)
+  | l -> Alcotest.failf "recorder called %d times" (List.length l)
 
 let test_dispatch_stats () =
   let d = Dispatch.create [ Smt.prover ] in
@@ -376,6 +418,10 @@ let suite =
         Alcotest.test_case "relevance filter" `Quick
           test_dispatch_relevance_filter;
         Alcotest.test_case "stats" `Quick test_dispatch_stats;
+        Alcotest.test_case "bapa sees the unsaturated sequent" `Quick
+          test_dispatch_bapa_unsaturated;
+        Alcotest.test_case "provers after smt see the dispatcher's sequent"
+          `Quick test_dispatch_contract;
       ] );
     ( "shape",
       [ Alcotest.test_case "keeps inductive candidates" `Quick
