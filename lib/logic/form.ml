@@ -204,31 +204,57 @@ let mk_impl_chain hyps goal = mk_impl (mk_and hyps) goal
 
 let const_equal (a : const) (b : const) = a = b
 
-(* alpha-equivalence: binder names are compared through an environment *)
+(* position of [x] in the names bound around a subterm (innermost binder
+   first, a binder's own names in order), or -1 when [x] is free there *)
+let bound_index x bound =
+  let rec go i = function
+    | [] -> -1
+    | y :: ys -> if String.equal x y then i else go (i + 1) ys
+  in
+  go 0 bound
+
+let bind_names vars bound = List.fold_right (fun (x, _) b -> x :: b) vars bound
+
+(* alpha-equivalence: a bound variable must sit at the same binder
+   position on both sides, a free one must have the same name *)
 let equal a b =
-  let rec eq (env : (string * string) list) a b =
+  let rec eq bl br a b =
     match strip_types a, strip_types b with
-    | Var x, Var y -> (
-      match List.assoc_opt x env with
-      | Some y' -> String.equal y y'
-      | None ->
-        (* x free on the left: y must be the same free name *)
-        String.equal x y && not (List.exists (fun (_, y') -> y' = y) env))
+    | Var x, Var y ->
+      let i = bound_index x bl in
+      i = bound_index y br && (i >= 0 || String.equal x y)
     | Const c, Const d -> const_equal c d
     | App (f, xs), App (g, ys) ->
-      eq env f g
+      eq bl br f g
       && List.length xs = List.length ys
-      && List.for_all2 (eq env) xs ys
+      && List.for_all2 (eq bl br) xs ys
     | Binder (b1, v1, f1), Binder (b2, v2, f2) ->
       b1 = b2
       && List.length v1 = List.length v2
-      && eq
-           (List.map2 (fun (x, _) (y, _) -> (x, y)) v1 v2 @ env)
-           f1 f2
+      && eq (bind_names v1 bl) (bind_names v2 br) f1 f2
     | (Var _ | Const _ | App _ | Binder _), _ -> false
     | TypedForm _, _ -> assert false (* strip_types never returns TypedForm *)
   in
-  eq [] a b
+  eq [] [] a b
+
+(** A hash that agrees with {!equal}: type annotations are ignored, bound
+    variables hash by binder position and free ones by name. *)
+let hash f =
+  let mix h x = (h * 1000003) lxor x in
+  let rec go bound h f =
+    match f with
+    | TypedForm (g, _) -> go bound h g
+    | Var x ->
+      let i = bound_index x bound in
+      if i >= 0 then mix (mix h 1) i else mix (mix h 2) (Hashtbl.hash x)
+    | Const c -> mix (mix h 3) (Hashtbl.hash c)
+    | App (g, args) -> List.fold_left (go bound) (go bound (mix h 4) g) args
+    | Binder (b, vars, body) ->
+      go (bind_names vars bound)
+        (mix (mix (mix h 5) (Hashtbl.hash b)) (List.length vars))
+        body
+  in
+  go [] 0 f land max_int
 
 (* ------------------------------------------------------------------ *)
 (* Free variables and substitution                                     *)

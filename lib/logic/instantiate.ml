@@ -8,7 +8,8 @@
     input; bapa and mona see the sequent without the instances:
 
     - [ALL x (y). body] hypotheses are instantiated with all object
-      candidates (arity at most 2, instance count capped);
+      candidates: [null] and the sequent's free object constants (arity
+      at most 2, instance count capped);
     - set-sorted equalities and inclusions are expanded pointwise at each
       candidate ([c : S <-> c : T] for [S = T]), with memberships
       simplified so unions, differences and singletons unfold.
@@ -19,51 +20,61 @@
 
 let max_new_hyps = 500
 
-(* object-denoting candidate terms of a sequent: variables in element or
-   receiver position, except those used as field functions or sets *)
+(* object-denoting candidate terms of a sequent: its free variables in
+   element or receiver position, except those used as field functions or
+   sets.  A name bound by a quantifier is not a constant of the sequent. *)
 let candidates (hyps : Form.t list) (goal : Form.t) : Form.t list =
   let acc = ref [ Form.mk_null ] in
   let functions = ref [] in
   let sets = ref [] in
-  let note t =
+  let free_name bound t =
     match Form.strip_types t with
-    | Form.Var _ ->
-      if not (List.exists (Form.equal t) !acc) then acc := t :: !acc
-    | _ -> ()
+    | Form.Var x when not (Form.Sset.mem x bound) -> Some x
+    | _ -> None
   in
-  let note_fn t =
-    match Form.strip_types t with
-    | Form.Var x -> if not (List.mem x !functions) then functions := x :: !functions
-    | _ -> ()
+  let note bound t =
+    match free_name bound t with
+    | Some _ -> if not (List.exists (Form.equal t) !acc) then acc := t :: !acc
+    | None -> ()
   in
-  let note_set t =
-    match Form.strip_types t with
-    | Form.Var x -> if not (List.mem x !sets) then sets := x :: !sets
-    | _ -> ()
+  let note_fn bound t =
+    match free_name bound t with
+    | Some x -> if not (List.mem x !functions) then functions := x :: !functions
+    | None -> ()
   in
-  let scan f =
-    Form.fold
-      (fun () g ->
-        match g with
-        | Form.App (Form.Const Form.Elem, [ x; st ]) ->
-          note x;
-          note_set st
-        | Form.App (Form.Const (Form.Subseteq | Form.Subset), [ a; b ]) ->
-          note_set a;
-          note_set b
-        | Form.App (Form.Const Form.FieldRead, [ fld; r ]) ->
-          note_fn fld;
-          note r
-        | Form.App (Form.Const Form.Eq, [ a; b ]) -> (
-          match Form.strip_types a, Form.strip_types b with
-          | _, Form.Const Form.Null -> note a
-          | Form.Const Form.Null, _ -> note b
-          | _ -> ())
-        | _ -> ())
-      () f
+  let note_set bound t =
+    match free_name bound t with
+    | Some x -> if not (List.mem x !sets) then sets := x :: !sets
+    | None -> ()
   in
-  List.iter scan hyps;
-  scan goal;
+  let rec scan bound g =
+    (match g with
+    | Form.App (Form.Const Form.Elem, [ x; st ]) ->
+      note bound x;
+      note_set bound st
+    | Form.App (Form.Const (Form.Subseteq | Form.Subset), [ a; b ]) ->
+      note_set bound a;
+      note_set bound b
+    | Form.App (Form.Const Form.FieldRead, [ fld; r ]) ->
+      note_fn bound fld;
+      note bound r
+    | Form.App (Form.Const Form.Eq, [ a; b ]) -> (
+      match Form.strip_types a, Form.strip_types b with
+      | _, Form.Const Form.Null -> note bound a
+      | Form.Const Form.Null, _ -> note bound b
+      | _ -> ())
+    | _ -> ());
+    match g with
+    | Form.Var _ | Form.Const _ -> ()
+    | Form.App (h, args) ->
+      scan bound h;
+      List.iter (scan bound) args
+    | Form.Binder (_, vars, body) ->
+      scan (List.fold_left (fun b (x, _) -> Form.Sset.add x b) bound vars) body
+    | Form.TypedForm (h, _) -> scan bound h
+  in
+  List.iter (scan Form.Sset.empty) hyps;
+  scan Form.Sset.empty goal;
   List.filter
     (fun t ->
       match Form.strip_types t with
@@ -135,8 +146,7 @@ let instantiate_forall (cands : Form.t list) (h : Form.t) : Form.t list =
     at a fresh witness constant (extensionality): [S = T] becomes
     [w : S <-> w : T].  Valid iff the original is valid, and it exposes
     the witness to ground instantiation. *)
-let extensionalize_goal (s : Sequent.t) : Sequent.t =
-  let is_set = set_expr_detector s.Sequent.hyps s.Sequent.goal in
+let extensionalize_goal (is_set : Form.t -> bool) (s : Sequent.t) : Sequent.t =
   let w () = Form.Var (Form.fresh_name "witness") in
   match Form.strip_types s.Sequent.goal with
   | Form.App (Form.Const Form.Eq, [ a; b ]) when is_set a || is_set b ->
@@ -156,30 +166,43 @@ let extensionalize_goal (s : Sequent.t) : Sequent.t =
     }
   | _ -> s
 
+(* formula tables up to alpha-equivalence and type annotations *)
+module Ftbl = Hashtbl.Make (struct
+  type t = Form.t
+
+  let equal = Form.equal
+  let hash = Form.hash
+end)
+
 (** Saturate a sequent with ground instances (the original hypotheses are
     kept), then keep the hypotheses connected to the goal
     ({!Sequent.relevant_hyps}).  The trace span keeps the name
     [dispatch:saturate] that e2ebench's [dispatch.saturate_s] reads. *)
 let saturate (s : Sequent.t) : Sequent.t =
   Trace.with_span ~cat:"dispatch" "saturate" @@ fun () ->
-  let s = extensionalize_goal s in
   let is_set = set_expr_detector s.Sequent.hyps s.Sequent.goal in
+  let s = extensionalize_goal is_set s in
   let cands = candidates s.Sequent.hyps s.Sequent.goal in
-  let seen = ref [] in
+  (* every simplified hypothesis so far, original or produced *)
+  let seen = Ftbl.create 64 in
   let fresh_facts = ref [] in
+  let n_fresh = ref 0 in
   let note f =
     (* each produced instance is a fresh tree; the memo never pays here *)
     let f = Simplify.simplify f in
     if
       (not (Form.is_true f))
-      && (not (List.exists (Form.equal f) !seen))
-      && List.length !fresh_facts < max_new_hyps
+      && (not (Ftbl.mem seen f))
+      && !n_fresh < max_new_hyps
     then begin
-      seen := f :: !seen;
-      fresh_facts := f :: !fresh_facts
+      Ftbl.replace seen f ();
+      fresh_facts := f :: !fresh_facts;
+      incr n_fresh
     end
   in
-  List.iter (fun h -> seen := Simplify.simplify h :: !seen) s.Sequent.hyps;
+  List.iter
+    (fun h -> Ftbl.replace seen (Simplify.simplify h) ())
+    s.Sequent.hyps;
   let expand (frontier : Form.t list) : Form.t list =
     let produced = ref [] in
     List.iter
@@ -193,7 +216,7 @@ let saturate (s : Sequent.t) : Sequent.t =
         let propagated =
           match Form.strip_types h with
           | Form.App (Form.Const Form.Impl, [ a; b ]) ->
-            let holds g = List.exists (Form.equal (Simplify.simplify g)) !seen in
+            let holds g = Ftbl.mem seen (Simplify.simplify g) in
             if List.for_all holds (Form.conjuncts a) then Form.conjuncts b
             else []
           | _ -> []
@@ -209,11 +232,8 @@ let saturate (s : Sequent.t) : Sequent.t =
   let rec go k frontier =
     if k = 0 || frontier = [] then ()
     else begin
-      let produced = expand frontier in
       let fresh =
-        List.filter
-          (fun f -> not (List.exists (Form.equal f) !seen))
-          produced
+        List.filter (fun f -> not (Ftbl.mem seen f)) (expand frontier)
       in
       List.iter note fresh;
       go (k - 1) fresh

@@ -26,11 +26,15 @@ let fresh st =
   st.next_tvar <- st.next_tvar + 1;
   Ftype.Tvar st.next_tvar
 
-let unify st a b ctx =
+let unify_failed x y ctx =
+  type_error "cannot unify %s with %s in %s" (Ftype.to_string x)
+    (Ftype.to_string y) ctx
+
+(* the context subformula is printed only when unification fails: printing
+   it at every node would make checking quadratic in the formula size *)
+let unify st a b (ctx : Form.t) =
   try st.subst <- Ftype.unify st.subst a b
-  with Ftype.Unify_failure (x, y) ->
-    type_error "cannot unify %s with %s in %s" (Ftype.to_string x)
-      (Ftype.to_string y) ctx
+  with Ftype.Unify_failure (x, y) -> unify_failed x y (Pprint.to_string ctx)
 
 let resolve st t = Ftype.Subst.apply st.subst t
 
@@ -136,7 +140,7 @@ let rec infer_form st (env : env) (f : Form.t) : Ftype.t * (unit -> Form.t) =
       List.map
         (fun g ->
           let t, rb = infer_form st env g in
-          unify st t Bool (Pprint.to_string g);
+          unify st t Bool g;
           rb)
         fs
     in
@@ -148,7 +152,7 @@ let rec infer_form st (env : env) (f : Form.t) : Ftype.t * (unit -> Form.t) =
       List.map
         (fun e ->
           let t, rb = infer_form st env e in
-          unify st t elt (Pprint.to_string e);
+          unify st t elt e;
           rb)
         es
     in
@@ -159,7 +163,7 @@ let rec infer_form st (env : env) (f : Form.t) : Ftype.t * (unit -> Form.t) =
       List.map
         (fun g ->
           let t, rb = infer_form st env g in
-          unify st t (Arrow (Obj, Obj)) (Pprint.to_string g);
+          unify st t (Arrow (Obj, Obj)) g;
           rb)
         flds
     in
@@ -167,7 +171,7 @@ let rec infer_form st (env : env) (f : Form.t) : Ftype.t * (unit -> Form.t) =
   | App (Const ((Lt | Le | Gt | Ge | Minus) as c), [ x; y ]) ->
     let tx, rbx = infer_form st env x in
     let ty_, rby = infer_form st env y in
-    unify st tx ty_ (Pprint.to_string f);
+    unify st tx ty_ f;
     let result = match c with Minus -> tx | _ -> Ftype.Bool in
     let rebuild () =
       let resolved = resolve st tx in
@@ -185,9 +189,6 @@ let rec infer_form st (env : env) (f : Form.t) : Ftype.t * (unit -> Form.t) =
       | (Subset | Subseteq), (Gt | Ge) -> Form.App (Const c', [ rby (); rbx () ])
       | _ -> Form.App (Const c', [ rbx (); rby () ])
     in
-    (match c with
-    | Minus -> ()
-    | _ -> ());
     (result, rebuild)
   | App (g, args) ->
     let tg, rbg = infer_form st env g in
@@ -200,7 +201,7 @@ let rec infer_form st (env : env) (f : Form.t) : Ftype.t * (unit -> Form.t) =
     in
     let result = fresh st in
     let expected = Ftype.arrows (List.map fst rbs) result in
-    unify st tg expected (Pprint.to_string f);
+    unify st tg expected f;
     (result, fun () -> Form.App (rbg (), List.map (fun (_, rb) -> rb ()) rbs))
   | Binder (b, vars, body) ->
     let vars = List.map (fun (x, t) -> (x, freshen_tvars st t)) vars in
@@ -209,12 +210,12 @@ let rec infer_form st (env : env) (f : Form.t) : Ftype.t * (unit -> Form.t) =
     let result =
       match b, vars with
       | (Forall | Exists), _ ->
-        unify st tb Bool (Pprint.to_string body);
+        unify st tb Bool body;
         Ftype.Bool
       | Lambda, _ ->
         Ftype.arrows (List.map snd vars) tb
       | Comprehension, [ (_, t) ] ->
-        unify st tb Bool (Pprint.to_string body);
+        unify st tb Bool body;
         Ftype.Set t
       | Comprehension, _ ->
         type_error "comprehension must bind exactly one variable"
@@ -226,7 +227,7 @@ let rec infer_form st (env : env) (f : Form.t) : Ftype.t * (unit -> Form.t) =
   | TypedForm (g, ty) ->
     let ty = freshen_tvars st ty in
     let tg, rb = infer_form st env g in
-    unify st tg ty (Pprint.to_string f);
+    unify st tg ty f;
     (ty, fun () -> Form.TypedForm (rb (), resolve st ty))
 
 (** Infer the type of [f] under [env]; returns the disambiguated formula,
@@ -245,7 +246,8 @@ let infer ?(env = Smap.empty) (f : Form.t) : Form.t * Ftype.t * env =
 let check_formula ?(env = Smap.empty) (f : Form.t) : Form.t =
   let st = { subst = Ftype.Subst.empty; next_tvar = 0; free = Hashtbl.create 16 } in
   let t, rebuild = infer_form st env f in
-  unify st t Bool "formula";
+  (try st.subst <- Ftype.unify st.subst t Bool
+   with Ftype.Unify_failure (x, y) -> unify_failed x y "formula");
   rebuild ()
 
 (** Best-effort disambiguation: on type error the input is returned

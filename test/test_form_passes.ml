@@ -61,6 +61,59 @@ let rename_bound (f : Form.t) : Form.t =
   in
   go [] f
 
+(* an alpha-equivalent copy in which each binder reuses the name [v]
+   unless that would capture, so nested binders shadow one another *)
+let rename_shadowing (f : Form.t) : Form.t =
+  let fresh = ref 0 in
+  let rec go env (f : Form.t) =
+    match f with
+    | Form.Var x -> (
+      match Form.Smap.find_opt x env with Some y -> Form.Var y | None -> f)
+    | Form.Const _ -> f
+    | Form.App (g, args) -> Form.App (go env g, List.map (go env) args)
+    | Form.TypedForm (g, ty) -> Form.TypedForm (go env g, ty)
+    | Form.Binder (b, vars, body) ->
+      (* the names the body refers to outside this binder, as renamed *)
+      let needed =
+        Form.Sset.fold
+          (fun x acc ->
+            if List.mem_assoc x vars then acc
+            else
+              Form.Sset.add
+                (Option.value ~default:x (Form.Smap.find_opt x env))
+                acc)
+          (Form.fv body) Form.Sset.empty
+      in
+      let v_free = ref (not (Form.Sset.mem "v" needed)) in
+      let env, vars =
+        List.fold_left_map
+          (fun env (x, ty) ->
+            let y =
+              if !v_free then (
+                v_free := false;
+                "v")
+              else (
+                incr fresh;
+                Printf.sprintf "w%d" !fresh)
+            in
+            (Form.Smap.add x y env, (y, ty)))
+          env vars
+      in
+      Form.Binder (b, vars, go env body)
+  in
+  go Form.Smap.empty f
+
+(* a copy with a type annotation around every node *)
+let rec annotate (f : Form.t) : Form.t =
+  let ty = Ftype.Tvar 0 in
+  match f with
+  | Form.Var _ | Form.Const _ -> Form.TypedForm (f, ty)
+  | Form.App (g, args) ->
+    Form.TypedForm (Form.App (annotate g, List.map annotate args), ty)
+  | Form.Binder (b, vars, body) ->
+    Form.TypedForm (Form.Binder (b, vars, annotate body), ty)
+  | Form.TypedForm (g, t) -> Form.TypedForm (annotate g, t)
+
 (* reference models of [Form.fv] and [Form.size], written out directly *)
 let rec ref_fv bound (f : Form.t) : string list =
   match f with
@@ -218,6 +271,22 @@ let prop_equal frag =
       && Form.equal a (Form.alpha_normalize a)
       && Form.equal a (rename_bound a))
 
+(* the generators bind q0 outside q1: rebinding both around a formula
+   makes its own quantifiers shadow them *)
+let prop_hash frag =
+  QCheck.Test.make
+    ~name:(Formgen.fragment_name frag ^ ": Form.hash agrees with Form.equal")
+    ~count (arb_form frag)
+    (fun f ->
+      let f =
+        Form.mk_forall [ ("q1", Ftype.Obj) ]
+          (Form.mk_forall [ ("q0", Ftype.Obj) ] f)
+      in
+      List.for_all
+        (fun g -> Form.equal f g && Form.equal g f && Form.hash f = Form.hash g)
+        [ rename_bound f; rename_shadowing f; Form.alpha_normalize f;
+          annotate f; annotate (rename_shadowing f) ])
+
 (* ------------------------------------------------------------------ *)
 (* Concurrent use                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -303,7 +372,8 @@ let props =
       for_all_fragments prop_digest_bytes;
       for_all_fragments prop_simplify;
       for_all_fragments prop_subst;
-      for_all_fragments prop_equal ]
+      for_all_fragments prop_equal;
+      for_all_fragments prop_hash ]
 
 let suite =
   [ ( "hashcons",

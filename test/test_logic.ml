@@ -205,6 +205,23 @@ let test_smart_constructors () =
   Alcotest.check form "union empty" (Form.mk_var "s")
     (Form.mk_union Form.mk_emptyset (Form.mk_var "s"))
 
+(* [Form.hash] must agree with [Form.equal], and [equal] is
+   alpha-equivalence even when the two sides shadow differently *)
+let test_hash_equal_cases () =
+  let same a b =
+    let a = parse a and b = parse b in
+    Alcotest.(check bool) "equal" true (Form.equal a b);
+    Alcotest.(check int) "same hash" (Form.hash a) (Form.hash b)
+  in
+  same "ALL a. ALL b. b : S" "ALL c. ALL c. c : S";
+  same "ALL a. (ALL a. a : S) & a : T" "ALL b. (ALL c. c : S) & b : T";
+  Alcotest.(check bool) "inner binding is not the outer one" false
+    (Form.equal (parse "ALL a. ALL b. a : S") (parse "ALL c. ALL c. c : S"));
+  Alcotest.(check bool) "free names differ" false
+    (Form.equal (parse "ALL v. v : A") (parse "ALL v. v : B"));
+  Alcotest.(check bool) "free is not bound" false
+    (Form.equal (parse "ALL v. x : A") (parse "ALL x. x : A"))
+
 let test_views () =
   let f = parse "a = b & c = d & e = f" in
   Alcotest.(check int) "conjuncts" 3 (List.length (Form.conjuncts f));
@@ -233,6 +250,28 @@ let test_typecheck_basic () =
   Alcotest.(check bool) "card" true (wt "card content = n");
   Alcotest.(check bool) "ill-typed int as bool" false (wt "1 & n = 2");
   Alcotest.(check bool) "ill-typed set plus int" false (wt "content = n")
+
+(* the message of a type error, subformula included, is what users see;
+   the context is printed only on failure, and these texts pin that it is
+   printed exactly as the checker always printed it *)
+let test_typecheck_error_text () =
+  let msg ?env s =
+    match Typecheck.check_formula ?env (parse s) with
+    | _ -> "well-typed"
+    | exception Typecheck.Type_error m -> m
+  in
+  let check s expected = Alcotest.(check string) s expected (msg s) in
+  check "x : 3" "cannot unify 't2 set with int in x : 3";
+  check "x : A & A < 3" "cannot unify 't2 set with int in A < 3";
+  check "(ALL v. v : A --> v : B) & A < 1"
+    "cannot unify 't1 set with int in A < 1";
+  check "ALL v. v + 1" "cannot unify int with bool in v + 1";
+  check "{v. 3} = A" "cannot unify int with bool in 3";
+  check "x..f = 1 & f = 2" "cannot unify 't5 => int with int in f = 2";
+  check "1" "cannot unify int with bool in formula";
+  Alcotest.(check string) "set < int under an environment"
+    "cannot unify obj set with int in A < 3"
+    (msg ~env:(Typecheck.env_of_list [ ("A", Ftype.objset) ]) "A < 3")
 
 let test_typecheck_disambiguation () =
   let env =
@@ -511,11 +550,14 @@ let suite =
         Alcotest.test_case "substitution" `Quick test_subst;
         Alcotest.test_case "smart constructors" `Quick test_smart_constructors;
         Alcotest.test_case "views" `Quick test_views;
+        Alcotest.test_case "hash and alpha-equivalence" `Quick
+          test_hash_equal_cases;
       ] );
     ( "logic.typecheck",
       [ Alcotest.test_case "basic" `Quick test_typecheck_basic;
         Alcotest.test_case "disambiguation" `Quick test_typecheck_disambiguation;
         Alcotest.test_case "paper formulas" `Quick test_typecheck_paper;
+        Alcotest.test_case "error text" `Quick test_typecheck_error_text;
       ] );
     ( "logic.simplify",
       [ Alcotest.test_case "set rewriting" `Quick test_simplify_sets;

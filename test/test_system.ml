@@ -158,6 +158,42 @@ let test_instantiate_forall () =
     (List.exists (Form.equal (parse "x : A --> x : B")) s'.Sequent.hyps
     || List.exists (Form.equal (parse "x : B")) s'.Sequent.hyps)
 
+(* ground candidates are the sequent's free object constants: a
+   quantifier's bound name is neither instantiated at nor counted toward
+   the arity-2 cut-off *)
+let test_instantiate_free_candidates () =
+  let s =
+    Sequent.make
+      [ parse "ALL v. v : A --> v : B"; parse "x : A" ]
+      (parse "A = B")
+  in
+  let s' = Instantiate.saturate s in
+  List.iter
+    (fun h ->
+      if Form.Sset.mem "v" (Form.fv h) then
+        Alcotest.failf "instance at a bound name: %s" (Pprint.to_string h))
+    s'.Sequent.hyps;
+  Alcotest.(check bool) "instance at x" true
+    (List.exists (Form.equal (parse "x : B")) s'.Sequent.hyps);
+  (* two free object constants (x, null) and eleven bound names *)
+  let bound_names =
+    List.init 11 (fun i -> parse (Printf.sprintf "ALL b%d. b%d : C" i i))
+  in
+  let s =
+    Sequent.make
+      ([ parse "x : A"; parse "ALL u w. u : A --> w : A --> u..next = w" ]
+      @ bound_names)
+      (parse "x..next = x")
+  in
+  let s' = Instantiate.saturate s in
+  Alcotest.(check bool) "arity-2 instance" true
+    (List.exists
+       (fun h ->
+         Form.equal h (parse "x..next = x")
+         || Form.equal h
+              (Simplify.simplify (parse "x : A --> x : A --> x..next = x")))
+       s'.Sequent.hyps)
+
 let test_instantiate_pointwise () =
   let s =
     Sequent.make [ parse "x : A"; parse "A = B Un {x}" ] (parse "x : A")
@@ -356,6 +392,67 @@ let test_verify_annotated_list () =
   in
   Alcotest.(check bool) "fully verified" true report.Jahob_core.Jahob.ok
 
+(* the paper's List figures at -j 1, verdict by verdict: each group's
+   valid/invalid/unknown counts and the names of its open obligations in
+   report order.  A change to typing, simplification or saturation that
+   gains or loses a proof on the corpus shows up here. *)
+let test_list_groups_pinned () =
+  let opts = { (Jahob_core.Jahob.default_options ()) with jobs = 1 } in
+  let check group expected_counts expected_open =
+    let report =
+      Jahob_core.Jahob.verify_files ~opts
+        (List.map
+           (fun f -> examples_dir ^ "/" ^ group ^ "/" ^ f)
+           [ "Client.java"; "List.java" ])
+    in
+    let reports =
+      List.concat_map
+        (fun (m : Jahob_core.Jahob.method_report) ->
+          m.Jahob_core.Jahob.obligations.Dispatch.reports)
+        report.Jahob_core.Jahob.methods
+    in
+    let count kind =
+      List.length
+        (List.filter
+           (fun r -> Sequent.verdict_kind r.Dispatch.verdict = kind)
+           reports)
+    in
+    Alcotest.(check (triple int int int))
+      (group ^ ": valid, invalid, unknown")
+      expected_counts
+      (count "valid", count "invalid", count "unknown");
+    Alcotest.(check (list string))
+      (group ^ ": open obligations")
+      expected_open
+      (List.filter_map
+         (fun r ->
+           if Sequent.verdict_kind r.Dispatch.verdict = "unknown" then
+             Some r.Dispatch.sequent.Sequent.name
+           else None)
+         reports)
+  in
+  check "list" (82, 0, 18)
+    [ "Client.move: precondition of List.add";
+      "List.List: invariant 1 of List preserved";
+      "List.add: postcondition of add";
+      "List.add: invariant 1 of List preserved";
+      "List.add: invariant 2 of List preserved";
+      "List.add: invariant 3 of List preserved";
+      "List.empty: postcondition of empty";
+      "List.getOne: receiver of .data non-null";
+      "List.getOne: postcondition of getOne";
+      "List.remove: postcondition of remove";
+      "List.remove: invariant 1 of List preserved";
+      "List.remove: invariant 2 of List preserved";
+      "List.remove: invariant 3 of List preserved";
+      "List.remove: postcondition of remove";
+      "List.remove: invariant 1 of List preserved";
+      "List.remove: invariant 2 of List preserved";
+      "List.remove: invariant 3 of List preserved";
+      "List.remove: postcondition of remove";
+    ];
+  check "list_annotated" (101, 0, 0) []
+
 let test_verify_buffer () =
   let report = verify [ "global/Buffer.java" ] in
   Alcotest.(check bool) "fully verified" true report.Jahob_core.Jahob.ok
@@ -405,6 +502,8 @@ let suite =
       ] );
     ( "instantiate",
       [ Alcotest.test_case "forall instances" `Quick test_instantiate_forall;
+        Alcotest.test_case "candidates are free constants" `Quick
+          test_instantiate_free_candidates;
         Alcotest.test_case "pointwise instances" `Quick
           test_instantiate_pointwise;
         Alcotest.test_case "unit propagation chain" `Quick
@@ -433,6 +532,8 @@ let suite =
       [ Alcotest.test_case "paper client (Fig 2)" `Slow test_verify_paper_client;
         Alcotest.test_case "annotated list verifies" `Slow
           test_verify_annotated_list;
+        Alcotest.test_case "list groups: pinned verdicts at -j 1" `Slow
+          test_list_groups_pinned;
         Alcotest.test_case "global buffer verifies" `Quick test_verify_buffer;
         Alcotest.test_case "assoc client verifies" `Slow test_verify_assoc;
         Alcotest.test_case "game verifies" `Quick test_verify_game;
