@@ -681,32 +681,37 @@ let refute ?(engine = Indexed) ?max_clauses ?max_weight ?max_lits ?timeout_s
 (* Bounded ground instantiation: universally quantified hypotheses are
    instantiated with the object-denoting constants of the sequent.  The
    resulting ground unit facts give resolution short proofs where deep
-   unification chains would blow the budget. *)
+   unification chains would blow the budget.  A name bound by a
+   quantifier is not a constant of the sequent. *)
 let object_candidates (hyps : Form.t list) (goal : Form.t) : Form.t list =
   let acc = ref [ Form.mk_null ] in
-  let note t =
+  let note bound t =
     match Form.strip_types t with
-    | Form.Var x when not (String.contains x '.') ->
+    | Form.Var x when not (String.contains x '.' || Form.Sset.mem x bound) ->
       if not (List.exists (Form.equal t) !acc) then acc := t :: !acc
     | _ -> ()
   in
-  let scan f =
-    ignore
-      (Form.fold
-         (fun () g ->
-           match g with
-           | Form.App (Form.Const Form.Elem, [ x; _ ]) -> note x
-           | Form.App (Form.Const Form.FieldRead, [ _; r ]) -> note r
-           | Form.App (Form.Const Form.Eq, [ a; b ]) ->
-             (match Form.strip_types a, Form.strip_types b with
-             | _, Form.Const Form.Null -> note a
-             | Form.Const Form.Null, _ -> note b
-             | _ -> ())
-           | _ -> ())
-         () f)
+  let rec scan bound g =
+    (match g with
+    | Form.App (Form.Const Form.Elem, [ x; _ ]) -> note bound x
+    | Form.App (Form.Const Form.FieldRead, [ _; r ]) -> note bound r
+    | Form.App (Form.Const Form.Eq, [ a; b ]) -> (
+      match Form.strip_types a, Form.strip_types b with
+      | _, Form.Const Form.Null -> note bound a
+      | Form.Const Form.Null, _ -> note bound b
+      | _ -> ())
+    | _ -> ());
+    match g with
+    | Form.Var _ | Form.Const _ -> ()
+    | Form.App (h, args) ->
+      scan bound h;
+      List.iter (scan bound) args
+    | Form.Binder (_, vars, body) ->
+      scan (List.fold_left (fun b (x, _) -> Form.Sset.add x b) bound vars) body
+    | Form.TypedForm (h, _) -> scan bound h
   in
-  List.iter scan hyps;
-  scan goal;
+  List.iter (scan Form.Sset.empty) hyps;
+  scan Form.Sset.empty goal;
   !acc
 
 let instantiate_foralls (cands : Form.t list) (hyps : Form.t list) :
