@@ -144,6 +144,7 @@ type stats = {
   mutable fwd : int; (* clauses discarded by forward subsumption *)
   mutable bwd : int; (* clauses retired by backward subsumption *)
   mutable dedup : int; (* normalized-clause dedup hits *)
+  mutable given : int; (* clauses activated *)
 }
 
 type t = {
@@ -170,7 +171,8 @@ let create () : t =
     units = Hashtbl.create 32;
     next_id = 0;
     active_lits = 0;
-    stats = { retrieved = 0; scanned = 0; fwd = 0; bwd = 0; dedup = 0 };
+    stats =
+      { retrieved = 0; scanned = 0; fwd = 0; bwd = 0; dedup = 0; given = 0 };
   }
 
 let lit_key (l : lit) = (l.sign, l.pred)
@@ -231,6 +233,7 @@ let register (t : t) (c : clause) : entry =
 
 let activate (t : t) (e : entry) : unit =
   e.state <- Active;
+  t.stats.given <- t.stats.given + 1;
   List.iter
     (fun l -> insert_path (tree_of t.trees (lit_key l)) l.args (e, l))
     e.cl;
@@ -373,4 +376,5 @@ let flush_stats (t : t) : unit =
   Trace.add "fol.index.scanned" s.scanned;
   Trace.add "fol.subsume.forward" s.fwd;
   Trace.add "fol.subsume.backward" s.bwd;
-  Trace.add "fol.dedup.hits" s.dedup
+  Trace.add "fol.dedup.hits" s.dedup;
+  Trace.add "fol.given" s.given

@@ -339,8 +339,8 @@ let search_summary s =
   Trace.stop ();
   let c = Trace.counter_value in
   let r =
-    Printf.sprintf "%s kept=%d dedup=%d forward=%d backward=%d"
-      (outcome_name o) (c "fol.kept") (c "fol.dedup.hits")
+    Printf.sprintf "%s given=%d kept=%d dedup=%d forward=%d backward=%d"
+      (outcome_name o) (c "fol.given") (c "fol.kept") (c "fol.dedup.hits")
       (c "fol.subsume.forward") (c "fol.subsume.backward")
   in
   Trace.reset ();

@@ -395,16 +395,32 @@ let test_verify_annotated_list () =
 (* the paper's List figures at -j 1, verdict by verdict: each group's
    valid/invalid/unknown counts and the names of its open obligations in
    report order.  A change to typing, simplification or saturation that
-   gains or loses a proof on the corpus shows up here. *)
+   gains or loses a proof on the corpus shows up here.  The group's fol
+   search counters are pinned too: a change to the resolution engine
+   that keeps the same search keeps every one of them *)
 let test_list_groups_pinned () =
   let opts = { (Jahob_core.Jahob.default_options ()) with jobs = 1 } in
-  let check group expected_counts expected_open =
+  let check group expected_counts expected_open expected_search =
+    Trace.reset ();
+    Trace.start_collecting ();
     let report =
       Jahob_core.Jahob.verify_files ~opts
         (List.map
            (fun f -> examples_dir ^ "/" ^ group ^ "/" ^ f)
            [ "Client.java"; "List.java" ])
     in
+    Trace.stop ();
+    let c = Trace.counter_value in
+    let search =
+      Printf.sprintf
+        "given=%d kept=%d dedup=%d forward=%d retrieved=%d proof=%d \
+         saturated=%d gave_up=%d timed_out=%d"
+        (c "fol.given") (c "fol.kept") (c "fol.dedup.hits")
+        (c "fol.subsume.forward") (c "fol.index.retrieved")
+        (c "fol.outcome.proof") (c "fol.outcome.saturated")
+        (c "fol.outcome.gave_up") (c "fol.outcome.timed_out")
+    in
+    Trace.reset ();
     let reports =
       List.concat_map
         (fun (m : Jahob_core.Jahob.method_report) ->
@@ -429,7 +445,8 @@ let test_list_groups_pinned () =
            if Sequent.verdict_kind r.Dispatch.verdict = "unknown" then
              Some r.Dispatch.sequent.Sequent.name
            else None)
-         reports)
+         reports);
+    Alcotest.(check string) (group ^ ": fol search") expected_search search
   in
   check "list" (82, 0, 18)
     [ "Client.move: precondition of List.add";
@@ -450,8 +467,12 @@ let test_list_groups_pinned () =
       "List.remove: invariant 2 of List preserved";
       "List.remove: invariant 3 of List preserved";
       "List.remove: postcondition of remove";
-    ];
+    ]
+    "given=2210 kept=22941 dedup=10599 forward=4353 retrieved=39846 proof=3 \
+     saturated=9 gave_up=5 timed_out=0";
   check "list_annotated" (101, 0, 0) []
+    "given=1659 kept=16064 dedup=9052 forward=2431 retrieved=29416 proof=1 \
+     saturated=9 gave_up=4 timed_out=0"
 
 let test_verify_buffer () =
   let report = verify [ "global/Buffer.java" ] in
