@@ -94,10 +94,22 @@ let rec set_to_fol (set_exprs_hint : string list) (f : Form.t) : Form.t =
   let g' = Simplify.simplify g in
   if Form.equal g' f then g' else set_to_fol set_exprs_hint g'
 
+(* the variable of a universal: its position among the enclosing
+   universals (the first, should two share a name) *)
+let universal_var (universals : string list) (x : string) : int option =
+  let rec go i = function
+    | [] -> None
+    | y :: rest -> if String.equal x y then Some i else go (i + 1) rest
+  in
+  go 0 universals
+
 (* atoms: elem(x, S), eq(a, b), or uninterpreted predicate applications *)
 let rec fol_term (universals : string list) (f : Form.t) : term =
   match Form.strip_types f with
-  | Form.Var x -> if List.mem x universals then V x else Fn ("c_" ^ x, [])
+  | Form.Var x -> (
+    match universal_var universals x with
+    | Some i -> V i
+    | None -> Fn ("c_" ^ x, []))
   | Form.Const Form.Null -> Fn ("null", [])
   | Form.Const (Form.IntLit n) -> Fn (Printf.sprintf "int_%d" n, [])
   | Form.Const Form.EmptySet -> Fn ("emptyset", [])
@@ -200,7 +212,8 @@ let clausify (f : Form.t) : clause list =
   let rec go universals guarded subs = function
     | [] ->
       let matrix = Form.subst_list subs matrix in
-      let cs = clausify_matrix (List.map fst universals) matrix in
+      let names = List.map fst universals in
+      let cs = clausify_matrix names matrix in
       (* ALL x::obj. C becomes  ~obj(x) | C  for each clause mentioning x
          (clauses without x need no guard: obj(null) witnesses
          nonemptiness).  A clause already containing a negative elem
@@ -221,9 +234,11 @@ let clausify (f : Form.t) : clause list =
           let guards =
             List.filter_map
               (fun x ->
-                if List.mem x vs && not (List.mem x neg_elem_vars) then
-                  Some (obj_lit false (V x))
-                else None)
+                match universal_var names x with
+                | Some v when List.mem v vs && not (List.mem v neg_elem_vars)
+                  ->
+                  Some (obj_lit false (V v))
+                | _ -> None)
               guarded
           in
           guards @ c)
@@ -274,17 +289,18 @@ let equality_axioms (clauses : clause list) : clause list =
   else begin
     let eq a b = { sign = true; pred = "="; args = [ a; b ] } in
     let neq a b = { sign = false; pred = "="; args = [ a; b ] } in
-    let refl = [ eq (V "x") (V "x") ] in
-    let sym = [ neq (V "x") (V "y"); eq (V "y") (V "x") ] in
-    let trans =
-      [ neq (V "x") (V "y"); neq (V "y") (V "z"); eq (V "x") (V "z") ]
-    in
+    let x = V 0 and y = V 1 and z = V 2 in
+    let refl = [ eq x x ] in
+    let sym = [ neq x y; eq y x ] in
+    let trans = [ neq x y; neq y z; eq x z ] in
+    (* x_i = y_i ... -> f(xs) = f(ys), over variables x_i = i and
+       y_i = arity + i *)
+    let xs arity = List.init arity (fun i -> V i) in
+    let ys arity = List.init arity (fun i -> V (arity + i)) in
     let congruences =
       Hashtbl.fold
         (fun (f, arity) () acc ->
-          (* x_i = y_i ... -> f(xs) = f(ys) *)
-          let xs = List.init arity (fun i -> V (Printf.sprintf "x%d" i)) in
-          let ys = List.init arity (fun i -> V (Printf.sprintf "y%d" i)) in
+          let xs = xs arity and ys = ys arity in
           (List.map2 neq xs ys @ [ eq (Fn (f, xs)) (Fn (f, ys)) ]) :: acc)
         fns []
     in
@@ -296,8 +312,7 @@ let equality_axioms (clauses : clause list) : clause list =
              resolvents flood the search space *)
           if arity = 0 || p = "obj" then acc
           else begin
-            let xs = List.init arity (fun i -> V (Printf.sprintf "x%d" i)) in
-            let ys = List.init arity (fun i -> V (Printf.sprintf "y%d" i)) in
+            let xs = xs arity and ys = ys arity in
             (List.map2 neq xs ys
             @ [ { sign = false; pred = p; args = xs };
                 { sign = true; pred = p; args = ys } ])
@@ -342,37 +357,29 @@ let theory_axioms (clauses : clause list) : clause list =
   let nrt f x y = { sign = false; pred = "rt"; args = [ f; x; y ] } in
   let null = Fn ("null", []) in
   let read f x = Fn ("read", [ f; x ]) in
+  let f = V 0 and x = V 1 and y = V 2 and z = V 3 and v = V 4 in
   let rt_axioms =
     if not (has_pred "rt") then []
     else
       [ (* reflexivity *)
-        [ rt (V "f") (V "x") (V "x") ];
+        [ rt f x x ];
         (* build-up: step then closure *)
-        [ neq (read (V "f") (V "x")) (V "y");
-          nrt (V "f") (V "y") (V "z");
-          rt (V "f") (V "x") (V "z") ];
+        [ neq (read f x) y; nrt f y z; rt f x z ];
         (* transitivity *)
-        [ nrt (V "f") (V "x") (V "y");
-          nrt (V "f") (V "y") (V "z");
-          rt (V "f") (V "x") (V "z") ];
+        [ nrt f x y; nrt f y z; rt f x z ];
         (* functional unfolding: rt(x,y) -> x = y \/ rt(step(x), y) *)
-        [ nrt (V "f") (V "x") (V "y");
-          eq (V "x") (V "y");
-          rt (V "f") (read (V "f") (V "x")) (V "y") ];
+        [ nrt f x y; eq x y; rt f (read f x) y ];
         (* nothing beyond null *)
-        [ nrt (V "f") null (V "y"); eq (V "y") null ];
+        [ nrt f null y; eq y null ];
       ]
   in
   let write_axioms =
     if not (has_fn "write") then []
     else
       [ (* read over write, same location *)
-        [ eq (read (Fn ("write", [ V "f"; V "x"; V "v" ])) (V "x")) (V "v") ];
+        [ eq (read (Fn ("write", [ f; x; v ])) x) v ];
         (* read over write, different location *)
-        [ eq (V "y") (V "x");
-          eq
-            (read (Fn ("write", [ V "f"; V "x"; V "v" ])) (V "y"))
-            (read (V "f") (V "y")) ];
+        [ eq y x; eq (read (Fn ("write", [ f; x; v ])) y) (read f y) ];
       ]
   in
   let null_field_axioms =
@@ -403,7 +410,7 @@ let theory_axioms (clauses : clause list) : clause list =
         !acc
       in
       [ obj_lit true null ]
-      :: [ obj_lit true (read (V "g") (V "x")) ]
+      :: [ obj_lit true (read f x) ]
       :: List.map (fun t -> [ obj_lit true t ]) elem_members
     end
   in
@@ -487,7 +494,7 @@ let refute_naive ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
           let partners = !active_usable @ !active_sos in
           let new_clauses =
             List.map
-              (List.sort_uniq compare)
+              (List.sort_uniq compare_lit)
               (factors given
               @ List.concat_map (fun a -> resolvents given a) partners
               @ resolvents given given)
@@ -571,12 +578,17 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
       usable;
     List.iter add_passive sos;
     let picks = ref 0 in
+    (* a queued clause met by either queue is dropped, without spending a
+       pick, if a clause activated after it was kept subsumes it *)
+    let live e =
+      e.Index.state = Index.Passive && not (Index.drop_if_subsumed idx e)
+    in
     let rec pop_weight () =
       match Pq.min_elt_opt !passive with
       | None -> None
       | Some ((_, _, e) as entry) ->
         passive := Pq.remove entry !passive;
-        if e.Index.state = Index.Passive then Some e else pop_weight ()
+        if live e then Some e else pop_weight ()
     in
     (* An age pick takes the oldest passive clause — unless it is far
        heavier than the current best, in which case it is requeued and
@@ -596,7 +608,8 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
         match Queue.take_opt age_queue with
         | None -> pop_weight ()
         | Some e ->
-          if e.Index.state <> Index.Passive then pop_age budget
+          (* an entry a weight pick already took is [Active]: skip it *)
+          if not (live e) then pop_age budget
           else if age_pick_admissible e.Index.weight then begin
             passive := Pq.remove (e.Index.weight, e.Index.id, e) !passive;
             Some e
@@ -622,7 +635,7 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
       else
         match pop_given () with
         | None ->
-          (* only retired (back-subsumed) clauses were left queued:
+          (* only subsumed or retired clauses were left queued:
              saturation with respect to the live set *)
           result := Some Saturated
         | Some given ->

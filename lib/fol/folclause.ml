@@ -23,16 +23,40 @@ let pp_clause ppf (c : clause) =
       ~pp_sep:(fun ppf () -> Format.fprintf ppf " | ")
       pp_lit ppf c
 
-let apply_lit s l = { l with args = List.map (apply s) l.args }
+(* a literal with [f] mapped over its arguments: [l] itself when no
+   argument changes *)
+let map_args (f : term -> term) (l : lit) : lit =
+  let args = map_shared f l.args in
+  if args == l.args then l else { l with args }
+
+let apply_lit s l = map_args (apply s) l
 let apply_clause s c = List.map (apply_lit s) c
 
-let clause_vars (c : clause) : string list =
+let clause_vars (c : clause) : int list =
   List.fold_left (fun acc l -> List.fold_left term_vars acc l.args) [] c
 
-let rename_lit suffix (l : lit) : lit =
-  { l with args = List.map (rename_term suffix) l.args }
+let rename_lit offset (l : lit) : lit = map_args (rename_term offset) l
 
-let rename_clause suffix (c : clause) : clause = List.map (rename_lit suffix) c
+let rename_clause offset (c : clause) : clause =
+  List.map (rename_lit offset) c
+
+let equal_lit (a : lit) (b : lit) : bool =
+  a == b
+  || Bool.equal a.sign b.sign
+     && String.equal a.pred b.pred
+     && List.equal equal_term a.args b.args
+
+(** Polymorphic [compare]'s order on literals whose variables carry the
+    names ["_v" ^ string_of_int i]: sign, predicate, then arguments by
+    {!Folterm.compare_term}. *)
+let compare_lit (a : lit) (b : lit) : int =
+  if a == b then 0
+  else
+    let c = Bool.compare a.sign b.sign in
+    if c <> 0 then c
+    else
+      let c = String.compare a.pred b.pred in
+      if c <> 0 then c else List.compare compare_term a.args b.args
 
 (* [obj] sort guards are bookkeeping, not search progress: they are
    excluded from the size/length budgets so that guarded clauses keep the
@@ -48,9 +72,15 @@ let clause_lits (c : clause) =
   List.fold_left (fun n l -> if l.pred = "obj" then n else n + 1) 0 c
 
 (* direct variable renaming (simultaneous, unlike the triangular [apply]) *)
-let rec map_vars f = function
-  | V x -> V (f x)
-  | Fn (g, args) -> Fn (g, List.map (map_vars f) args)
+let rec map_vars (f : int -> int) (t : term) : term =
+  match t with
+  | V x ->
+    let y = f x in
+    if y = x then t else V y
+  | Fn (_, []) -> t
+  | Fn (g, args) ->
+    let args' = map_shared (map_vars f) args in
+    if args' == args then t else Fn (g, args')
 
 (* [compare] on the literals' variable-blind skeletons, without building
    them: every variable equals every other and sorts below any
@@ -72,19 +102,23 @@ let compare_skeletons (l1 : lit) (l2 : lit) : int =
     if c <> 0 then c else List.compare compare_blind l1.args l2.args
 
 (* Canonical form up to variable renaming: literals are first ordered by a
-   variable-blind skeleton, variables are then renamed _v0, _v1, ... in
+   variable-blind skeleton, variables are then renumbered 0, 1, ... in
    order of first occurrence in that sequence, and the renamed literals
-   are sorted.  Two clauses differing only in variable names (whatever
-   order their literals arrived in) map to the same normal form, so a
-   dedup table keyed on it catches renamed variants; the renaming is
-   injective, so equal normal forms are always genuine variants. *)
+   are sorted by {!compare_lit} (variable [i] ranking as the numeral of
+   [i] does: 10 before 2).  Two clauses differing only in variable names
+   (whatever order their literals arrived in) map to the same normal
+   form, so a dedup table keyed on it catches renamed variants; the
+   renaming is injective, so equal normal forms are always genuine
+   variants. *)
 let normalize_clause (c : clause) : clause =
   let ordered = List.stable_sort compare_skeletons c in
   let vars = List.rev (clause_vars ordered) in
-  let tbl = List.mapi (fun i x -> (x, "_v" ^ string_of_int i)) vars in
-  let f x = match List.assoc_opt x tbl with Some y -> y | None -> x in
-  List.sort_uniq compare
-    (List.map (fun l -> { l with args = List.map (map_vars f) l.args }) ordered)
+  let rec index i x = function
+    | [] -> x
+    | y :: rest -> if x = y then i else index (i + 1) x rest
+  in
+  let f x = index 0 x vars in
+  List.sort_uniq compare_lit (List.map (map_args (map_vars f)) ordered)
 
 (* a hash over every symbol of the clause, for tables keyed on normal
    forms: the polymorphic [Hashtbl.hash] stops after ten meaningful
@@ -94,7 +128,7 @@ let normalize_clause (c : clause) : clause =
 let hash_clause (c : clause) : int =
   let mix h x = (h * 65599) + x in
   let rec term h = function
-    | V x -> mix (mix h 1) (Hashtbl.hash x)
+    | V x -> mix (mix h 1) x
     | Fn (f, args) ->
       List.fold_left term (mix (mix h (List.length args + 2)) (Hashtbl.hash f)) args
   in
@@ -111,7 +145,7 @@ let hash_clause (c : clause) : int =
 module Tbl = Hashtbl.Make (struct
   type t = clause
 
-  let equal = ( = )
+  let equal = List.equal equal_lit
   let hash = hash_clause
 end)
 
@@ -119,7 +153,10 @@ let is_tautology (c : clause) : bool =
   List.exists
     (fun l ->
       List.exists
-        (fun l' -> l.sign <> l'.sign && l.pred = l'.pred && l.args = l'.args)
+        (fun l' ->
+          l.sign <> l'.sign
+          && String.equal l.pred l'.pred
+          && List.equal equal_term l.args l'.args)
         c)
     c
 
@@ -127,11 +164,12 @@ let is_tautology (c : clause) : bool =
 let rec match_term (s : subst) (pat : term) (t : term) : subst =
   match pat, t with
   | V x, _ -> (
-    match List.assoc_opt x s with
-    | Some u -> if u = t then s else raise No_unifier
+    match lookup x s with
+    | Some u -> if equal_term u t then s else raise No_unifier
     | None -> (x, t) :: s)
   | Fn (f, xs), Fn (g, ys) ->
-    if f <> g || List.length xs <> List.length ys then raise No_unifier
+    if not (String.equal f g) || List.compare_lengths xs ys <> 0 then
+      raise No_unifier
     else List.fold_left2 match_term s xs ys
   | Fn _, V _ -> raise No_unifier
 
@@ -158,7 +196,7 @@ let subsumes_prepared (c1 : clause) (c2 : clause) : bool =
   List.length c1 <= List.length c2 && go [] c1
 
 let subsumes (c1 : clause) (c2 : clause) : bool =
-  subsumes_prepared (rename_clause "!" c1) c2
+  subsumes_prepared (rename_clause apart c1) c2
 
 (* one binary resolvent on a chosen literal pair: [l1] is an occurrence in
    [c1], [l2] one in [c2] with the opposite sign and the same predicate;
@@ -169,18 +207,18 @@ let resolve_on (c1 : clause) (l1 : lit) (c2 : clause) (l2 : lit) :
   (* most retrieved partners fail to unify: rename the rest of [c2] only
      once a resolvent exists *)
   match
-    (try Some (List.fold_left2 unify [] l1.args (rename_lit "'" l2).args)
+    (try Some (List.fold_left2 unify [] l1.args (rename_lit apart l2).args)
      with No_unifier | Invalid_argument _ -> None)
   with
   | None -> None
   | Some s ->
     let rest1 = List.filter (fun l -> l != l1) c1 in
-    let rest2 = rename_clause "'" (List.filter (fun l -> l != l2) c2) in
+    let rest2 = rename_clause apart (List.filter (fun l -> l != l2) c2) in
     Some (normalize_clause (apply_clause s (rest1 @ rest2)))
 
 (* all binary resolvents of c1 and c2 (c2 freshly renamed) *)
 let resolvents (c1 : clause) (c2 : clause) : clause list =
-  let c2 = rename_clause "'" c2 in
+  let c2 = rename_clause apart c2 in
   List.concat_map
     (fun l1 ->
       List.filter_map

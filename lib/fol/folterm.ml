@@ -1,26 +1,52 @@
 (** First-order terms, substitutions and unification for the resolution
-    prover. *)
+    prover.
+
+    Variables are integers.  Clauses in the search are kept in normal form
+    (variables [0..k-1], {!Folclause.normalize_clause}), so renaming a
+    clause apart from another adds {!apart} to its variables: no string
+    is built and no two clauses in one inference share a variable.  The
+    kernel functions return constants and unchanged subterms as they are,
+    so ground parts of a clause are shared, never copied. *)
 
 type term =
-  | V of string (* universally quantified variable *)
+  | V of int (* universally quantified variable *)
   | Fn of string * term list (* function application; constants are 0-ary *)
 
-type subst = (string * term) list
+(* bindings of a triangular substitution, newest first *)
+type subst = (int * term) list
+
+(** The offset that renames a normalized clause apart from any other
+    normalized clause: their variables stay far below it. *)
+let apart = 1 lsl 30
+
+let rec lookup (x : int) : subst -> term option = function
+  | [] -> None
+  | (y, t) :: rest -> if x = y then Some t else lookup x rest
+
+(* [List.map] that returns [xs] itself when [f] changes no element *)
+let rec map_shared (f : 'a -> 'a) (xs : 'a list) : 'a list =
+  match xs with
+  | [] -> xs
+  | x :: rest ->
+    let x' = f x and rest' = map_shared f rest in
+    if x' == x && rest' == rest then xs else x' :: rest'
 
 let rec apply (s : subst) (t : term) : term =
   match t with
   | V x -> (
-    match List.assoc_opt x s with
+    match lookup x s with
     | Some u -> apply s u (* s may be a triangular substitution *)
     | None -> t)
-  | Fn (f, args) -> Fn (f, List.map (apply s) args)
+  | Fn (_, []) -> t
+  | Fn (f, args) ->
+    let args' = map_shared (apply s) args in
+    if args' == args then t else Fn (f, args')
 
 let rec occurs (s : subst) x (t : term) : bool =
   match t with
   | V y -> (
     if x = y then true
-    else
-      match List.assoc_opt y s with Some u -> occurs s x u | None -> false)
+    else match lookup y s with Some u -> occurs s x u | None -> false)
   | Fn (_, args) -> List.exists (occurs s x) args
 
 exception No_unifier
@@ -29,36 +55,81 @@ exception No_unifier
 let rec unify (s : subst) (a : term) (b : term) : subst =
   let rec chase t =
     match t with
-    | V x -> (
-      match List.assoc_opt x s with Some u -> chase u | None -> t)
+    | V x -> ( match lookup x s with Some u -> chase u | None -> t)
     | Fn _ -> t
   in
   let a = chase a and b = chase b in
   match a, b with
   | V x, V y when x = y -> s
-  | V x, t | t, V x ->
-    if occurs s x t then raise No_unifier else (x, t) :: s
+  | V x, t | t, V x -> if occurs s x t then raise No_unifier else (x, t) :: s
   | Fn (f, xs), Fn (g, ys) ->
-    if f <> g || List.length xs <> List.length ys then raise No_unifier
+    if not (String.equal f g) || List.compare_lengths xs ys <> 0 then
+      raise No_unifier
     else List.fold_left2 unify s xs ys
 
 let unify_opt a b = try Some (unify [] a b) with No_unifier -> None
 
+let rec mem_var (x : int) = function
+  | [] -> false
+  | y :: rest -> x = y || mem_var x rest
+
 (* variables occurring in a term *)
 let rec term_vars acc = function
-  | V x -> if List.mem x acc then acc else x :: acc
+  | V x -> if mem_var x acc then acc else x :: acc
   | Fn (_, args) -> List.fold_left term_vars acc args
 
-let rec rename_term suffix = function
-  | V x -> V (x ^ suffix)
-  | Fn (f, args) -> Fn (f, List.map (rename_term suffix) args)
+let rec rename_term (offset : int) (t : term) : term =
+  match t with
+  | V x -> V (x + offset)
+  | Fn (_, []) -> t
+  | Fn (f, args) ->
+    let args' = map_shared (rename_term offset) args in
+    if args' == args then t else Fn (f, args')
+
+let rec equal_term (a : term) (b : term) : bool =
+  a == b
+  ||
+  match a, b with
+  | V x, V y -> x = y
+  | Fn (f, xs), Fn (g, ys) -> String.equal f g && List.equal equal_term xs ys
+  | _ -> false
+
+(* the order of the decimal numerals of two non-negative integers, as
+   [String.compare] ranks [string_of_int a] and [string_of_int b]: 10
+   before 2 *)
+let compare_decimal (a : int) (b : int) : int =
+  if a = b then 0
+  else
+    let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
+    let rec pow10 k = if k = 0 then 1 else 10 * pow10 (k - 1) in
+    let da = digits a and db = digits b in
+    let c =
+      Int.compare
+        (a * pow10 (max 0 (db - da)))
+        (b * pow10 (max 0 (da - db)))
+    in
+    if c <> 0 then c else Int.compare da db
+
+(** The order that polymorphic [compare] gives terms whose variable [i]
+    is named ["_v" ^ string_of_int i]: variables before applications,
+    variables by decimal numeral, applications by symbol then arguments. *)
+let rec compare_term (a : term) (b : term) : int =
+  if a == b then 0
+  else
+    match a, b with
+    | V x, V y -> compare_decimal x y
+    | V _, Fn _ -> -1
+    | Fn _, V _ -> 1
+    | Fn (f, xs), Fn (g, ys) ->
+      let c = String.compare f g in
+      if c <> 0 then c else List.compare compare_term xs ys
 
 let rec term_size = function
   | V _ -> 1
   | Fn (_, args) -> 1 + List.fold_left (fun n t -> n + term_size t) 0 args
 
 let rec pp_term ppf = function
-  | V x -> Format.fprintf ppf "?%s" x
+  | V x -> Format.fprintf ppf "?%d" x
   | Fn (f, []) -> Format.pp_print_string ppf f
   | Fn (f, args) ->
     Format.fprintf ppf "%s(%a)" f

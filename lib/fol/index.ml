@@ -16,22 +16,34 @@
       files its most specific literal in a watch-tree; a subsumer's
       watch literal necessarily generalizes some literal of the subsumee,
       so querying each literal of the new clause covers all candidates.
-      Backward ("which live clauses does this one subsume?") retrieves
-      {e instances} of the new clause's most specific literal from a tree
-      holding every literal of every registered clause — passive
-      included, so subsumed queued clauses are retired before they are
-      ever picked.  Any literal would be complete in either direction (a
-      subsumee holds an instance of every literal of its subsumer); the
-      most specific one — most non-variable symbols, the crowded
-      equality and sort-guard trees losing ties — matches the fewest
-      stored literals, where an all-variable one such as [~obj(X)]
-      matches its whole tree.
+      Backward ("which active clauses does this one subsume?") retrieves
+      {e instances} of the new clause's most specific literal from the
+      active literals' trees.  Any literal would be complete in either
+      direction (a subsumee holds an instance of every literal of its
+      subsumer); the most specific one — most non-variable symbols, the
+      crowded equality and sort-guard trees losing ties — matches the
+      fewest stored literals, where an all-variable one such as
+      [~obj(X)] matches its whole tree.
+
+    Only active clauses are indexed.  A queued (passive) clause is just
+    numbered by {!register}; the renamed copy and the keys that the
+    subsumption tests need are built when it is activated, and most
+    queued clauses never are.  Instead of retiring queued clauses when a
+    new clause is activated, the engine asks {!drop_if_subsumed} about a
+    queued clause when it comes off a queue: it is dropped if an active
+    clause activated after its registration (its [stamp] exceeds the
+    clause's [id]) subsumes it.  That is exactly the set eager backward
+    subsumption would have retired by then: subsumption with the length
+    guard is transitive, and an active clause leaves the active set only
+    when a newer active clause subsumes it, so the subsumer that was
+    activated after the clause, or one that replaced it, is still active
+    and still newer.
 
     Entries are retired lazily: {!retire} flips the state and retrieval
     filters on it, so deletion costs O(1) and no tree surgery.  Stats are
     accumulated locally and {!flush_stats} publishes them as
-    [fol.index.*] / [fol.subsume.*] trace counters once per refutation,
-    keeping {!Trace} calls out of the inner loop. *)
+    [fol.index.*] / [fol.subsume.*] / [fol.given] trace counters once per
+    refutation, keeping {!Trace} calls out of the inner loop. *)
 
 open Folterm
 open Folclause
@@ -39,14 +51,20 @@ open Folclause
 type cstate = Passive | Active | Dead
 
 type entry = {
-  id : int;
+  id : int; (* registration order *)
   cl : clause;
-  cl_r : clause;
-      (* [cl] renamed apart once and reused by every subsumption test;
-         most specific literal first, so a failing match fails early *)
   weight : int; (* clause_size: the passive queue's priority *)
   nlits : int; (* List.length: the subsumption length guard *)
-  keys : (bool * string) list; (* distinct (sign, pred), sorted *)
+  mutable cl_r : clause;
+      (* built by {!activate}: [cl] renamed apart once and reused by every
+         subsumption test; most specific literal first, so a failing match
+         fails early *)
+  mutable keys : (bool * string) list;
+      (* built by {!activate}: distinct (sign, pred), sorted *)
+  mutable stamp : int;
+      (* set by {!activate}: the number of clauses registered before the
+         activation, so [stamp > id'] iff the clause with id [id'] was
+         registered before this one was activated *)
   mutable state : cstate;
 }
 
@@ -142,7 +160,9 @@ type stats = {
   mutable retrieved : int; (* candidates returned by the trees *)
   mutable scanned : int; (* active literals a naive scan would have tried *)
   mutable fwd : int; (* clauses discarded by forward subsumption *)
-  mutable bwd : int; (* clauses retired by backward subsumption *)
+  mutable bwd : int;
+      (* active clauses retired by backward subsumption, and queued
+         clauses dropped by {!drop_if_subsumed} *)
   mutable dedup : int; (* normalized-clause dedup hits *)
   mutable given : int; (* clauses activated *)
 }
@@ -153,9 +173,6 @@ type t = {
   watch_trees : (bool * string, node) Hashtbl.t;
       (* one designated literal per active clause: forward-subsumption
          candidate retrieval (Generalizations) *)
-  all_trees : (bool * string, node) Hashtbl.t;
-      (* every literal of every registered clause, passive included:
-         backward-subsumption candidate retrieval (Instances) *)
   units : (bool * string, (entry * lit) list ref) Hashtbl.t;
       (* active unit clauses only, literal pre-renamed apart: the cheap
          generation-time filter *)
@@ -167,7 +184,6 @@ type t = {
 let create () : t =
   { trees = Hashtbl.create 32;
     watch_trees = Hashtbl.create 32;
-    all_trees = Hashtbl.create 32;
     units = Hashtbl.create 32;
     next_id = 0;
     active_lits = 0;
@@ -177,8 +193,12 @@ let create () : t =
 
 let lit_key (l : lit) = (l.sign, l.pred)
 
+let compare_key ((s1, p1) : bool * string) ((s2, p2) : bool * string) =
+  let c = Bool.compare s1 s2 in
+  if c <> 0 then c else String.compare p1 p2
+
 let clause_keys (c : clause) : (bool * string) list =
-  List.sort_uniq compare (List.map lit_key c)
+  List.sort_uniq compare_key (List.map lit_key c)
 
 (* sorted-list inclusion *)
 let rec key_subset xs ys =
@@ -186,7 +206,7 @@ let rec key_subset xs ys =
   | [], _ -> true
   | _, [] -> false
   | x :: xs', y :: ys' ->
-    let c = compare x y in
+    let c = compare_key x y in
     if c = 0 then key_subset xs' ys'
     else if c > 0 then key_subset xs ys'
     else false
@@ -200,39 +220,44 @@ let tree_of family key : node =
     nd
 
 (* how specific a literal is: its non-variable symbols, the crowded
-   equality and sort-guard trees losing ties.  [register] puts the most
-   specific literal first in [cl_r]; both subsumption directions file or
-   query by it *)
-let specificity (l : lit) : int * int =
+   equality and sort-guard trees losing ties (the low bit).  [activate]
+   puts the most specific literal first in [cl_r]; both subsumption
+   directions file or query by it *)
+let specificity (l : lit) : int =
   let rec syms n = function
     | V _ -> n
     | Fn (_, args) -> List.fold_left syms (n + 1) args
   in
-  (List.fold_left syms 0 l.args, if l.pred = "=" || l.pred = "obj" then 0 else 1)
+  (2 * List.fold_left syms 0 l.args)
+  + if l.pred = "=" || l.pred = "obj" then 0 else 1
 
+(** Number a kept clause; it waits in the engine's queues, unindexed,
+    until {!activate}. *)
 let register (t : t) (c : clause) : entry =
   let e =
     { id = t.next_id;
       cl = c;
-      cl_r =
-        rename_clause "!"
-          (List.stable_sort
-             (fun a b -> compare (specificity b) (specificity a))
-             c);
       weight = clause_size c;
       nlits = List.length c;
-      keys = clause_keys c;
+      cl_r = [];
+      keys = [];
+      stamp = 0;
       state = Passive;
     }
   in
   t.next_id <- t.next_id + 1;
-  List.iter
-    (fun l -> insert_path (tree_of t.all_trees (lit_key l)) l.args (e, l))
-    e.cl;
   e
 
 let activate (t : t) (e : entry) : unit =
   e.state <- Active;
+  e.stamp <- t.next_id;
+  e.cl_r <-
+    rename_clause apart
+      (List.map snd
+         (List.stable_sort
+            (fun (a, _) (b, _) -> Int.compare b a)
+            (List.map (fun l -> (specificity l, l)) e.cl)));
+  e.keys <- clause_keys e.cl;
   t.stats.given <- t.stats.given + 1;
   List.iter
     (fun l -> insert_path (tree_of t.trees (lit_key l)) l.args (e, l))
@@ -307,15 +332,15 @@ let unit_subsumed (t : t) (c : clause) : entry option =
   | None -> ());
   hit
 
-(** An active clause subsuming [c], if any: every literal of [c] asks
-    the watch-trees for stored watch literals generalizing it — the
-    subsumer, wherever it maps its watch literal, is found by that
-    literal. *)
-let forward_subsumed (t : t) (c : clause) : entry option =
+(* an active clause subsuming [c] that also passes [admit]: every literal
+   of [c] asks the watch-trees for stored watch literals generalizing it
+   — the subsumer, wherever it maps its watch literal, is found by that
+   literal *)
+let find_subsumer (t : t) (admit : entry -> bool) (c : clause) : entry option =
   let keys = clause_keys c in
   let n = List.length c in
   let check e =
-    e.state = Active && e.nlits <= n
+    e.state = Active && e.nlits <= n && admit e
     && key_subset e.keys keys
     && subsumes_prepared e.cl_r c
   in
@@ -333,30 +358,48 @@ let forward_subsumed (t : t) (c : clause) : entry option =
         | Some (e, _) -> Some e
         | None -> scan rest))
   in
-  match scan c with
+  scan c
+
+(** An active clause subsuming [c], if any. *)
+let forward_subsumed (t : t) (c : clause) : entry option =
+  match find_subsumer t (fun _ -> true) c with
   | Some e ->
     t.stats.fwd <- t.stats.fwd + 1;
     Some e
   | None -> None
 
-(** Every live clause other than [e] itself that [e]'s clause subsumes
-    (active {e and passive}; the caller retires them).  [e]'s most
-    specific literal asks the all-clauses trees for stored instances; the
-    owners of those literals are the only clauses [e] can subsume. *)
+(** Drop the queued clause [e] if an active clause activated after [e]
+    was registered subsumes it: [e] is then retired (and counted as
+    backward-subsumed) and the answer is [true].  The engine asks this
+    of every queued clause it takes off a queue, before spending a pick
+    on it. *)
+let drop_if_subsumed (t : t) (e : entry) : bool =
+  match find_subsumer t (fun a -> a.stamp > e.id) e.cl with
+  | Some _ ->
+    retire t e;
+    t.stats.bwd <- t.stats.bwd + 1;
+    true
+  | None -> false
+
+(** Every active clause other than [e] itself that [e]'s clause subsumes
+    (the caller retires them).  [e]'s most specific literal asks the
+    active trees for stored instances; the owners of those literals are
+    the only active clauses [e] can subsume.  Queued clauses are left to
+    {!drop_if_subsumed}. *)
 let backward_subsumed (t : t) (e : entry) : entry list =
   match e.cl_r with
   | [] -> []
   | lp :: _ -> (
     (* [cl_r] leads with the most specific literal; its renamed
        variables are as blind to the tree as the originals *)
-    match Hashtbl.find_opt t.all_trees (lit_key lp) with
+    match Hashtbl.find_opt t.trees (lit_key lp) with
     | None -> []
     | Some root ->
       let seen = Hashtbl.create 16 in
       let subsumed =
         List.filter
           (fun (c, _) ->
-            c.id <> e.id && c.state <> Dead && e.nlits <= c.nlits
+            c.id <> e.id && c.state = Active && e.nlits <= c.nlits
             && key_subset e.keys c.keys
             && (not (Hashtbl.mem seen c.id))
             && begin

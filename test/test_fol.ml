@@ -92,7 +92,7 @@ module Props = struct
     let open G in
     let leaf =
       oneofl
-        [ Term.V "X"; Term.V "Y"; Term.V "Z";
+        [ Term.V 0; Term.V 1; Term.V 2;
           Term.Fn ("a", []); Term.Fn ("b", []); Term.Fn ("c", []) ]
     in
     sized_size (int_bound 2) @@ fix (fun self n ->
@@ -149,7 +149,7 @@ module Props = struct
   (* the engine unifies the query literal against a renamed copy of the
      stored one, so the reference predicate must rename too *)
   let unifiable (l1 : lit) (l2 : lit) : bool =
-    let l2 = rename_lit "'" l2 in
+    let l2 = rename_lit Term.apart l2 in
     match List.fold_left2 Term.unify [] l1.args l2.args with
     | _ -> true
     | exception (Term.No_unifier | Invalid_argument _) -> false
@@ -192,7 +192,7 @@ module Props = struct
     let* args =
       list_repeat arity
         (frequency
-           [ (3, oneofl [ Term.V "X"; Term.V "Y"; Term.V "Z" ]); (1, gen_tm) ])
+           [ (3, oneofl [ Term.V 0; Term.V 1; Term.V 2 ]); (1, gen_tm) ])
     in
     return { sign; pred; args }
 
@@ -213,6 +213,8 @@ module Props = struct
       G.(pair (list_size (int_range 1 8) (pair gen_wide_cl (int_bound 2)))
            gen_wide_cl)
 
+  (* backward subsumption runs on the clause just activated and retires
+     active clauses only: queued ones are left to the pop-time check *)
   let prop_backward_subsumption_agrees =
     QCheck.Test.make
       ~name:"indexed backward subsumption agrees with the naive filter"
@@ -228,6 +230,7 @@ module Props = struct
             cs
         in
         let e = Index.register idx c in
+        Index.activate idx e;
         let indexed =
           List.sort_uniq compare
             (List.map (fun x -> x.Index.id) (Index.backward_subsumed idx e))
@@ -236,12 +239,62 @@ module Props = struct
           List.sort_uniq compare
             (List.filter_map
                (fun x ->
-                 if x.Index.state <> Index.Dead && subsumes c x.Index.cl then
+                 if x.Index.state = Index.Active && subsumes c x.Index.cl then
                    Some x.Index.id
                  else None)
                entries)
         in
         indexed = naive)
+
+  (* stored clauses interleaved with a queued one: each is left queued
+     (0), activated at once (1), activated only after every registration
+     (2), or activated and then retired (3); the queued clause is
+     registered before the stored clause at the given position *)
+  let arb_queued =
+    QCheck.make
+      ~print:(fun (cs, (k, c)) ->
+        Format.asprintf "stored: %s | queued at %d: %s"
+          (String.concat " ; "
+             (List.map
+                (fun (cl, st) -> Printf.sprintf "%s [%d]" (print_cl cl) st)
+                cs))
+          k (print_cl c))
+      G.(pair
+           (list_size (int_range 1 8) (pair gen_wide_cl (int_bound 3)))
+           (pair (int_bound 8) gen_wide_cl))
+
+  let prop_drop_if_subsumed =
+    QCheck.Test.make
+      ~name:"a queued clause is dropped iff a later-activated clause subsumes it"
+      ~count:1000 arb_queued (fun (cs, (k, c)) ->
+        let idx = Index.create () in
+        let queued = ref None in
+        let register_queued () = queued := Some (Index.register idx c) in
+        let entries =
+          List.mapi
+            (fun i (cl, st) ->
+              if i = k then register_queued ();
+              let e = Index.register idx cl in
+              if st = 1 || st = 3 then Index.activate idx e;
+              if st = 3 then Index.retire idx e;
+              (e, st))
+            cs
+        in
+        if !queued = None then register_queued ();
+        List.iter (fun (e, st) -> if st = 2 then Index.activate idx e) entries;
+        let q = Option.get !queued in
+        (* activated after [q] was registered: late, or registered after
+           [q] and activated at once *)
+        let naive =
+          List.exists
+            (fun (i, (x, st)) ->
+              x.Index.state = Index.Active
+              && (st = 2 || i >= k)
+              && subsumes x.Index.cl c)
+            (List.mapi (fun i x -> (i, x)) entries)
+        in
+        let dropped = Index.drop_if_subsumed idx q in
+        dropped = naive && (q.Index.state = Index.Dead) = dropped)
 
   (* normal forms order literals by their variable-blind skeletons; the
      allocation-free comparison must rank them as [compare] ranks the
@@ -251,7 +304,7 @@ module Props = struct
       ~count:1000
       (QCheck.make ~print:print_cl gen_wide_cl)
       (fun c ->
-        let skel l = { l with args = List.map (map_vars (fun _ -> "?")) l.args } in
+        let skel l = { l with args = List.map (map_vars (fun _ -> 0)) l.args } in
         List.for_all
           (fun a ->
             List.for_all
@@ -260,6 +313,79 @@ module Props = struct
                 = Int.compare (compare (skel a) (skel b)) 0)
               c)
           c)
+
+  (* a test-local copy of the normal form with the variable names the
+     engine once used: variable [i] becomes ["_v" ^ string_of_int i],
+     and polymorphic [compare] sorts the renamed literals *)
+  type nterm = NV of string | NFn of string * nterm list
+  type nlit = { nsign : bool; npred : string; nargs : nterm list }
+
+  let rec named (t : Term.term) : nterm =
+    match t with
+    | Term.V i -> NV ("_v" ^ string_of_int i)
+    | Term.Fn (f, args) -> NFn (f, List.map named args)
+
+  let named_lit (l : lit) : nlit =
+    { nsign = l.sign; npred = l.pred; nargs = List.map named l.args }
+
+  let reference_normal_form (c : clause) : nlit list =
+    let skel l = { l with args = List.map (map_vars (fun _ -> 0)) l.args } in
+    let ordered = List.stable_sort (fun a b -> compare (skel a) (skel b)) c in
+    let vars =
+      List.fold_left
+        (fun acc l ->
+          List.fold_left
+            (fun acc t ->
+              let rec go acc = function
+                | Term.V x -> if List.mem x acc then acc else acc @ [ x ]
+                | Term.Fn (_, args) -> List.fold_left go acc args
+              in
+              go acc t)
+            acc l.args)
+        [] ordered
+    in
+    let number x =
+      let rec go i = function
+        | [] -> assert false
+        | y :: rest -> if x = y then i else go (i + 1) rest
+      in
+      go 0 vars
+    in
+    List.sort_uniq compare
+      (List.map
+         (fun l -> named_lit { l with args = List.map (map_vars number) l.args })
+         ordered)
+
+  (* clauses over up to 14 distinct variables, so numerals of two digits
+     meet numerals of one *)
+  let gen_many_vars_cl : clause G.t =
+    let open G in
+    let leaf =
+      frequency
+        [ (4, map (fun i -> Term.V i) (int_bound 13));
+          (1, oneofl [ Term.Fn ("a", []); Term.Fn ("b", []) ]) ]
+    in
+    let tm =
+      frequency
+        [ (3, leaf);
+          (1, map (fun t -> Term.Fn ("f", [ t ])) leaf);
+          (1, map2 (fun t u -> Term.Fn ("g", [ t; u ])) leaf leaf) ]
+    in
+    let lit =
+      let* sign = bool in
+      let* pred, arity = oneofl [ ("p", 1); ("q", 2); ("r", 3) ] in
+      let* args = list_repeat arity tm in
+      return { sign; pred; args }
+    in
+    list_size (int_range 1 6) lit
+
+  let prop_normal_form_order =
+    QCheck.Test.make
+      ~name:"integer variables keep the normal form's literal order"
+      ~count:1000
+      (QCheck.make ~print:print_cl gen_many_vars_cl)
+      (fun c ->
+        List.map named_lit (normalize_clause c) = reference_normal_form c)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -490,7 +616,9 @@ let suite =
         QCheck_alcotest.to_alcotest Props.prop_retrieval_superset;
         QCheck_alcotest.to_alcotest Props.prop_forward_subsumption_agrees;
         QCheck_alcotest.to_alcotest Props.prop_backward_subsumption_agrees;
+        QCheck_alcotest.to_alcotest Props.prop_drop_if_subsumed;
         QCheck_alcotest.to_alcotest Props.prop_skeleton_order;
+        QCheck_alcotest.to_alcotest Props.prop_normal_form_order;
         Alcotest.test_case "corpus engine parity" `Quick test_corpus_parity;
         Alcotest.test_case
           "the indexed engine proves every List fol-fragment obligation the \
