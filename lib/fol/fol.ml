@@ -525,8 +525,20 @@ let refute_naive ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
       active literals instead of a scan of every active clause;
     - forward subsumption is full-clause (a new or popped clause subsumed
       by any active clause is discarded, not just unit-subsumed ones) and
-      backward subsumption retires every active {e and passive} clause the
-      newly activated given clause subsumes;
+      backward subsumption retires every active clause the newly
+      activated given clause subsumes;
+    - queued clauses are not indexed.  A queued clause that either queue
+      takes is dropped, without spending a pick, if an active clause
+      activated after it was kept subsumes it ({!Index.drop_if_subsumed}).
+      The search is the one that eager backward subsumption of queued
+      clauses would make: a dropped clause is exactly one that such a
+      step would have retired by the time of the pop, because
+      subsumption with the length guard is transitive and an active
+      clause leaves the active set only when a newer active clause
+      subsumes it.  The active set, the queues' contents and every pick
+      are therefore the same; [fol.subsume.backward] counts the queued
+      clauses a queue actually takes and drops, not those the search
+      never reaches;
     - the passive queue alternates between best-weight and oldest-age
       picks, five weight picks per age pick, so old heavy clauses cannot
       starve;
@@ -535,7 +547,8 @@ let refute_naive ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
       over the whole clause ({!Folclause.hash_clause}).
 
     Each refutation publishes its index counters, the number of clauses
-    it kept ([fol.kept]) and its outcome ([fol.outcome.*]) to the trace. *)
+    it activated ([fol.given]) and kept ([fol.kept]) and its outcome
+    ([fol.outcome.*]) to the trace. *)
 let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
     ?(timeout_s = 1.5) ~(usable : clause list) ~(sos : clause list) () :
     outcome =
