@@ -35,10 +35,8 @@ let apply_clause s c = List.map (apply_lit s) c
 let clause_vars (c : clause) : int list =
   List.fold_left (fun acc l -> List.fold_left term_vars acc l.args) [] c
 
-let rename_lit offset (l : lit) : lit = map_args (rename_term offset) l
-
-let rename_clause offset (c : clause) : clause =
-  List.map (rename_lit offset) c
+let rename_lit (l : lit) : lit = map_args rename_term l
+let rename_clause (c : clause) : clause = List.map rename_lit c
 
 let equal_lit (a : lit) (b : lit) : bool =
   a == b
@@ -196,7 +194,7 @@ let subsumes_prepared (c1 : clause) (c2 : clause) : bool =
   List.length c1 <= List.length c2 && go [] c1
 
 let subsumes (c1 : clause) (c2 : clause) : bool =
-  subsumes_prepared (rename_clause apart c1) c2
+  subsumes_prepared (rename_clause c1) c2
 
 (* one binary resolvent on a chosen literal pair: [l1] is an occurrence in
    [c1], [l2] one in [c2] with the opposite sign and the same predicate;
@@ -207,18 +205,18 @@ let resolve_on (c1 : clause) (l1 : lit) (c2 : clause) (l2 : lit) :
   (* most retrieved partners fail to unify: rename the rest of [c2] only
      once a resolvent exists *)
   match
-    (try Some (List.fold_left2 unify [] l1.args (rename_lit apart l2).args)
+    (try Some (List.fold_left2 unify [] l1.args (rename_lit l2).args)
      with No_unifier | Invalid_argument _ -> None)
   with
   | None -> None
   | Some s ->
     let rest1 = List.filter (fun l -> l != l1) c1 in
-    let rest2 = rename_clause apart (List.filter (fun l -> l != l2) c2) in
+    let rest2 = rename_clause (List.filter (fun l -> l != l2) c2) in
     Some (normalize_clause (apply_clause s (rest1 @ rest2)))
 
 (* all binary resolvents of c1 and c2 (c2 freshly renamed) *)
 let resolvents (c1 : clause) (c2 : clause) : clause list =
-  let c2 = rename_clause apart c2 in
+  let c2 = rename_clause c2 in
   List.concat_map
     (fun l1 ->
       List.filter_map

@@ -3,7 +3,7 @@
 
     Variables are integers.  Clauses in the search are kept in normal form
     (variables [0..k-1], {!Folclause.normalize_clause}), so renaming a
-    clause apart from another adds {!apart} to its variables: no string
+    clause apart from another adds a fixed offset to its variables: no string
     is built and no two clauses in one inference share a variable.  The
     kernel functions return constants and unchanged subterms as they are,
     so ground parts of a clause are shared, never copied. *)
@@ -15,8 +15,8 @@ type term =
 (* bindings of a triangular substitution, newest first *)
 type subst = (int * term) list
 
-(** The offset that renames a normalized clause apart from any other
-    normalized clause: their variables stay far below it. *)
+(* the offset that renames a normalized clause apart from any other
+   normalized clause: their variables stay far below it *)
 let apart = 1 lsl 30
 
 let rec lookup (x : int) : subst -> term option = function
@@ -78,12 +78,13 @@ let rec term_vars acc = function
   | V x -> if mem_var x acc then acc else x :: acc
   | Fn (_, args) -> List.fold_left term_vars acc args
 
-let rec rename_term (offset : int) (t : term) : term =
+(* a normalized term renamed apart *)
+let rec rename_term (t : term) : term =
   match t with
-  | V x -> V (x + offset)
+  | V x -> V (x + apart)
   | Fn (_, []) -> t
   | Fn (f, args) ->
-    let args' = map_shared (rename_term offset) args in
+    let args' = map_shared rename_term args in
     if args' == args then t else Fn (f, args')
 
 let rec equal_term (a : term) (b : term) : bool =

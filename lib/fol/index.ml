@@ -252,7 +252,7 @@ let activate (t : t) (e : entry) : unit =
   e.state <- Active;
   e.stamp <- t.next_id;
   e.cl_r <-
-    rename_clause apart
+    rename_clause
       (List.map snd
          (List.stable_sort
             (fun (a, _) (b, _) -> Int.compare b a)

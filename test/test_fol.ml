@@ -149,7 +149,7 @@ module Props = struct
   (* the engine unifies the query literal against a renamed copy of the
      stored one, so the reference predicate must rename too *)
   let unifiable (l1 : lit) (l2 : lit) : bool =
-    let l2 = rename_lit Term.apart l2 in
+    let l2 = rename_lit l2 in
     match List.fold_left2 Term.unify [] l1.args l2.args with
     | _ -> true
     | exception (Term.No_unifier | Invalid_argument _) -> false
@@ -329,7 +329,9 @@ module Props = struct
     { nsign = l.sign; npred = l.pred; nargs = List.map named l.args }
 
   let reference_normal_form (c : clause) : nlit list =
-    let skel l = { l with args = List.map (map_vars (fun _ -> 0)) l.args } in
+    let skel l =
+      { l with args = List.map (map_vars (fun _ -> 0)) l.args }
+    in
     let ordered = List.stable_sort (fun a b -> compare (skel a) (skel b)) c in
     let vars =
       List.fold_left
@@ -353,7 +355,8 @@ module Props = struct
     in
     List.sort_uniq compare
       (List.map
-         (fun l -> named_lit { l with args = List.map (map_vars number) l.args })
+         (fun l ->
+           named_lit { l with args = List.map (map_vars number) l.args })
          ordered)
 
   (* clauses over up to 14 distinct variables, so numerals of two digits
