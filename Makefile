@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI should run.
 
-.PHONY: all build test check fuzz-smoke e2e-self-test serve-smoke bench clean
+.PHONY: all build test check fuzz-smoke e2e-self-test serve-smoke since-smoke bench clean
 
 all: build
 
@@ -13,8 +13,8 @@ test:
 # build + full test suite + a traced, budgeted parallel run of the
 # paper's List figures whose event log must validate (verify exits 1
 # when not everything proves; only a hard error, exit 2, fails the
-# smoke) + the fuzz smoke + the end-to-end benchmark's self-test + a
-# daemon round-trip.  Performance is judged by e2ebench alone; no step here
+# smoke) + the fuzz smoke + the end-to-end benchmark's self-test + the
+# daemon round-trips + the --since store check.  Performance is judged by e2ebench alone; no step here
 # rewrites a committed file
 check:
 	dune build
@@ -27,6 +27,7 @@ check:
 	$(MAKE) fuzz-smoke
 	$(MAKE) e2e-self-test
 	$(MAKE) serve-smoke
+	$(MAKE) since-smoke
 
 # a short fixed-seed differential fuzz of every fragment: any prover
 # disagreement (or prover-vs-oracle contradiction) exits non-zero.
@@ -45,10 +46,13 @@ fuzz-smoke:
 e2e-self-test:
 	python3 e2ebench/run.py --self-test
 
-# two stdio round-trips through the real daemon on one store file: a
-# prove request must come back valid on the same line-oriented protocol
-# the socket serves, and a second daemon must answer it from the file
+# stdio round-trips through the real daemon on one store file: a prove
+# request must come back valid on the same line-oriented protocol the
+# socket serves, and a second daemon must answer it from the file; an
+# incremental verify of Stack re-verifies its four methods, and a second
+# daemon answers all four from the file's method records
 SMOKE_PROVE = '{"id":1,"cmd":"prove","hyps":["x <= y","y <= z"],"goal":"x <= z"}'
+SMOKE_VERIFY = '{"id":2,"cmd":"verify","files":["examples/stack/Stack.java"],"incremental":true}'
 serve-smoke:
 	rm -f serve_smoke.jstore
 	printf '%s\n' $(SMOKE_PROVE) \
@@ -58,6 +62,24 @@ serve-smoke:
 	  | dune exec -- jahob serve --stdio --store serve_smoke.jstore \
 	  | grep -q '"verdict":"valid".*"cached":true'
 	rm -f serve_smoke.jstore
+	printf '%s\n' $(SMOKE_VERIFY) \
+	  | dune exec -- jahob serve --stdio --store serve_smoke.jstore \
+	  | grep -q '"unchanged":0,"reverified":4'
+	printf '%s\n' $(SMOKE_VERIFY) \
+	  | dune exec -- jahob serve --stdio --store serve_smoke.jstore \
+	  | grep -q '"unchanged":4,"reverified":0'
+	rm -f serve_smoke.jstore
+
+# --since verifies the base and then the patch against it, recording
+# both runs' method records in --store: a later incremental run on the
+# same file answers all four Stack methods from the file
+since-smoke:
+	rm -f since_smoke.jstore
+	dune exec -- jahob verify --since examples/stack/Stack.java \
+	  --store since_smoke.jstore examples/stack/Stack.java > /dev/null
+	test "$$(dune exec -- jahob verify --store since_smoke.jstore \
+	  --incremental examples/stack/Stack.java | grep -c '\[unchanged\]')" -eq 4
+	rm -f since_smoke.jstore
 
 bench:
 	dune exec bench/main.exe

@@ -137,44 +137,8 @@ let since_arg =
                  base version, then re-verify the given files \
                  incrementally against it: each method is reported \
                  [unchanged] or [re-verified] with its invalidation \
-                 reasons")
-
-let parse_files (files : string list) : Javaparser.Ast.program =
-  List.concat_map Javaparser.Jparser.parse_program_file files
-
-(* verify through a resident engine whose cache the persistent store
-   preloads, then write the cache back if this run changed it *)
-let verify_with_store (opts : Jahob_core.Jahob.options) ~(store : string)
-    ~(incremental : bool) (files : string list) :
-    Jahob_core.Jahob.program_report =
-  let e = Jahob_core.Jahob.create_engine opts in
-  Fun.protect
-    ~finally:(fun () -> Jahob_core.Jahob.shutdown_engine e)
-    (fun () ->
-      let s =
-        Daemon.Store.load ~cache:(Jahob_core.Jahob.engine_cache e) store
-      in
-      let report =
-        if incremental then
-          Jahob_core.Jahob.verify_program_inc e
-            ~source:(Daemon.Store.source s) (parse_files files)
-        else Jahob_core.Jahob.verify_files_with e files
-      in
-      Daemon.Store.sync s;
-      report)
-
-(* base+patch in one process: verify BASE cold (recording method
-   records), then the given files incrementally against them *)
-let verify_since (opts : Jahob_core.Jahob.options) ~(base : string list)
-    (files : string list) : Jahob_core.Jahob.program_report =
-  let source = Jahob_core.Jahob.hashtbl_source () in
-  let e = Jahob_core.Jahob.create_engine opts in
-  Fun.protect
-    ~finally:(fun () -> Jahob_core.Jahob.shutdown_engine e)
-    (fun () ->
-      ignore
-        (Jahob_core.Jahob.verify_program_inc e ~source (parse_files base));
-      Jahob_core.Jahob.verify_program_inc e ~source (parse_files files))
+                 reasons.  Both runs' method records go to the --store \
+                 file when one is given")
 
 let verify_cmd =
   let run files no_inference provers stats jobs no_cache cache_cap budget
@@ -190,27 +154,28 @@ let verify_cmd =
           (fun f -> Trace.open_sink ~format:trace_format f)
           trace_file;
         let finish () = Trace.stop () in
+        (* the daemon's verify path, on a server built from the flags *)
         let verify () =
-          match (since, store) with
-          | Some base, _ ->
-            let base =
-              String.split_on_char ',' base |> List.map String.trim
-            in
-            verify_since opts ~base files
-          | None, Some path ->
-            verify_with_store opts ~store:path ~incremental files
-          | None, None ->
-            if incremental then
-              (* no store: in-memory records, so this run is cold — but
-                 the report still carries provenance per method *)
-              let source = Jahob_core.Jahob.hashtbl_source () in
-              let e = Jahob_core.Jahob.create_engine opts in
-              Fun.protect
-                ~finally:(fun () -> Jahob_core.Jahob.shutdown_engine e)
-                (fun () ->
-                  Jahob_core.Jahob.verify_program_inc e ~source
-                    (parse_files files))
-            else Jahob_core.Jahob.verify_files ~opts files
+          let srv =
+            Daemon.Server.create
+              { (Daemon.Server.default_config ()) with
+                Daemon.Server.opts;
+                store_path = store;
+                log = Daemon.Store.default_log }
+          in
+          Fun.protect
+            ~finally:(fun () -> Daemon.Server.shutdown srv)
+            (fun () ->
+              match since with
+              | None -> Daemon.Server.verify srv ~incremental files
+              | Some base ->
+                (* base cold, recording method records; then the given
+                   files incrementally against them *)
+                let base =
+                  String.split_on_char ',' base |> List.map String.trim
+                in
+                ignore (Daemon.Server.verify srv ~incremental:true base);
+                Daemon.Server.verify srv ~incremental:true files)
         in
         match verify () with
         | report ->

@@ -1,9 +1,11 @@
 (** Jahob: the top-level driver.
 
-    [verify_file] / [verify_program] run the full pipeline of the paper:
-    parse the annotated Java subset, desugar to guarded commands, generate
-    weakest-precondition obligations, decompose goals, and dispatch each
-    obligation to the decision-procedure portfolio. *)
+    [verify] runs the full pipeline of the paper on a parsed program:
+    desugar to guarded commands, generate weakest-precondition
+    obligations, decompose goals, and dispatch each obligation to the
+    decision-procedure portfolio — on every method, or, given a method
+    source, on the methods no record answers for.  [verify_files] parses
+    the annotated Java subset first. *)
 
 module Ast = Javaparser.Ast
 
@@ -25,9 +27,6 @@ type program_report = {
   ok : bool; (* every obligation of every method proved *)
   dispatcher : Dispatch.t; (* for the verdict-cache statistics *)
 }
-
-let provenance_reasons (p : provenance) : string list =
-  match p with Fresh | Unchanged -> [] | Invalidated why -> why
 
 (** The default portfolio, in dispatch order: the cheap SMT core first,
     then BAPA for cardinality goals, the MONA-route for shape goals, and
@@ -168,16 +167,11 @@ let engine_dispatcher (e : engine) : Dispatch.t = e.eng_dispatcher
 let shutdown_engine (e : engine) : unit =
   Option.iter Dispatch.Pool.shutdown e.eng_pool
 
-(** Verify every method of a parsed program on a resident engine.  One
-    request batch: opens a cache recency epoch on entry and trims the
-    cache back under its cap on exit (both no-ops mid-batch, so a
-    one-shot run behaves exactly as before). *)
 (* Verify one method task on the engine: the counterexample-driven
    weakening loop — inferred invariant conjuncts that fail their own
    initiation or preservation check are dropped and the method is retried
-   (the speculative-engine loop of Section 2.4).  Shared by the cold path
-   ([verify_program_with]) and the incremental path
-   ([verify_program_inc]). *)
+   (the speculative-engine loop of Section 2.4).  {!verify} runs it on
+   every method it does not replay from a record. *)
 let verify_task_summary (e : engine) (task : Gcl.Desugar.method_task) :
     Dispatch.summary =
   let opts = e.eng_opts in
@@ -265,21 +259,6 @@ let report_ok (methods : method_report list) : bool =
     (fun m -> m.obligations.Dispatch.valid = m.obligations.Dispatch.total)
     methods
 
-let verify_program_with (e : engine) (prog : Ast.program) : program_report =
-  Option.iter Dispatch.Cache.new_epoch e.eng_cache;
-  let tasks =
-    Trace.with_span ~cat:"frontend" "desugar" (fun () ->
-        Gcl.Desugar.program_tasks prog)
-  in
-  let verify_task task =
-    { method_name = task.Gcl.Desugar.task_name;
-      obligations = verify_task_summary e task;
-      provenance = Fresh }
-  in
-  let methods = Dispatch.Pool.map_opt e.eng_pool verify_task tasks in
-  Option.iter (fun c -> ignore (Dispatch.Cache.trim c)) e.eng_cache;
-  { methods; ok = report_ok methods; dispatcher = e.eng_dispatcher }
-
 (* ------------------------------------------------------------------ *)
 (* Incremental re-verification                                         *)
 (* ------------------------------------------------------------------ *)
@@ -307,8 +286,8 @@ type method_source = {
   list_methods : unit -> string list;
 }
 
-(** A method source over a plain hashtable — the base of [--since] (one
-    process verifies base then patch) and of the tests. *)
+(** A method source over a plain hashtable — a store-less daemon's (and
+    so a store-less [jahob verify]'s) records, and the tests'. *)
 let hashtbl_source () : method_source =
   let tbl : (string, stored_method) Hashtbl.t = Hashtbl.create 32 in
   let lock = Mutex.create () in
@@ -321,17 +300,16 @@ let hashtbl_source () : method_source =
       (fun () ->
         locked (fun () -> Hashtbl.fold (fun n _ acc -> n :: acc) tbl [])) }
 
-(* why a method must be re-verified, or [None] for "answer from the
-   store" *)
-let invalidation_reasons (opts : options) (source : method_source)
-    ~(ctx : string) (prog : Ast.program) ~(home : string) (name : string)
-    (digest : string) : string list option =
+(* the record that answers for a method, or why it must be re-verified *)
+let check_record (opts : options) (source : method_source) ~(ctx : string)
+    (prog : Ast.program) ~(home : string) (name : string) (digest : string) :
+    (stored_method, string list) result =
   match source.find_method name with
-  | None -> Some [ "new" ]
+  | None -> Error [ "new" ]
   | Some sm ->
-    if sm.sm_ctx <> ctx then Some [ "ctx" ]
-    else if sm.sm_infer <> opts.infer_loop_invariants then Some [ "options" ]
-    else if sm.sm_digest <> digest then Some [ "method" ]
+    if sm.sm_ctx <> ctx then Error [ "ctx" ]
+    else if sm.sm_infer <> opts.infer_loop_invariants then Error [ "options" ]
+    else if sm.sm_digest <> digest then Error [ "method" ]
     else begin
       let changed =
         List.filter_map
@@ -341,7 +319,7 @@ let invalidation_reasons (opts : options) (source : method_source)
             | Some d -> if d <> old then Some key else None)
           sm.sm_deps
       in
-      if changed = [] then None else Some changed
+      if changed = [] then Ok sm else Error changed
     end
 
 (* a stored verdict replayed as a report: the obligation itself is not
@@ -357,36 +335,50 @@ let replay_report ((oname, kind, prover) : string * string * string) :
     cached = true;
     limited = false }
 
-(** Incremental verification against a method store.  Each verifiable
-    method is re-verified iff it is new, its own structural digest
-    changed, the global desugaring context changed, or one of its
-    recorded dependency digests changed — otherwise its stored verdicts
-    are replayed and the method reports [Unchanged].  Re-verified
-    methods with fully settled obligations are recorded back, so a cold
-    run against an empty source doubles as the base run. *)
-let verify_program_inc (e : engine) ~(source : method_source)
-    (prog : Ast.program) : program_report =
+(** Verify every method of a parsed program on a resident engine.  One
+    request batch: opens a cache recency epoch on entry and trims the
+    cache back under its cap on exit.  Without [source] every method is
+    verified and reports [Fresh]; no digest is computed and nothing is
+    recorded.  With [source], each method is re-verified iff it is new,
+    its own structural digest changed, the global desugaring context
+    changed, or one of its recorded dependency digests changed —
+    otherwise its stored verdicts are replayed and the method reports
+    [Unchanged].  Re-verified methods with fully settled obligations are
+    recorded back, so a run against an empty source doubles as the base
+    run. *)
+let verify (e : engine) ?(source : method_source option) (prog : Ast.program)
+    : program_report =
   let opts = e.eng_opts in
   Option.iter Dispatch.Cache.new_epoch e.eng_cache;
   let ctx =
-    Trace.with_span ~cat:"frontend" "ctx-digest" (fun () ->
-        Vcgen.Deps.context_digest prog)
+    match source with
+    | None -> ""
+    | Some _ ->
+      Trace.with_span ~cat:"frontend" "ctx-digest" (fun () ->
+          Vcgen.Deps.context_digest prog)
   in
+  (* per method with a body: [Ok sm] when the record [sm] answers for
+     it, [Error p] when it is verified and reports provenance [p] *)
   let decisions =
     List.concat_map
       (fun (c : Ast.class_decl) ->
         List.filter_map
           (fun (m : Ast.method_decl) ->
-            match m.Ast.m_body with
-            | None -> None
-            | Some _ ->
-              let name = c.Ast.c_name ^ "." ^ m.Ast.m_name in
-              let dg = Javaparser.Astdiff.method_digest c.Ast.c_name m in
-              let why =
-                invalidation_reasons opts source ~ctx prog
-                  ~home:c.Ast.c_name name dg
-              in
-              Some (c, m, name, dg, why))
+            Option.map
+              (fun _ ->
+                let name = c.Ast.c_name ^ "." ^ m.Ast.m_name in
+                let dg, plan =
+                  match source with
+                  | None -> ("", Error Fresh)
+                  | Some source ->
+                    let dg = Javaparser.Astdiff.method_digest c.Ast.c_name m in
+                    ( dg,
+                      check_record opts source ~ctx prog ~home:c.Ast.c_name
+                        name dg
+                      |> Result.map_error (fun why -> Invalidated why) )
+                in
+                (c, m, name, dg, plan))
+              m.Ast.m_body)
           c.Ast.c_methods)
       prog
   in
@@ -394,35 +386,41 @@ let verify_program_inc (e : engine) ~(source : method_source)
      is verified fresh rather than answered from a stale record.  Only
      this program's classes are swept: a source shared across programs
      (a daemon's) keeps the other programs' records *)
-  let live = List.map (fun (_, _, n, _, _) -> n) decisions in
-  let in_program n =
-    match String.index_opt n '.' with
-    | Some i ->
-      let cls = String.sub n 0 i in
-      List.exists (fun (c : Ast.class_decl) -> c.Ast.c_name = cls) prog
-    | None -> false
-  in
-  List.iter
-    (fun n ->
-      if in_program n && not (List.mem n live) then source.remove_method n)
-    (source.list_methods ());
-  let verify_one (c, m, name, dg, why) =
-    match why with
-    | None ->
-      let sm =
-        match source.find_method name with
-        | Some sm -> sm
-        | None -> assert false (* decided Unchanged above *)
+  Option.iter
+    (fun source ->
+      let live = List.map (fun (_, _, n, _, _) -> n) decisions in
+      let in_program n =
+        match String.index_opt n '.' with
+        | Some i ->
+          let cls = String.sub n 0 i in
+          List.exists (fun (c : Ast.class_decl) -> c.Ast.c_name = cls) prog
+        | None -> false
       in
+      List.iter
+        (fun n ->
+          if in_program n && not (List.mem n live) then source.remove_method n)
+        (source.list_methods ()))
+    source;
+  (* desugar every method that no record answers for, before any is
+     proved *)
+  let jobs =
+    Trace.with_span ~cat:"frontend" "desugar" (fun () ->
+        List.map
+          (fun (c, m, name, dg, plan) ->
+            ( c, name, dg,
+              Result.map_error
+                (fun provenance -> (Gcl.Desugar.method_task prog c m, provenance))
+                plan ))
+          decisions)
+  in
+  let verify_one (c, name, dg, job) =
+    match job with
+    | Ok sm ->
       Trace.incr "jahob.inc_unchanged";
       { method_name = name;
         obligations = Dispatch.summarize (List.map replay_report sm.sm_verdicts);
         provenance = Unchanged }
-    | Some why ->
-      let task =
-        Trace.with_span ~cat:"frontend" "desugar" (fun () ->
-            Gcl.Desugar.method_task prog c m)
-      in
+    | Error (task, provenance) ->
       let summary = verify_task_summary e task in
       (* only fully settled methods are recorded: the store outlives
          this process, and an Unknown holds only for the portfolio and
@@ -430,22 +428,23 @@ let verify_program_inc (e : engine) ~(source : method_source)
          unsettled method keeps its last settled record, if any: the
          digests in it keep it from answering for this body, and an
          edit back to the recorded body replays it *)
-      if summary.Dispatch.unknown = 0 then
-        source.record_method
-          { sm_name = name; sm_digest = dg; sm_ctx = ctx;
-            sm_infer = opts.infer_loop_invariants;
-            sm_deps = Vcgen.Deps.task_deps prog ~home:c.Ast.c_name task;
-            sm_verdicts =
-              List.map
-                (fun (r : Dispatch.report) ->
-                  ( r.Dispatch.sequent.Logic.Sequent.name,
-                    Logic.Sequent.verdict_kind r.Dispatch.verdict,
-                    Option.value r.Dispatch.prover ~default:"" ))
-                summary.Dispatch.reports };
-      { method_name = name; obligations = summary;
-        provenance = Invalidated why }
+      (match source with
+       | Some source when summary.Dispatch.unknown = 0 ->
+         source.record_method
+           { sm_name = name; sm_digest = dg; sm_ctx = ctx;
+             sm_infer = opts.infer_loop_invariants;
+             sm_deps = Vcgen.Deps.task_deps prog ~home:c.Ast.c_name task;
+             sm_verdicts =
+               List.map
+                 (fun (r : Dispatch.report) ->
+                   ( r.Dispatch.sequent.Logic.Sequent.name,
+                     Logic.Sequent.verdict_kind r.Dispatch.verdict,
+                     Option.value r.Dispatch.prover ~default:"" ))
+                 summary.Dispatch.reports }
+       | _ -> ());
+      { method_name = name; obligations = summary; provenance }
   in
-  let methods = Dispatch.Pool.map_opt e.eng_pool verify_one decisions in
+  let methods = Dispatch.Pool.map_opt e.eng_pool verify_one jobs in
   Option.iter (fun c -> ignore (Dispatch.Cache.trim c)) e.eng_cache;
   { methods; ok = report_ok methods; dispatcher = e.eng_dispatcher }
 
@@ -454,23 +453,7 @@ let verify_program_inc (e : engine) ~(source : method_source)
 let verify_program ?(opts = default_options ()) (prog : Ast.program) :
     program_report =
   let e = create_engine opts in
-  Fun.protect
-    ~finally:(fun () -> shutdown_engine e)
-    (fun () -> verify_program_with e prog)
-
-(** Parse and verify files on a resident engine (the daemon's request
-    handler). *)
-let verify_files_with (e : engine) (paths : string list) : program_report =
-  let prog =
-    Trace.with_span ~cat:"frontend"
-      ~args:(fun () -> [ ("files", Trace.I (List.length paths)) ])
-      "parse"
-      (fun () ->
-        List.concat_map
-          (fun p -> Javaparser.Jparser.parse_program_file p)
-          paths)
-  in
-  verify_program_with e prog
+  Fun.protect ~finally:(fun () -> shutdown_engine e) (fun () -> verify e prog)
 
 (** Parse and verify one or more source files as a single program. *)
 let verify_files ?(opts = default_options ()) (paths : string list) :
@@ -485,9 +468,6 @@ let verify_files ?(opts = default_options ()) (paths : string list) :
           paths)
   in
   verify_program ~opts prog
-
-let verify_file ?opts (path : string) : program_report =
-  verify_files ?opts [ path ]
 
 let pp_report ?(stats = false) ppf (r : program_report) =
   List.iter

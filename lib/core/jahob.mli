@@ -22,8 +22,6 @@ type method_report = {
   provenance : provenance;
 }
 
-val provenance_reasons : provenance -> string list
-
 type program_report = {
   methods : method_report list;
   ok : bool;  (** every obligation of every method proved *)
@@ -70,10 +68,6 @@ val engine_dispatcher : engine -> Dispatch.t
     afterwards. *)
 val shutdown_engine : engine -> unit
 
-(** Verify on a resident engine.  Each call is one cache batch: a new
-    recency epoch on entry, an LRU trim back under the cap on exit. *)
-val verify_program_with : engine -> Javaparser.Ast.program -> program_report
-
 (** One method's record in a persistent store: its structural digest,
     the global context digest, the dependency digests its VCs read, and
     the settled verdicts to replay while none of those change. *)
@@ -97,29 +91,36 @@ type method_source = {
   list_methods : unit -> string list;
 }
 
-(** A fresh in-memory method source (a locked hashtable) — backs
-    [jahob verify --since] within one process, and the tests. *)
+(** A fresh in-memory method source (a locked hashtable) — backs a
+    store-less daemon (and so a store-less [jahob verify --incremental]
+    or [--since]), and the tests. *)
 val hashtbl_source : unit -> method_source
 
-(** Incremental verification against a method store.  Each verifiable
-    method is re-verified iff it is new, its own structural digest
-    changed, the global desugaring context changed, or one of its
-    recorded dependency digests changed — otherwise its stored verdicts
-    are replayed and the method reports {!Unchanged}.  Re-verified
-    methods whose obligations all settled are recorded back, so a run
-    against an empty source doubles as the base (cold) run. *)
-val verify_program_inc :
-  engine -> source:method_source -> Javaparser.Ast.program -> program_report
+(** Verify every method of a program on a resident engine.  Each call
+    is one cache batch: a new recency epoch on entry, an LRU trim back
+    under the cap on exit.
 
-(** Parse and verify files on a resident engine (the daemon's request
-    handler). *)
-val verify_files_with : engine -> string list -> program_report
+    Without [source] every method is verified and reports {!Fresh}; no
+    context or method digest is computed and nothing is recorded.
 
+    With [source] the run is incremental: each verifiable method is
+    re-verified iff it is new, its own structural digest changed, the
+    global desugaring context changed, or one of its recorded dependency
+    digests changed — otherwise its stored verdicts are replayed and the
+    method reports {!Unchanged}.  Records of this program's classes whose
+    methods are gone are removed.  Re-verified methods whose obligations
+    all settled are recorded back, so a run against an empty source
+    doubles as the base (cold) run. *)
+val verify :
+  engine -> ?source:method_source -> Javaparser.Ast.program -> program_report
+
+(** One-shot {!verify}: builds an engine, verifies, releases the pool. *)
 val verify_program :
   ?opts:options -> Javaparser.Ast.program -> program_report
 
+(** Parse (under the [frontend:parse] span) and {!verify_program} one or
+    more source files as a single program. *)
 val verify_files : ?opts:options -> string list -> program_report
-val verify_file : ?opts:options -> string -> program_report
 
 val pp_report :
   ?stats:bool -> Format.formatter -> program_report -> unit

@@ -37,11 +37,6 @@ type request =
   | Save of { id : Json.t option }
   | Shutdown of { id : Json.t option }
 
-let request_id = function
-  | Verify { id; _ } | Prove { id; _ } | Stats { id } | Ping { id }
-  | Save { id } | Shutdown { id } ->
-    id
-
 (* ------------------------------------------------------------------ *)
 (* Response construction                                               *)
 (* ------------------------------------------------------------------ *)

@@ -1,4 +1,6 @@
-(** The resident verification server behind [jahob serve].
+(** The resident verification server behind [jahob serve], and the
+    one verify path of [jahob verify] too: the CLI builds a server from
+    its flags and calls {!verify} (twice for [--since]).
 
     One server owns one {!Jahob_core.Jahob.engine} — worker pool and
     verdict cache — and optionally one on-disk {!Store}.  Requests arrive as JSONL (see {!Proto}) over a
@@ -12,7 +14,7 @@
     pool fans the batch's obligations out).  That keeps
     the cache's epoch/trim discipline trivially correct: each request is
     one batch, [new_epoch] on entry, [trim] on exit (both inside
-    [verify_program_with]).
+    [Jahob.verify]).
 
     Store discipline: the store preloads the cache at startup (a warm
     start is logged, as is a cold start); after any request that took a
@@ -77,6 +79,23 @@ let engine (t : t) : Jahob.engine = t.engine
     changed them. *)
 let persist (t : t) : unit = Option.iter Store.sync t.store
 
+(** One verify request: parse [files] as one program, verify it on the
+    resident engine (incrementally against {!method_source} when
+    [incremental]) and {!persist}.  Front-end and prover exceptions
+    propagate; nothing is persisted then. *)
+let verify (t : t) ~(incremental : bool) (files : string list) :
+    Jahob.program_report =
+  let prog =
+    Trace.with_span ~cat:"frontend"
+      ~args:(fun () -> [ ("files", Trace.I (List.length files)) ])
+      "parse"
+      (fun () -> List.concat_map Javaparser.Jparser.parse_program_file files)
+  in
+  let source = if incremental then Some (method_source t) else None in
+  let report = Jahob.verify t.engine ?source prog in
+  persist t;
+  report
+
 let shutdown (t : t) : unit =
   persist t;
   Jahob.shutdown_engine t.engine
@@ -120,20 +139,8 @@ let method_obj (m : Jahob.method_report) : Buffer.t -> unit =
 
 let handle_verify (t : t) id ~(incremental : bool) (files : string list) :
     string =
-  let run () =
-    if not incremental then Jahob.verify_files_with t.engine files
-    else begin
-      let prog =
-        List.concat_map
-          (fun p -> Javaparser.Jparser.parse_program_file p)
-          files
-      in
-      Jahob.verify_program_inc t.engine ~source:(method_source t) prog
-    end
-  in
-  match run () with
+  match verify t ~incremental files with
   | report ->
-    persist t;
     let counts =
       if not incremental then []
       else

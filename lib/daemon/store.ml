@@ -283,7 +283,7 @@ let method_count (t : t) : int =
   n
 
 (** The store as a {!Jahob.method_source} — what
-    {!Jahob.verify_program_inc} reads and writes.  Thread-safe: every
+    {!Jahob.verify} reads and writes when incremental.  Thread-safe: every
     operation takes the store lock. *)
 let source (t : t) : Jahob.method_source =
   { Jahob.find_method = find_method t;

@@ -279,17 +279,6 @@ and is_set_side ctx bound (g : Form.t) : bool =
     || match List.assoc_opt x bound with Some `Set -> true | _ -> false)
   | _ -> false
 
-(** Translate a sequent into a WS1S validity question over the backbone
-    word model.  Raises {!Not_applicable} outside the fragment. *)
-let translate_sequent (s : Sequent.t) : W.t * string list =
-  let ctx = { backbone = None; obj_vars = []; set_vars = [] } in
-  let hyps = List.map (trans ctx []) s.Sequent.hyps in
-  let goal = trans ctx [] s.Sequent.goal in
-  (* free object variables and set variables live inside {0..null} *)
-  let formula = W.Impl (W.And (range_hyps ctx @ hyps), goal) in
-  let fo = null_pos :: List.map pos_of ctx.obj_vars in
-  (formula, fo)
-
 (* ------------------------------------------------------------------ *)
 (* The prover                                                          *)
 (* ------------------------------------------------------------------ *)

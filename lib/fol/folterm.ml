@@ -67,8 +67,6 @@ let rec unify (s : subst) (a : term) (b : term) : subst =
       raise No_unifier
     else List.fold_left2 unify s xs ys
 
-let unify_opt a b = try Some (unify [] a b) with No_unifier -> None
-
 let rec mem_var (x : int) = function
   | [] -> false
   | y :: rest -> x = y || mem_var x rest

@@ -343,11 +343,11 @@ let run (cfg : config) : report =
         (1 + Option.value (Hashtbl.find_opt applied name) ~default:0);
       let source = Jahob_core.Jahob.hashtbl_source () in
       match
-        let r0 = Jahob_core.Jahob.verify_program_inc engine ~source base in
+        let r0 = Jahob_core.Jahob.verify engine ~source base in
         if not r0.Jahob_core.Jahob.ok then
           diverge i name "seed program no longer fully verifies";
-        let inc = Jahob_core.Jahob.verify_program_inc engine ~source patched in
-        let scratch = Jahob_core.Jahob.verify_program_with engine patched in
+        let inc = Jahob_core.Jahob.verify engine ~source patched in
+        let scratch = Jahob_core.Jahob.verify engine patched in
         (outcomes inc, outcomes scratch)
       with
       | exception e ->

@@ -193,7 +193,6 @@ let mk_exists vars body =
 
 let mk_lambda vars body = mk_binder Lambda vars body
 let mk_comprehension vars body = Binder (Comprehension, vars, body)
-let mk_typed f ty = TypedForm (f, ty)
 
 (** n-ary conjunction/implication helpers used by the VC generator. *)
 let mk_impl_chain hyps goal = mk_impl (mk_and hyps) goal
@@ -421,10 +420,6 @@ let rec fold fn acc f =
 (** Size of the formula tree (number of nodes), used by benchmarks and by
     the dispatcher's cost heuristics. *)
 let size f = fold (fun n _ -> n + 1) 0 f
-
-(** All constants occurring in the formula. *)
-let consts f =
-  fold (fun acc g -> match g with Const c -> c :: acc | _ -> acc) [] f
 
 (** Does any subformula satisfy [p]? *)
 let exists_sub p f =

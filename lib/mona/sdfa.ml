@@ -317,7 +317,6 @@ let witness (a : t) : int list option =
     Some (build s [])
 
 let is_empty (a : t) : bool = witness a = None
-let is_universal (a : t) : bool = is_empty (complement a)
 
 (* ------------------------------------------------------------------ *)
 (* Dense interop (differential testing)                                *)

@@ -38,11 +38,6 @@ type t =
   | Ex2 of var * t (* second-order exists *)
   | All2 of var * t
 
-(* convenience *)
-let conj fs = And fs
-let disj fs = Or fs
-let neg f = Not f
-
 (* ------------------------------------------------------------------ *)
 (* Variables                                                           *)
 (* ------------------------------------------------------------------ *)

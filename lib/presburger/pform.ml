@@ -88,7 +88,6 @@ let t_lt a b = mk_le (Linterm.add (Linterm.sub a b) (Linterm.const 1))
 let t_ge a b = t_le b a
 let t_gt a b = t_lt b a
 let t_eq a b = mk_eq (Linterm.sub a b)
-let t_neq a b = mk_not (t_eq a b)
 
 (* ------------------------------------------------------------------ *)
 (* Structure                                                           *)

@@ -411,5 +411,4 @@ let solve_clauses ?(assumptions = []) (clauses : int list list) : result =
 (** Truth of literal [l] in a model returned by {!solve}. *)
 let lit_true (m : bool array) l = if l > 0 then m.(l) else not m.(-l)
 
-let num_vars s = s.nvars
 let num_learnts s = s.n_learnts

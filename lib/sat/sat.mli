@@ -29,5 +29,4 @@ val solve_clauses : ?assumptions:int list -> int list list -> result
 (** Truth of literal [l] in a model returned by {!solve}. *)
 val lit_true : bool array -> int -> bool
 
-val num_vars : t -> int
 val num_learnts : t -> int

@@ -162,9 +162,3 @@ let task_deps (prog : Ast.program) ~(home : string)
 let digest_of_key (prog : Ast.program) ~(home : string) (key : string) :
     string option =
   Option.map (dep_digest prog ~home) (Gcl.Desugar.dep_of_key key)
-
-(** Home class of a qualified method name ["C.m"]. *)
-let home_of_method (name : string) : string =
-  match String.index_opt name '.' with
-  | Some i -> String.sub name 0 i
-  | None -> name

@@ -671,6 +671,38 @@ let test_server_incremental_two_programs () =
   Alcotest.(check int) "every stack method unchanged"
     (num "reverified" first) (num "unchanged" again)
 
+(* every verify request parses under one frontend:parse span, the
+   incremental one included; only the incremental one digests the
+   desugaring context *)
+let test_server_verify_spans () =
+  let file = examples_dir ^ "/global/Buffer.java" in
+  let spans incremental =
+    let t = server () in
+    Trace.reset ();
+    Trace.start_collecting ();
+    let resp, _ =
+      Daemon.Server.handle t
+        (Printf.sprintf {|{"id":1,"cmd":"verify","files":[%s],"incremental":%b}|}
+           (jstr file) incremental)
+    in
+    Trace.stop ();
+    Daemon.Server.shutdown t;
+    Alcotest.(check bool) "verified" true
+      (member "ok" (json_of resp) = Trace.Json.Bool true);
+    let count k =
+      match List.assoc_opt k (Trace.span_stats ()) with
+      | Some st -> st.Trace.count
+      | None -> 0
+    in
+    let r = (count "frontend:parse", count "frontend:ctx-digest") in
+    Trace.reset ();
+    r
+  in
+  Alcotest.(check (pair int int)) "incremental: one parse, one ctx digest"
+    (1, 1) (spans true);
+  Alcotest.(check (pair int int)) "plain: one parse, no ctx digest" (1, 0)
+    (spans false)
+
 (* ------------------------------------------------------------------ *)
 (* Soak: a resident daemon's live heap stays flat                      *)
 (* ------------------------------------------------------------------ *)
@@ -932,6 +964,8 @@ let suite =
         Alcotest.test_case
           "server: incremental records outlive another program" `Quick
           test_server_incremental_two_programs;
+        Alcotest.test_case "server: one parse span per verify" `Quick
+          test_server_verify_spans;
         Alcotest.test_case "server: unknown replayed, never stored" `Quick
           test_server_unknown_replayed;
         Alcotest.test_case "server: restart, identical verdicts" `Slow

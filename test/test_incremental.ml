@@ -101,7 +101,7 @@ let run_case (case : string) () =
   Fun.protect ~finally:(fun () -> Jahob.shutdown_engine e) @@ fun () ->
   let source = Jahob.hashtbl_source () in
   (* the base run: everything is new, everything must settle *)
-  let r0 = Jahob.verify_program_inc e ~source base in
+  let r0 = Jahob.verify e ~source base in
   if not r0.Jahob.ok then
     Alcotest.failf "%s: base.java did not fully verify" case;
   List.iter
@@ -113,7 +113,7 @@ let run_case (case : string) () =
           case m.Jahob.method_name (pp_provenance p))
     r0.Jahob.methods;
   (* the patched run, answered against the base's method records *)
-  let r1 = Jahob.verify_program_inc e ~source patch in
+  let r1 = Jahob.verify e ~source patch in
   if not r1.Jahob.ok then
     Alcotest.failf "%s: patch.java did not fully verify" case;
   let actual =
@@ -155,14 +155,18 @@ let run_case (case : string) () =
         Alcotest.failf "%s: method %s verified but absent from expect" case
           name)
     actual;
-  (* replayed verdicts must match a from-scratch run exactly *)
-  let scratch = Jahob.verify_program_with e patch in
+  (* replayed verdicts must match a from-scratch run exactly; without a
+     source that run reads no record, so every method reports Fresh *)
+  let scratch = Jahob.verify e patch in
   List.iter
     (fun (m : Jahob.method_report) ->
       match List.assoc_opt m.Jahob.method_name actual with
       | None ->
         Alcotest.failf "%s: %s missing from the incremental run" case
           m.Jahob.method_name
+      | Some _ when m.Jahob.provenance <> Jahob.Fresh ->
+        Alcotest.failf "%s: from-scratch %s reports %S, not a fresh run" case
+          m.Jahob.method_name (pp_provenance m.Jahob.provenance)
       | Some inc ->
         if
           summary_counts inc.Jahob.obligations
