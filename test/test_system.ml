@@ -413,10 +413,11 @@ let test_list_groups_pinned () =
     let c = Trace.counter_value in
     let search =
       Printf.sprintf
-        "given=%d kept=%d dedup=%d forward=%d retrieved=%d proof=%d \
-         saturated=%d gave_up=%d timed_out=%d"
+        "given=%d kept=%d dedup=%d forward=%d backward=%d retrieved=%d \
+         scanned=%d proof=%d saturated=%d gave_up=%d timed_out=%d"
         (c "fol.given") (c "fol.kept") (c "fol.dedup.hits")
-        (c "fol.subsume.forward") (c "fol.index.retrieved")
+        (c "fol.subsume.forward") (c "fol.subsume.backward")
+        (c "fol.index.retrieved") (c "fol.index.scanned")
         (c "fol.outcome.proof") (c "fol.outcome.saturated")
         (c "fol.outcome.gave_up") (c "fol.outcome.timed_out")
     in
@@ -468,11 +469,13 @@ let test_list_groups_pinned () =
       "List.remove: invariant 3 of List preserved";
       "List.remove: postcondition of remove";
     ]
-    "given=2210 kept=22941 dedup=10599 forward=4353 retrieved=39846 proof=3 \
-     saturated=9 gave_up=5 timed_out=0";
+    "given=2210 kept=22941 dedup=10599 forward=4353 backward=393 \
+     retrieved=39846 scanned=2623353 proof=3 saturated=9 gave_up=5 \
+     timed_out=0";
   check "list_annotated" (101, 0, 0) []
-    "given=1659 kept=16064 dedup=9052 forward=2431 retrieved=29416 proof=1 \
-     saturated=9 gave_up=4 timed_out=0"
+    "given=1659 kept=16064 dedup=9052 forward=2431 backward=338 \
+     retrieved=29416 scanned=2468439 proof=1 saturated=9 gave_up=4 \
+     timed_out=0"
 
 let test_verify_buffer () =
   let report = verify [ "global/Buffer.java" ] in
