@@ -394,10 +394,6 @@ let theory_axioms (clauses : clause list) : clause list =
   let obj_axioms =
     if not (has_pred "obj") then []
     else begin
-      let rec ground = function
-        | V _ -> false
-        | Fn (_, args) -> List.for_all ground args
-      in
       let elem_members =
         let acc = ref [] in
         List.iter
@@ -560,25 +556,21 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
   if List.exists (fun c -> c = []) (usable @ sos) then count_outcome Proof
   else begin
     let idx = Index.create () in
-    let module Pq = Set.Make (struct
-      type t = int * int * Index.entry
-
-      let compare (w1, i1, _) (w2, i2, _) = compare (w1, i1) (w2, i2)
-    end) in
-    let passive = ref Pq.empty in
+    let passive = Index.Heap.create () in
     let age_queue : Index.entry Queue.t = Queue.create () in
     let seen = Tbl.create 256 in
     let total = ref 0 in
     (* [max_clauses] bounds clauses actually {e kept}: duplicates the
        dedup table absorbs and tautologies cost nothing (the naive
        engine charges its budget for every generated clause) *)
-    let add_passive c =
-      if Tbl.mem seen c then Index.note_dedup idx
+    let add_passive c (p : profile) =
+      let key = (p.hash, c) in
+      if Tbl.mem seen key then Index.note_dedup idx
       else if not (is_tautology c) then begin
-        Tbl.add seen c ();
+        Tbl.add seen key ();
         incr total;
         let e = Index.register idx c in
-        passive := Pq.add (e.Index.weight, e.Index.id, e) !passive;
+        Index.Heap.push passive e;
         Queue.add e age_queue
       end
     in
@@ -589,7 +581,7 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
         if Index.forward_subsumed idx c = None then
           Index.activate idx (Index.register idx c))
       usable;
-    List.iter add_passive sos;
+    List.iter (fun c -> add_passive c (profile c)) sos;
     let picks = ref 0 in
     (* a queued clause met by either queue is dropped, without spending a
        pick, if a clause activated after it was kept subsumes it *)
@@ -597,23 +589,21 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
       e.Index.state = Index.Passive && not (Index.drop_if_subsumed idx e)
     in
     let rec pop_weight () =
-      match Pq.min_elt_opt !passive with
+      match Index.Heap.pop_min passive with
       | None -> None
-      | Some ((_, _, e) as entry) ->
-        passive := Pq.remove entry !passive;
-        if live e then Some e else pop_weight ()
+      | Some e -> if live e then Some e else pop_weight ()
     in
     (* An age pick takes the oldest passive clause — unless it is far
        heavier than the current best, in which case it is requeued and
        this round falls back to a weight pick.  Unguarded FIFO picks let
        one aged, variable-headed equality clause resolve against the
        whole active set and flood the clause budget; the guard defers
-       such clauses until the light clauses are spent (the Pq minimum
+       such clauses until the light clauses are spent (the queue's minimum
        has risen), which is when fairness actually needs them. *)
     let age_pick_admissible w =
-      match Pq.min_elt_opt !passive with
+      match Index.Heap.min_opt passive with
       | None -> true
-      | Some (wmin, _, _) -> w <= (2 * wmin) + 4
+      | Some m -> w <= (2 * m.Index.weight) + 4
     in
     let rec pop_age budget =
       if budget = 0 then pop_weight ()
@@ -624,7 +614,7 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
           (* an entry a weight pick already took is [Active]: skip it *)
           if not (live e) then pop_age budget
           else if age_pick_admissible e.Index.weight then begin
-            passive := Pq.remove (e.Index.weight, e.Index.id, e) !passive;
+            Index.Heap.remove e;
             Some e
           end
           else begin
@@ -642,7 +632,7 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
     let result = ref None in
     while !result = None do
       Deadline.check ();
-      if Pq.is_empty !passive then result := Some Saturated
+      if Index.Heap.is_empty passive then result := Some Saturated
       else if !total > max_clauses then result := Some GaveUp
       else if Clock.now () > deadline then result := Some TimedOut
       else
@@ -660,27 +650,30 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
             List.iter (Index.retire idx) (Index.backward_subsumed idx given);
             (* SOS restriction: the given clause (SOS-descended) resolves
                against the active set — which now includes itself, so
-               self-resolvents are covered by the same retrieval *)
-            let new_clauses =
-              factors gcl
-              @ List.concat_map
-                  (fun l ->
-                    List.filter_map
-                      (fun (e, l2) -> resolve_on gcl l e.Index.cl l2)
-                      (Index.retrieve_partners idx l))
-                  gcl
-            in
-            List.iter
-              (fun c ->
-                if c = [] then result := Some Proof
-                else if
-                  clause_size c <= max_weight
-                  && clause_lits c <= max_lits
+               self-resolvents are covered by the same retrieval.  Each
+               new clause is filtered and queued as it is made; the
+               active set does not change meanwhile *)
+            let consider c =
+              if c = [] then result := Some Proof
+              else
+                let p = profile c in
+                if
+                  p.size <= max_weight && p.lits <= max_lits
                   (* cheap unit filter here, once per generated clause;
                      the full subsumption check runs at activation *)
-                  && Index.unit_subsumed idx c = None
-                then add_passive c)
-              new_clauses)
+                  && not (Index.unit_subsumed idx c p)
+                then add_passive c p
+            in
+            List.iter consider (factors gcl);
+            List.iter
+              (fun l ->
+                List.iter
+                  (fun (e, l2) ->
+                    match resolve_on gcl l e.Index.cl l2 with
+                    | Some c -> consider c
+                    | None -> ())
+                  (Index.retrieve_partners idx l))
+              gcl)
     done;
     Index.flush_stats idx;
     Trace.add "fol.kept" !total;

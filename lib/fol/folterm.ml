@@ -23,6 +23,15 @@ let rec lookup (x : int) : subst -> term option = function
   | [] -> None
   | (y, t) :: rest -> if x = y then Some t else lookup x rest
 
+(* {!lookup} without the option: the binding of [x] in [s], or (the very
+   term) [unbound] *)
+let unbound = V (-1)
+
+let rec binding (x : int) (s : subst) : term =
+  match s with
+  | [] -> unbound
+  | (y, t) :: rest -> if x = y then t else binding x rest
+
 (* [List.map] that returns [xs] itself when [f] changes no element *)
 let rec map_shared (f : 'a -> 'a) (xs : 'a list) : 'a list =
   match xs with
@@ -51,14 +60,16 @@ let rec occurs (s : subst) x (t : term) : bool =
 
 exception No_unifier
 
+(* a variable's binding, followed until an unbound variable or an
+   application *)
+let rec chase (s : subst) (t : term) : term =
+  match t with
+  | V x -> ( match lookup x s with Some u -> chase s u | None -> t)
+  | Fn _ -> t
+
 (* triangular unification *)
 let rec unify (s : subst) (a : term) (b : term) : subst =
-  let rec chase t =
-    match t with
-    | V x -> ( match lookup x s with Some u -> chase u | None -> t)
-    | Fn _ -> t
-  in
-  let a = chase a and b = chase b in
+  let a = chase s a and b = chase s b in
   match a, b with
   | V x, V y when x = y -> s
   | V x, t | t, V x -> if occurs s x t then raise No_unifier else (x, t) :: s
@@ -66,6 +77,9 @@ let rec unify (s : subst) (a : term) (b : term) : subst =
     if not (String.equal f g) || List.compare_lengths xs ys <> 0 then
       raise No_unifier
     else List.fold_left2 unify s xs ys
+
+let rec ground (t : term) : bool =
+  match t with V _ -> false | Fn (_, args) -> List.for_all ground args
 
 let rec mem_var (x : int) = function
   | [] -> false
@@ -84,6 +98,23 @@ let rec rename_term (t : term) : term =
   | Fn (f, args) ->
     let args' = map_shared rename_term args in
     if args' == args then t else Fn (f, args')
+
+(** [unify s a (rename_term b)], without building the renamed copy of
+    [b]: a variable of [b] is renamed where unification meets it, and a
+    subterm of [b] only when a variable of [a] is bound to it.  The
+    substitution is the same, binding for binding. *)
+let rec unify_apart (s : subst) (a : term) (b : term) : subst =
+  match b with
+  | V y -> unify s a (V (y + apart))
+  | Fn (g, ys) -> (
+    match chase s a with
+    | V x ->
+      let b = rename_term b in
+      if occurs s x b then raise No_unifier else (x, b) :: s
+    | Fn (f, xs) ->
+      if not (String.equal f g) || List.compare_lengths xs ys <> 0 then
+        raise No_unifier
+      else List.fold_left2 unify_apart s xs ys)
 
 let rec equal_term (a : term) (b : term) : bool =
   a == b
@@ -126,6 +157,15 @@ let rec compare_term (a : term) (b : term) : int =
 let rec term_size = function
   | V _ -> 1
   | Fn (_, args) -> 1 + List.fold_left (fun n t -> n + term_size t) 0 args
+
+(* a hash of a symbol name computed in OCaml: names are short, and the
+   generic [Hashtbl.hash] costs a C call per name *)
+let hash_string (s : string) : int =
+  let h = ref 0 in
+  for i = 0 to String.length s - 1 do
+    h := (!h * 31) + Char.code (String.unsafe_get s i)
+  done;
+  !h
 
 let rec pp_term ppf = function
   | V x -> Format.fprintf ppf "?%d" x

@@ -66,6 +66,9 @@ type entry = {
          activation, so [stamp > id'] iff the clause with id [id'] was
          registered before this one was activated *)
   mutable state : cstate;
+  mutable queued : bool;
+      (* in the weight queue ({!Heap}): set by a push, cleared by a pop
+         or a removal *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -153,6 +156,89 @@ let retrieve_path (mode : mode) (root : node) (args : term list) :
   !out
 
 (* ------------------------------------------------------------------ *)
+(* The weight queue                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** The passive clauses by weight: a binary min-heap on [(weight, id)].
+    [remove] only clears the entry's [queued] mark, and marked-off
+    entries are discarded when they reach the top, so [min_opt],
+    [is_empty] and [pop_min] answer for the queued entries alone.  An
+    entry retired while queued stays queued until it is popped or
+    removed. *)
+module Heap = struct
+  type t = { mutable a : entry array; mutable n : int }
+
+  let create () : t = { a = [||]; n = 0 }
+
+  let before (x : entry) (y : entry) =
+    x.weight < y.weight || (x.weight = y.weight && x.id < y.id)
+
+  let push (h : t) (e : entry) : unit =
+    e.queued <- true;
+    if h.n = Array.length h.a then begin
+      let a = Array.make (max 64 (2 * h.n)) e in
+      Array.blit h.a 0 a 0 h.n;
+      h.a <- a
+    end;
+    (* sift up *)
+    let rec up i =
+      let p = (i - 1) / 2 in
+      if i > 0 && before e h.a.(p) then begin
+        h.a.(i) <- h.a.(p);
+        up p
+      end
+      else h.a.(i) <- e
+    in
+    up h.n;
+    h.n <- h.n + 1
+
+  (* drop the top element *)
+  let drop_top (h : t) : unit =
+    h.n <- h.n - 1;
+    let e = h.a.(h.n) in
+    (* sift [e] down from the root *)
+    let rec down i =
+      let l = (2 * i) + 1 in
+      if l >= h.n then h.a.(i) <- e
+      else
+        let c = if l + 1 < h.n && before h.a.(l + 1) h.a.(l) then l + 1 else l in
+        if before h.a.(c) e then begin
+          h.a.(i) <- h.a.(c);
+          down c
+        end
+        else h.a.(i) <- e
+    in
+    if h.n > 0 then down 0
+
+  let rec clean (h : t) : unit =
+    if h.n > 0 && not h.a.(0).queued then begin
+      drop_top h;
+      clean h
+    end
+
+  let min_opt (h : t) : entry option =
+    clean h;
+    if h.n = 0 then None else Some h.a.(0)
+
+  let is_empty (h : t) : bool =
+    clean h;
+    h.n = 0
+
+  let pop_min (h : t) : entry option =
+    clean h;
+    if h.n = 0 then None
+    else begin
+      let e = h.a.(0) in
+      e.queued <- false;
+      drop_top h;
+      Some e
+    end
+
+  (** Take [e] out of the queue wherever it sits. *)
+  let remove (e : entry) : unit = e.queued <- false
+end
+
+(* ------------------------------------------------------------------ *)
 (* The index                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -167,24 +253,44 @@ type stats = {
   mutable given : int; (* clauses activated *)
 }
 
+(* tables keyed on a literal's (sign, predicate) *)
+module KeyTbl = Hashtbl.Make (struct
+  type t = bool * string
+
+  let equal ((s1, p1) : t) ((s2, p2) : t) = s1 = s2 && String.equal p1 p2
+  let hash ((s, p) : t) = ((2 * hash_string p) + Bool.to_int s) land max_int
+end)
+
+(* ground literals paired with their {!Folclause.hash_lit} *)
+module LitTbl = Hashtbl.Make (struct
+  type t = int * lit
+
+  let equal ((h1, l1) : t) ((h2, l2) : t) = h1 = h2 && equal_lit l1 l2
+  let hash ((h, _) : t) = h
+end)
+
 type t = {
-  trees : (bool * string, node) Hashtbl.t;
+  trees : node KeyTbl.t;
       (* active literals: resolution-partner retrieval (Unifiable) *)
-  watch_trees : (bool * string, node) Hashtbl.t;
+  watch_trees : node KeyTbl.t;
       (* one designated literal per active clause: forward-subsumption
          candidate retrieval (Generalizations) *)
-  units : (bool * string, (entry * lit) list ref) Hashtbl.t;
-      (* active unit clauses only, literal pre-renamed apart: the cheap
-         generation-time filter *)
+  ground_units : int LitTbl.t;
+      (* how many active unit clauses hold each ground literal: the
+         generation-time filter's one lookup per literal *)
+  units : (entry * lit) list ref KeyTbl.t;
+      (* active non-ground unit clauses, literal pre-renamed apart: the
+         rest of the filter *)
   mutable next_id : int;
   mutable active_lits : int;
   stats : stats;
 }
 
 let create () : t =
-  { trees = Hashtbl.create 32;
-    watch_trees = Hashtbl.create 32;
-    units = Hashtbl.create 32;
+  { trees = KeyTbl.create 32;
+    watch_trees = KeyTbl.create 32;
+    ground_units = LitTbl.create 64;
+    units = KeyTbl.create 32;
     next_id = 0;
     active_lits = 0;
     stats =
@@ -212,11 +318,11 @@ let rec key_subset xs ys =
     else false
 
 let tree_of family key : node =
-  match Hashtbl.find_opt family key with
+  match KeyTbl.find_opt family key with
   | Some nd -> nd
   | None ->
     let nd = new_node () in
-    Hashtbl.add family key nd;
+    KeyTbl.add family key nd;
     nd
 
 (* how specific a literal is: its non-variable symbols, the crowded
@@ -243,6 +349,7 @@ let register (t : t) (c : clause) : entry =
       keys = [];
       stamp = 0;
       state = Passive;
+      queued = false;
     }
   in
   t.next_id <- t.next_id + 1;
@@ -264,13 +371,17 @@ let activate (t : t) (e : entry) : unit =
     e.cl;
   t.active_lits <- t.active_lits + List.length e.cl;
   (match (e.cl, e.cl_r) with
+  | [ l ], _ when ground_lit l ->
+    let key = (hash_lit l, l) in
+    LitTbl.replace t.ground_units key
+      (1 + Option.value ~default:0 (LitTbl.find_opt t.ground_units key))
   | [ l ], [ lr ] ->
     let cell =
-      match Hashtbl.find_opt t.units (lit_key l) with
+      match KeyTbl.find_opt t.units (lit_key l) with
       | Some cell -> cell
       | None ->
         let cell = ref [] in
-        Hashtbl.add t.units (lit_key l) cell;
+        KeyTbl.add t.units (lit_key l) cell;
         cell
     in
     cell := (e, lr) :: !cell
@@ -280,7 +391,16 @@ let activate (t : t) (e : entry) : unit =
   | [] -> ()
 
 let retire (t : t) (e : entry) : unit =
-  if e.state = Active then t.active_lits <- t.active_lits - List.length e.cl;
+  if e.state = Active then begin
+    t.active_lits <- t.active_lits - List.length e.cl;
+    match e.cl with
+    | [ l ] when ground_lit l -> (
+      let key = (hash_lit l, l) in
+      match LitTbl.find t.ground_units key with
+      | 1 -> LitTbl.remove t.ground_units key
+      | n -> LitTbl.replace t.ground_units key (n - 1))
+    | _ -> ()
+  end;
   e.state <- Dead
 
 let note_dedup (t : t) : unit = t.stats.dedup <- t.stats.dedup + 1
@@ -290,7 +410,7 @@ let note_dedup (t : t) : unit = t.stats.dedup <- t.stats.dedup + 1
     unifies against a renamed copy). *)
 let retrieve_partners (t : t) (l : lit) : (entry * lit) list =
   t.stats.scanned <- t.stats.scanned + t.active_lits;
-  match Hashtbl.find_opt t.trees (not l.sign, l.pred) with
+  match KeyTbl.find_opt t.trees (not l.sign, l.pred) with
   | None -> []
   | Some root ->
     let cands =
@@ -307,29 +427,31 @@ let unit_matches (u : lit) (l : lit) : bool =
   | _ -> true
   | exception (No_unifier | Invalid_argument _) -> false
 
-(** An active {e unit} clause subsuming [c], if any: the cheap filter the
-    engine runs on every generated clause (one bucket lookup and a
-    backtracking-free match per candidate).  The full check,
-    {!forward_subsumed}, runs once per activation.  Dead entries are
-    compacted out of a bucket whenever a scan walks past them. *)
-let unit_subsumed (t : t) (c : clause) : entry option =
+(** Whether an active {e unit} clause subsumes [c], whose {!profile} is
+    [p]: the cheap filter the engine runs on every generated clause.  A
+    ground unit matches only its own literal, so each ground literal of
+    [c] costs one hash lookup among the ground units; every literal is
+    also matched, without backtracking, against each non-ground unit of
+    its (sign, predicate) bucket.  The full check, {!forward_subsumed},
+    runs once per activation.  Dead entries are compacted out of a bucket
+    whenever a scan walks past them. *)
+let unit_subsumed (t : t) (c : clause) (p : profile) : bool =
   let hit =
-    List.find_map
-      (fun l ->
-        match Hashtbl.find_opt t.units (lit_key l) with
-        | None -> None
+    List.exists2
+      (fun l h ->
+        (h >= 0 && LitTbl.mem t.ground_units (h, l))
+        ||
+        match KeyTbl.find_opt t.units (lit_key l) with
+        | None -> false
         | Some cell ->
           (if List.exists (fun (e, _) -> e.state = Dead) !cell then
              cell := List.filter (fun (e, _) -> e.state <> Dead) !cell);
-          List.find_map
-            (fun (e, u) ->
-              if e.state = Active && unit_matches u l then Some e else None)
+          List.exists
+            (fun (e, u) -> e.state = Active && unit_matches u l)
             !cell)
-      c
+      c p.ground
   in
-  (match hit with
-  | Some _ -> t.stats.fwd <- t.stats.fwd + 1
-  | None -> ());
+  if hit then t.stats.fwd <- t.stats.fwd + 1;
   hit
 
 (* an active clause subsuming [c] that also passes [admit]: every literal
@@ -337,17 +459,17 @@ let unit_subsumed (t : t) (c : clause) : entry option =
    — the subsumer, wherever it maps its watch literal, is found by that
    literal *)
 let find_subsumer (t : t) (admit : entry -> bool) (c : clause) : entry option =
-  let keys = clause_keys c in
+  let keys = lazy (clause_keys c) in
   let n = List.length c in
   let check e =
     e.state = Active && e.nlits <= n && admit e
-    && key_subset e.keys keys
+    && key_subset e.keys (Lazy.force keys)
     && subsumes_prepared e.cl_r c
   in
   let rec scan = function
     | [] -> None
     | l :: rest -> (
-      match Hashtbl.find_opt t.watch_trees (lit_key l) with
+      match KeyTbl.find_opt t.watch_trees (lit_key l) with
       | None -> scan rest
       | Some root -> (
         match
@@ -392,7 +514,7 @@ let backward_subsumed (t : t) (e : entry) : entry list =
   | lp :: _ -> (
     (* [cl_r] leads with the most specific literal; its renamed
        variables are as blind to the tree as the originals *)
-    match Hashtbl.find_opt t.trees (lit_key lp) with
+    match KeyTbl.find_opt t.trees (lit_key lp) with
     | None -> []
     | Some root ->
       let seen = Hashtbl.create 16 in
