@@ -9,7 +9,10 @@
     never which one — and a [Proof] must never contradict the finite-model
     oracle's countermodel.  [GaveUp] (the clause cap) and [TimedOut] (the
     wall-clock cut-off, the one timing-dependent outcome) are never
-    flagged: a campaign run is deterministic for a fixed seed. *)
+    flagged.  The report counts each of the indexed engine's outcomes,
+    and the admitted sequents the translation then refuses, separately:
+    without a timed-out run, a campaign is deterministic for a fixed
+    seed. *)
 
 type config = {
   ab_seed : int;
@@ -40,7 +43,9 @@ type report = {
   admitted : int; (* sequents inside the fol fragment *)
   proofs : int; (* indexed-engine proofs *)
   saturated : int;
-  gave_up : int;
+  gave_up : int; (* the clause cap *)
+  timed_out : int; (* the wall-clock cut-off *)
+  untranslatable : int; (* admitted, then refused by the translation *)
   oracle_counter : int; (* oracle found a countermodel *)
   disagreements : disagreement list;
 }
@@ -64,6 +69,8 @@ let run ?(config = default_config) () : report =
   let proofs = ref 0
   and saturated = ref 0
   and gave_up = ref 0
+  and timed_out = ref 0
+  and untranslatable = ref 0
   and admitted = ref 0
   and oracle_counter = ref 0 in
   let disagreements = ref [] in
@@ -81,8 +88,9 @@ let run ?(config = default_config) () : report =
       (match ind with
       | Ok Fol.Proof -> incr proofs
       | Ok Fol.Saturated -> incr saturated
-      | Ok (Fol.GaveUp | Fol.TimedOut) -> incr gave_up
-      | Error _ -> ());
+      | Ok Fol.GaveUp -> incr gave_up
+      | Ok Fol.TimedOut -> incr timed_out
+      | Error _ -> incr untranslatable);
       (match (ind, nai) with
       | Ok Fol.Proof, Ok Fol.Saturated | Ok Fol.Saturated, Ok Fol.Proof ->
         flag n s
@@ -107,6 +115,8 @@ let run ?(config = default_config) () : report =
     proofs = !proofs;
     saturated = !saturated;
     gave_up = !gave_up;
+    timed_out = !timed_out;
+    untranslatable = !untranslatable;
     oracle_counter = !oracle_counter;
     disagreements = List.rev !disagreements;
   }
@@ -114,8 +124,10 @@ let run ?(config = default_config) () : report =
 let pp_report ppf (r : report) =
   Format.fprintf ppf "@[<v>fol A/B: %d generated, %d in fragment@," r.attempted
     r.admitted;
-  Format.fprintf ppf "indexed verdicts: %d proofs, %d saturated, %d gave up@,"
-    r.proofs r.saturated r.gave_up;
+  Format.fprintf ppf
+    "indexed verdicts: %d proofs, %d saturated, %d gave up, %d timed out, %d \
+     untranslatable@,"
+    r.proofs r.saturated r.gave_up r.timed_out r.untranslatable;
   Format.fprintf ppf "disagreements: %d@," (List.length r.disagreements);
   List.iter
     (fun d ->
