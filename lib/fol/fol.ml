@@ -525,7 +525,7 @@ let refute_naive ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
       activated given clause subsumes;
     - queued clauses are not indexed.  A queued clause that either queue
       takes is dropped, without spending a pick, if an active clause
-      activated after it was kept subsumes it ({!Index.drop_if_subsumed}).
+      activated after it was kept subsumes it ({!Index.take}).
       The search is the one that eager backward subsumption of queued
       clauses would make: a dropped clause is exactly one that such a
       step would have retired by the time of the pop, because
@@ -578,20 +578,26 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
        between them already prunes duplicated axioms *)
     List.iter
       (fun c ->
-        if Index.forward_subsumed idx c = None then
+        if not (Index.forward_subsumed idx c) then
           Index.activate idx (Index.register idx c))
       usable;
     List.iter (fun c -> add_passive c (profile c)) sos;
     let picks = ref 0 in
     (* a queued clause met by either queue is dropped, without spending a
-       pick, if a clause activated after it was kept subsumes it *)
-    let live e =
-      e.Index.state = Index.Passive && not (Index.drop_if_subsumed idx e)
+       pick, if a clause activated after it was kept subsumes it; the same
+       scan tells whether an older active clause subsumes it *)
+    let take e =
+      if e.Index.state <> Index.Passive then None
+      else
+        match Index.take idx e with
+        | Index.Dropped -> None
+        | standing -> Some (e, standing)
     in
     let rec pop_weight () =
       match Index.Heap.pop_min passive with
       | None -> None
-      | Some e -> if live e then Some e else pop_weight ()
+      | Some e -> (
+        match take e with Some _ as taken -> taken | None -> pop_weight ())
     in
     (* An age pick takes the oldest passive clause — unless it is far
        heavier than the current best, in which case it is requeued and
@@ -610,17 +616,16 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
       else
         match Queue.take_opt age_queue with
         | None -> pop_weight ()
-        | Some e ->
+        | Some e -> (
           (* an entry a weight pick already took is [Active]: skip it *)
-          if not (live e) then pop_age budget
-          else if age_pick_admissible e.Index.weight then begin
+          match take e with
+          | None -> pop_age budget
+          | Some _ as taken when age_pick_admissible e.Index.weight ->
             Index.Heap.remove e;
-            Some e
-          end
-          else begin
+            taken
+          | Some _ ->
             Queue.add e age_queue;
-            pop_age (budget - 1)
-          end
+            pop_age (budget - 1))
     in
     let pop_given () =
       incr picks;
@@ -641,39 +646,40 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
           (* only subsumed or retired clauses were left queued:
              saturation with respect to the live set *)
           result := Some Saturated
-        | Some given ->
+        | Some (given, Index.Subsumed) ->
+          (* forward subsumption: an older active clause subsumes it *)
+          Index.retire_subsumed idx given
+        | Some (given, _) ->
           let gcl = given.Index.cl in
-          (match Index.forward_subsumed idx gcl with
-          | Some _ -> Index.retire idx given
-          | None ->
-            Index.activate idx given;
-            List.iter (Index.retire idx) (Index.backward_subsumed idx given);
-            (* SOS restriction: the given clause (SOS-descended) resolves
-               against the active set — which now includes itself, so
-               self-resolvents are covered by the same retrieval.  Each
-               new clause is filtered and queued as it is made; the
-               active set does not change meanwhile *)
-            let consider c =
-              if c = [] then result := Some Proof
-              else
-                let p = profile c in
-                if
-                  p.size <= max_weight && p.lits <= max_lits
-                  (* cheap unit filter here, once per generated clause;
-                     the full subsumption check runs at activation *)
-                  && not (Index.unit_subsumed idx c p)
-                then add_passive c p
-            in
-            List.iter consider (factors gcl);
-            List.iter
-              (fun l ->
-                List.iter
-                  (fun (e, l2) ->
-                    match resolve_on gcl l e.Index.cl l2 with
-                    | Some c -> consider c
-                    | None -> ())
-                  (Index.retrieve_partners idx l))
-              gcl)
+          Index.activate idx given;
+          List.iter (Index.retire idx) (Index.backward_subsumed idx given);
+          (* SOS restriction: the given clause (SOS-descended) resolves
+             against the active set — which now includes itself, so
+             self-resolvents are covered by the same retrieval.  Each new
+             clause is filtered and queued as it is made; the active set
+             does not change meanwhile *)
+          let consider c =
+            if c = [] then result := Some Proof
+            else
+              let p = profile c in
+              if
+                p.size <= max_weight && p.lits <= max_lits
+                (* cheap unit filter here, once per generated clause;
+                   the full subsumption check runs when a queue takes
+                   the clause *)
+                && not (Index.unit_subsumed idx c p)
+              then add_passive c p
+          in
+          List.iter consider (factors gcl);
+          List.iter
+            (fun l ->
+              List.iter
+                (fun (e, l2) ->
+                  match resolve_on gcl l e.Index.cl l2 with
+                  | Some c -> consider c
+                  | None -> ())
+                (Index.retrieve_partners idx l))
+            gcl
     done;
     Index.flush_stats idx;
     Trace.add "fol.kept" !total;

@@ -29,7 +29,7 @@
     numbered by {!register}; the renamed copy and the keys that the
     subsumption tests need are built when it is activated, and most
     queued clauses never are.  Instead of retiring queued clauses when a
-    new clause is activated, the engine asks {!drop_if_subsumed} about a
+    new clause is activated, the engine asks {!take} about a
     queued clause when it comes off a queue: it is dropped if an active
     clause activated after its registration (its [stamp] exceeds the
     clause's [id]) subsumes it.  That is exactly the set eager backward
@@ -248,7 +248,7 @@ type stats = {
   mutable fwd : int; (* clauses discarded by forward subsumption *)
   mutable bwd : int;
       (* active clauses retired by backward subsumption, and queued
-         clauses dropped by {!drop_if_subsumed} *)
+         clauses dropped by {!take} *)
   mutable dedup : int; (* normalized-clause dedup hits *)
   mutable given : int; (* clauses activated *)
 }
@@ -454,60 +454,84 @@ let unit_subsumed (t : t) (c : clause) (p : profile) : bool =
   if hit then t.stats.fwd <- t.stats.fwd + 1;
   hit
 
-(* an active clause subsuming [c] that also passes [admit]: every literal
-   of [c] asks the watch-trees for stored watch literals generalizing it
-   — the subsumer, wherever it maps its watch literal, is found by that
-   literal *)
-let find_subsumer (t : t) (admit : entry -> bool) (c : clause) : entry option =
+(* whether [stop] accepts one of the active clauses that pass [want] and
+   subsume [c]: every literal of [c] asks the watch-trees for stored
+   watch literals generalizing it — the subsumer, wherever it maps its
+   watch literal, is found by that literal.  [want] runs before the
+   subsumption test, [stop] on each subsumer found *)
+let scan_subsumers (t : t) (c : clause) (want : entry -> bool)
+    (stop : entry -> bool) : bool =
   let keys = lazy (clause_keys c) in
   let n = List.length c in
-  let check e =
-    e.state = Active && e.nlits <= n && admit e
+  let subsumer (e, _) =
+    e.state = Active && e.nlits <= n && want e
     && key_subset e.keys (Lazy.force keys)
     && subsumes_prepared e.cl_r c
+    && stop e
   in
-  let rec scan = function
-    | [] -> None
-    | l :: rest -> (
+  List.exists
+    (fun l ->
       match KeyTbl.find_opt t.watch_trees (lit_key l) with
-      | None -> scan rest
-      | Some root -> (
-        match
-          List.find_opt
-            (fun (e, _) -> check e)
-            (retrieve_path Generalizations root l.args)
-        with
-        | Some (e, _) -> Some e
-        | None -> scan rest))
+      | None -> false
+      | Some root ->
+        List.exists subsumer (retrieve_path Generalizations root l.args))
+    c
+
+(** Whether an active clause subsumes [c] (counted as forward
+    subsumption). *)
+let forward_subsumed (t : t) (c : clause) : bool =
+  let hit = scan_subsumers t c (fun _ -> true) (fun _ -> true) in
+  if hit then t.stats.fwd <- t.stats.fwd + 1;
+  hit
+
+(** How a queued clause stands when a queue takes it. *)
+type standing =
+  | Fresh  (** no active clause subsumes it *)
+  | Subsumed
+      (** only active clauses activated before its registration subsume
+          it: forward subsumption discards it if it is picked *)
+  | Dropped
+      (** an active clause activated after its registration subsumes it:
+          eager backward subsumption would have retired it by now *)
+
+(** The standing of the queued clause [e], found in one scan of the
+    watch-trees.  A [Dropped] clause is retired and counted as
+    backward-subsumed here; the engine asks this of every queued clause
+    it takes off a queue, before spending a pick on it.  Forward
+    subsumption of a [Subsumed] clause is counted when the engine picks
+    it ({!retire_subsumed}). *)
+let take (t : t) (e : entry) : standing =
+  let older = ref false in
+  let newer a = a.stamp > e.id in
+  let dropped =
+    scan_subsumers t e.cl
+      (* once an older subsumer is known, only a newer one tells more *)
+      (fun a -> newer a || not !older)
+      (fun a ->
+        newer a
+        || begin
+             older := true;
+             false
+           end)
   in
-  scan c
-
-(** An active clause subsuming [c], if any. *)
-let forward_subsumed (t : t) (c : clause) : entry option =
-  match find_subsumer t (fun _ -> true) c with
-  | Some e ->
-    t.stats.fwd <- t.stats.fwd + 1;
-    Some e
-  | None -> None
-
-(** Drop the queued clause [e] if an active clause activated after [e]
-    was registered subsumes it: [e] is then retired (and counted as
-    backward-subsumed) and the answer is [true].  The engine asks this
-    of every queued clause it takes off a queue, before spending a pick
-    on it. *)
-let drop_if_subsumed (t : t) (e : entry) : bool =
-  match find_subsumer t (fun a -> a.stamp > e.id) e.cl with
-  | Some _ ->
+  if dropped then begin
     retire t e;
     t.stats.bwd <- t.stats.bwd + 1;
-    true
-  | None -> false
+    Dropped
+  end
+  else if !older then Subsumed
+  else Fresh
+
+(** Retire the picked clause [e], which {!take} found [Subsumed]. *)
+let retire_subsumed (t : t) (e : entry) : unit =
+  retire t e;
+  t.stats.fwd <- t.stats.fwd + 1
 
 (** Every active clause other than [e] itself that [e]'s clause subsumes
     (the caller retires them).  [e]'s most specific literal asks the
     active trees for stored instances; the owners of those literals are
     the only active clauses [e] can subsume.  Queued clauses are left to
-    {!drop_if_subsumed}. *)
+    {!take}. *)
 let backward_subsumed (t : t) (e : entry) : entry list =
   match e.cl_r with
   | [] -> []

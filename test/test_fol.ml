@@ -178,7 +178,7 @@ module Props = struct
       ~name:"indexed forward subsumption agrees with the naive predicate"
       ~count:500 arb_clauses_and_cl (fun (cs, c) ->
         let idx, _ = activate_all cs in
-        let indexed = Index.forward_subsumed idx c <> None in
+        let indexed = Index.forward_subsumed idx c in
         let naive = List.exists (fun a -> subsumes a c) cs in
         indexed = naive)
 
@@ -285,16 +285,22 @@ module Props = struct
         let q = Option.get !queued in
         (* activated after [q] was registered: late, or registered after
            [q] and activated at once *)
-        let naive =
+        let subsumer newer =
           List.exists
             (fun (i, (x, st)) ->
               x.Index.state = Index.Active
-              && (st = 2 || i >= k)
+              && (st = 2 || i >= k) = newer
               && subsumes x.Index.cl c)
             (List.mapi (fun i x -> (i, x)) entries)
         in
-        let dropped = Index.drop_if_subsumed idx q in
-        dropped = naive && (q.Index.state = Index.Dead) = dropped)
+        let naive =
+          if subsumer true then Index.Dropped
+          else if subsumer false then Index.Subsumed
+          else Index.Fresh
+        in
+        let standing = Index.take idx q in
+        standing = naive
+        && (q.Index.state = Index.Dead) = (standing = Index.Dropped))
 
   (* normal forms order literals by their variable-blind skeletons; the
      allocation-free comparison must rank them as [compare] ranks the
