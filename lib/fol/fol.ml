@@ -569,7 +569,7 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
       else if not (is_tautology c) then begin
         Tbl.add seen key ();
         incr total;
-        let e = Index.register idx c in
+        let e = Index.register idx ~weight:p.size c in
         Index.Heap.push passive e;
         Queue.add e age_queue
       end
@@ -579,7 +579,7 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
     List.iter
       (fun c ->
         if not (Index.forward_subsumed idx c) then
-          Index.activate idx (Index.register idx c))
+          Index.activate idx (Index.register idx ~weight:(clause_size c) c))
       usable;
     List.iter (fun c -> add_passive c (profile c)) sos;
     let picks = ref 0 in

@@ -337,13 +337,13 @@ let specificity (l : lit) : int =
   (2 * List.fold_left syms 0 l.args)
   + if l.pred = "=" || l.pred = "obj" then 0 else 1
 
-(** Number a kept clause; it waits in the engine's queues, unindexed,
-    until {!activate}. *)
-let register (t : t) (c : clause) : entry =
+(** Number a kept clause of {!Folclause.clause_size} [weight]; it waits
+    in the engine's queues, unindexed, until {!activate}. *)
+let register (t : t) ~(weight : int) (c : clause) : entry =
   let e =
     { id = t.next_id;
       cl = c;
-      weight = clause_size c;
+      weight;
       nlits = List.length c;
       cl_r = [];
       keys = [];

@@ -134,12 +134,14 @@ module Props = struct
           (print_cl c))
       G.(pair (list_size (int_range 1 6) gen_cl) gen_cl)
 
+  let register idx c = Index.register idx ~weight:(clause_size c) c
+
   let activate_all cs =
     let idx = Index.create () in
     let entries =
       List.map
         (fun c ->
-          let e = Index.register idx c in
+          let e = register idx c in
           Index.activate idx e;
           e)
         cs
@@ -223,13 +225,13 @@ module Props = struct
         let entries =
           List.map
             (fun (cl, st) ->
-              let e = Index.register idx cl in
+              let e = register idx cl in
               if st >= 1 then Index.activate idx e;
               if st = 2 then Index.retire idx e;
               e)
             cs
         in
-        let e = Index.register idx c in
+        let e = register idx c in
         Index.activate idx e;
         let indexed =
           List.sort_uniq compare
@@ -269,12 +271,12 @@ module Props = struct
       ~count:1000 arb_queued (fun (cs, (k, c)) ->
         let idx = Index.create () in
         let queued = ref None in
-        let register_queued () = queued := Some (Index.register idx c) in
+        let register_queued () = queued := Some (register idx c) in
         let entries =
           List.mapi
             (fun i (cl, st) ->
               if i = k then register_queued ();
-              let e = Index.register idx cl in
+              let e = register idx cl in
               if st = 1 || st = 3 then Index.activate idx e;
               if st = 3 then Index.retire idx e;
               (e, st))
@@ -448,7 +450,7 @@ module Props = struct
                       args = List.init (w - 1) (fun _ -> Term.Fn ("a", []));
                     } ]
                 in
-                let e = Index.register idx c in
+                let e = register idx c in
                 Index.Heap.push heap e;
                 reference := Ref.add (e.Index.weight, e.Index.id, e) !reference;
                 true
