@@ -540,7 +540,8 @@ let refute_naive ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
       starve;
     - the dedup table is keyed on {!Folclause.normalize_clause}'s
       variable-normalized form, so renamed variants collapse, and hashed
-      over the whole clause ({!Folclause.hash_clause}).
+      over the whole clause in the same walk that sizes the clause for
+      the filters ({!Folclause.profile}).
 
     Each refutation publishes its index counters, the number of clauses
     it activated ([fol.given]) and kept ([fol.kept]) and its outcome
