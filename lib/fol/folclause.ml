@@ -70,17 +70,6 @@ let clause_size (c : clause) =
 let clause_lits (c : clause) =
   List.fold_left (fun n l -> if l.pred = "obj" then n else n + 1) 0 c
 
-(* direct variable renaming (simultaneous, unlike the triangular [apply]) *)
-let rec map_vars (f : int -> int) (t : term) : term =
-  match t with
-  | V x ->
-    let y = f x in
-    if y = x then t else V y
-  | Fn (_, []) -> t
-  | Fn (g, args) ->
-    let args' = map_shared (map_vars f) args in
-    if args' == args then t else Fn (g, args')
-
 (* The normal form of a resolvent is read off its parents' literals
    without building the resolvent first: a literal of the partner clause
    has its variables shifted by {!Folterm.apart} (renaming it apart), and
@@ -124,9 +113,6 @@ let compare_skeletons_in (s : subst) (l1 : lit) o1 (l2 : lit) o2 : int =
   else
     let c = String.compare l1.pred l2.pred in
     if c <> 0 then c else compare_blind_list s l1.args o1 l2.args o2
-
-let compare_skeletons (l1 : lit) (l2 : lit) : int =
-  compare_skeletons_in [] l1 0 l2 0
 
 (* whether [cmp] ranks every element of a list at most [bound] against
    its successor: [0] for sorted, [-1] for strictly increasing *)
@@ -249,7 +235,7 @@ let rec walk_term (w : walk) h = function
     mix (mix h 1) x
   | Fn (f, args) ->
     w.syms <- w.syms + 1;
-    walk_terms w (mix (mix h 2) (hash_string f)) args
+    walk_terms w (mix (mix h 2) (Hashtbl.hash f)) args
 
 (* the arguments close with a mark, so that [f(g(a), b)] and
    [f(g(a, b))] differ *)
@@ -260,7 +246,7 @@ and walk_terms w h = function
 let walk_lit (w : walk) (l : lit) : int =
   w.syms <- 0;
   w.ground <- true;
-  walk_terms w (mix (mix 0 (Bool.to_int l.sign)) (hash_string l.pred)) l.args
+  walk_terms w (mix (mix 0 (Bool.to_int l.sign)) (Hashtbl.hash l.pred)) l.args
   land max_int
 
 let hash_lit (l : lit) : int = walk_lit (new_walk ()) l
@@ -312,9 +298,10 @@ let is_tautology (c : clause) : bool =
 let rec match_term (s : subst) (pat : term) (t : term) : subst =
   match pat, t with
   | V x, _ -> (
-    match lookup x s with
-    | Some u -> if equal_term u t then s else raise No_unifier
-    | None -> (x, t) :: s)
+    let u = binding x s in
+    if u == unbound then (x, t) :: s
+    else if equal_term u t then s
+    else raise No_unifier)
   | Fn (f, xs), Fn (g, ys) ->
     if not (String.equal f g) || List.compare_lengths xs ys <> 0 then
       raise No_unifier

@@ -19,12 +19,8 @@ type subst = (int * term) list
    normalized clause: their variables stay far below it *)
 let apart = 1 lsl 30
 
-let rec lookup (x : int) : subst -> term option = function
-  | [] -> None
-  | (y, t) :: rest -> if x = y then Some t else lookup x rest
-
-(* {!lookup} without the option: the binding of [x] in [s], or (the very
-   term) [unbound] *)
+(* the binding of [x] in [s], or (the very term) [unbound]: no option is
+   allocated on the unifier's hot paths *)
 let unbound = V (-1)
 
 let rec binding (x : int) (s : subst) : term =
@@ -42,10 +38,10 @@ let rec map_shared (f : 'a -> 'a) (xs : 'a list) : 'a list =
 
 let rec apply (s : subst) (t : term) : term =
   match t with
-  | V x -> (
-    match lookup x s with
-    | Some u -> apply s u (* s may be a triangular substitution *)
-    | None -> t)
+  | V x ->
+    let u = binding x s in
+    (* s may be a triangular substitution *)
+    if u != unbound then apply s u else t
   | Fn (_, []) -> t
   | Fn (f, args) ->
     let args' = map_shared (apply s) args in
@@ -55,7 +51,9 @@ let rec occurs (s : subst) x (t : term) : bool =
   match t with
   | V y -> (
     if x = y then true
-    else match lookup y s with Some u -> occurs s x u | None -> false)
+    else
+      let u = binding y s in
+      u != unbound && occurs s x u)
   | Fn (_, args) -> List.exists (occurs s x) args
 
 exception No_unifier
@@ -64,7 +62,9 @@ exception No_unifier
    application *)
 let rec chase (s : subst) (t : term) : term =
   match t with
-  | V x -> ( match lookup x s with Some u -> chase s u | None -> t)
+  | V x ->
+    let u = binding x s in
+    if u != unbound then chase s u else t
   | Fn _ -> t
 
 (* triangular unification *)
@@ -157,15 +157,6 @@ let rec compare_term (a : term) (b : term) : int =
 let rec term_size = function
   | V _ -> 1
   | Fn (_, args) -> 1 + List.fold_left (fun n t -> n + term_size t) 0 args
-
-(* a hash of a symbol name computed in OCaml: names are short, and the
-   generic [Hashtbl.hash] costs a C call per name *)
-let hash_string (s : string) : int =
-  let h = ref 0 in
-  for i = 0 to String.length s - 1 do
-    h := (!h * 31) + Char.code (String.unsafe_get s i)
-  done;
-  !h
 
 let rec pp_term ppf = function
   | V x -> Format.fprintf ppf "?%d" x

@@ -211,7 +211,9 @@ module Heap = struct
       let l = (2 * i) + 1 in
       if l >= h.n then h.a.(i) <- e
       else
-        let c = if l + 1 < h.n && before h.a.(l + 1) h.a.(l) then l + 1 else l in
+        let c =
+          if l + 1 < h.n && before h.a.(l + 1) h.a.(l) then l + 1 else l
+        in
         if before h.a.(c) e then begin
           h.a.(i) <- h.a.(c);
           down c
@@ -263,14 +265,6 @@ type stats = {
   mutable given : int; (* clauses activated *)
 }
 
-(* tables keyed on a literal's (sign, predicate) *)
-module KeyTbl = Hashtbl.Make (struct
-  type t = bool * string
-
-  let equal ((s1, p1) : t) ((s2, p2) : t) = s1 = s2 && String.equal p1 p2
-  let hash ((s, p) : t) = ((2 * hash_string p) + Bool.to_int s) land max_int
-end)
-
 (* ground literals paired with their {!Folclause.hash_lit} *)
 module LitTbl = Hashtbl.Make (struct
   type t = int * lit
@@ -280,15 +274,16 @@ module LitTbl = Hashtbl.Make (struct
 end)
 
 type t = {
-  trees : node KeyTbl.t;
+  trees : (bool * string, node) Hashtbl.t;
       (* active literals: resolution-partner retrieval (Unifiable) *)
-  watch_trees : node KeyTbl.t;
+  watch_trees : (bool * string, node) Hashtbl.t;
       (* one designated literal per active clause: forward-subsumption
          candidate retrieval (Generalizations) *)
-  ground_units : int LitTbl.t;
-      (* how many active unit clauses hold each ground literal: the
-         generation-time filter's one lookup per literal *)
-  units : (entry * lit) list ref KeyTbl.t;
+  ground_units : unit LitTbl.t;
+      (* the literals of the active ground unit clauses (forward
+         subsumption keeps a second copy of one from being activated):
+         the generation-time filter's one lookup per literal *)
+  units : (bool * string, (entry * lit) list ref) Hashtbl.t;
       (* active non-ground unit clauses, literal pre-renamed apart: the
          rest of the filter *)
   mutable next_id : int;
@@ -297,10 +292,10 @@ type t = {
 }
 
 let create () : t =
-  { trees = KeyTbl.create 32;
-    watch_trees = KeyTbl.create 32;
+  { trees = Hashtbl.create 32;
+    watch_trees = Hashtbl.create 32;
     ground_units = LitTbl.create 64;
-    units = KeyTbl.create 32;
+    units = Hashtbl.create 32;
     next_id = 0;
     active_lits = 0;
     stats =
@@ -328,11 +323,11 @@ let rec key_subset xs ys =
     else false
 
 let tree_of family key : node =
-  match KeyTbl.find_opt family key with
+  match Hashtbl.find_opt family key with
   | Some nd -> nd
   | None ->
     let nd = new_node () in
-    KeyTbl.add family key nd;
+    Hashtbl.add family key nd;
     nd
 
 (* how specific a literal is: its non-variable symbols, the crowded
@@ -382,16 +377,14 @@ let activate (t : t) (e : entry) : unit =
   t.active_lits <- t.active_lits + List.length e.cl;
   (match (e.cl, e.cl_r) with
   | [ l ], _ when ground_lit l ->
-    let key = (hash_lit l, l) in
-    LitTbl.replace t.ground_units key
-      (1 + Option.value ~default:0 (LitTbl.find_opt t.ground_units key))
+    LitTbl.replace t.ground_units (hash_lit l, l) ()
   | [ l ], [ lr ] ->
     let cell =
-      match KeyTbl.find_opt t.units (lit_key l) with
+      match Hashtbl.find_opt t.units (lit_key l) with
       | Some cell -> cell
       | None ->
         let cell = ref [] in
-        KeyTbl.add t.units (lit_key l) cell;
+        Hashtbl.add t.units (lit_key l) cell;
         cell
     in
     cell := (e, lr) :: !cell
@@ -404,11 +397,7 @@ let retire (t : t) (e : entry) : unit =
   if e.state = Active then begin
     t.active_lits <- t.active_lits - List.length e.cl;
     match e.cl with
-    | [ l ] when ground_lit l -> (
-      let key = (hash_lit l, l) in
-      match LitTbl.find t.ground_units key with
-      | 1 -> LitTbl.remove t.ground_units key
-      | n -> LitTbl.replace t.ground_units key (n - 1))
+    | [ l ] when ground_lit l -> LitTbl.remove t.ground_units (hash_lit l, l)
     | _ -> ()
   end;
   e.state <- Dead
@@ -420,7 +409,7 @@ let note_dedup (t : t) : unit = t.stats.dedup <- t.stats.dedup + 1
     unifies against a renamed copy). *)
 let retrieve_partners (t : t) (l : lit) : (entry * lit) list =
   t.stats.scanned <- t.stats.scanned + t.active_lits;
-  match KeyTbl.find_opt t.trees (not l.sign, l.pred) with
+  match Hashtbl.find_opt t.trees (not l.sign, l.pred) with
   | None -> []
   | Some root ->
     (* the trees hold active entries only, once retrieval has compacted
@@ -440,16 +429,16 @@ let unit_matches (u : lit) (l : lit) : bool =
     ground unit matches only its own literal, so each ground literal of
     [c] costs one hash lookup among the ground units; every literal is
     also matched, without backtracking, against each non-ground unit of
-    its (sign, predicate) bucket.  The full check, {!forward_subsumed},
-    runs once per activation.  Dead entries are compacted out of a bucket
-    whenever a scan walks past them. *)
+    its (sign, predicate) bucket.  The full check runs when a queue
+    takes the clause ({!take}).  Dead entries are compacted out of a
+    bucket whenever a scan walks past them. *)
 let unit_subsumed (t : t) (c : clause) (p : profile) : bool =
   let hit =
     List.exists2
       (fun l h ->
         (h >= 0 && LitTbl.mem t.ground_units (h, l))
         ||
-        match KeyTbl.find_opt t.units (lit_key l) with
+        match Hashtbl.find_opt t.units (lit_key l) with
         | None -> false
         | Some cell ->
           (if List.exists (fun (e, _) -> e.state = Dead) !cell then
@@ -479,7 +468,7 @@ let scan_subsumers (t : t) (c : clause) (want : entry -> bool)
   in
   List.exists
     (fun l ->
-      match KeyTbl.find_opt t.watch_trees (lit_key l) with
+      match Hashtbl.find_opt t.watch_trees (lit_key l) with
       | None -> false
       | Some root ->
         List.exists subsumer (retrieve_path Generalizations root l.args))
@@ -546,7 +535,7 @@ let backward_subsumed (t : t) (e : entry) : entry list =
   | lp :: _ -> (
     (* [cl_r] leads with the most specific literal; its renamed
        variables are as blind to the tree as the originals *)
-    match KeyTbl.find_opt t.trees (lit_key lp) with
+    match Hashtbl.find_opt t.trees (lit_key lp) with
     | None -> []
     | Some root ->
       let seen = Hashtbl.create 16 in

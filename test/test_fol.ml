@@ -304,6 +304,12 @@ module Props = struct
         standing = naive
         && (q.Index.state = Index.Dead) = (standing = Index.Dropped))
 
+  (* a term with its variables renamed by [f] *)
+  let rec map_vars (f : int -> int) (t : Term.term) : Term.term =
+    match t with
+    | Term.V x -> Term.V (f x)
+    | Term.Fn (g, args) -> Term.Fn (g, List.map (map_vars f) args)
+
   (* normal forms order literals by their variable-blind skeletons; the
      allocation-free comparison must rank them as [compare] ranks the
      built skeletons *)
@@ -317,7 +323,7 @@ module Props = struct
           (fun a ->
             List.for_all
               (fun b ->
-                Int.compare (compare_skeletons a b) 0
+                Int.compare (compare_skeletons_in [] a 0 b 0) 0
                 = Int.compare (compare (skel a) (skel b)) 0)
               c)
           c)
@@ -397,6 +403,21 @@ module Props = struct
       (QCheck.make ~print:print_cl gen_many_vars_cl)
       (fun c ->
         List.map named_lit (normalize_clause c) = reference_normal_form c)
+
+  (* the one walk over a generated clause against the functions it
+     stands for; the unit filter finds a ground unit by the literal hash
+     its activation filed it under *)
+  let prop_profile =
+    QCheck.Test.make
+      ~name:"a clause's profile agrees with its size, length and literal hashes"
+      ~count:1000
+      (QCheck.make ~print:print_cl gen_wide_cl)
+      (fun c ->
+        let p = profile c in
+        p.size = clause_size c
+        && p.lits = clause_lits c
+        && p.ground
+           = List.map (fun l -> if ground_lit l then hash_lit l else -1) c)
 
   (* the weight queue against the ordered set it replaced: pushes of
      clauses of a given weight, weight pops, removal of a queued entry (an
@@ -709,6 +730,7 @@ let suite =
         QCheck_alcotest.to_alcotest Props.prop_drop_if_subsumed;
         QCheck_alcotest.to_alcotest Props.prop_skeleton_order;
         QCheck_alcotest.to_alcotest Props.prop_normal_form_order;
+        QCheck_alcotest.to_alcotest Props.prop_profile;
         QCheck_alcotest.to_alcotest Props.prop_weight_queue;
         Alcotest.test_case "corpus engine parity" `Quick test_corpus_parity;
         Alcotest.test_case
