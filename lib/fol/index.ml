@@ -28,8 +28,8 @@
       that every generated clause meets: a ground unit matches only its
       own literal, so ground units sit in a hash table keyed by the
       literal and the filter costs one lookup per ground literal (on
-      list, 267 of the 309 active units are ground); the non-ground ones
-      keep a (sign, predicate) bucket;
+      list, 267 of the 309 unit clauses activated are ground); the
+      non-ground ones keep a (sign, predicate) bucket;
     - the weight order of the queued clauses ({!Heap}), a binary heap on
       (weight, id) whose entries carry a [queued] mark for lazy removal.
 
