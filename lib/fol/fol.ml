@@ -557,7 +557,15 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
   if List.exists (fun c -> c = []) (usable @ sos) then count_outcome Proof
   else begin
     let idx = Index.create () in
-    let passive = Index.Heap.create () in
+    (* the weight queue, ordered by (weight, id) *)
+    let module Pq = Set.Make (struct
+      type t = Index.entry
+
+      let compare (a : t) (b : t) =
+        let c = Int.compare a.Index.weight b.Index.weight in
+        if c <> 0 then c else Int.compare a.Index.id b.Index.id
+    end) in
+    let passive = ref Pq.empty in
     let age_queue : Index.entry Queue.t = Queue.create () in
     let seen = Tbl.create 256 in
     let total = ref 0 in
@@ -571,7 +579,7 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
         Tbl.add seen key ();
         incr total;
         let e = Index.register idx ~weight:p.size c in
-        Index.Heap.push passive e;
+        passive := Pq.add e !passive;
         Queue.add e age_queue
       end
     in
@@ -595,9 +603,10 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
         | standing -> Some (e, standing)
     in
     let rec pop_weight () =
-      match Index.Heap.pop_min passive with
+      match Pq.min_elt_opt !passive with
       | None -> None
       | Some e -> (
+        passive := Pq.remove e !passive;
         match take e with Some _ as taken -> taken | None -> pop_weight ())
     in
     (* An age pick takes the oldest passive clause — unless it is far
@@ -605,10 +614,10 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
        this round falls back to a weight pick.  Unguarded FIFO picks let
        one aged, variable-headed equality clause resolve against the
        whole active set and flood the clause budget; the guard defers
-       such clauses until the light clauses are spent (the queue's minimum
+       such clauses until the light clauses are spent (the Pq minimum
        has risen), which is when fairness actually needs them. *)
     let age_pick_admissible w =
-      match Index.Heap.min_opt passive with
+      match Pq.min_elt_opt !passive with
       | None -> true
       | Some m -> w <= (2 * m.Index.weight) + 4
     in
@@ -622,7 +631,7 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
           match take e with
           | None -> pop_age budget
           | Some _ as taken when age_pick_admissible e.Index.weight ->
-            Index.Heap.remove e;
+            passive := Pq.remove e !passive;
             taken
           | Some _ ->
             Queue.add e age_queue;
@@ -638,7 +647,7 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
     let result = ref None in
     while !result = None do
       Deadline.check ();
-      if Index.Heap.is_empty passive then result := Some Saturated
+      if Pq.is_empty !passive then result := Some Saturated
       else if !total > max_clauses then result := Some GaveUp
       else if Clock.now () > deadline then result := Some TimedOut
       else

@@ -1,4 +1,4 @@
-(** Term indexing and the passive queue for the saturation engine.
+(** Term indexing for the saturation engine.
 
     Over the clause set of one refutation:
 
@@ -29,9 +29,7 @@
       own literal, so ground units sit in a hash table keyed by the
       literal and the filter costs one lookup per ground literal (on
       list, 267 of the 309 unit clauses activated are ground); the
-      non-ground ones keep a (sign, predicate) bucket;
-    - the weight order of the queued clauses ({!Heap}), a binary heap on
-      (weight, id) whose entries carry a [queued] mark for lazy removal.
+      non-ground ones keep a (sign, predicate) bucket.
 
     Only active clauses are indexed.  A queued (passive) clause is just
     numbered by {!register}; the renamed copy and the keys that the
@@ -76,9 +74,6 @@ type entry = {
          activation, so [stamp > id'] iff the clause with id [id'] was
          registered before this one was activated *)
   mutable state : cstate;
-  mutable queued : bool;
-      (* in the weight queue ({!Heap}): set by a push, cleared by a pop
-         or a removal *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -164,91 +159,6 @@ let retrieve_path (mode : mode) (root : node) (args : term list) :
   in
   go root args;
   !out
-
-(* ------------------------------------------------------------------ *)
-(* The weight queue                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(** The passive clauses by weight: a binary min-heap on [(weight, id)].
-    [remove] only clears the entry's [queued] mark, and marked-off
-    entries are discarded when they reach the top, so [min_opt],
-    [is_empty] and [pop_min] answer for the queued entries alone.  An
-    entry retired while queued stays queued until it is popped or
-    removed. *)
-module Heap = struct
-  type t = { mutable a : entry array; mutable n : int }
-
-  let create () : t = { a = [||]; n = 0 }
-
-  let before (x : entry) (y : entry) =
-    x.weight < y.weight || (x.weight = y.weight && x.id < y.id)
-
-  let push (h : t) (e : entry) : unit =
-    e.queued <- true;
-    if h.n = Array.length h.a then begin
-      let a = Array.make (max 64 (2 * h.n)) e in
-      Array.blit h.a 0 a 0 h.n;
-      h.a <- a
-    end;
-    (* sift up *)
-    let rec up i =
-      let p = (i - 1) / 2 in
-      if i > 0 && before e h.a.(p) then begin
-        h.a.(i) <- h.a.(p);
-        up p
-      end
-      else h.a.(i) <- e
-    in
-    up h.n;
-    h.n <- h.n + 1
-
-  (* drop the top element *)
-  let drop_top (h : t) : unit =
-    h.n <- h.n - 1;
-    let e = h.a.(h.n) in
-    (* sift [e] down from the root *)
-    let rec down i =
-      let l = (2 * i) + 1 in
-      if l >= h.n then h.a.(i) <- e
-      else
-        let c =
-          if l + 1 < h.n && before h.a.(l + 1) h.a.(l) then l + 1 else l
-        in
-        if before h.a.(c) e then begin
-          h.a.(i) <- h.a.(c);
-          down c
-        end
-        else h.a.(i) <- e
-    in
-    if h.n > 0 then down 0
-
-  let rec clean (h : t) : unit =
-    if h.n > 0 && not h.a.(0).queued then begin
-      drop_top h;
-      clean h
-    end
-
-  let min_opt (h : t) : entry option =
-    clean h;
-    if h.n = 0 then None else Some h.a.(0)
-
-  let is_empty (h : t) : bool =
-    clean h;
-    h.n = 0
-
-  let pop_min (h : t) : entry option =
-    clean h;
-    if h.n = 0 then None
-    else begin
-      let e = h.a.(0) in
-      e.queued <- false;
-      drop_top h;
-      Some e
-    end
-
-  (** Take [e] out of the queue wherever it sits. *)
-  let remove (e : entry) : unit = e.queued <- false
-end
 
 (* ------------------------------------------------------------------ *)
 (* The index                                                           *)
@@ -354,7 +264,6 @@ let register (t : t) ~(weight : int) (c : clause) : entry =
       keys = [];
       stamp = 0;
       state = Passive;
-      queued = false;
     }
   in
   t.next_id <- t.next_id + 1;

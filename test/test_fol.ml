@@ -418,85 +418,6 @@ module Props = struct
         && p.lits = clause_lits c
         && p.ground
            = List.map (fun l -> if ground_lit l then hash_lit l else -1) c)
-
-  (* the weight queue against the ordered set it replaced: pushes of
-     clauses of a given weight, weight pops, removal of a queued entry (an
-     age pick), and retirement of a queued entry, which leaves it queued *)
-  type queue_op = Push of int | Pop | Take of int | Retire of int
-
-  let print_queue_op = function
-    | Push w -> Printf.sprintf "push %d" w
-    | Pop -> "pop"
-    | Take k -> Printf.sprintf "take %d" k
-    | Retire k -> Printf.sprintf "retire %d" k
-
-  let arb_queue_ops =
-    QCheck.make
-      ~print:(fun ops -> String.concat "; " (List.map print_queue_op ops))
-      G.(list_size (int_range 1 60)
-           (frequency
-              [ (4, map (fun w -> Push w) (int_range 1 6));
-                (3, return Pop);
-                (1, map (fun k -> Take k) (int_bound 20));
-                (1, map (fun k -> Retire k) (int_bound 20)) ]))
-
-  module Ref = Set.Make (struct
-    type t = int * int * Index.entry
-
-    let compare (w1, i1, _) (w2, i2, _) = compare (w1, i1) (w2, i2)
-  end)
-
-  let prop_weight_queue =
-    QCheck.Test.make
-      ~name:"the weight queue pops, peeks and empties as an ordered set"
-      ~count:1000 arb_queue_ops (fun ops ->
-        let idx = Index.create () in
-        let heap = Index.Heap.create () in
-        let reference = ref Ref.empty in
-        let id_of = Option.map (fun (e : Index.entry) -> e.Index.id) in
-        let ref_id = Option.map (fun (_, i, _) -> i) in
-        (* the k-th queued entry, in the set's order *)
-        let nth k =
-          let l = Ref.elements !reference in
-          List.nth l (k mod List.length l)
-        in
-        List.for_all
-          (fun op ->
-            let agrees =
-              match op with
-              | Push w ->
-                let c =
-                  [ { sign = true;
-                      pred = "p";
-                      args = List.init (w - 1) (fun _ -> Term.Fn ("a", []));
-                    } ]
-                in
-                let e = register idx c in
-                Index.Heap.push heap e;
-                reference := Ref.add (e.Index.weight, e.Index.id, e) !reference;
-                true
-              | Pop ->
-                let expected = Ref.min_elt_opt !reference in
-                Option.iter (fun x -> reference := Ref.remove x !reference) expected;
-                id_of (Index.Heap.pop_min heap) = ref_id expected
-              | Take k ->
-                if not (Ref.is_empty !reference) then begin
-                  let ((_, _, e) as x) = nth k in
-                  Index.Heap.remove e;
-                  reference := Ref.remove x !reference
-                end;
-                true
-              | Retire k ->
-                if not (Ref.is_empty !reference) then begin
-                  let _, _, e = nth k in
-                  Index.retire idx e
-                end;
-                true
-            in
-            agrees
-            && id_of (Index.Heap.min_opt heap) = ref_id (Ref.min_elt_opt !reference)
-            && Index.Heap.is_empty heap = Ref.is_empty !reference)
-          ops)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -731,7 +652,6 @@ let suite =
         QCheck_alcotest.to_alcotest Props.prop_skeleton_order;
         QCheck_alcotest.to_alcotest Props.prop_normal_form_order;
         QCheck_alcotest.to_alcotest Props.prop_profile;
-        QCheck_alcotest.to_alcotest Props.prop_weight_queue;
         Alcotest.test_case "corpus engine parity" `Quick test_corpus_parity;
         Alcotest.test_case
           "the indexed engine proves every List fol-fragment obligation the \
