@@ -114,16 +114,9 @@ let compare_skeletons_in (s : subst) (l1 : lit) o1 (l2 : lit) o2 : int =
     let c = String.compare l1.pred l2.pred in
     if c <> 0 then c else compare_blind_list s l1.args o1 l2.args o2
 
-(* whether [cmp] ranks every element of a list at most [bound] against
-   its successor: [0] for sorted, [-1] for strictly increasing *)
-let rec in_order cmp bound = function
-  | a :: (b :: _ as rest) -> cmp a b <= bound && in_order cmp bound rest
-  | _ -> true
-
 (* one parent's literals in skeleton order (a stable sort) *)
 let skeleton_sorted (s : subst) (off : int) (ls : clause) : clause =
-  let cmp l1 l2 = compare_skeletons_in s l1 off l2 off in
-  if in_order cmp 0 ls then ls else List.stable_sort cmp ls
+  List.stable_sort (fun l1 l2 -> compare_skeletons_in s l1 off l2 off) ls
 
 (* the variables numbered so far, newest first, and the next number *)
 type numbering = { mutable seen : (int * int) list; mutable next : int }
@@ -194,17 +187,15 @@ let rec number_merged s nb (r1 : clause) (r2 : clause) : clause =
 
    [normal_form s r1 r2] is the normal form of [r1 @ r2'] under [s],
    where [r2'] is [r2] renamed apart.  The skeleton order of [r1 @ r2']
-   is the stable merge of the two parts' own orders, and each part is
-   usually in order already; one pass then applies [s] and numbers each
-   variable at its first occurrence.  A list already in order is not
-   sorted again. *)
+   is the stable merge of the two parts' own orders; one pass then
+   applies [s] and numbers each variable at its first occurrence. *)
 let normal_form (s : subst) (r1 : clause) (r2 : clause) : clause =
   let c =
     number_merged s
       { seen = []; next = 0 }
       (skeleton_sorted s 0 r1) (skeleton_sorted s apart r2)
   in
-  if in_order compare_lit (-1) c then c else List.sort_uniq compare_lit c
+  List.sort_uniq compare_lit c
 
 let normalize_clause (c : clause) : clause = normal_form [] c []
 

@@ -404,6 +404,45 @@ module Props = struct
       (fun c ->
         List.map named_lit (normalize_clause c) = reference_normal_form c)
 
+  (* [resolve_on] reads the resolvent off both parents through the
+     unifier, without renaming the partner or applying the unifier; the
+     naive engine builds it: rename the partner apart, unify, apply the
+     unifier to what is left of both parents, normalize *)
+  let reference_resolvent c1 l1 c2 l2 =
+    match List.fold_left2 Term.unify [] l1.args (rename_lit l2).args with
+    | s ->
+      Some
+        (normalize_clause
+           (apply_clause s
+              (List.filter (fun l -> l != l1) c1
+              @ rename_clause (List.filter (fun l -> l != l2) c2))))
+    | exception (Term.No_unifier | Invalid_argument _) -> None
+
+  (* two clauses from one generator (both few variables and deep terms,
+     or up to 14 variables), or one clause resolved with itself *)
+  let arb_parents =
+    QCheck.make
+      ~print:(fun (c1, c2) -> print_cl c1 ^ " || " ^ print_cl c2)
+      G.(
+        let* gen = oneofl [ gen_cl; gen_many_vars_cl ] in
+        let* c1 = gen in
+        let* self = bool in
+        if self then return (c1, c1) else map (fun c2 -> (c1, c2)) gen)
+
+  let prop_resolve_on =
+    QCheck.Test.make
+      ~name:"resolve_on builds the renamed, unified and normalized resolvent"
+      ~count:1000 arb_parents (fun (c1, c2) ->
+        List.for_all
+          (fun l1 ->
+            List.for_all
+              (fun l2 ->
+                l1.sign = l2.sign
+                || (not (String.equal l1.pred l2.pred))
+                || resolve_on c1 l1 c2 l2 = reference_resolvent c1 l1 c2 l2)
+              c2)
+          c1)
+
   (* the one walk over a generated clause against the functions it
      stands for; the unit filter finds a ground unit by the literal hash
      its activation filed it under *)
@@ -651,6 +690,7 @@ let suite =
         QCheck_alcotest.to_alcotest Props.prop_drop_if_subsumed;
         QCheck_alcotest.to_alcotest Props.prop_skeleton_order;
         QCheck_alcotest.to_alcotest Props.prop_normal_form_order;
+        QCheck_alcotest.to_alcotest Props.prop_resolve_on;
         QCheck_alcotest.to_alcotest Props.prop_profile;
         Alcotest.test_case "corpus engine parity" `Quick test_corpus_parity;
         Alcotest.test_case
