@@ -656,6 +656,14 @@ let check_sat (f : Form.t) : [ `Sat of bool | `Unsat ] =
   if not ok then `Unsat
   else begin
     let last_round = ref 0 in
+    (* search counters, published once per call as [smt.theory_checks]
+       (every theory check, minimization included) and [smt.conflicts]
+       (boolean models the theory refuted, one blocking clause each) *)
+    let checks = ref 0 and conflicts = ref 0 in
+    let theory_check ctx assigned =
+      incr checks;
+      theory_check ctx assigned
+    in
     let rec loop rounds precise_so_far =
       Deadline.check ();
       last_round := rounds;
@@ -674,6 +682,7 @@ let check_sat (f : Form.t) : [ `Sat of bool | `Unsat ] =
           | Consistent has_opaque ->
             `Sat (not has_opaque && precise_so_far)
           | Conflict ->
+            incr conflicts;
             (* greedily minimize the conflicting literal set so the
                blocking clause prunes a whole family of boolean models,
                not just this one (poor man's unsat core) *)
@@ -708,6 +717,8 @@ let check_sat (f : Form.t) : [ `Sat of bool | `Unsat ] =
         [ ("rounds", Trace.I !last_round);
           ("atoms", Trace.I (List.length ctx.atoms)) ])
       "theory-rounds";
+    Trace.add "smt.theory_checks" !checks;
+    Trace.add "smt.conflicts" !conflicts;
     r
   end
 

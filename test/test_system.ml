@@ -414,12 +414,14 @@ let test_list_groups_pinned () =
     let search =
       Printf.sprintf
         "given=%d kept=%d dedup=%d forward=%d backward=%d retrieved=%d \
-         scanned=%d proof=%d saturated=%d gave_up=%d timed_out=%d"
+         scanned=%d proof=%d saturated=%d gave_up=%d timed_out=%d \
+         smt_checks=%d smt_conflicts=%d"
         (c "fol.given") (c "fol.kept") (c "fol.dedup.hits")
         (c "fol.subsume.forward") (c "fol.subsume.backward")
         (c "fol.index.retrieved") (c "fol.index.scanned")
         (c "fol.outcome.proof") (c "fol.outcome.saturated")
         (c "fol.outcome.gave_up") (c "fol.outcome.timed_out")
+        (c "smt.theory_checks") (c "smt.conflicts")
     in
     Trace.reset ();
     let reports =
@@ -471,11 +473,11 @@ let test_list_groups_pinned () =
     ]
     "given=2210 kept=22941 dedup=10599 forward=4353 backward=393 \
      retrieved=39846 scanned=2623353 proof=3 saturated=9 gave_up=5 \
-     timed_out=0";
+     timed_out=0 smt_checks=3172 smt_conflicts=35";
   check "list_annotated" (101, 0, 0) []
     "given=1659 kept=16064 dedup=9052 forward=2431 backward=338 \
      retrieved=29416 scanned=2468439 proof=1 saturated=9 gave_up=4 \
-     timed_out=0"
+     timed_out=0 smt_checks=2789 smt_conflicts=29"
 
 let test_verify_buffer () =
   let report = verify [ "global/Buffer.java" ] in
