@@ -10,15 +10,18 @@ build:
 test:
 	dune runtest
 
-# build + full test suite + a traced, budgeted parallel run of the
-# paper's List figures whose event log must validate (verify exits 1
-# when not everything proves; only a hard error, exit 2, fails the
-# smoke) + the fuzz smoke + the end-to-end benchmark's self-test + the
-# daemon round-trips + the --since store check.  Performance is judged by e2ebench alone; no step here
+# build + full test suite + the endtoend tests alone (their pins must
+# not depend on what other tests left in the process) + a traced,
+# budgeted parallel run of the paper's List figures whose event log must
+# validate (verify exits 1 when not everything proves; only a hard
+# error, exit 2, fails the smoke) + the fuzz smoke + the end-to-end
+# benchmark's self-test + the daemon round-trips + the --since store
+# check.  Performance is judged by e2ebench alone; no step here
 # rewrites a committed file
 check:
 	dune build
 	dune runtest
+	./_build/default/test/main.exe test endtoend
 	dune exec -- jahob verify --trace trace_smoke.jsonl -j 4 --budget 30 --stats \
 	  examples/list/Client.java examples/list/List.java \
 	  || [ $$? -eq 1 ]

@@ -798,6 +798,36 @@ let set_vars_of (free : Typecheck.env) : string list =
       | _ -> acc)
     free []
 
+(* A renaming of clause symbols: each fresh-style symbol ([base__N],
+   from {!Form.fresh_name} directly or behind a [c_]/[f_]/[p_] prefix,
+   skolems included) becomes [base__k], numbered per base by first
+   occurrence; every other symbol stays.  It is injective and keeps the
+   image inside the [__] namespace.  The search breaks ties by symbol
+   order, so without it the search would follow how far the process-wide
+   fresh counter had advanced. *)
+let renumber_fresh () : lit -> lit =
+  let names : (string, string) Hashtbl.t = Hashtbl.create 16 in
+  let next : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  let name n =
+    match Hashtbl.find_opt names n with
+    | Some n' -> n'
+    | None ->
+      let n' =
+        match Sequent.fresh_base n with
+        | None -> n
+        | Some base ->
+          let k = 1 + Option.value ~default:0 (Hashtbl.find_opt next base) in
+          Hashtbl.replace next base k;
+          Printf.sprintf "%s__%d" base k
+      in
+      Hashtbl.add names n n';
+      n'
+  in
+  let rec term t =
+    match t with V _ -> t | Fn (f, args) -> Fn (name f, List.map term args)
+  in
+  fun l -> { l with pred = name l.pred; args = List.map term l.args }
+
 (* [outcome_with] given the free variables' types, forced only when some
    clause carries an [obj] guard *)
 let outcome_typed ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
@@ -812,8 +842,13 @@ let outcome_typed ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
       List.concat_map clausify (translated_hyps @ instances)
     in
     let goal_clauses = clausify translated_goal in
+    let rename = renumber_fresh () in
+    let hyp_clauses = List.map (List.map rename) hyp_clauses in
+    let goal_clauses = List.map (List.map rename) goal_clauses in
     (* free variables the typechecker sorts at objects satisfy the [obj]
-       guards; only needed when some clause actually carries a guard *)
+       guards; only needed when some clause actually carries a guard.
+       Ordered by renumbered constant, so this order does not follow the
+       counter either *)
     let obj_var_units =
       let uses_obj =
         List.exists
@@ -824,10 +859,11 @@ let outcome_typed ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
       else
         Typecheck.Smap.fold
           (fun x ty acc ->
-            if obj_sorted ty then
-              [ obj_lit true (Fn ("c_" ^ x, [])) ] :: acc
+            if obj_sorted ty then rename (obj_lit true (Fn ("c_" ^ x, []))) :: acc
             else acc)
           (Lazy.force free) []
+        |> List.sort (fun a b -> compare b.args a.args)
+        |> List.map (fun l -> [ l ])
     in
     let hyp_clauses = obj_var_units @ hyp_clauses in
     let theory = theory_axioms (hyp_clauses @ goal_clauses) in

@@ -103,21 +103,28 @@ let fresh_renaming (s : t) : Form.t Form.Smap.t =
     (fun x f -> match f with Form.Var y -> not (String.equal x y) | _ -> true)
     !map
 
+let renumber_fresh (s : t) : t =
+  let ren = fresh_renaming s in
+  if Form.Smap.is_empty ren then s
+  else
+    { s with
+      hyps = List.map (Form.subst ren) s.hyps;
+      goal = Form.subst ren s.goal }
+
 (* The canonical hypotheses, each paired with its canonical printing
    (sorted and deduplicated by that printing), and the canonical goal.
    [canonicalize] keeps the trees; [digest] reuses the printings. *)
 let canonical_parts (s : t) : (string * Form.t) list * Form.t =
-  let ren = fresh_renaming s in
-  let rename f = if Form.Smap.is_empty ren then f else Form.subst ren f in
+  let s = renumber_fresh s in
   let keyed =
     List.map
       (fun h ->
-        let h = Form.alpha_normalize ~keep_types:true (rename h) in
+        let h = Form.alpha_normalize ~keep_types:true h in
         (Pprint.to_canonical_string h, h))
       s.hyps
   in
   ( List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) keyed,
-    Form.alpha_normalize ~keep_types:true (rename s.goal) )
+    Form.alpha_normalize ~keep_types:true s.goal )
 
 (** Canonical form for caching: fresh constants ([base__N], minted by
     {!Form.fresh_name}) are renumbered by first occurrence, every

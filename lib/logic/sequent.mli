@@ -40,6 +40,17 @@ val of_form : ?name:string -> Form.t -> t
     their canonical printing. *)
 val canonicalize : t -> t
 
+(** [Some base] when the name is fresh-style, [base__N] as
+    {!Form.fresh_name} mints it; [None] for every other name. *)
+val fresh_base : string -> string option
+
+(** The sequent with its fresh-style free names renumbered per base by
+    first occurrence (hypotheses in order, then the goal), as
+    {!canonicalize} does.  Provers whose search reads names (their order
+    or their hashes) run on it, so that a search does not depend on how
+    far the process-wide fresh counter had advanced. *)
+val renumber_fresh : t -> t
+
 (** Stable cache key: MD5 of the canonicalized sequent's {e canonical}
     printing ({!Pprint.to_canonical_string}) — each hypothesis followed
     by a newline, then ["|-"] and the goal — computed without building

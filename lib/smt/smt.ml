@@ -748,7 +748,12 @@ let prove (s : Sequent.t) : Sequent.verdict =
     Sequent.Unknown "formula outside the SMT fragment"
 
 (* the portfolio entry: [prove] on the sequent saturated with ground
-   instances of its quantified and set-valued hypotheses *)
+   instances of its quantified and set-valued hypotheses.  Its fresh
+   names (saturation mints a witness per call) are renumbered first: the
+   array lemmas walk a hash table keyed by terms, so atom order, and with
+   it the search, would otherwise follow the process-wide fresh counter *)
 let prover : Sequent.prover =
   Sequent.traced_prover
-    { prover_name = "smt"; prove = (fun s -> prove (Instantiate.saturate s)) }
+    { prover_name = "smt";
+      prove =
+        (fun s -> prove (Sequent.renumber_fresh (Instantiate.saturate s))) }

@@ -558,6 +558,44 @@ let test_search_identity () =
           (search_summary entry.Fuzz.Differ.entry_sequent))
     files
 
+(* [s] with every fresh-style free name [base__N] renamed [base__(N+k)]:
+   the same obligation as a process whose fresh counter had advanced k
+   names further would generate it *)
+let shift_fresh k (s : Sequent.t) : Sequent.t =
+  let shift x =
+    match Sequent.fresh_base x with
+    | None -> None
+    | Some base ->
+      let from = String.length base + 2 in
+      let n = int_of_string (String.sub x from (String.length x - from)) in
+      Some (x, Form.Var (Printf.sprintf "%s__%d" base (n + k)))
+  in
+  let names =
+    List.concat_map Form.fv_list (s.Sequent.goal :: s.Sequent.hyps)
+    |> List.sort_uniq String.compare
+  in
+  let pairs = List.filter_map shift names in
+  { s with
+    Sequent.hyps = List.map (Form.subst_list pairs) s.Sequent.hyps;
+    goal = Form.subst_list pairs s.Sequent.goal }
+
+let test_search_offsets () =
+  (* the search must not read how far the fresh counter had advanced:
+     shifted fresh names keep every pinned counter *)
+  List.iter
+    (fun path ->
+      match (Fuzz.Differ.load_file path, expected_search path) with
+      | Ok entry, Some expected ->
+        List.iter
+          (fun k ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s, names shifted by %d" (Filename.basename path) k)
+              expected
+              (search_summary (shift_fresh k entry.Fuzz.Differ.entry_sequent)))
+          [ 1; 8739; 98739; 1_000_000 ]
+      | _ -> Alcotest.failf "%s: unreadable or no expect line" path)
+    (Fuzz.Differ.corpus_files "fol_search")
+
 (* saturation-heavy rows beside the corpus: an equality chain that only a
    resolution proof settles, a guarded chain of three-literal rules (full
    subsumption), and the paper's set-move and reachability obligations *)
@@ -701,6 +739,8 @@ let suite =
           test_outcome_counters;
         Alcotest.test_case "search identity on pinned list sequents" `Quick
           test_search_identity;
+        Alcotest.test_case "search identity under shifted fresh names" `Quick
+          test_search_offsets;
         Alcotest.test_case "admission scan refuses tree" `Quick
           test_scan_refuses_tree;
       ] );
