@@ -3,7 +3,9 @@
     The specification language is a subset of Isabelle/HOL, so types are
     simple types: base sorts ([bool], [int], [obj]), sets, function spaces
     and tuples.  Type variables support Hindley-Milner style inference in
-    {!Typecheck}. *)
+    {!Typecheck}: each inference binds them in its own {!Store}, a
+    union-find store that {!Store.unify} extends in place and
+    {!Store.resolve} reads back. *)
 
 type t =
   | Bool
@@ -49,48 +51,91 @@ and pp_atom ppf t =
 
 let to_string t = Format.asprintf "%a" pp t
 
-(** Occurs check: does unification variable [i] occur in [t]? *)
-let rec occurs i t =
-  match t with
-  | Bool | Int | Obj -> false
-  | Set e -> occurs i e
-  | Arrow (a, r) -> occurs i a || occurs i r
-  | Tuple ts -> List.exists (occurs i) ts
-  | Tvar j -> i = j
-
-(** Substitutions on type variables, represented as an int map. *)
-module Subst = struct
-  module M = Map.Make (Int)
-
-  type nonrec subst = t M.t
-
-  let empty : subst = M.empty
-
-  let rec apply (s : subst) t =
-    match t with
-    | Bool | Int | Obj -> t
-    | Set e -> Set (apply s e)
-    | Arrow (a, r) -> Arrow (apply s a, apply s r)
-    | Tuple ts -> Tuple (List.map (apply s) ts)
-    | Tvar i -> ( match M.find_opt i s with Some u -> apply s u | None -> t)
-
-  let bind i t (s : subst) : subst = M.add i t s
-end
-
 exception Unify_failure of t * t
 
-(** [unify s a b] extends substitution [s] so that [a] and [b] become equal,
-    or raises {!Unify_failure}. *)
-let rec unify (s : Subst.subst) a b : Subst.subst =
-  let a = Subst.apply s a and b = Subst.apply s b in
-  match a, b with
-  | Tvar i, Tvar j when i = j -> s
-  | Tvar i, t | t, Tvar i ->
-    if occurs i t then raise (Unify_failure (a, b)) else Subst.bind i t s
-  | Bool, Bool | Int, Int | Obj, Obj -> s
-  | Set x, Set y -> unify s x y
-  | Arrow (a1, r1), Arrow (a2, r2) -> unify (unify s a1 a2) r1 r2
-  | Tuple xs, Tuple ys when List.length xs = List.length ys ->
-    List.fold_left2 unify s xs ys
-  | (Bool | Int | Obj | Set _ | Arrow _ | Tuple _), _ ->
-    raise (Unify_failure (a, b))
+(** The bindings of one inference's unification variables: a mutable
+    union-find store with path compression.  A variable is unbound or
+    bound to a type, which may itself be a variable; {!Store.repr} follows
+    such chains and points every variable it passes at the end of its
+    chain, so a lookup costs what the chain needs once, not at every
+    node.  Variables [0 .. dense_limit - 1] live in an array grown on
+    demand, any other number in a table. *)
+module Store = struct
+  type store = {
+    mutable dense : t option array;
+    sparse : (int, t) Hashtbl.t;
+  }
+
+  let dense_limit = 1 lsl 16
+
+  let create () : store = { dense = Array.make 64 None; sparse = Hashtbl.create 1 }
+
+  let find st i =
+    if i >= 0 && i < Array.length st.dense then st.dense.(i)
+    else if i >= 0 && i < dense_limit then None
+    else Hashtbl.find_opt st.sparse i
+
+  let set st i t =
+    if i >= 0 && i < dense_limit then begin
+      let n = Array.length st.dense in
+      if i >= n then begin
+        let grown = Array.make (min dense_limit (max (i + 1) (2 * n))) None in
+        Array.blit st.dense 0 grown 0 n;
+        st.dense <- grown
+      end;
+      st.dense.(i) <- Some t
+    end
+    else Hashtbl.replace st.sparse i t
+
+  (** [t] with its outermost bound variables followed: an unbound
+      variable or a type whose head is a constructor. *)
+  let rec repr st t =
+    match t with
+    | Tvar i -> (
+      match find st i with
+      | None -> t
+      | Some u ->
+        let r = repr st u in
+        if r != u then set st i r;
+        r)
+    | Bool | Int | Obj | Set _ | Arrow _ | Tuple _ -> t
+
+  (** [t] with every bound variable replaced by its binding, deeply. *)
+  let rec resolve st t =
+    match repr st t with
+    | (Bool | Int | Obj | Tvar _) as t -> t
+    | Set e -> Set (resolve st e)
+    | Arrow (a, r) -> Arrow (resolve st a, resolve st r)
+    | Tuple ts -> Tuple (List.map (resolve st) ts)
+
+  (* occurs check through the bindings *)
+  let rec occurs st i t =
+    match repr st t with
+    | Bool | Int | Obj -> false
+    | Set e -> occurs st i e
+    | Arrow (a, r) -> occurs st i a || occurs st i r
+    | Tuple ts -> List.exists (occurs st i) ts
+    | Tvar j -> i = j
+
+  (** [unify st a b] binds variables of [st] so that [a] and [b] become
+      equal, or raises {!Unify_failure} with the two subterms, resolved,
+      where they clash.  A variable meeting a type is bound to it, the
+      left operand's variable when both sides are variables. *)
+  let rec unify st a b =
+    let a = repr st a and b = repr st b in
+    if a != b then
+      match a, b with
+      | Tvar i, Tvar j when i = j -> ()
+      | Tvar i, t | t, Tvar i ->
+        if occurs st i t then raise (Unify_failure (resolve st a, resolve st b))
+        else set st i t
+      | Bool, Bool | Int, Int | Obj, Obj -> ()
+      | Set x, Set y -> unify st x y
+      | Arrow (a1, r1), Arrow (a2, r2) ->
+        unify st a1 a2;
+        unify st r1 r2
+      | Tuple xs, Tuple ys when List.length xs = List.length ys ->
+        List.iter2 (unify st) xs ys
+      | (Bool | Int | Obj | Set _ | Arrow _ | Tuple _), _ ->
+        raise (Unify_failure (resolve st a, resolve st b))
+end

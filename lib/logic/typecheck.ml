@@ -4,7 +4,12 @@
     the parser cannot disambiguate without types: [<=], [<] and [-] denote
     integer comparison/subtraction or set inclusion/difference depending on
     their operands.  {!disambiguate} rewrites such nodes to the proper
-    set-theoretic constants. *)
+    set-theoretic constants.
+
+    Each call runs one inference over one {!Ftype.Store}: unification
+    binds type variables in place, and types are resolved only where the
+    rebuild thunks and the free variables' types read them, after the
+    last unification. *)
 
 module Smap = Map.Make (String)
 
@@ -17,7 +22,7 @@ type env = Ftype.t Smap.t
 let env_of_list l = List.fold_left (fun m (x, t) -> Smap.add x t m) Smap.empty l
 
 type state = {
-  mutable subst : Ftype.Subst.subst;
+  store : Ftype.Store.store;
   mutable next_tvar : int;
   free : (string, Ftype.t) Hashtbl.t; (* inferred types of free variables *)
 }
@@ -33,10 +38,13 @@ let unify_failed x y ctx =
 (* the context subformula is printed only when unification fails: printing
    it at every node would make checking quadratic in the formula size *)
 let unify st a b (ctx : Form.t) =
-  try st.subst <- Ftype.unify st.subst a b
+  try Ftype.Store.unify st.store a b
   with Ftype.Unify_failure (x, y) -> unify_failed x y (Pprint.to_string ctx)
 
-let resolve st t = Ftype.Subst.apply st.subst t
+let resolve st t = Ftype.Store.resolve st.store t
+
+let new_state () =
+  { store = Ftype.Store.create (); next_tvar = 0; free = Hashtbl.create 16 }
 
 (* Renumber parser-generated type variables so that inference owns a fresh,
    disjoint supply. *)
@@ -234,7 +242,7 @@ let rec infer_form st (env : env) (f : Form.t) : Ftype.t * (unit -> Form.t) =
     its type, and the inferred types of its free variables.  Raises
     {!Type_error} if [f] is ill-typed. *)
 let infer ?(env = Smap.empty) (f : Form.t) : Form.t * Ftype.t * env =
-  let st = { subst = Ftype.Subst.empty; next_tvar = 0; free = Hashtbl.create 16 } in
+  let st = new_state () in
   let t, rebuild = infer_form st env f in
   let free =
     Hashtbl.fold (fun x tx m -> Smap.add x (resolve st tx) m) st.free Smap.empty
@@ -244,9 +252,9 @@ let infer ?(env = Smap.empty) (f : Form.t) : Form.t * Ftype.t * env =
 (** Check that [f] is a well-typed boolean formula and resolve ambiguous
     operators.  Raises {!Type_error} when [f] is not boolean. *)
 let check_formula ?(env = Smap.empty) (f : Form.t) : Form.t =
-  let st = { subst = Ftype.Subst.empty; next_tvar = 0; free = Hashtbl.create 16 } in
+  let st = new_state () in
   let t, rebuild = infer_form st env f in
-  (try st.subst <- Ftype.unify st.subst t Bool
+  (try Ftype.Store.unify st.store t Bool
    with Ftype.Unify_failure (x, y) -> unify_failed x y "formula");
   rebuild ()
 

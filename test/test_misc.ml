@@ -119,16 +119,109 @@ let test_jlexer_line_numbers () =
 
 let test_ftype_unify () =
   let open Ftype in
-  let s = unify Subst.empty (Arrow (Tvar 1, Bool)) (Arrow (Obj, Tvar 2)) in
-  Alcotest.(check bool) "tv1 = obj" true (equal (Subst.apply s (Tvar 1)) Obj);
-  Alcotest.(check bool) "tv2 = bool" true (equal (Subst.apply s (Tvar 2)) Bool);
-  (match unify Subst.empty (Set (Tvar 3)) Int with
-  | _ -> Alcotest.fail "set vs int must not unify"
+  let st = Store.create () in
+  Store.unify st (Arrow (Tvar 1, Bool)) (Arrow (Obj, Tvar 2));
+  Alcotest.(check bool) "tv1 = obj" true (equal (Store.resolve st (Tvar 1)) Obj);
+  Alcotest.(check bool) "tv2 = bool" true (equal (Store.resolve st (Tvar 2)) Bool);
+  (match Store.unify (Store.create ()) (Set (Tvar 3)) Int with
+  | () -> Alcotest.fail "set vs int must not unify"
   | exception Unify_failure _ -> ());
   (* occurs check *)
-  match unify Subst.empty (Tvar 4) (Set (Tvar 4)) with
-  | _ -> Alcotest.fail "occurs check missed"
+  match Store.unify (Store.create ()) (Tvar 4) (Set (Tvar 4)) with
+  | () -> Alcotest.fail "occurs check missed"
   | exception Unify_failure _ -> ()
+
+(* The reference unifier: a functional substitution applied in full to
+   both sides at every node *)
+module Map_unify = struct
+  open Ftype
+  module M = Map.Make (Int)
+
+  let rec apply s t =
+    match t with
+    | Bool | Int | Obj -> t
+    | Set e -> Set (apply s e)
+    | Arrow (a, r) -> Arrow (apply s a, apply s r)
+    | Tuple ts -> Tuple (List.map (apply s) ts)
+    | Tvar i -> ( match M.find_opt i s with Some u -> apply s u | None -> t)
+
+  let rec occurs i t =
+    match t with
+    | Bool | Int | Obj -> false
+    | Set e -> occurs i e
+    | Arrow (a, r) -> occurs i a || occurs i r
+    | Tuple ts -> List.exists (occurs i) ts
+    | Tvar j -> i = j
+
+  let rec unify s a b =
+    let a = apply s a and b = apply s b in
+    match a, b with
+    | Tvar i, Tvar j when i = j -> s
+    | Tvar i, t | t, Tvar i ->
+      if occurs i t then raise (Unify_failure (a, b)) else M.add i t s
+    | Bool, Bool | Int, Int | Obj, Obj -> s
+    | Set x, Set y -> unify s x y
+    | Arrow (a1, r1), Arrow (a2, r2) -> unify (unify s a1 a2) r1 r2
+    | Tuple xs, Tuple ys when List.length xs = List.length ys ->
+      List.fold_left2 unify s xs ys
+    | (Bool | Int | Obj | Set _ | Arrow _ | Tuple _), _ ->
+      raise (Unify_failure (a, b))
+end
+
+let gen_ftype : Ftype.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let var = map (fun i -> Ftype.Tvar i) (int_range 1 8) in
+  sized_size (int_bound 3)
+  @@ fix (fun self n ->
+         if n = 0 then
+           frequency [ (4, var); (1, oneofl Ftype.[ Bool; Int; Obj ]) ]
+         else
+           frequency
+             [ (4, var);
+               (1, oneofl Ftype.[ Bool; Int; Obj ]);
+               (2, map (fun e -> Ftype.Set e) (self (n - 1)));
+               (2, map2 (fun a r -> Ftype.Arrow (a, r)) (self (n - 1)) (self (n - 1)));
+               (1, map (fun ts -> Ftype.Tuple ts) (list_size (int_range 2 3) (self (n - 1))));
+             ])
+
+(* one problem: equations unified in order until one fails *)
+let prop_store_unify =
+  let print eqs =
+    String.concat "; "
+      (List.map
+         (fun (a, b) -> Ftype.to_string a ^ " = " ^ Ftype.to_string b)
+         eqs)
+  in
+  QCheck.Test.make ~name:"union-find unifier agrees with the substitution map"
+    ~count:2000
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 6) (pair gen_ftype gen_ftype)))
+    (fun eqs ->
+      let st = Ftype.Store.create () in
+      let same_vars s =
+        List.for_all
+          (fun i ->
+            Ftype.equal (Map_unify.apply s (Tvar i)) (Ftype.Store.resolve st (Tvar i)))
+          (List.init 8 (fun i -> i + 1))
+      in
+      let rec go s = function
+        | [] -> true
+        | (a, b) :: rest -> (
+          let expected =
+            match Map_unify.unify s a b with
+            | s' -> Ok s'
+            | exception Ftype.Unify_failure (x, y) -> Error (x, y)
+          in
+          let got =
+            match Ftype.Store.unify st a b with
+            | () -> Ok ()
+            | exception Ftype.Unify_failure (x, y) -> Error (x, y)
+          in
+          match expected, got with
+          | Ok s', Ok () -> same_vars s' && go s' rest
+          | Error (x, y), Error (x', y') -> Ftype.equal x x' && Ftype.equal y y'
+          | Ok _, Error _ | Error _, Ok () -> false)
+      in
+      go Map_unify.M.empty eqs)
 
 let test_ftype_parse () =
   let open Ftype in
@@ -227,6 +320,7 @@ let suite =
       ] );
     ( "ftype",
       [ Alcotest.test_case "unification" `Quick test_ftype_unify;
+        QCheck_alcotest.to_alcotest prop_store_unify;
         Alcotest.test_case "type parsing" `Quick test_ftype_parse;
       ] );
     ( "routing",
