@@ -425,9 +425,21 @@ type theory_result =
   | Consistent of bool (* true when only interpreted atoms were involved *)
   | Conflict
 
-(* Check the conjunction of assigned theory literals, with Nelson-Oppen
-   equality exchange between EUF and LIA. *)
-let theory_check ctx (assigned : (atom * bool) list) : theory_result =
+(* distinct integer constants are distinct in EUF *)
+let rec int_diseqs = function
+  | [] -> []
+  | (n1, v1) :: rest ->
+    List.filter_map
+      (fun (n2, v2) ->
+        if n1 <> n2 then Some (Euf.Sym (v1, []), Euf.Sym (v2, [])) else None)
+      rest
+    @ int_diseqs rest
+
+(* The arithmetic side of an assignment: its linear atoms, with the
+   definitions and the integer constants, and the variables they share
+   with the EUF literals [euf_lits] *)
+let arith_side ctx (assigned : (atom * bool) list)
+    (euf_lits : (Euf.term * Euf.term) list) =
   (* variables genuinely involved in arithmetic; a var-var equality over
      objects has no business on the arithmetic side (it would only blow up
      the disequality case splits) *)
@@ -443,7 +455,7 @@ let theory_check ctx (assigned : (atom * bool) list) : theory_result =
         (fun (v, t) -> v :: Linterm.variables t)
         ctx.arith_defs
     in
-    List.sort_uniq compare (from_atoms @ from_defs)
+    List.sort_uniq String.compare (from_atoms @ from_defs)
   in
   let arith_atoms =
     List.concat_map
@@ -463,6 +475,38 @@ let theory_check ctx (assigned : (atom * bool) list) : theory_result =
         (fun (v, t) -> (Linterm.sub (Linterm.var v) t, `Eq, true))
         ctx.arith_defs
   in
+  let int_eq_constraints =
+    (* tie $int_n names to their arithmetic values *)
+    List.map
+      (fun (n, v) -> (Linterm.sub (Linterm.var v) (Linterm.const n), `Eq, true))
+      ctx.int_consts
+  in
+  let arith_atoms = arith_atoms @ int_eq_constraints in
+  (* shared variables: appear on the arithmetic side and as EUF constants *)
+  let shared_vars =
+    let arith_vars =
+      List.sort_uniq String.compare
+        (List.concat_map (fun (t, _, _) -> Linterm.variables t) arith_atoms)
+    in
+    let rec euf_consts acc (Euf.Sym (f, args)) =
+      let acc = if args = [] then f :: acc else acc in
+      List.fold_left euf_consts acc args
+    in
+    let euf_side =
+      List.fold_left
+        (fun acc (x, y) -> euf_consts (euf_consts acc x) y)
+        [] euf_lits
+    in
+    let euf_side = List.sort_uniq String.compare euf_side in
+    List.filter (fun v -> List.mem v euf_side) arith_vars
+  in
+  (arith_atoms, shared_vars)
+
+(* Check the conjunction of assigned theory literals, with Nelson-Oppen
+   equality exchange between EUF and LIA.  Most assignments fail EUF's
+   first check, so the arithmetic side is built only once EUF accepts
+   the assignment. *)
+let theory_check ctx (assigned : (atom * bool) list) : theory_result =
   let euf_eqs =
     List.filter_map
       (fun (a, sign) ->
@@ -492,55 +536,23 @@ let theory_check ctx (assigned : (atom * bool) list) : theory_result =
         | _ -> Some (Euf.Sym (v, []), t))
       ctx.bridges
   in
-  (* distinct integer constants are distinct in EUF *)
-  let rec int_diseqs = function
-    | [] -> []
-    | (n1, v1) :: rest ->
-      List.filter_map
-        (fun (n2, v2) ->
-          if n1 <> n2 then Some (Euf.Sym (v1, []), Euf.Sym (v2, [])) else None)
-        rest
-      @ int_diseqs rest
+  let diseqs = euf_diseqs @ int_diseqs ctx.int_consts in
+  let arith_side =
+    lazy (arith_side ctx assigned (euf_eqs @ euf_diseqs @ bridge_eqs))
   in
-  let int_eq_constraints =
-    (* tie $int_n names to their arithmetic values *)
-    List.map
-      (fun (n, v) -> (Linterm.sub (Linterm.var v) (Linterm.const n), `Eq, true))
-      ctx.int_consts
-  in
-  let arith_atoms = arith_atoms @ int_eq_constraints in
-  (* shared variables: appear on the arithmetic side and as EUF constants *)
-  let shared_vars =
-    let arith_vars =
-      List.sort_uniq compare
-        (List.concat_map (fun (t, _, _) -> Linterm.variables t) arith_atoms)
-    in
-    let rec euf_consts acc (Euf.Sym (f, args)) =
-      let acc = if args = [] then f :: acc else acc in
-      List.fold_left euf_consts acc args
-    in
-    let euf_side =
-      List.fold_left
-        (fun acc (x, y) -> euf_consts (euf_consts acc x) y)
-        []
-        (euf_eqs @ euf_diseqs @ bridge_eqs)
-    in
-    let euf_side = List.sort_uniq compare euf_side in
-    List.filter (fun v -> List.mem v euf_side) arith_vars
-  in
-  let shared_terms = List.map (fun v -> Euf.Sym (v, [])) shared_vars in
   (* iterate equality exchange to a fixpoint *)
   let rec loop known_eqs iterations =
     if iterations > 8 then Consistent has_opaque
     else begin
       let all_eqs = euf_eqs @ bridge_eqs @ known_eqs in
-      if
-        Euf.check ~eqs:all_eqs ~diseqs:(euf_diseqs @ int_diseqs ctx.int_consts)
-        = Euf.Unsat
-      then Conflict
+      if Euf.check ~eqs:all_eqs ~diseqs = Euf.Unsat then Conflict
       else begin
+        let arith_atoms, shared_vars = Lazy.force arith_side in
         (* equalities implied by EUF between shared variables *)
-        let implied = Euf.implied_equalities ~eqs:all_eqs shared_terms in
+        let implied =
+          Euf.implied_equalities ~eqs:all_eqs
+            (List.map (fun v -> Euf.Sym (v, [])) shared_vars)
+        in
         let var_of = function Euf.Sym (v, []) -> Some v | _ -> None in
         let arith_eqs_from_euf =
           List.filter_map
