@@ -131,6 +131,17 @@ let test_ftype_unify () =
   | () -> Alcotest.fail "occurs check missed"
   | exception Unify_failure _ -> ()
 
+let test_store_far_vars () =
+  (* variables past the store's array, and one that makes it grow *)
+  let open Ftype in
+  let st = Store.create () in
+  Store.unify st (Tvar 100_000) (Tvar 3);
+  Store.unify st (Tvar (-1)) (Set (Tvar 1_000));
+  Store.unify st (Tvar 3) (Arrow (Tvar (-1), Int));
+  Store.unify st (Tvar 1_000) Obj;
+  Alcotest.(check string) "resolved" "obj set => int"
+    (to_string (Store.resolve st (Tvar 100_000)))
+
 (* The reference unifier: a functional substitution applied in full to
    both sides at every node *)
 module Map_unify = struct
@@ -321,6 +332,8 @@ let suite =
     ( "ftype",
       [ Alcotest.test_case "unification" `Quick test_ftype_unify;
         QCheck_alcotest.to_alcotest prop_store_unify;
+        Alcotest.test_case "unification: variables past the array" `Quick
+          test_store_far_vars;
         Alcotest.test_case "type parsing" `Quick test_ftype_parse;
       ] );
     ( "routing",
