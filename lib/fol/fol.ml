@@ -847,7 +847,8 @@ let outcome_typed ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
     let goal_clauses = List.map (List.map rename) goal_clauses in
     (* free variables the typechecker sorts at objects satisfy the [obj]
        guards; only needed when some clause actually carries a guard.
-       Ordered by renumbered constant, so this order does not follow the
+       Sorted by renumbered constant, descending as the fold over the
+       original names gave them, so this order does not follow the
        counter either *)
     let obj_var_units =
       let uses_obj =
