@@ -132,7 +132,7 @@ let test_ftype_unify () =
   | exception Unify_failure _ -> ()
 
 let test_store_far_vars () =
-  (* variables past the store's array, and one that makes it grow *)
+  (* variables outside the store's chunks, and one that adds chunks *)
   let open Ftype in
   let st = Store.create () in
   Store.unify st (Tvar 100_000) (Tvar 3);
@@ -332,7 +332,7 @@ let suite =
     ( "ftype",
       [ Alcotest.test_case "unification" `Quick test_ftype_unify;
         QCheck_alcotest.to_alcotest prop_store_unify;
-        Alcotest.test_case "unification: variables past the array" `Quick
+        Alcotest.test_case "unification: far and negative variables" `Quick
           test_store_far_vars;
         Alcotest.test_case "type parsing" `Quick test_ftype_parse;
       ] );
