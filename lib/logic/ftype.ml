@@ -60,9 +60,9 @@ exception Unify_failure of t * t
     chain, so a lookup costs what the chain needs once, not at every
     node.  Variables [0 .. dense_limit - 1] live in chunks of 128 slots,
     added as needed, any other number in a table.  A chunk is small
-    enough for the minor heap: one array doubled to the largest variable
-    went to the major heap on big inferences and raised the corpus run's
-    peak RSS by about 1 MB. *)
+    enough for the minor heap; one array doubled to the largest variable
+    would be allocated in the major heap on big inferences, which shows
+    as about 1 MB more peak RSS on the corpus. *)
 module Store = struct
   type store = {
     mutable chunks : t option array array;

@@ -537,7 +537,7 @@ let theory_check ctx (assigned : (atom * bool) list) : theory_result =
       ctx.bridges
   in
   let diseqs = euf_diseqs @ int_diseqs ctx.int_consts in
-  let arith_side =
+  let arith =
     lazy (arith_side ctx assigned (euf_eqs @ euf_diseqs @ bridge_eqs))
   in
   (* iterate equality exchange to a fixpoint *)
@@ -547,7 +547,7 @@ let theory_check ctx (assigned : (atom * bool) list) : theory_result =
       let all_eqs = euf_eqs @ bridge_eqs @ known_eqs in
       if Euf.check ~eqs:all_eqs ~diseqs = Euf.Unsat then Conflict
       else begin
-        let arith_atoms, shared_vars = Lazy.force arith_side in
+        let arith_atoms, shared_vars = Lazy.force arith in
         (* equalities implied by EUF between shared variables *)
         let implied =
           Euf.implied_equalities ~eqs:all_eqs
