@@ -479,6 +479,28 @@ let test_list_groups_pinned () =
      retrieved=29416 scanned=2468439 proof=1 saturated=9 gave_up=4 \
      timed_out=0 smt_checks=2789 smt_conflicts=29"
 
+(* the arrays group exercises the [$aread]/[$awrite] array lemmas, whose
+   instantiation order decides atom order and with it smt's search: a
+   change to lib/smt that keeps the same search keeps both counters *)
+let test_arrays_smt_pinned () =
+  let opts = { (Jahob_core.Jahob.default_options ()) with jobs = 1 } in
+  Trace.reset ();
+  Trace.start_collecting ();
+  let report =
+    Jahob_core.Jahob.verify_files ~opts [ examples_dir ^ "/arrays/ArrayOps.java" ]
+  in
+  Trace.stop ();
+  let c = Trace.counter_value in
+  let search =
+    Printf.sprintf "smt_checks=%d smt_conflicts=%d" (c "smt.theory_checks")
+      (c "smt.conflicts")
+  in
+  Trace.reset ();
+  Alcotest.(check bool) "arrays: fully verified" true
+    report.Jahob_core.Jahob.ok;
+  Alcotest.(check string) "arrays: smt search" "smt_checks=42 smt_conflicts=5"
+    search
+
 let test_verify_buffer () =
   let report = verify [ "global/Buffer.java" ] in
   Alcotest.(check bool) "fully verified" true report.Jahob_core.Jahob.ok
@@ -560,6 +582,8 @@ let suite =
           test_verify_annotated_list;
         Alcotest.test_case "list groups: pinned verdicts at -j 1" `Slow
           test_list_groups_pinned;
+        Alcotest.test_case "arrays group: pinned smt search at -j 1" `Quick
+          test_arrays_smt_pinned;
         Alcotest.test_case "global buffer verifies" `Quick test_verify_buffer;
         Alcotest.test_case "assoc client verifies" `Slow test_verify_assoc;
         Alcotest.test_case "game verifies" `Quick test_verify_game;
