@@ -5,7 +5,18 @@
     through its SMT-LIB interface: given equalities and disequalities over
     uninterpreted terms, decide satisfiability and report the equalities
     implied between chosen terms (for equality exchange with other
-    theories). *)
+    theories).
+
+    Terms live in a dense table: each distinct term gets an integer id, a
+    function symbol and its argument ids (the indexed-term design of
+    Nieuwenhuis and Oliveras, "Fast congruence closure and extensions",
+    Inf. & Comp. 2007).  A {!closure} over a finished table computes the
+    use lists once; each {!close} query then starts from that state, so
+    a caller that asks many questions about one term set (smt's theory
+    checks within one [check_sat]) interns and prepares the terms once.
+    A closure over a subterm-closed table is conservative over every
+    subterm-closed subset: extra terms change neither the Sat/Unsat
+    answer nor the equalities implied between the queried terms. *)
 
 type term = Sym of string * term list
 
@@ -24,160 +35,194 @@ let rec pp_term ppf (Sym (f, args)) =
 let term_to_string t = Format.asprintf "%a" pp_term t
 
 (* ------------------------------------------------------------------ *)
-(* State: hash-consed term ids + union-find + congruence table         *)
+(* Term table                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type node = {
-  id : int;
-  fname : string;
-  args : int list; (* ids *)
-  mutable parent : int; (* union-find parent *)
-  mutable rank : int;
-  mutable uses : int list; (* ids of terms having this id as an argument *)
-}
+(* a symbol id followed by argument ids: the hash-consing key of a term,
+   and under argument representatives its congruence signature *)
+module Key = Hashtbl.Make (struct
+  type t = int list
 
-type t = {
-  mutable nodes : node array;
-  mutable n_nodes : int;
-  term_ids : (string * int list, int) Hashtbl.t; (* structural hashcons *)
-  (* congruence signature: (fname, arg representatives) -> node id *)
-  sigs : (string * int list, int) Hashtbl.t;
-  mutable pending : (int * int) list; (* merges to process *)
-}
+  let equal = List.equal Int.equal
+  let hash k = List.fold_left (fun h x -> (h * 65599) + x) 17 k land max_int
+end)
 
-let dummy_node =
-  { id = -1; fname = ""; args = []; parent = -1; rank = 0; uses = [] }
+type table = {
+  symbols : (string, int) Hashtbl.t;
+  ids : int Key.t;
+  mutable sym : int array; (* term id -> symbol id *)
+  mutable args : int list array; (* term id -> argument ids *)
+  mutable trees : term array; (* term id -> the term it names *)
+  mutable size : int;
+}
 
 let create () =
   {
-    nodes = Array.make 0 dummy_node;
-    n_nodes = 0;
-    term_ids = Hashtbl.create 64;
-    sigs = Hashtbl.create 64;
-    pending = [];
+    symbols = Hashtbl.create 32;
+    ids = Key.create 64;
+    sym = Array.make 64 0;
+    args = Array.make 64 [];
+    trees = Array.make 64 (Sym ("", []));
+    size = 0;
   }
 
-let node st i = st.nodes.(i)
+let grow tbl =
+  let cap = 2 * Array.length tbl.sym in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 tbl.size;
+    b
+  in
+  tbl.sym <- extend tbl.sym 0;
+  tbl.args <- extend tbl.args [];
+  tbl.trees <- extend tbl.trees (Sym ("", []))
 
-let rec find st i =
-  let n = node st i in
-  if n.parent = i then i
+let app tbl f args =
+  let s =
+    match Hashtbl.find_opt tbl.symbols f with
+    | Some s -> s
+    | None ->
+      let s = Hashtbl.length tbl.symbols in
+      Hashtbl.add tbl.symbols f s;
+      s
+  in
+  let key = s :: args in
+  match Key.find_opt tbl.ids key with
+  | Some i -> i
+  | None ->
+    let i = tbl.size in
+    if i = Array.length tbl.sym then grow tbl;
+    tbl.sym.(i) <- s;
+    tbl.args.(i) <- args;
+    tbl.trees.(i) <- Sym (f, List.map (fun a -> tbl.trees.(a)) args);
+    tbl.size <- i + 1;
+    Key.add tbl.ids key i;
+    i
+
+let const tbl name = app tbl name []
+let rec intern tbl (Sym (f, args)) = app tbl f (List.map (intern tbl) args)
+let size tbl = tbl.size
+let term tbl i = tbl.trees.(i)
+let symbol tbl i = match tbl.trees.(i) with Sym (f, _) -> f
+let args tbl i = tbl.args.(i)
+
+(* ------------------------------------------------------------------ *)
+(* Closure: union-find + use lists + signature table over a table      *)
+(* ------------------------------------------------------------------ *)
+
+type closure = {
+  table : table;
+  n : int; (* the table's size when the closure was set up *)
+  parent : int array;
+  rank : int array;
+  uses0 : int list array; (* ids of terms having this id as an argument *)
+  uses : int list array; (* the same per class representative, per query *)
+  sigs : int Key.t;
+      (* signatures a query created; the table's own keys are the
+         signatures every term starts with *)
+}
+
+let closure tbl =
+  let n = tbl.size in
+  let uses0 = Array.make n [] in
+  for i = n - 1 downto 0 do
+    List.iter (fun a -> uses0.(a) <- i :: uses0.(a)) tbl.args.(i)
+  done;
+  {
+    table = tbl;
+    n;
+    parent = Array.init n Fun.id;
+    rank = Array.make n 0;
+    uses0;
+    uses = Array.copy uses0;
+    sigs = Key.create 16;
+  }
+
+let rec find cc i =
+  let p = cc.parent.(i) in
+  if p = i then i
   else begin
-    let r = find st n.parent in
-    n.parent <- r;
+    let r = find cc p in
+    cc.parent.(i) <- r;
     r
   end
 
-(* Intern a term, returning its node id.  New nodes are entered in the
-   congruence table; a pre-existing congruent node triggers a merge. *)
-let rec intern st (Sym (f, args) : term) : int =
-  let arg_ids = List.map (intern st) args in
-  match Hashtbl.find_opt st.term_ids (f, arg_ids) with
-  | Some i -> i
-  | None ->
-    let id = st.n_nodes in
-    if id >= Array.length st.nodes then begin
-      let grown =
-        Array.make (max 16 (2 * Array.length st.nodes)) dummy_node
-      in
-      Array.blit st.nodes 0 grown 0 st.n_nodes;
-      st.nodes <- grown
-    end;
-    let n = { id; fname = f; args = arg_ids; parent = id; rank = 0; uses = [] } in
-    st.nodes.(id) <- n;
-    st.n_nodes <- id + 1;
-    Hashtbl.add st.term_ids (f, arg_ids) id;
-    List.iter
-      (fun a ->
-        let ra = node st (find st a) in
-        ra.uses <- id :: ra.uses)
-      arg_ids;
-    let key = (f, List.map (find st) arg_ids) in
-    (match Hashtbl.find_opt st.sigs key with
-    | Some j -> st.pending <- (id, j) :: st.pending
-    | None -> Hashtbl.add st.sigs key id);
-    process_pending st;
-    id
-
-and union st i j =
-  let ri = find st i and rj = find st j in
-  if ri <> rj then begin
-    let ni = node st ri and nj = node st rj in
-    let small, big =
-      if ni.rank < nj.rank then (ni, nj)
-      else if nj.rank < ni.rank then (nj, ni)
-      else begin
-        nj.rank <- nj.rank + 1;
-        (ni, nj)
+(* merge the classes of [a] and [b] and every pair congruence then
+   forces: the users of the smaller class get their signatures looked
+   up again, first among the query's own, then among the table's keys *)
+let merge cc a b =
+  let pending = ref [ (a, b) ] in
+  while !pending <> [] do
+    match !pending with
+    | [] -> ()
+    | (a, b) :: rest ->
+      pending := rest;
+      let ra = find cc a and rb = find cc b in
+      if ra <> rb then begin
+        let small, big =
+          if cc.rank.(ra) < cc.rank.(rb) then (ra, rb)
+          else if cc.rank.(rb) < cc.rank.(ra) then (rb, ra)
+          else begin
+            cc.rank.(rb) <- cc.rank.(rb) + 1;
+            (ra, rb)
+          end
+        in
+        cc.parent.(small) <- big;
+        let users = cc.uses.(small) in
+        cc.uses.(small) <- [];
+        cc.uses.(big) <- List.rev_append users cc.uses.(big);
+        List.iter
+          (fun u ->
+            let key =
+              cc.table.sym.(u) :: List.map (find cc) cc.table.args.(u)
+            in
+            let congruent =
+              match Key.find_opt cc.sigs key with
+              | Some v -> Some v
+              | None -> Key.find_opt cc.table.ids key
+            in
+            match congruent with
+            | Some v -> if find cc v <> find cc u then pending := (u, v) :: !pending
+            | None -> Key.add cc.sigs key u)
+          users
       end
-    in
-    small.parent <- big.id;
-    (* re-hash the congruence signatures of all users of the smaller class *)
-    let users = small.uses in
-    big.uses <- users @ big.uses;
-    small.uses <- [];
-    List.iter
-      (fun u ->
-        let nu = node st u in
-        let key = (nu.fname, List.map (find st) nu.args) in
-        match Hashtbl.find_opt st.sigs key with
-        | Some v when find st v <> find st u ->
-          st.pending <- (u, v) :: st.pending
-        | Some _ -> ()
-        | None -> Hashtbl.add st.sigs key u)
-      users
-  end
+  done
 
-and process_pending st =
-  match st.pending with
-  | [] -> ()
-  | (i, j) :: rest ->
-    st.pending <- rest;
-    union st i j;
-    process_pending st
+(** Close [eqs] over the table, starting afresh: [None] when one of
+    [diseqs] joins two equal terms, else [Some rep] with [rep.(i)] the
+    class representative of term [i]. *)
+let close cc ~eqs ~diseqs =
+  if cc.table.size <> cc.n then invalid_arg "Euf.close: the table grew";
+  for i = 0 to cc.n - 1 do
+    cc.parent.(i) <- i
+  done;
+  Array.fill cc.rank 0 cc.n 0;
+  Array.blit cc.uses0 0 cc.uses 0 cc.n;
+  Key.clear cc.sigs;
+  List.iter (fun (a, b) -> merge cc a b) eqs;
+  if List.exists (fun (a, b) -> find cc a = find cc b) diseqs then None
+  else Some (Array.init cc.n (find cc))
 
-(** Assert an equality between two terms. *)
-let merge st a b =
-  let ia = intern st a and ib = intern st b in
-  st.pending <- (ia, ib) :: st.pending;
-  process_pending st
-
-(** Are two terms currently equal under the congruence closure? *)
-let equal_terms st a b =
-  let ia = intern st a and ib = intern st b in
-  find st ia = find st ib
+(** The pairs of [ids] in one class of [rep], each pair in list order
+    (Nelson-Oppen equality propagation). *)
+let implied_equalities rep ids =
+  let rec pairs = function
+    | [] -> []
+    | t :: rest ->
+      List.filter_map (fun u -> if rep.(t) = rep.(u) then Some (t, u) else None) rest
+      @ pairs rest
+  in
+  pairs ids
 
 (* ------------------------------------------------------------------ *)
-(* Satisfiability                                                      *)
+(* Satisfiability of one conjunction                                   *)
 (* ------------------------------------------------------------------ *)
 
 type verdict = Sat | Unsat
 
 (** Decide a conjunction of equalities and disequalities. *)
 let check ~(eqs : (term * term) list) ~(diseqs : (term * term) list) : verdict =
-  let st = create () in
-  List.iter (fun (a, b) -> merge st a b) eqs;
-  if List.exists (fun (a, b) -> equal_terms st a b) diseqs then Unsat else Sat
-
-(** Equalities between the given terms implied by [eqs] (used for
-    Nelson-Oppen equality propagation). *)
-let implied_equalities ~(eqs : (term * term) list) (shared : term list) :
-    (term * term) list =
-  let st = create () in
-  List.iter (fun (a, b) -> merge st a b) eqs;
-  let with_ids = List.map (fun t -> (t, find st (intern st t))) shared in
-  let rec pairs = function
-    | [] -> []
-    | (t, r) :: rest ->
-      List.filter_map
-        (fun (u, r') -> if r = r' then Some (t, u) else None)
-        rest
-      @ pairs rest
-  in
-  pairs with_ids
-
-(** Explanation-free incremental interface used by the SMT solver: assert
-    equalities one at a time and query consistency with a disequality
-    set. *)
-let inconsistent st (diseqs : (term * term) list) =
-  List.exists (fun (a, b) -> equal_terms st a b) diseqs
+  let tbl = create () in
+  let ids (a, b) = (intern tbl a, intern tbl b) in
+  let eqs = List.map ids eqs and diseqs = List.map ids diseqs in
+  match close (closure tbl) ~eqs ~diseqs with None -> Unsat | Some _ -> Sat

@@ -255,6 +255,14 @@ let hash f =
   in
   go [] 0 f land max_int
 
+(** Formula tables up to alpha-equivalence and type annotations. *)
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
 (* ------------------------------------------------------------------ *)
 (* Free variables and substitution                                     *)
 (* ------------------------------------------------------------------ *)

@@ -166,14 +166,6 @@ let extensionalize_goal (is_set : Form.t -> bool) (s : Sequent.t) : Sequent.t =
     }
   | _ -> s
 
-(* formula tables up to alpha-equivalence and type annotations *)
-module Ftbl = Hashtbl.Make (struct
-  type t = Form.t
-
-  let equal = Form.equal
-  let hash = Form.hash
-end)
-
 (** Saturate a sequent with ground instances (the original hypotheses are
     kept), then keep the hypotheses connected to the goal
     ({!Sequent.relevant_hyps}).  The trace span keeps the name
@@ -184,7 +176,7 @@ let saturate (s : Sequent.t) : Sequent.t =
   let s = extensionalize_goal is_set s in
   let cands = candidates s.Sequent.hyps s.Sequent.goal in
   (* every simplified hypothesis so far, original or produced *)
-  let seen = Ftbl.create 64 in
+  let seen = Form.Tbl.create 64 in
   let fresh_facts = ref [] in
   let n_fresh = ref 0 in
   let note f =
@@ -192,16 +184,16 @@ let saturate (s : Sequent.t) : Sequent.t =
     let f = Simplify.simplify f in
     if
       (not (Form.is_true f))
-      && (not (Ftbl.mem seen f))
+      && (not (Form.Tbl.mem seen f))
       && !n_fresh < max_new_hyps
     then begin
-      Ftbl.replace seen f ();
+      Form.Tbl.replace seen f ();
       fresh_facts := f :: !fresh_facts;
       incr n_fresh
     end
   in
   List.iter
-    (fun h -> Ftbl.replace seen (Simplify.simplify h) ())
+    (fun h -> Form.Tbl.replace seen (Simplify.simplify h) ())
     s.Sequent.hyps;
   let expand (frontier : Form.t list) : Form.t list =
     let produced = ref [] in
@@ -216,7 +208,7 @@ let saturate (s : Sequent.t) : Sequent.t =
         let propagated =
           match Form.strip_types h with
           | Form.App (Form.Const Form.Impl, [ a; b ]) ->
-            let holds g = Ftbl.mem seen (Simplify.simplify g) in
+            let holds g = Form.Tbl.mem seen (Simplify.simplify g) in
             if List.for_all holds (Form.conjuncts a) then Form.conjuncts b
             else []
           | _ -> []
@@ -233,7 +225,7 @@ let saturate (s : Sequent.t) : Sequent.t =
     if k = 0 || frontier = [] then ()
     else begin
       let fresh =
-        List.filter (fun f -> not (Ftbl.mem seen f)) (expand frontier)
+        List.filter (fun f -> not (Form.Tbl.mem seen f)) (expand frontier)
       in
       List.iter note fresh;
       go (k - 1) fresh

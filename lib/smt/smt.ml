@@ -29,19 +29,24 @@ module Omega = Presburger.Omega
 (* Theory atoms                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* EUF terms are ids in the call's {!Euf.table} *)
 type atom =
   | Arith of Linterm.t * [ `Le | `Eq ] (* t <= 0 or t = 0 *)
-  | Equal of Euf.term * Euf.term (* equality of uninterpreted terms *)
-  | Both of Linterm.t * Euf.term * Euf.term
+  | Equal of int * int (* equality of uninterpreted terms *)
+  | Both of Linterm.t * int * int
       (* variable-variable equality, visible to both theories *)
   | Opaque of Form.t (* out-of-fragment atom *)
 
 type context = {
-  mutable atoms : (Form.t * atom * int) list; (* formula, atom, SAT var *)
+  terms : Euf.table; (* every EUF term of this call *)
+  mutable atoms : (atom * int) list; (* atom, SAT var; newest first *)
+  atom_vars : int Form.Tbl.t; (* atom formula -> SAT var *)
+  pair_vars : (int * int, int) Hashtbl.t;
+      (* smaller id, larger id -> SAT var of the newest atom equating them *)
   mutable next_var : int;
-  mutable bridges : (string * Euf.term) list;
+  mutable bridges : (string * int) list;
       (* purification variable = foreign term *)
-  mutable purify_memo : (Form.t * string) list;
+  purified : string Form.Tbl.t; (* term -> its purification variable *)
   mutable int_consts : (int * string) list; (* integer constants seen by EUF *)
   mutable arith_defs : (string * Linterm.t) list;
       (* purification variable = arithmetic term, always asserted *)
@@ -49,10 +54,13 @@ type context = {
 
 let fresh_ctx () =
   {
+    terms = Euf.create ();
     atoms = [];
+    atom_vars = Form.Tbl.create 64;
+    pair_vars = Hashtbl.create 64;
     next_var = 0;
     bridges = [];
-    purify_memo = [];
+    purified = Form.Tbl.create 16;
     int_consts = [];
     arith_defs = [];
   }
@@ -67,51 +75,48 @@ let new_var ctx =
 
 exception Out_of_fragment
 
-(* Translate a formula term into an EUF term; arithmetic subterms become
-   purification variables constrained on the arithmetic side. *)
-let rec euf_term ctx (f : Form.t) : Euf.term =
+(* Translate a formula term into an EUF term id; arithmetic subterms
+   become purification variables constrained on the arithmetic side. *)
+let rec euf_term ctx (f : Form.t) : int =
+  let app = Euf.app ctx.terms in
   match Form.strip_types f with
-  | Form.Var x -> Euf.Sym (x, [])
-  | Form.Const Form.Null -> Euf.Sym ("$null", [])
+  | Form.Var x -> Euf.const ctx.terms x
+  | Form.Const Form.Null -> Euf.const ctx.terms "$null"
   | Form.Const (Form.IntLit n) ->
     let name = Printf.sprintf "$int_%d" n in
     if not (List.mem_assoc n ctx.int_consts) then
       ctx.int_consts <- (n, name) :: ctx.int_consts;
-    Euf.Sym (name, [])
+    Euf.const ctx.terms name
   | Form.Const (Form.BoolLit b) ->
-    Euf.Sym ((if b then "$true" else "$false"), [])
+    Euf.const ctx.terms (if b then "$true" else "$false")
   | Form.App (Form.Const Form.FieldRead, [ fld; obj ]) ->
-    Euf.Sym ("$read", [ euf_term ctx fld; euf_term ctx obj ])
+    app "$read" [ euf_term ctx fld; euf_term ctx obj ]
   | Form.App (Form.Const Form.FieldWrite, [ fld; obj; v ]) ->
-    Euf.Sym ("$write", [ euf_term ctx fld; euf_term ctx obj; euf_term ctx v ])
+    app "$write" [ euf_term ctx fld; euf_term ctx obj; euf_term ctx v ]
   | Form.App (Form.Const Form.ArrayRead, [ a; o; i ]) ->
-    Euf.Sym ("$aread", [ euf_term ctx a; euf_term ctx o; euf_term ctx i ])
+    app "$aread" [ euf_term ctx a; euf_term ctx o; euf_term ctx i ]
   | Form.App (Form.Const Form.ArrayWrite, [ a; o; i; v ]) ->
-    Euf.Sym
-      ( "$awrite",
-        [ euf_term ctx a; euf_term ctx o; euf_term ctx i; euf_term ctx v ] )
-  | Form.App (Form.Var fn, args) ->
-    Euf.Sym (fn, List.map (euf_term ctx) args)
+    app "$awrite"
+      [ euf_term ctx a; euf_term ctx o; euf_term ctx i; euf_term ctx v ]
+  | Form.App (Form.Var fn, args) -> app fn (List.map (euf_term ctx) args)
   | Form.App (Form.Const (Form.Plus | Form.Minus | Form.Mult | Form.Uminus), _)
     ->
     (* arithmetic inside an uninterpreted context: purify *)
-    Euf.Sym (purify_arith ctx f, [])
+    Euf.const ctx.terms (purify_arith ctx f)
   | Form.App (Form.Const Form.Ite, _)
   | Form.Const _ | Form.App _ | Form.Binder _ | Form.TypedForm _ ->
     raise Out_of_fragment
 
 (* Name an arithmetic term with a shared variable (memoized). *)
 and purify_arith ctx (f : Form.t) : string =
-  match
-    List.find_opt (fun (g, _) -> Form.equal f g) ctx.purify_memo
-  with
-  | Some (_, v) -> v
+  match Form.Tbl.find_opt ctx.purified f with
+  | Some v -> v
   | None ->
     let v = Form.fresh_name "$p" in
-    ctx.purify_memo <- (f, v) :: ctx.purify_memo;
+    Form.Tbl.add ctx.purified f v;
     (* keep v shared: it occurs as a constant on the EUF side and is
        defined by an always-asserted equation on the arithmetic side *)
-    ctx.bridges <- (v, Euf.Sym ("$arith", [])) :: ctx.bridges;
+    ctx.bridges <- (v, Euf.const ctx.terms "$arith") :: ctx.bridges;
     ctx.arith_defs <- (v, lin_of ctx f) :: ctx.arith_defs;
     v
 
@@ -145,11 +150,11 @@ and lin_of ctx (f : Form.t) : Linterm.t =
 (* Replace a non-arithmetic term appearing in arithmetic position by a
    shared variable v, remembering the EUF bridge v = term. *)
 and purify_foreign ctx (f : Form.t) : string =
-  match List.find_opt (fun (g, _) -> Form.equal f g) ctx.purify_memo with
-  | Some (_, v) -> v
+  match Form.Tbl.find_opt ctx.purified f with
+  | Some v -> v
   | None ->
     let v = Form.fresh_name "$p" in
-    ctx.purify_memo <- (f, v) :: ctx.purify_memo;
+    Form.Tbl.add ctx.purified f v;
     let t = euf_term ctx f in
     ctx.bridges <- (v, t) :: ctx.bridges;
     v
@@ -175,8 +180,8 @@ let translate_atom ctx (f : Form.t) : atom =
     (* memberships become EUF boolean terms so that equality congruence
        connects them: x = y entails (x in S) = (y in S) *)
     Equal
-      (Euf.Sym ("$elem", [ euf_term ctx x; euf_term ctx st ]),
-       Euf.Sym ("$true", []))
+      ( Euf.app ctx.terms "$elem" [ euf_term ctx x; euf_term ctx st ],
+        Euf.const ctx.terms "$true" )
   | Form.App (Form.Const Form.Le, [ a; b ]) ->
     Arith (Linterm.sub (lin_of ctx a) (lin_of ctx b), `Le)
   | Form.App (Form.Const Form.Lt, [ a; b ]) ->
@@ -198,19 +203,31 @@ let translate_atom ctx (f : Form.t) : atom =
         (* sort unknown: expose the equality to both theories *)
         Both
           ( Linterm.sub (Linterm.var x) (Linterm.var y),
-            Euf.Sym (x, []),
-            Euf.Sym (y, []) )
+            Euf.const ctx.terms x,
+            Euf.const ctx.terms y )
       | _ -> Equal (euf_term ctx a, euf_term ctx b))
   | _ -> raise Out_of_fragment
 
+let pair x y = if x <= y then (x, y) else (y, x)
+
+(* Record a new atom; an EUF equality also answers for its id pair, so
+   that {!euf_atom_var} finds the newest atom equating the two terms *)
+let add_atom ctx a =
+  let v = new_var ctx in
+  ctx.atoms <- (a, v) :: ctx.atoms;
+  (match a with
+  | Equal (x, y) | Both (_, x, y) -> Hashtbl.replace ctx.pair_vars (pair x y) v
+  | Arith _ | Opaque _ -> ());
+  v
+
 (* Find or create the SAT variable for an atom formula. *)
 let atom_var ctx (f : Form.t) : int =
-  match List.find_opt (fun (g, _, _) -> Form.equal f g) ctx.atoms with
-  | Some (_, _, v) -> v
+  match Form.Tbl.find_opt ctx.atom_vars f with
+  | Some v -> v
   | None ->
     let a = try translate_atom ctx f with Out_of_fragment -> Opaque f in
-    let v = new_var ctx in
-    ctx.atoms <- (f, a, v) :: ctx.atoms;
+    let v = add_atom ctx a in
+    Form.Tbl.add ctx.atom_vars f v;
     v
 
 (* ------------------------------------------------------------------ *)
@@ -272,40 +289,36 @@ let rec tseitin ctx clauses (f : Form.t) : int =
    axiom). *)
 
 (* SAT variable for an EUF equality atom, deduplicated symmetrically. *)
-let euf_atom_var ctx (x : Euf.term) (y : Euf.term) : int =
-  let x, y = if Euf.term_to_string x <= Euf.term_to_string y then (x, y) else (y, x) in
-  let existing =
-    List.find_opt
-      (fun (_, a, _) ->
-        match a with
-        | Equal (u, v) | Both (_, u, v) -> (u = x && v = y) || (u = y && v = x)
-        | Arith _ | Opaque _ -> false)
-      ctx.atoms
-  in
-  match existing with
-  | Some (_, _, v) -> v
-  | None ->
-    let key =
-      Form.mk_eq
-        (Form.Var ("$t:" ^ Euf.term_to_string x))
-        (Form.Var ("$t:" ^ Euf.term_to_string y))
-    in
-    let v = new_var ctx in
-    ctx.atoms <- (key, Equal (x, y), v) :: ctx.atoms;
-    v
+let euf_atom_var ctx x y : int =
+  match Hashtbl.find_opt ctx.pair_vars (pair x y) with
+  | Some v -> v
+  | None -> add_atom ctx (Equal (x, y))
+
+(* The lemma walk's table of terms seen so far, keyed by id and hashed
+   like the term the id names: the walk iterates this table, so keying it
+   this way keeps the iteration order, and with it atom order and SAT
+   variable numbers, that of a table keyed by the terms themselves. *)
+module Seen = Hashtbl.Make (struct
+  type t = int * int (* hash of the term, its id *)
+
+  let equal (_, i) (_, j) = Int.equal i j
+  let hash (h, _) = h
+end)
 
 let instantiate_array_lemmas ctx (clauses : int list list ref) : unit =
-  let seen_terms : (Euf.term, unit) Hashtbl.t = Hashtbl.create 64 in
+  let terms = ctx.terms in
+  let seen_terms = Seen.create 64 in
   let frontier = ref [] in
-  let rec note (Euf.Sym (_, args) as t) =
-    if not (Hashtbl.mem seen_terms t) then begin
-      Hashtbl.add seen_terms t ();
+  let rec note t =
+    let key = (Hashtbl.hash (Euf.term terms t), t) in
+    if not (Seen.mem seen_terms key) then begin
+      Seen.add seen_terms key ();
       frontier := t :: !frontier;
-      List.iter note args
+      List.iter note (Euf.args terms t)
     end
   in
   List.iter
-    (fun (_, a, _) ->
+    (fun (a, _) ->
       match a with
       | Equal (x, y) | Both (_, x, y) ->
         note x;
@@ -313,89 +326,66 @@ let instantiate_array_lemmas ctx (clauses : int list list ref) : unit =
       | Arith _ | Opaque _ -> ())
     ctx.atoms;
   List.iter (fun (_, t) -> note t) ctx.bridges;
+  let has sym arity t =
+    String.equal (Euf.symbol terms t) sym
+    && List.compare_length_with (Euf.args terms t) arity = 0
+  in
+  let all sym arity =
+    Seen.fold
+      (fun (_, t) () acc -> if has sym arity t then t :: acc else acc)
+      seen_terms []
+  in
   let instantiated = Hashtbl.create 16 in
   let rounds = ref 0 in
   while !frontier <> [] && !rounds < 4 do
     incr rounds;
-    let batch = !frontier in
+    let batch = Hashtbl.create 16 in
+    List.iter (fun t -> Hashtbl.replace batch t ()) !frontier;
     frontier := [];
-    let all () = Hashtbl.fold (fun t () acc -> t :: acc) seen_terms [] in
-    let reads =
-      List.filter
-        (fun t -> match t with Euf.Sym ("$read", [ _; _ ]) -> true | _ -> false)
-        (all ())
-    in
-    let writes =
-      List.filter
-        (fun t ->
-          match t with Euf.Sym ("$write", [ _; _; _ ]) -> true | _ -> false)
-        (all ())
-    in
     (* only pairs where at least one side is new this round *)
-    let fresh t = List.mem t batch in
-    List.iter
-      (fun r ->
-        List.iter
-          (fun w ->
-            if (fresh r || fresh w) && not (Hashtbl.mem instantiated (r, w))
-            then begin
-              Hashtbl.add instantiated (r, w) ();
-              match r, w with
-              | ( Euf.Sym ("$read", [ g; x ]),
-                  Euf.Sym ("$write", [ f; y; v ]) ) ->
-                let eq_gw = euf_atom_var ctx g w in
-                let eq_xy = euf_atom_var ctx x y in
-                let eq_rv = euf_atom_var ctx r v in
-                let r' = Euf.Sym ("$read", [ f; x ]) in
-                note r';
-                let eq_rr' = euf_atom_var ctx r r' in
-                clauses := [ -eq_gw; -eq_xy; eq_rv ] :: !clauses;
-                clauses := [ -eq_gw; eq_xy; eq_rr' ] :: !clauses
-              | _ -> ()
-            end)
-          writes)
-      reads;
+    let fresh t = Hashtbl.mem batch t in
+    let pairs reads writes lemma =
+      List.iter
+        (fun r ->
+          List.iter
+            (fun w ->
+              if (fresh r || fresh w) && not (Hashtbl.mem instantiated (r, w))
+              then begin
+                Hashtbl.add instantiated (r, w) ();
+                lemma r w
+              end)
+            writes)
+        reads
+    in
+    pairs (all "$read" 2) (all "$write" 3) (fun r w ->
+        match Euf.args terms r, Euf.args terms w with
+        | [ g; x ], [ f; y; v ] ->
+          let eq_gw = euf_atom_var ctx g w in
+          let eq_xy = euf_atom_var ctx x y in
+          let eq_rv = euf_atom_var ctx r v in
+          let r' = Euf.app terms "$read" [ f; x ] in
+          note r';
+          let eq_rr' = euf_atom_var ctx r r' in
+          clauses := [ -eq_gw; -eq_xy; eq_rv ] :: !clauses;
+          clauses := [ -eq_gw; eq_xy; eq_rr' ] :: !clauses
+        | _ -> ());
     (* two-dimensional array variant: aread/awrite over (object, index) *)
-    let areads =
-      List.filter
-        (fun t ->
-          match t with Euf.Sym ("$aread", [ _; _; _ ]) -> true | _ -> false)
-        (all ())
-    in
-    let awrites =
-      List.filter
-        (fun t ->
-          match t with
-          | Euf.Sym ("$awrite", [ _; _; _; _ ]) -> true
-          | _ -> false)
-        (all ())
-    in
-    List.iter
-      (fun r ->
-        List.iter
-          (fun w ->
-            if (fresh r || fresh w) && not (Hashtbl.mem instantiated (r, w))
-            then begin
-              Hashtbl.add instantiated (r, w) ();
-              match r, w with
-              | ( Euf.Sym ("$aread", [ g; o; i ]),
-                  Euf.Sym ("$awrite", [ f; o'; i'; v ]) ) ->
-                let eq_gw = euf_atom_var ctx g w in
-                let eq_oo = euf_atom_var ctx o o' in
-                let eq_ii = euf_atom_var ctx i i' in
-                let eq_rv = euf_atom_var ctx r v in
-                let r' = Euf.Sym ("$aread", [ f; o; i ]) in
-                note r';
-                let eq_rr' = euf_atom_var ctx r r' in
-                (* same cell: value read back *)
-                clauses := [ -eq_gw; -eq_oo; -eq_ii; eq_rv ] :: !clauses;
-                (* different object or different index: old value *)
-                clauses := [ -eq_gw; eq_oo; eq_rr' ] :: !clauses;
-                clauses := [ -eq_gw; eq_ii; eq_rr' ] :: !clauses
-              | _ -> ()
-            end)
-          awrites)
-      areads
+    pairs (all "$aread" 3) (all "$awrite" 4) (fun r w ->
+        match Euf.args terms r, Euf.args terms w with
+        | [ g; o; i ], [ f; o'; i'; v ] ->
+          let eq_gw = euf_atom_var ctx g w in
+          let eq_oo = euf_atom_var ctx o o' in
+          let eq_ii = euf_atom_var ctx i i' in
+          let eq_rv = euf_atom_var ctx r v in
+          let r' = Euf.app terms "$aread" [ f; o; i ] in
+          note r';
+          let eq_rr' = euf_atom_var ctx r r' in
+          (* same cell: value read back *)
+          clauses := [ -eq_gw; -eq_oo; -eq_ii; eq_rv ] :: !clauses;
+          (* different object or different index: old value *)
+          clauses := [ -eq_gw; eq_oo; eq_rr' ] :: !clauses;
+          clauses := [ -eq_gw; eq_ii; eq_rr' ] :: !clauses
+        | _ -> ())
   done;
   (* The heap convention [null..f = null]: every read of a program field
      variable at an object equal to null yields null.  The FOL prover
@@ -405,12 +395,15 @@ let instantiate_array_lemmas ctx (clauses : int list list ref) : unit =
      Write-terms are exempt — [fieldWrite] is interpreted literally by
      every party (reads through a write chain still reduce to a base-field
      read by the lemmas above and are then covered). *)
-  let null_t = Euf.Sym ("$null", []) in
-  Hashtbl.iter
-    (fun t () ->
-      match t with
-      | Euf.Sym ("$read", [ Euf.Sym (fname, []); x ])
-        when String.length fname > 0 && fname.[0] <> '$' ->
+  let null_t = Euf.const terms "$null" in
+  Seen.iter
+    (fun (_, t) () ->
+      match Euf.args terms t with
+      | [ fld; x ]
+        when has "$read" 2 t && Euf.args terms fld = []
+             &&
+             let fname = Euf.symbol terms fld in
+             String.length fname > 0 && fname.[0] <> '$' ->
         let eq_x_null = euf_atom_var ctx x null_t in
         let eq_r_null = euf_atom_var ctx t null_t in
         clauses := [ -eq_x_null; eq_r_null ] :: !clauses
@@ -425,21 +418,44 @@ type theory_result =
   | Consistent of bool (* true when only interpreted atoms were involved *)
   | Conflict
 
-(* distinct integer constants are distinct in EUF *)
-let rec int_diseqs = function
-  | [] -> []
-  | (n1, v1) :: rest ->
+(* What every theory check of one [check_sat] shares, computed once the
+   term table is complete *)
+type theory = {
+  ctx : context;
+  cc : Euf.closure; (* over every term of [ctx.terms] *)
+  bridge_eqs : (int * int) list;
+      (* v = t links the arith variable v with EUF term t *)
+  int_diseqs : (int * int) list; (* distinct integer constants *)
+}
+
+let theory ctx =
+  let terms = ctx.terms in
+  let bridge_eqs =
     List.filter_map
-      (fun (n2, v2) ->
-        if n1 <> n2 then Some (Euf.Sym (v1, []), Euf.Sym (v2, [])) else None)
-      rest
-    @ int_diseqs rest
+      (fun (v, t) ->
+        if String.equal (Euf.symbol terms t) "$arith" then None
+        else Some (Euf.const terms v, t))
+      ctx.bridges
+  in
+  let rec int_diseqs = function
+    | [] -> []
+    | (n1, v1) :: rest ->
+      List.filter_map
+        (fun (n2, v2) ->
+          if n1 <> n2 then Some (Euf.const terms v1, Euf.const terms v2)
+          else None)
+        rest
+      @ int_diseqs rest
+  in
+  let int_diseqs = int_diseqs ctx.int_consts in
+  (* the closure last: the table is complete only now *)
+  { ctx; cc = Euf.closure terms; bridge_eqs; int_diseqs }
 
 (* The arithmetic side of an assignment: its linear atoms, with the
-   definitions and the integer constants, and the variables they share
-   with the EUF literals [euf_lits] *)
+   definitions and the integer constants, and the variables (with their
+   term ids) they share with the EUF literals [euf_lits] *)
 let arith_side ctx (assigned : (atom * bool) list)
-    (euf_lits : (Euf.term * Euf.term) list) =
+    (euf_lits : (int * int) list) =
   (* variables genuinely involved in arithmetic; a var-var equality over
      objects has no business on the arithmetic side (it would only blow up
      the disequality case splits) *)
@@ -488,17 +504,20 @@ let arith_side ctx (assigned : (atom * bool) list)
       List.sort_uniq String.compare
         (List.concat_map (fun (t, _, _) -> Linterm.variables t) arith_atoms)
     in
-    let rec euf_consts acc (Euf.Sym (f, args)) =
-      let acc = if args = [] then f :: acc else acc in
-      List.fold_left euf_consts acc args
+    let euf_side = Hashtbl.create 16 in
+    let rec euf_consts t =
+      match Euf.args ctx.terms t with
+      | [] -> Hashtbl.replace euf_side (Euf.symbol ctx.terms t) t
+      | args -> List.iter euf_consts args
     in
-    let euf_side =
-      List.fold_left
-        (fun acc (x, y) -> euf_consts (euf_consts acc x) y)
-        [] euf_lits
-    in
-    let euf_side = List.sort_uniq String.compare euf_side in
-    List.filter (fun v -> List.mem v euf_side) arith_vars
+    List.iter
+      (fun (x, y) ->
+        euf_consts x;
+        euf_consts y)
+      euf_lits;
+    List.filter_map
+      (fun v -> Option.map (fun t -> (v, t)) (Hashtbl.find_opt euf_side v))
+      arith_vars
   in
   (arith_atoms, shared_vars)
 
@@ -506,7 +525,7 @@ let arith_side ctx (assigned : (atom * bool) list)
    equality exchange between EUF and LIA.  Most assignments fail EUF's
    first check, so the arithmetic side is built only once EUF accepts
    the assignment. *)
-let theory_check ctx (assigned : (atom * bool) list) : theory_result =
+let theory_check th (assigned : (atom * bool) list) : theory_result =
   let euf_eqs =
     List.filter_map
       (fun (a, sign) ->
@@ -527,41 +546,26 @@ let theory_check ctx (assigned : (atom * bool) list) : theory_result =
     List.exists (fun (a, _) -> match a with Opaque _ -> true | _ -> false)
       assigned
   in
-  (* bridge equalities: v = t links the arith variable v with EUF term t *)
-  let bridge_eqs =
-    List.filter_map
-      (fun (v, t) ->
-        match t with
-        | Euf.Sym ("$arith", []) -> None
-        | _ -> Some (Euf.Sym (v, []), t))
-      ctx.bridges
-  in
-  let diseqs = euf_diseqs @ int_diseqs ctx.int_consts in
+  let ctx = th.ctx in
+  let diseqs = euf_diseqs @ th.int_diseqs in
   let arith =
-    lazy (arith_side ctx assigned (euf_eqs @ euf_diseqs @ bridge_eqs))
+    lazy (arith_side ctx assigned (euf_eqs @ euf_diseqs @ th.bridge_eqs))
   in
   (* iterate equality exchange to a fixpoint *)
   let rec loop known_eqs iterations =
     if iterations > 8 then Consistent has_opaque
-    else begin
-      let all_eqs = euf_eqs @ bridge_eqs @ known_eqs in
-      if Euf.check ~eqs:all_eqs ~diseqs = Euf.Unsat then Conflict
-      else begin
+    else
+      match Euf.close th.cc ~eqs:(euf_eqs @ th.bridge_eqs @ known_eqs) ~diseqs with
+      | None -> Conflict
+      | Some rep ->
         let arith_atoms, shared_vars = Lazy.force arith in
         (* equalities implied by EUF between shared variables *)
-        let implied =
-          Euf.implied_equalities ~eqs:all_eqs
-            (List.map (fun v -> Euf.Sym (v, [])) shared_vars)
-        in
-        let var_of = function Euf.Sym (v, []) -> Some v | _ -> None in
         let arith_eqs_from_euf =
-          List.filter_map
+          List.map
             (fun (x, y) ->
-              match var_of x, var_of y with
-              | Some a, Some b when a <> b ->
-                Some (Linterm.sub (Linterm.var a) (Linterm.var b), `Eq, true)
-              | _ -> None)
-            implied
+              let var t = Linterm.var (Euf.symbol ctx.terms t) in
+              (Linterm.sub (var x) (var y), `Eq, true))
+            (Euf.implied_equalities rep (List.map snd shared_vars))
         in
         let constraints = arith_atoms @ arith_eqs_from_euf in
         let eqs, ineqs, neg_eqs =
@@ -615,7 +619,7 @@ let theory_check ctx (assigned : (atom * bool) list) : theory_result =
                 all shared_vars
               in
               List.filter
-                (fun (a, b) ->
+                (fun ((a, _), (b, _)) ->
                   let d = Linterm.sub (Linterm.var a) (Linterm.var b) in
                   let lt = Linterm.add d (Linterm.const 1) in
                   let gt = Linterm.add (Linterm.neg d) (Linterm.const 1) in
@@ -629,8 +633,7 @@ let theory_check ctx (assigned : (atom * bool) list) : theory_result =
             in
             let new_eqs =
               List.filter_map
-                (fun (a, b) ->
-                  let ta = Euf.Sym (a, []) and tb = Euf.Sym (b, []) in
+                (fun ((_, ta), (_, tb)) ->
                   let already =
                     List.exists
                       (fun (x, y) ->
@@ -642,8 +645,6 @@ let theory_check ctx (assigned : (atom * bool) list) : theory_result =
             in
             if new_eqs = [] then Consistent has_opaque
             else loop (new_eqs @ known_eqs) (iterations + 1)
-      end
-    end
   in
   loop [] 0
 
@@ -667,14 +668,15 @@ let check_sat (f : Form.t) : [ `Sat of bool | `Unsat ] =
   let ok = ok && Sat.add_clause solver [ root ] in
   if not ok then `Unsat
   else begin
+    let th = theory ctx in
     let last_round = ref 0 in
     (* search counters, published once per call as [smt.theory_checks]
        (every theory check, minimization included) and [smt.conflicts]
        (boolean models the theory refuted, one blocking clause each) *)
     let checks = ref 0 and conflicts = ref 0 in
-    let theory_check ctx assigned =
+    let theory_check assigned =
       incr checks;
-      theory_check ctx assigned
+      theory_check th assigned
     in
     let rec loop rounds precise_so_far =
       Deadline.check ();
@@ -685,12 +687,10 @@ let check_sat (f : Form.t) : [ `Sat of bool | `Unsat ] =
         | Sat.Unsat -> `Unsat
         | Sat.Sat m ->
           let assigned_full =
-            List.map (fun (f, a, v) -> (f, a, v, Sat.lit_true m v)) ctx.atoms
+            List.map (fun (a, v) -> (a, v, Sat.lit_true m v)) ctx.atoms
           in
-          let assigned =
-            List.map (fun (_, a, _, b) -> (a, b)) assigned_full
-          in
-          (match theory_check ctx assigned with
+          let assigned = List.map (fun (a, _, b) -> (a, b)) assigned_full in
+          (match theory_check assigned with
           | Consistent has_opaque ->
             `Sat (not has_opaque && precise_so_far)
           | Conflict ->
@@ -700,8 +700,7 @@ let check_sat (f : Form.t) : [ `Sat of bool | `Unsat ] =
                not just this one (poor man's unsat core) *)
             let theory_lits =
               List.filter
-                (fun (_, a, _, _) ->
-                  match a with Opaque _ -> false | _ -> true)
+                (fun (a, _, _) -> match a with Opaque _ -> false | _ -> true)
                 assigned_full
             in
             let core = ref theory_lits in
@@ -709,14 +708,13 @@ let check_sat (f : Form.t) : [ `Sat of bool | `Unsat ] =
               (fun lit ->
                 let without = List.filter (fun l -> not (l == lit)) !core in
                 let still_conflicts =
-                  theory_check ctx
-                    (List.map (fun (_, a, _, b) -> (a, b)) without)
+                  theory_check (List.map (fun (a, _, b) -> (a, b)) without)
                   = Conflict
                 in
                 if still_conflicts then core := without)
               theory_lits;
             let blocking =
-              List.map (fun (_, _, v, b) -> if b then -v else v) !core
+              List.map (fun (_, v, b) -> if b then -v else v) !core
             in
             if blocking = [] then `Sat precise_so_far
             else if Sat.add_clause solver blocking then
@@ -745,7 +743,7 @@ let in_fragment (s : Sequent.t) : bool =
   match tseitin ctx clauses f with
   | _ ->
     List.for_all
-      (fun (_, a, _) -> match a with Opaque _ -> false | _ -> true)
+      (fun (a, _) -> match a with Opaque _ -> false | _ -> true)
       ctx.atoms
   | exception Out_of_fragment -> false
 
