@@ -11,7 +11,9 @@ test:
 	dune runtest
 
 # build + full test suite + the endtoend tests alone (their pins must
-# not depend on what other tests left in the process) + a traced,
+# not depend on what other tests left in the process) + the fixture-
+# reading suites run from the repository root (a fixture directory the
+# binary cannot find fails them rather than leaving them empty) + a traced,
 # budgeted parallel run of the paper's List figures whose event log must
 # validate (verify exits 1 when not everything proves; only a hard
 # error, exit 2, fails the smoke) + the fuzz smoke + the end-to-end
@@ -22,6 +24,7 @@ check:
 	dune build
 	dune runtest
 	./_build/default/test/main.exe test endtoend
+	./_build/default/test/main.exe test '(fol|corpus|incremental)'
 	dune exec -- jahob verify --trace trace_smoke.jsonl -j 4 --budget 30 --stats \
 	  examples/list/Client.java examples/list/List.java \
 	  || [ $$? -eq 1 ]

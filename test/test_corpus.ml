@@ -4,15 +4,13 @@
 
 module Differ = Fuzz.Differ
 
-let corpus_dir = "corpus"
-
 let replay_file path () =
   match Differ.replay Differ.default_config path with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "%s" msg
 
 let cases =
-  match Differ.corpus_files corpus_dir with
+  match Differ.corpus_files Fixtures.corpus with
   | [] -> [ Alcotest.test_case "corpus present" `Quick (fun () ->
               Alcotest.fail "test/corpus is empty or missing") ]
   | files ->

@@ -7,14 +7,6 @@
 
 open Logic
 
-let examples_dir =
-  let candidates = [ "../examples"; "../../examples"; "examples" ] in
-  match
-    List.find_opt (fun d -> Sys.file_exists (d ^ "/list/List.java")) candidates
-  with
-  | Some d -> d
-  | None -> "../examples"
-
 (* a scratch path that does not exist yet *)
 let fresh_path () =
   let p = Filename.temp_file "jahob-store-test" ".jstore" in
@@ -528,7 +520,7 @@ let test_server_restart_identical () =
       (fun i files ->
         Printf.sprintf {|{"id":%d,"cmd":"verify","files":[%s]}|} i
           (String.concat ","
-             (List.map (fun f -> jstr (examples_dir ^ "/" ^ f)) files)))
+             (List.map (fun f -> jstr (Fixtures.examples ^ "/" ^ f)) files)))
       small_groups
   in
   let t = server ~store_path:p () in
@@ -594,7 +586,7 @@ let test_server_restart_identical () =
 (* the verify protocol's incremental mode: first request re-verifies
    everything as new, the second answers every method from the index *)
 let test_server_incremental_protocol () =
-  let file = examples_dir ^ "/global/Buffer.java" in
+  let file = Fixtures.examples ^ "/global/Buffer.java" in
   let req =
     Printf.sprintf {|{"id":1,"cmd":"verify","files":[%s],"incremental":true}|}
       (jstr file)
@@ -645,7 +637,7 @@ let test_server_incremental_protocol () =
    verifying another program in between must not sweep them *)
 let test_server_incremental_two_programs () =
   let req id group =
-    let dir = examples_dir ^ "/" ^ group in
+    let dir = Fixtures.examples ^ "/" ^ group in
     let files =
       Sys.readdir dir |> Array.to_list
       |> List.filter (fun f -> Filename.check_suffix f ".java")
@@ -675,7 +667,7 @@ let test_server_incremental_two_programs () =
    incremental one included; only the incremental one digests the
    desugaring context *)
 let test_server_verify_spans () =
-  let file = examples_dir ^ "/global/Buffer.java" in
+  let file = Fixtures.examples ^ "/global/Buffer.java" in
   let spans incremental =
     let t = server () in
     Trace.reset ();
@@ -708,7 +700,7 @@ let test_server_verify_spans () =
 (* ------------------------------------------------------------------ *)
 
 let soak_request id group =
-  let dir = examples_dir ^ "/" ^ group in
+  let dir = Fixtures.examples ^ "/" ^ group in
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".java")

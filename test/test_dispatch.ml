@@ -747,7 +747,7 @@ let test_verify_program_parallel () =
           List.concat_map
             (fun f ->
               Javaparser.Jparser.parse_program_file
-                (Test_daemon.examples_dir ^ "/" ^ f))
+                (Fixtures.examples ^ "/" ^ f))
             files
         in
         let r = Jahob_core.Jahob.verify_program ~opts prog in

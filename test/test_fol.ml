@@ -546,7 +546,7 @@ let search_summary s =
 let test_search_identity () =
   (* speed-ups to the given-clause loop must keep the same search: the
      same clauses kept, deduplicated and subsumed, the same outcome *)
-  let files = Fuzz.Differ.corpus_files "fol_search" in
+  let files = Fuzz.Differ.corpus_files Fixtures.fol_search in
   Alcotest.(check bool) "pinned sequents present" true (List.length files >= 3);
   List.iter
     (fun path ->
@@ -582,7 +582,7 @@ let shift_fresh k (s : Sequent.t) : Sequent.t =
 let test_search_offsets () =
   (* the search must not read how far the fresh counter had advanced:
      shifted fresh names keep every pinned counter *)
-  let files = Fuzz.Differ.corpus_files "fol_search" in
+  let files = Fuzz.Differ.corpus_files Fixtures.fol_search in
   Alcotest.(check bool) "pinned sequents present" true (List.length files >= 3);
   List.iter
     (fun path ->
@@ -640,7 +640,7 @@ let test_corpus_parity () =
   (* every historical counterexample and the saturation rows, both
      engines, generous caps: the indexed engine must reach the same
      Proof/Saturated verdict as the naive one, sequent for sequent *)
-  let files = Fuzz.Differ.corpus_files "corpus" in
+  let files = Fuzz.Differ.corpus_files Fixtures.corpus in
   Alcotest.(check bool) "corpus present" true (files <> []);
   let corpus =
     List.map
@@ -672,7 +672,7 @@ let test_list_no_lost_proofs () =
     List.concat_map
       (fun f ->
         Javaparser.Jparser.parse_program_file
-          (Test_daemon.examples_dir ^ "/list/" ^ f))
+          (Fixtures.examples ^ "/list/" ^ f))
       [ "Client.java"; "List.java" ]
   in
   let obligations =

@@ -144,7 +144,7 @@ let test_scans_sound_on_list () =
           List.concat_map
             (fun f ->
               Javaparser.Jparser.parse_program_file
-                (Test_daemon.examples_dir ^ "/" ^ group ^ "/" ^ f))
+                (Fixtures.examples ^ "/" ^ group ^ "/" ^ f))
             [ "Client.java"; "List.java" ]
         in
         List.concat_map Vcgen.method_obligations

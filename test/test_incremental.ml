@@ -31,8 +31,6 @@
 
 module Jahob = Jahob_core.Jahob
 
-let corpus_dir = "incremental"
-
 (* ------------------------------------------------------------------ *)
 (* Expectation files                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -92,7 +90,7 @@ let summary_counts (s : Dispatch.summary) =
   (s.Dispatch.total, s.Dispatch.valid, s.Dispatch.invalid, s.Dispatch.unknown)
 
 let run_case (case : string) () =
-  let path f = Filename.concat (Filename.concat corpus_dir case) f in
+  let path f = Filename.concat (Filename.concat Fixtures.incremental case) f in
   let base = Javaparser.Jparser.parse_program_file (path "base.java") in
   let patch = Javaparser.Jparser.parse_program_file (path "patch.java") in
   let expect = parse_expect (path "expect") in
@@ -182,14 +180,15 @@ let run_case (case : string) () =
 (* ------------------------------------------------------------------ *)
 
 let cases =
-  match Sys.readdir corpus_dir with
+  match Sys.readdir Fixtures.incremental with
   | exception Sys_error _ ->
     [ Alcotest.test_case "corpus present" `Quick (fun () ->
           Alcotest.fail "test/incremental is missing") ]
   | entries ->
     let dirs =
       Array.to_list entries
-      |> List.filter (fun d -> Sys.is_directory (Filename.concat corpus_dir d))
+      |> List.filter (fun d ->
+             Sys.is_directory (Filename.concat Fixtures.incremental d))
       |> List.sort compare
     in
     if dirs = [] then

@@ -13,16 +13,8 @@ let read_file path =
   close_in ic;
   s
 
-(* the examples directory relative to the dune test runner *)
-let examples_dir =
-  (* dune runs tests in _build/default/test; the sources are two up *)
-  let candidates = [ "../examples/list"; "../../examples/list"; "examples/list" ] in
-  match List.find_opt (fun d -> Sys.file_exists (d ^ "/List.java")) candidates with
-  | Some d -> d
-  | None -> "../../examples/list"
-
-let parse_list_java () = Jparser.parse_program (read_file (examples_dir ^ "/List.java"))
-let parse_client_java () = Jparser.parse_program (read_file (examples_dir ^ "/Client.java"))
+let parse_list_java () = Jparser.parse_program (read_file (Fixtures.examples ^ "/list/List.java"))
+let parse_client_java () = Jparser.parse_program (read_file (Fixtures.examples ^ "/list/Client.java"))
 
 (* ------------------------------------------------------------------ *)
 (* Figures 1/3/4: the List class                                       *)

@@ -281,17 +281,9 @@ let test_routing () =
 (* Stack example end-to-end (BAPA inside verification)                 *)
 (* ------------------------------------------------------------------ *)
 
-let examples_dir =
-  let candidates = [ "../examples"; "../../examples"; "examples" ] in
-  match
-    List.find_opt (fun d -> Sys.file_exists (d ^ "/stack/Stack.java")) candidates
-  with
-  | Some d -> d
-  | None -> "../examples"
-
 let test_stack_verifies () =
   let report =
-    Jahob_core.Jahob.verify_files [ examples_dir ^ "/stack/Stack.java" ]
+    Jahob_core.Jahob.verify_files [ Fixtures.examples ^ "/stack/Stack.java" ]
   in
   Alcotest.(check bool) "stack fully verified" true
     report.Jahob_core.Jahob.ok
@@ -365,7 +357,7 @@ let test_array_parsing () =
 
 let test_array_ops_verify () =
   let report =
-    Jahob_core.Jahob.verify_files [ examples_dir ^ "/arrays/ArrayOps.java" ]
+    Jahob_core.Jahob.verify_files [ Fixtures.examples ^ "/arrays/ArrayOps.java" ]
   in
   Alcotest.(check bool) "ArrayOps fully verified" true
     report.Jahob_core.Jahob.ok

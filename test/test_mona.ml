@@ -581,7 +581,7 @@ let test_engines_agree_on_suites () =
     [ "global/Buffer.java"; "assoc/Assoc.java" ]
     |> List.concat_map (fun f ->
            Javaparser.Jparser.parse_program_file
-             (Test_daemon.examples_dir ^ "/" ^ f)
+             (Fixtures.examples ^ "/" ^ f)
            |> Gcl.Desugar.program_tasks
            |> List.concat_map Vcgen.method_obligations)
     |> List.filter_map (fun s -> Result.to_option (Fca.route_sequent s))

@@ -9,13 +9,7 @@ module Desugar = Gcl.Desugar
 let parse = Parser.parse
 let form = Alcotest.testable Pprint.pp Form.equal
 
-let examples_dir =
-  let candidates = [ "../examples"; "../../examples"; "examples" ] in
-  match
-    List.find_opt (fun d -> Sys.file_exists (d ^ "/list/List.java")) candidates
-  with
-  | Some d -> d
-  | None -> "../examples"
+let examples_dir = Fixtures.examples
 
 (* ------------------------------------------------------------------ *)
 (* Guarded commands and wp                                             *)

@@ -362,7 +362,7 @@ let test_rejections_counted () =
   ignore
     (Jahob_core.Jahob.verify_files
        (List.map
-          (fun f -> Test_daemon.examples_dir ^ "/list/" ^ f)
+          (fun f -> Fixtures.examples ^ "/list/" ^ f)
           [ "Client.java"; "List.java" ]));
   Trace.stop ();
   let events = List.map Trace.Json.parse (read_lines path) in
