@@ -151,14 +151,12 @@ let rec find cc i =
    forces: the users of the smaller class get their signatures looked
    up again, first among the query's own, then among the table's keys *)
 let merge cc a b =
-  let pending = ref [ (a, b) ] in
-  while !pending <> [] do
-    match !pending with
+  let rec go = function
     | [] -> ()
-    | (a, b) :: rest ->
-      pending := rest;
+    | (a, b) :: pending ->
       let ra = find cc a and rb = find cc b in
-      if ra <> rb then begin
+      if ra = rb then go pending
+      else begin
         let small, big =
           if cc.rank.(ra) < cc.rank.(rb) then (ra, rb)
           else if cc.rank.(rb) < cc.rank.(ra) then (rb, ra)
@@ -171,22 +169,27 @@ let merge cc a b =
         let users = cc.uses.(small) in
         cc.uses.(small) <- [];
         cc.uses.(big) <- List.rev_append users cc.uses.(big);
-        List.iter
-          (fun u ->
-            let key =
-              cc.table.sym.(u) :: List.map (find cc) cc.table.args.(u)
-            in
-            let congruent =
-              match Key.find_opt cc.sigs key with
-              | Some v -> Some v
-              | None -> Key.find_opt cc.table.ids key
-            in
-            match congruent with
-            | Some v -> if find cc v <> find cc u then pending := (u, v) :: !pending
-            | None -> Key.add cc.sigs key u)
-          users
+        go
+          (List.fold_left
+             (fun pending u ->
+               let key =
+                 cc.table.sym.(u) :: List.map (find cc) cc.table.args.(u)
+               in
+               let congruent =
+                 match Key.find_opt cc.sigs key with
+                 | Some v -> Some v
+                 | None -> Key.find_opt cc.table.ids key
+               in
+               match congruent with
+               | Some v when find cc v <> find cc u -> (u, v) :: pending
+               | Some _ -> pending
+               | None ->
+                 Key.add cc.sigs key u;
+                 pending)
+             pending users)
       end
-  done
+  in
+  go [ (a, b) ]
 
 (** Close [eqs] over the table, starting afresh: [None] when one of
     [diseqs] joins two equal terms, else [Some rep] with [rep.(i)] the
@@ -209,7 +212,9 @@ let implied_equalities rep ids =
   let rec pairs = function
     | [] -> []
     | t :: rest ->
-      List.filter_map (fun u -> if rep.(t) = rep.(u) then Some (t, u) else None) rest
+      List.filter_map
+        (fun u -> if rep.(t) = rep.(u) then Some (t, u) else None)
+        rest
       @ pairs rest
   in
   pairs ids

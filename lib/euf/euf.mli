@@ -38,8 +38,8 @@ val args : table -> int -> int list
 (** {1 Closure} *)
 
 (** Congruence closure over every term of a table: union-find, use lists
-    and a signature table, set up once.  The table must not grow after
-    the closure is made. *)
+    and signature lookup, set up once.  The table must not grow after
+    the closure is made ({!close} raises [Invalid_argument] if it did). *)
 type closure
 
 val closure : table -> closure

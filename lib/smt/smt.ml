@@ -7,10 +7,12 @@
     + the input is checked for *validity* by refuting
       [hyps /\ ~goal];
     + atoms are purified: arithmetic atoms become {!Presburger.Linterm}
-      constraints, non-arithmetic terms become EUF terms, and foreign
-      subterms are replaced by shared purification variables;
+      constraints, non-arithmetic terms become ids in the call's one
+      {!Euf.table}, and foreign subterms are replaced by shared
+      purification variables;
     + a Tseitin encoding hands the boolean skeleton to the CDCL core
-      ([lib/sat]); every boolean model is checked by congruence closure +
+      ([lib/sat]); every boolean model is checked by congruence closure
+      (one {!Euf.closure} per call, set up once the table is complete) +
       the Omega test, with Nelson-Oppen equality exchange between them;
     + theory conflicts come back as blocking clauses.
 
@@ -555,7 +557,8 @@ let theory_check th (assigned : (atom * bool) list) : theory_result =
   let rec loop known_eqs iterations =
     if iterations > 8 then Consistent has_opaque
     else
-      match Euf.close th.cc ~eqs:(euf_eqs @ th.bridge_eqs @ known_eqs) ~diseqs with
+      let all_eqs = euf_eqs @ th.bridge_eqs @ known_eqs in
+      match Euf.close th.cc ~eqs:all_eqs ~diseqs with
       | None -> Conflict
       | Some rep ->
         let arith_atoms, shared_vars = Lazy.force arith in

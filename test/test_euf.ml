@@ -196,7 +196,8 @@ module Reference = struct
     mutable pending : (int * int) list;
   }
 
-  let dummy = { id = -1; fname = ""; args = []; parent = -1; rank = 0; uses = [] }
+  let dummy =
+    { id = -1; fname = ""; args = []; parent = -1; rank = 0; uses = [] }
 
   let create () =
     { nodes = [||]; n_nodes = 0; term_ids = Hashtbl.create 64;
@@ -299,7 +300,9 @@ module Reference = struct
     let rec pairs = function
       | [] -> []
       | (t, r) :: rest ->
-        List.filter_map (fun (u, r') -> if r = r' then Some (t, u) else None) rest
+        List.filter_map
+          (fun (u, r') -> if r = r' then Some (t, u) else None)
+          rest
         @ pairs rest
     in
     pairs with_ids
