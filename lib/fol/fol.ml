@@ -713,74 +713,6 @@ let refute ?(engine = Indexed) ?max_clauses ?max_weight ?max_lits ?timeout_s
 (* Translation and refutation of a sequent                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Bounded ground instantiation: universally quantified hypotheses are
-   instantiated with the object-denoting constants of the sequent.  The
-   resulting ground unit facts give resolution short proofs where deep
-   unification chains would blow the budget.  A name bound by a
-   quantifier is not a constant of the sequent. *)
-let object_candidates (hyps : Form.t list) (goal : Form.t) : Form.t list =
-  let acc = ref [ Form.mk_null ] in
-  let note bound t =
-    match Form.strip_types t with
-    | Form.Var x when not (String.contains x '.' || Form.Sset.mem x bound) ->
-      if not (List.exists (Form.equal t) !acc) then acc := t :: !acc
-    | _ -> ()
-  in
-  let rec scan bound g =
-    (match g with
-    | Form.App (Form.Const Form.Elem, [ x; _ ]) -> note bound x
-    | Form.App (Form.Const Form.FieldRead, [ _; r ]) -> note bound r
-    | Form.App (Form.Const Form.Eq, [ a; b ]) -> (
-      match Form.strip_types a, Form.strip_types b with
-      | _, Form.Const Form.Null -> note bound a
-      | Form.Const Form.Null, _ -> note bound b
-      | _ -> ())
-    | _ -> ());
-    match g with
-    | Form.Var _ | Form.Const _ -> ()
-    | Form.App (h, args) ->
-      scan bound h;
-      List.iter (scan bound) args
-    | Form.Binder (_, vars, body) ->
-      scan (List.fold_left (fun b (x, _) -> Form.Sset.add x b) bound vars) body
-    | Form.TypedForm (h, _) -> scan bound h
-  in
-  List.iter (scan Form.Sset.empty) hyps;
-  scan Form.Sset.empty goal;
-  !acc
-
-let instantiate_foralls (cands : Form.t list) (hyps : Form.t list) :
-    Form.t list =
-  let max_instances_per_hyp = 80 in
-  List.concat_map
-    (fun h ->
-      match Form.strip_types h with
-      | Form.Binder (Form.Forall, vars, body)
-        when List.length vars <= 2
-             && List.for_all (fun (_, ty) -> obj_sorted ty) vars ->
-        let n = List.length cands in
-        let rec tuples k =
-          if k = 0 then [ [] ]
-          else
-            List.concat_map
-              (fun rest -> List.map (fun c -> c :: rest) cands)
-              (tuples (k - 1))
-        in
-        let arity = List.length vars in
-        if int_of_float (float_of_int n ** float_of_int arity)
-           > max_instances_per_hyp
-        then []
-        else
-          List.filter_map
-            (fun tuple ->
-              let sub = List.map2 (fun (x, _) c -> (x, c)) vars tuple in
-              (* one fresh tree per instantiation: the memo never pays here *)
-              let inst = Simplify.simplify (Form.subst_list sub body) in
-              if Form.is_true inst then None else Some inst)
-            (tuples arity)
-      | _ -> [])
-    hyps
-
 (* the free variables' types, inferred once per attempt: they name both
    the set variables (extensionality) and the object-sorted constants
    (the [obj] guard units) *)
@@ -836,11 +768,7 @@ let outcome_typed ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
   match
     let translated_hyps = List.map (set_to_fol set_vars) s.Sequent.hyps in
     let translated_goal = set_to_fol set_vars (Form.mk_not s.Sequent.goal) in
-    let cands = object_candidates translated_hyps translated_goal in
-    let instances = instantiate_foralls cands translated_hyps in
-    let hyp_clauses =
-      List.concat_map clausify (translated_hyps @ instances)
-    in
+    let hyp_clauses = List.concat_map clausify translated_hyps in
     let goal_clauses = clausify translated_goal in
     let rename = renumber_fresh () in
     let hyp_clauses = List.map (List.map rename) hyp_clauses in

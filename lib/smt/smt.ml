@@ -658,10 +658,10 @@ let theory_check th (assigned : (atom * bool) list) : theory_result =
 let max_theory_rounds = 2000
 
 (** Decide satisfiability of a quantifier-free formula (with opaque
-    abstraction of out-of-fragment atoms). *)
+    abstraction of out-of-fragment atoms).  The formula is taken as
+    simplified: {!prove} passes {!Sequent.refutand}, which is. *)
 let check_sat (f : Form.t) : [ `Sat of bool | `Unsat ] =
   (* `Sat b: b = true means the model involved no opaque atoms *)
-  let f = Simplify.simplify f in
   let ctx = fresh_ctx () in
   let clauses = ref [] in
   let root = tseitin ctx clauses f in

@@ -465,11 +465,11 @@ let test_list_groups_pinned () =
       "List.remove: invariant 3 of List preserved";
       "List.remove: postcondition of remove";
     ]
-    "given=2210 kept=22941 dedup=10599 forward=4353 backward=393 \
+    "given=2210 kept=22941 dedup=10599 forward=4317 backward=393 \
      retrieved=39846 scanned=2623353 proof=3 saturated=9 gave_up=5 \
      timed_out=0 smt_checks=3172 smt_conflicts=35";
   check "list_annotated" (101, 0, 0) []
-    "given=1659 kept=16064 dedup=9052 forward=2431 backward=338 \
+    "given=1659 kept=16064 dedup=9052 forward=2413 backward=338 \
      retrieved=29416 scanned=2468439 proof=1 saturated=9 gave_up=4 \
      timed_out=0 smt_checks=2789 smt_conflicts=29"
 
