@@ -331,48 +331,6 @@ let perf () =
       in
       Printf.printf "  n=%2d  omega=%s cooper=%b  %.4fs\n%!" n om_s co dt)
     [ 2; 4; 8; 12 ];
-  Printf.printf
-    "-- Integer feasibility: simplex+branch&bound vs the Omega test\n";
-  List.iter
-    (fun n ->
-      (* interval chain x0 <= x1 <= ... <= xn with parity gaps *)
-      let simplex_cs =
-        List.concat_map
-          (fun i ->
-            [ Simplex.ge_i
-                [ (Printf.sprintf "x%d" (i + 1), 1);
-                  (Printf.sprintf "x%d" i, -1) ]
-                1;
-              Simplex.le_i [ (Printf.sprintf "x%d" i, 1) ] (2 * n) ])
-          (List.init n (fun k -> k))
-      in
-      let omega_atoms =
-        let module P = Presburger.Pform in
-        let module L = Presburger.Linterm in
-        List.concat_map
-          (fun i ->
-            [ P.t_ge
-                (L.var (Printf.sprintf "x%d" (i + 1)))
-                (L.add (L.var (Printf.sprintf "x%d" i)) (L.const 1));
-              P.t_le (L.var (Printf.sprintf "x%d" i)) (L.const (2 * n)) ])
-          (List.init n (fun k -> k))
-      in
-      let (sx, dt1) =
-        time_it (fun () -> Simplex.solve_integer simplex_cs)
-      in
-      let (om, dt2) = time_it (fun () -> Presburger.Omega.check omega_atoms) in
-      Printf.printf "  n=%2d  simplex=%-8s %.4fs   omega=%-6s %.4fs\n%!" n
-        (match sx with
-        | Simplex.Isat _ -> "sat"
-        | Simplex.Iunsat -> "unsat"
-        | Simplex.Iunknown -> "unknown")
-        dt1
-        (match om with
-        | Some Presburger.Omega.Sat -> "sat"
-        | Some Presburger.Omega.Unsat -> "unsat"
-        | None -> "n/a")
-        dt2)
-    [ 2; 4; 8; 12 ];
   Printf.printf "-- CDCL SAT: pigeonhole PHP(n+1, n) (unsat, exponential)\n";
   List.iter
     (fun n ->

@@ -1,98 +1,12 @@
-(** Tests for the arithmetic decision procedures: exact rationals, simplex,
-    Cooper's algorithm and the Omega test — cross-validated against each
-    other and against brute-force enumeration. *)
+(** Tests for the arithmetic decision procedures: Cooper's algorithm and
+    the Omega test — cross-validated against each other and against
+    brute-force enumeration. *)
 
 (* module aliases into the wrapped libraries *)
-module Qnum = Simplex.Qnum
 module Linterm = Presburger.Linterm
 module Pform = Presburger.Pform
 module Cooper = Presburger.Cooper
 module Omega = Presburger.Omega
-
-(* ------------------------------------------------------------------ *)
-(* Qnum                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let qnum = Alcotest.testable Qnum.pp Qnum.equal
-
-let test_qnum_basic () =
-  let q a b = Qnum.make a b in
-  Alcotest.check qnum "normalization" (q 1 2) (q 2 4);
-  Alcotest.check qnum "negative den" (q (-1) 2) (q 1 (-2));
-  Alcotest.check qnum "add" (q 5 6) (Qnum.add (q 1 2) (q 1 3));
-  Alcotest.check qnum "sub" (q 1 6) (Qnum.sub (q 1 2) (q 1 3));
-  Alcotest.check qnum "mul" (q 1 3) (Qnum.mul (q 1 2) (q 2 3));
-  Alcotest.check qnum "div" (q 3 4) (Qnum.div (q 1 2) (q 2 3));
-  Alcotest.(check bool) "lt" true (Qnum.lt (q 1 3) (q 1 2));
-  Alcotest.check qnum "floor pos" (Qnum.of_int 1) (Qnum.floor (q 3 2));
-  Alcotest.check qnum "floor neg" (Qnum.of_int (-2)) (Qnum.floor (q (-3) 2));
-  Alcotest.check qnum "ceil pos" (Qnum.of_int 2) (Qnum.ceil (q 3 2));
-  Alcotest.check qnum "ceil neg" (Qnum.of_int (-1)) (Qnum.ceil (q (-3) 2))
-
-let prop_qnum_field =
-  let gen = QCheck.Gen.(pair (int_range (-30) 30) (int_range 1 12)) in
-  let arb = QCheck.make ~print:(fun (a, b) -> Printf.sprintf "%d/%d" a b) gen in
-  QCheck.Test.make ~name:"qnum field laws" ~count:300 (QCheck.pair arb arb)
-    (fun ((a1, b1), (a2, b2)) ->
-      let x = Qnum.make a1 b1 and y = Qnum.make a2 b2 in
-      Qnum.equal (Qnum.add x y) (Qnum.add y x)
-      && Qnum.equal (Qnum.sub (Qnum.add x y) y) x
-      && Qnum.equal (Qnum.mul x y) (Qnum.mul y x)
-      && (Qnum.is_zero y || Qnum.equal (Qnum.mul (Qnum.div x y) y) x))
-
-(* ------------------------------------------------------------------ *)
-(* Simplex                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_simplex_rational () =
-  let open Simplex in
-  (* x >= 1, x <= 3 *)
-  (match solve_rational [ ge_i [ ("x", 1) ] 1; le_i [ ("x", 1) ] 3 ] with
-  | Rsat a ->
-    let x = List.assoc "x" a in
-    Alcotest.(check bool) "x in range" true
-      Qnum.(geq x (of_int 1) && leq x (of_int 3))
-  | Runsat -> Alcotest.fail "expected feasible");
-  (* x >= 4, x <= 3 *)
-  (match solve_rational [ ge_i [ ("x", 1) ] 4; le_i [ ("x", 1) ] 3 ] with
-  | Runsat -> ()
-  | Rsat _ -> Alcotest.fail "expected infeasible");
-  (* x + y = 10, x - y = 4 -> x = 7, y = 3 *)
-  match
-    solve_rational
-      [ eq_i [ ("x", 1); ("y", 1) ] 10; eq_i [ ("x", 1); ("y", -1) ] 4 ]
-  with
-  | Rsat a ->
-    Alcotest.check qnum "x" (Qnum.of_int 7) (List.assoc "x" a);
-    Alcotest.check qnum "y" (Qnum.of_int 3) (List.assoc "y" a)
-  | Runsat -> Alcotest.fail "expected feasible equalities"
-
-let test_simplex_negative_vars () =
-  let open Simplex in
-  (* solution requires x < 0: x <= -5 *)
-  match solve_rational [ le_i [ ("x", 1) ] (-5) ] with
-  | Rsat a ->
-    Alcotest.(check bool) "x <= -5" true
-      (Qnum.leq (List.assoc "x" a) (Qnum.of_int (-5)))
-  | Runsat -> Alcotest.fail "negative variables must be allowed"
-
-let test_simplex_integer () =
-  let open Simplex in
-  (* 2x = 3 has rational but no integer solution *)
-  (match solve_integer [ eq_i [ ("x", 2) ] 3 ] with
-  | Iunsat -> ()
-  | Isat _ | Iunknown -> Alcotest.fail "2x=3 must be integer-infeasible");
-  (* 2x + 2y = 6 fine *)
-  (match solve_integer [ eq_i [ ("x", 2); ("y", 2) ] 6 ] with
-  | Isat a ->
-    Alcotest.(check int) "sum" 3 (List.assoc "x" a + List.assoc "y" a)
-  | Iunsat | Iunknown -> Alcotest.fail "2x+2y=6 integer-feasible");
-  (* 1 <= 3x <= 2: rational-feasible, integer-infeasible *)
-  match
-    solve_integer [ ge_i [ ("x", 3) ] 1; le_i [ ("x", 3) ] 2 ]
-  with
-  | Iunsat -> ()
-  | Isat _ | Iunknown -> Alcotest.fail "1<=3x<=2 must be integer-infeasible"
 
 (* ------------------------------------------------------------------ *)
 (* Cooper                                                              *)
@@ -251,56 +165,8 @@ let prop_cooper_vs_bruteforce =
       done;
       Cooper.satisfiable f = !brute)
 
-let prop_simplex_integer_vs_omega =
-  QCheck.Test.make ~name:"simplex b&b agrees with omega" ~count:200
-    (QCheck.make ~print:print_conj gen_conj) (fun atoms ->
-      (* translate Pform atoms to simplex constraints *)
-      let to_constr a =
-        let conv t =
-          ( List.map (fun (x, c) -> (x, Qnum.of_int c)) (Linterm.coeffs t),
-            Qnum.of_int (-Linterm.constant t) )
-        in
-        match a with
-        | Pform.Le t ->
-          let cs, rhs = conv t in
-          Some (Simplex.le cs rhs)
-        | Pform.Eq t ->
-          let cs, rhs = conv t in
-          Some (Simplex.eq cs rhs)
-        | Pform.Tru -> None
-        | Pform.Fls -> Some (Simplex.le_i [] (-1)) (* 0 <= -1 *)
-        | Pform.Dvd _ | Pform.Not _ | Pform.And _ | Pform.Or _ | Pform.Ex _
-        | Pform.All _ ->
-          None
-      in
-      let constrs = List.filter_map to_constr atoms in
-      let covered = List.length constrs =
-        List.length (List.filter (fun a -> a <> Pform.Tru) atoms)
-      in
-      if not covered then true
-      else
-        match Simplex.solve_integer constrs, Omega.check atoms with
-        | Simplex.Isat a, Some Omega.Sat ->
-          (* model check the witness *)
-          List.for_all (Simplex.satisfies a) constrs
-        | Simplex.Iunsat, Some Omega.Unsat -> true
-        | Simplex.Iunknown, Some _ -> true
-        | _, None -> true
-        | Simplex.Isat _, Some Omega.Unsat
-        | Simplex.Iunsat, Some Omega.Sat ->
-          false)
-
 let suite =
-  [ ( "arith.qnum",
-      [ Alcotest.test_case "basic" `Quick test_qnum_basic;
-        QCheck_alcotest.to_alcotest prop_qnum_field;
-      ] );
-    ( "arith.simplex",
-      [ Alcotest.test_case "rational" `Quick test_simplex_rational;
-        Alcotest.test_case "negative variables" `Quick test_simplex_negative_vars;
-        Alcotest.test_case "integer" `Quick test_simplex_integer;
-      ] );
-    ( "arith.cooper",
+  [ ( "arith.cooper",
       [ Alcotest.test_case "basic" `Quick test_cooper_basic;
         Alcotest.test_case "divisibility" `Quick test_cooper_divisibility;
         Alcotest.test_case "classic" `Quick test_cooper_classic;
@@ -309,7 +175,6 @@ let suite =
       [ Alcotest.test_case "basic" `Quick test_omega_basic;
         QCheck_alcotest.to_alcotest prop_omega_vs_cooper;
         QCheck_alcotest.to_alcotest prop_cooper_vs_bruteforce;
-        QCheck_alcotest.to_alcotest prop_simplex_integer_vs_omega;
       ] );
   ]
 
