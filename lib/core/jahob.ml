@@ -212,13 +212,8 @@ let verify_task_summary (e : engine) (task : Gcl.Desugar.method_task) :
           | _ ->
             let name = r.Dispatch.sequent.Logic.Sequent.name in
             let find_sub sub =
-              let n = String.length name and m = String.length sub in
-              let rec go i =
-                if i + m > n then None
-                else if String.sub name i m = sub then Some i
-                else go (i + 1)
-              in
-              go 0
+              try Some (Javaparser.Str_index.find name sub)
+              with Not_found -> None
             in
             if find_sub "loop invariant" = None then None
             else

@@ -41,20 +41,7 @@ exception Untranslatable of string
    universally quantified membership formula, and memberships in compound
    sets are expanded by Simplify. *)
 let rec set_to_fol (set_exprs_hint : string list) (f : Form.t) : Form.t =
-  let is_set_expr g =
-    match Form.strip_types g with
-    | Form.Const (Form.EmptySet | Form.UnivSet) -> true
-    | Form.App (Form.Const (Form.Union | Form.Inter | Form.Diff | Form.FiniteSet), _)
-      ->
-      true
-    | Form.Binder (Form.Comprehension, _, _) -> true
-    | Form.Var x -> List.mem x set_exprs_hint
-    | Form.App (Form.Const Form.FieldRead, [ fld; _ ]) -> (
-      match Form.strip_types fld with
-      | Form.Var x -> List.mem x set_exprs_hint
-      | _ -> false)
-    | _ -> false
-  in
+  let is_set_expr = Instantiate.is_set_expr set_exprs_hint in
   let pointwise mk a b =
     let e = Form.fresh_name "e" in
     Form.mk_forall
@@ -721,15 +708,6 @@ let free_types (s : Sequent.t) : Typecheck.env =
   | _, _, free -> free
   | exception Typecheck.Type_error _ -> Typecheck.Smap.empty
 
-let set_vars_of (free : Typecheck.env) : string list =
-  Typecheck.Smap.fold
-    (fun x ty acc ->
-      match ty with
-      | Ftype.Set _ -> x :: acc
-      | Ftype.Arrow (_, Ftype.Set _) -> x :: acc (* per-instance set *)
-      | _ -> acc)
-    free []
-
 (* A renaming of clause symbols: each fresh-style symbol ([base__N],
    from {!Form.fresh_name} directly or behind a [c_]/[f_]/[p_] prefix,
    skolems included) becomes [base__k], numbered per base by first
@@ -878,7 +856,7 @@ let refute ?engine ?set_vars (s : Sequent.t) : Sequent.verdict =
   let set_vars =
     match set_vars with
     | Some sv -> sv
-    | None -> set_vars_of (Lazy.force free)
+    | None -> Instantiate.set_vars_of (Lazy.force free)
   in
   match outcome_typed ?engine ~set_vars ~free s with
   | Ok Proof -> Sequent.Valid
@@ -904,7 +882,8 @@ let prove_with ?engine ?set_vars (s : Sequent.t) : Sequent.verdict =
 
 (* infer set-typed variables from the formula so the prover can be used
    standalone *)
-let infer_set_vars (s : Sequent.t) : string list = set_vars_of (free_types s)
+let infer_set_vars (s : Sequent.t) : string list =
+  Instantiate.set_vars_of (free_types s)
 
 let prove (s : Sequent.t) : Sequent.verdict = prove_with s
 

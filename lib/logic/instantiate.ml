@@ -82,35 +82,43 @@ let candidates (hyps : Form.t list) (goal : Form.t) : Form.t list =
       | _ -> true)
     !acc
 
+(** The free variables that denote sets, from their inferred types: a
+    set, or a field whose value at each object is a set. *)
+let set_vars_of (free : Typecheck.env) : string list =
+  Typecheck.Smap.fold
+    (fun x ty acc ->
+      match ty with
+      | Ftype.Set _ -> x :: acc
+      | Ftype.Arrow (_, Ftype.Set _) -> x :: acc (* per-instance set *)
+      | _ -> acc)
+    free []
+
+(** Is [g] set-sorted?  Set literals, operators and comprehensions are;
+    so are a variable that [set_vars] names and a read of such a field. *)
+let is_set_expr (set_vars : string list) (g : Form.t) : bool =
+  match Form.strip_types g with
+  | Form.Const (Form.EmptySet | Form.UnivSet) -> true
+  | Form.App
+      (Form.Const (Form.Union | Form.Inter | Form.Diff | Form.FiniteSet), _)
+    ->
+    true
+  | Form.Binder (Form.Comprehension, _, _) -> true
+  | Form.Var x -> List.mem x set_vars
+  | Form.App (Form.Const Form.FieldRead, [ fld; _ ]) -> (
+    match Form.strip_types fld with
+    | Form.Var x -> List.mem x set_vars
+    | _ -> false)
+  | _ -> false
+
 (* set-sorted sides, detected syntactically plus via type inference *)
 let set_expr_detector (hyps : Form.t list) (goal : Form.t) :
     Form.t -> bool =
   let set_vars =
     match Typecheck.infer (Form.mk_impl_chain hyps goal) with
-    | _, _, free ->
-      Typecheck.Smap.fold
-        (fun x ty acc ->
-          match ty with
-          | Ftype.Set _ -> x :: acc
-          | Ftype.Arrow (_, Ftype.Set _) -> x :: acc
-          | _ -> acc)
-        free []
+    | _, _, free -> set_vars_of free
     | exception Typecheck.Type_error _ -> []
   in
-  fun g ->
-    match Form.strip_types g with
-    | Form.Const (Form.EmptySet | Form.UnivSet) -> true
-    | Form.App
-        (Form.Const (Form.Union | Form.Inter | Form.Diff | Form.FiniteSet), _)
-      ->
-      true
-    | Form.Binder (Form.Comprehension, _, _) -> true
-    | Form.Var x -> List.mem x set_vars
-    | Form.App (Form.Const Form.FieldRead, [ fld; _ ]) -> (
-      match Form.strip_types fld with
-      | Form.Var x -> List.mem x set_vars
-      | _ -> false)
-    | _ -> false
+  is_set_expr set_vars
 
 (* pointwise expansion of one set fact at one candidate *)
 let pointwise_at (c : Form.t) (h : Form.t) (is_set : Form.t -> bool) :
