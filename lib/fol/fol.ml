@@ -7,10 +7,13 @@
     (set operations become pointwise [elem] facts), clausified (NNF,
     prenexing, skolemization, distribution), and refuted by a given-clause
     loop with binary resolution + factoring.  Equality is handled by
-    adding congruence axioms for the symbols that occur.  The prover is
-    refutation-complete for FOL but of course not a decision procedure:
-    it answers [Valid] or gives up with [Unknown] when its budget runs
-    out (it never claims [Invalid]). *)
+    adding congruence axioms for the symbols that occur.  The clause set
+    is the translation of the sequent given and nothing more: the
+    portfolio entry {!prover} grounds an admitted sequent once, with
+    {!Instantiate.saturate}.  The prover is refutation-complete for FOL
+    but of course not a decision procedure: it answers [Valid] or gives
+    up with [Unknown] when its budget runs out (it never claims
+    [Invalid]). *)
 
 open Logic
 open Folterm
@@ -184,7 +187,7 @@ let rec clausify_matrix (universals : string list) (f : Form.t) : clause list =
    would otherwise collapse every sort into one class (the fuzzer found
    exactly this).  Obj-sorted binders are therefore relativized with an
    [obj] guard predicate; [obj] facts for ground object terms come from
-   {!theory_axioms} and the free-variable units in {!prove_with}.  [Tvar]
+   {!theory_axioms} and the free-variable units in {!outcome_typed}.  [Tvar]
    counts as object-sorted: the rest of the portfolio (and the oracle)
    grounds unconstrained sorts at objects. *)
 let obj_sorted (ty : Ftype.t) : bool =
