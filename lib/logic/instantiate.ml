@@ -89,7 +89,7 @@ let set_vars_of (free : Typecheck.env) : string list =
     (fun x ty acc ->
       match ty with
       | Ftype.Set _ -> x :: acc
-      | Ftype.Arrow (_, Ftype.Set _) -> x :: acc (* per-instance set *)
+      | Ftype.Arrow (_, Ftype.Set _) -> x :: acc
       | _ -> acc)
     free []
 
