@@ -13,7 +13,10 @@ test:
 # build + full test suite + the endtoend tests alone (their pins must
 # not depend on what other tests left in the process) + the fixture-
 # reading suites run from the repository root (a fixture directory the
-# binary cannot find fails them rather than leaving them empty) + a traced,
+# binary cannot find fails them rather than leaving them empty) + the
+# bench's S3-DP rows (a row whose verdict misses its expect= fails it;
+# they are the MONA route's one end-to-end run, as no portfolio includes
+# it) and portfolio ablation + a traced,
 # budgeted parallel run of the paper's List figures whose event log must
 # validate (verify exits 1 when not everything proves; only a hard
 # error, exit 2, fails the smoke) + the fuzz smoke + the end-to-end
@@ -25,6 +28,7 @@ check:
 	dune runtest
 	./_build/default/test/main.exe test endtoend
 	./_build/default/test/main.exe test '(fol|corpus|incremental)'
+	./_build/default/bench/main.exe s3_dp abl_split
 	dune exec -- jahob verify --trace trace_smoke.jsonl -j 4 --budget 30 --stats \
 	  examples/list/Client.java examples/list/List.java \
 	  || [ $$? -eq 1 ]

@@ -127,12 +127,17 @@ let prove_with (p : Sequent.prover) hyps goal =
   let s = Sequent.make (List.map Parser.parse hyps) (Parser.parse goal) in
   try p.Sequent.prove s with Sequent.Resource_limited why -> Sequent.Unknown why
 
+(* each row's verdict kind must be its [expect]: the MONA rows are the
+   one end-to-end run of that route, which no portfolio includes *)
 let s3_dp () =
   header "S3-DP: each integrated decision procedure on its home fragment";
+  let missed = ref [] in
   let row prover name hyps goal expect =
     let v, dt = time_it (fun () -> prove_with prover hyps goal) in
     Printf.printf "  %-6s %-34s %-28s (%.3fs) expect=%s\n%!" name goal
-      (Sequent.verdict_to_string v) dt expect
+      (Sequent.verdict_to_string v) dt expect;
+    if Sequent.verdict_kind v <> expect then
+      missed := (name ^ " " ^ goal) :: !missed
   in
   Printf.printf "-- SMT (Nelson-Oppen: EUF + linear integer arithmetic)\n";
   row Smt.prover "smt" [ "x <= y"; "y <= x" ] "x..f = y..f" "valid";
@@ -154,7 +159,11 @@ let s3_dp () =
   Printf.printf "-- FOL (resolution, Vampire stand-in)\n";
   row Fol.prover "fol" [ "A Int B = {}"; "o : A"; "A2 = A - {o}"; "B2 = B Un {o}" ]
     "A2 Int B2 = {}" "valid";
-  row Fol.prover "fol" [ "ALL x. x..f = x" ] "a..f = a" "valid"
+  row Fol.prover "fol" [ "ALL x. x..f = x" ] "a..f = a" "valid";
+  if !missed <> [] then
+    failwith
+      ("verdict differs from expect= on: "
+      ^ String.concat "; " (List.rev !missed))
 
 (* ------------------------------------------------------------------ *)
 (* ABL-SPLIT: goal decomposition + portfolio ablation                  *)

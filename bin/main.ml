@@ -17,7 +17,7 @@ let no_inference_arg =
 let provers_arg =
   Arg.(value & opt (some string) None
        & info [ "provers" ]
-           ~doc:"Comma-separated prover order (smt, bapa, mona, fol, cooper)")
+           ~doc:"Comma-separated prover order (smt, bapa, fol)")
 
 let select_provers (spec : string option) : Logic.Sequent.prover list =
   match spec with
@@ -28,10 +28,9 @@ let select_provers (spec : string option) : Logic.Sequent.prover list =
     |> List.map (function
          | "smt" -> Smt.prover
          | "bapa" -> Bapa.prover
-         | "mona" -> Fca.prover
          | "fol" -> Fol.prover
-         | "cooper" -> Presburger.Lia.prover
-         | other -> failwith ("unknown prover: " ^ other))
+         | other ->
+           failwith ("unknown prover: " ^ other ^ " (expected smt, bapa or fol)"))
 
 (* human-readable front-end failures instead of raw exceptions *)
 let with_frontend_errors (f : unit -> int) : int =

@@ -30,7 +30,8 @@ let () =
   show Bapa.prover [ "card A = 1"; "card B = 1"; "A = B" ] "card (A Un B) = 1";
 
   print_endline "";
-  print_endline "MONA route (WS1S over the list backbone):";
+  print_endline
+    "MONA route (WS1S over the list backbone; outside the default portfolio):";
   show Fca.prover
     [ "rtrancl_pt (% u v. u..next = v) h x";
       "rtrancl_pt (% u v. u..next = v) h y";

@@ -338,10 +338,23 @@ let translate (f : Form.t) : Pform.t =
   in
   Pform.mk_and ((core :: nonneg) @ singleton_constraints)
 
+(* the work cap of the Cooper fallback: the size of any one elimination's
+   expansion and of any intermediate formula ({!Presburger.Cooper.qelim}) *)
+let cooper_cap = 200_000
+
+(* Cooper's full quantifier elimination on a small system, within
+   {!cooper_cap}; it polls the deadline as it expands *)
+let cooper_satisfiable (pa : Pform.t) : bool =
+  match Presburger.Cooper.satisfiable ~cap:cooper_cap pa with
+  | sat -> sat
+  | exception Presburger.Cooper.Fuel_exhausted ->
+    reject "Cooper fallback past its work cap"
+
 (** Satisfiability of a translated BAPA formula.  It is put in bounded
     DNF; each disjunct goes to the Omega test (the paper's own PA back
     end); Cooper's full quantifier elimination is the fallback for small
-    systems only.  Too large a system raises {!Out_of_fragment}. *)
+    systems only, under a work cap.  Too large a system, or a fallback
+    past its cap, raises {!Out_of_fragment}. *)
 let decide (pa : Pform.t) : bool =
   let pa = Presburger.Cooper.nnf pa in
   let max_branches = 64 in
@@ -386,13 +399,12 @@ let decide (pa : Pform.t) : bool =
               (List.sort_uniq compare
                  (List.concat_map Pform.free_vars atoms))
           in
-          if nvars <= 6 then
-            Presburger.Cooper.satisfiable (Pform.mk_and atoms)
+          if nvars <= 6 then cooper_satisfiable (Pform.mk_and atoms)
           else reject "Omega inconclusive on a large Venn system")
       branches
   | None ->
     let nvars = List.length (Pform.free_vars pa) in
-    if nvars <= 6 then Presburger.Cooper.satisfiable pa
+    if nvars <= 6 then cooper_satisfiable pa
     else reject "translation outside the Omega-conjunctive fragment"
 
 (* ------------------------------------------------------------------ *)

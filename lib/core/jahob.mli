@@ -28,8 +28,9 @@ type program_report = {
   dispatcher : Dispatch.t;  (** for the verdict-cache statistics *)
 }
 
-(** The default portfolio in dispatch order: SMT, BAPA, the MONA route,
-    and the first-order prover. *)
+(** The default portfolio in dispatch order: SMT, BAPA and the
+    first-order prover.  The MONA route is outside it (bench and fuzzer
+    only). *)
 val default_provers : unit -> Logic.Sequent.prover list
 
 type options = {

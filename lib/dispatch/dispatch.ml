@@ -10,13 +10,14 @@
     ({!Sequent.relevant_hyps}), and settles it syntactically when it can;
     then it offers that one sequent to the portfolio in declared order.
     A prover that answers [Unknown] passes the goal on; [Valid] and
-    [Invalid] are final.  Each prover's front end is its admission and
-    prepares its own input: fol and bapa start with a one-pass syntactic
-    scan ([Fol.admit], [Bapa.admit]), mona has [route_sequent], cooper
-    [prepare]; a prover outside its fragment gives up there, says why in
-    its [Unknown] and counts the rejection in [prover.<name>.rejected].
-    smt, and fol once admitted, add ground instances
-    ({!Instantiate.saturate}); bapa and mona never see them.
+    [Invalid] are final.  The default portfolio is smt, bapa and fol
+    ([Jahob.default_provers]).  Each prover's front end is its admission
+    and prepares its own input: fol and bapa start with a one-pass
+    syntactic scan ([Fol.admit], [Bapa.admit]); a prover outside its
+    fragment gives up there, says why in its [Unknown] and counts the
+    rejection in [prover.<name>.rejected].  smt, and fol once admitted,
+    add ground instances ({!Instantiate.saturate}); bapa never sees
+    them.
 
     Obligations are independent, so [prove_all] fans them out across the
     domains of an optional {!Pool.t}.  An optional verdict {!Cache.t}
@@ -32,7 +33,7 @@
     portfolio.  Every attempt reports whether it was resource-limited:
     a budget exceeded or cancelled, a {!Deadline.Expired}, a prover
     that raised, or a prover's own {!Sequent.Resource_limited} (fol's
-    wall-clock cut-off, cooper's stack overflow).  Fuel, clause caps,
+    wall-clock cut-off).  Fuel, clause caps,
     saturation and fragment rejections are deterministic: re-running the
     same portfolio on the same obligation gives the same Unknown, so
     replaying it is as trustworthy as a fresh attempt. *)
@@ -64,14 +65,15 @@ type t = {
 (* Per-prover wall-clock budgets                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* [p s] under a wall-clock budget, and whether the budget — or an
-   enclosing cancellation reaching through it — cut the attempt short.
-   The prover runs on the calling thread under a {!Deadline} token
-   parented to the caller's own, and stops at its next checkpoint (every
-   search loop in the portfolio polls one).  A prover that returns
-   before it checkpoints keeps its verdict, however late.  Exceptions
-   other than {!Deadline.Expired} propagate to the dispatcher, which
-   counts them. *)
+(** [p s] under a wall-clock budget, and whether the budget — or an
+    enclosing cancellation reaching through it — cut the attempt short.
+    The prover runs on the calling thread under a {!Deadline} token
+    parented to the caller's own, and stops at its next checkpoint (every
+    search loop in the portfolio polls one).  A prover that returns
+    before it checkpoints keeps its verdict, however late.  Exceptions
+    other than {!Deadline.Expired} propagate: the dispatcher counts them,
+    and the fuzzer, which budgets each party's call with this directly,
+    turns them into [Unknown]. *)
 let run_budgeted ~(budget_s : float) (p : Sequent.prover) (s : Sequent.t) :
     Sequent.verdict * bool =
   let token =
@@ -91,15 +93,6 @@ let run_budgeted ~(budget_s : float) (p : Sequent.prover) (s : Sequent.t) :
           ("budget_s", Trace.F budget_s) ])
       "exceeded";
     (Sequent.Unknown (Printf.sprintf "budget of %gs exceeded" budget_s), true)
-
-(** [with_budget ~budget_s p] answers [Unknown] once [p] has run for
-    [budget_s] seconds of wall-clock time, so one pathological query
-    cannot stall the portfolio.  A dispatcher created with [~budget_s]
-    applies the same budget itself, so that it can tell a budgeted
-    Unknown from a deterministic one. *)
-let with_budget ~(budget_s : float) (p : Sequent.prover) : Sequent.prover =
-  { Sequent.prover_name = p.Sequent.prover_name;
-    prove = (fun s -> fst (run_budgeted ~budget_s p s)) }
 
 (* What decides a deterministic Unknown: the provers tried.  Order does
    not: an Unknown means every prover was tried and none settled the

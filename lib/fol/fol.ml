@@ -403,7 +403,7 @@ let theory_axioms (clauses : clause list) : clause list =
   rt_axioms @ write_axioms @ null_field_axioms @ obj_axioms
 
 (* ------------------------------------------------------------------ *)
-(* Given-clause resolution loops                                       *)
+(* Given-clause resolution                                             *)
 (* ------------------------------------------------------------------ *)
 
 (** [GaveUp] is the deterministic clause cap; [TimedOut] is the
@@ -420,92 +420,12 @@ let count_outcome (o : outcome) : outcome =
     | TimedOut -> "fol.outcome.timed_out");
   o
 
-(** Which saturation engine runs a refutation.  [Indexed] is the default:
-    discrimination-tree partner retrieval, full forward/backward
-    subsumption and an age–weight passive queue.  [Naive] is the original
-    textbook loop, kept as the reference for the fuzzer's engine
-    differential and the engine-parity tests. *)
-type engine = Indexed | Naive
-
-(** The original engine: O(active) partner scans, unit-only forward
-    subsumption, weight-only passive queue. *)
-let refute_naive ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
-    ?(timeout_s = 1.5) ~(usable : clause list) ~(sos : clause list) () :
-    outcome =
-  let deadline = Clock.now () +. timeout_s in
-  let usable = List.filter (fun c -> not (is_tautology c)) (List.map normalize_clause usable) in
-  let sos = List.map normalize_clause sos in
-  if List.exists (fun c -> c = []) (usable @ sos) then Proof
-  else begin
-    let module Pq = Set.Make (struct
-      type t = int * int * clause
-
-      let compare = compare
-    end) in
-    let counter = ref 0 in
-    let passive = ref Pq.empty in
-    let seen = Hashtbl.create 256 in
-    let add_passive c =
-      if not (Hashtbl.mem seen c) && not (is_tautology c) then begin
-        Hashtbl.add seen c ();
-        incr counter;
-        passive := Pq.add (clause_size c, !counter, c) !passive
-      end
-    in
-    (* passive holds only SOS clauses; usable clauses are active from the
-       start *)
-    List.iter add_passive sos;
-    let active_usable = ref usable in
-    let active_sos = ref [] in
-    let total = ref (List.length sos) in
-    let result = ref None in
-    let unit_subsumed c =
-      let units =
-        List.filter (fun a -> List.length a = 1) (!active_usable @ !active_sos)
-      in
-      List.exists (fun u -> subsumes u c) units
-    in
-    while !result = None do
-      Deadline.check ();
-      if Pq.is_empty !passive then result := Some Saturated
-      else if !total > max_clauses then result := Some GaveUp
-      else if Clock.now () > deadline then result := Some TimedOut
-      else begin
-        let ((_, _, given) as entry) = Pq.min_elt !passive in
-        passive := Pq.remove entry !passive;
-        if unit_subsumed given && clause_size given > 3 then ()
-        else begin
-          (* SOS restriction: given (an SOS clause) resolves against
-             everything active *)
-          let partners = !active_usable @ !active_sos in
-          let new_clauses =
-            List.map
-              (List.sort_uniq compare_lit)
-              (factors given
-              @ List.concat_map (fun a -> resolvents given a) partners
-              @ resolvents given given)
-          in
-          active_sos := given :: !active_sos;
-          List.iter
-            (fun c ->
-              if c = [] then result := Some Proof
-              else if
-                clause_size c <= max_weight
-                && clause_lits c <= max_lits
-                && not (unit_subsumed c)
-              then begin
-                incr total;
-                add_passive c
-              end)
-            new_clauses
-        end
-      end
-    done;
-    match !result with Some r -> r | None -> assert false
-  end
-
-(** The indexed engine.  Same inference rules and SOS restriction as
-    {!refute_naive}, but:
+(** Refute [usable] (axioms + hypotheses, assumed consistent) against the
+    set-of-support [sos] (the negated goal): every inference uses at least
+    one SOS-descended parent, the classic Wos-style strategy that keeps
+    the equality axioms from feeding on themselves.  Against the textbook
+    given-clause loop (the fuzzer's reference engine, [Fuzz.Folab]) with
+    the same inference rules and SOS restriction:
 
     - resolution partners come from a discrimination-tree index over the
       active literals instead of a scan of every active clause;
@@ -536,7 +456,7 @@ let refute_naive ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
     Each refutation publishes its index counters, the number of clauses
     it activated ([fol.given]) and kept ([fol.kept]) and its outcome
     ([fol.outcome.*]) to the trace. *)
-let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
+let refute ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
     ?(timeout_s = 1.5) ~(usable : clause list) ~(sos : clause list) () :
     outcome =
   let deadline = Clock.now () +. timeout_s in
@@ -560,8 +480,8 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
     let seen = Tbl.create 256 in
     let total = ref 0 in
     (* [max_clauses] bounds clauses actually {e kept}: duplicates the
-       dedup table absorbs and tautologies cost nothing (the naive
-       engine charges its budget for every generated clause) *)
+       dedup table absorbs and tautologies cost nothing (the fuzzer's
+       naive engine charges its budget for every generated clause) *)
     let add_passive c (p : profile) =
       let key = (p.hash, c) in
       if Tbl.mem seen key then Index.note_dedup idx
@@ -686,19 +606,6 @@ let refute_indexed ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
     count_outcome (match !result with Some r -> r | None -> assert false)
   end
 
-(** Refute [usable] (axioms + hypotheses, assumed consistent) against the
-    set-of-support [sos] (the negated goal): every inference uses at least
-    one SOS-descended parent, the classic Wos-style strategy that keeps
-    the equality axioms from feeding on themselves. *)
-let refute ?(engine = Indexed) ?max_clauses ?max_weight ?max_lits ?timeout_s
-    ~(usable : clause list) ~(sos : clause list) () : outcome =
-  match engine with
-  | Indexed ->
-    refute_indexed ?max_clauses ?max_weight ?max_lits ?timeout_s ~usable
-      ~sos ()
-  | Naive ->
-    refute_naive ?max_clauses ?max_weight ?max_lits ?timeout_s ~usable ~sos ()
-
 (* ------------------------------------------------------------------ *)
 (* Translation and refutation of a sequent                             *)
 (* ------------------------------------------------------------------ *)
@@ -741,11 +648,10 @@ let renumber_fresh () : lit -> lit =
   in
   fun l -> { l with pred = name l.pred; args = List.map term l.args }
 
-(* [outcome_with] given the free variables' types, forced only when some
+(* [translate] given the free variables' types, forced only when some
    clause carries an [obj] guard *)
-let outcome_typed ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
-    ~set_vars ~(free : Typecheck.env Lazy.t) (s : Sequent.t) :
-    (outcome, string) result =
+let clauses_typed ~set_vars ~(free : Typecheck.env Lazy.t) (s : Sequent.t) :
+    (clause list * clause list, string) result =
   match
     let translated_hyps = List.map (set_to_fol set_vars) s.Sequent.hyps in
     let translated_goal = set_to_fol set_vars (Form.mk_not s.Sequent.goal) in
@@ -778,21 +684,29 @@ let outcome_typed ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
     let hyp_clauses = obj_var_units @ hyp_clauses in
     let theory = theory_axioms (hyp_clauses @ goal_clauses) in
     let axioms = equality_axioms (theory @ hyp_clauses @ goal_clauses) in
-    refute ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
-      ~usable:(axioms @ theory @ hyp_clauses)
-      ~sos:goal_clauses ()
+    (axioms @ theory @ hyp_clauses, goal_clauses)
   with
-  | o -> Ok o
+  | clauses -> Ok clauses
   | exception Untranslatable what -> Error what
 
+(** The translation of a sequent: [Ok (usable, sos)], the clause sets
+    {!refute} takes (axioms, theory and hypotheses; the negated goal), or
+    [Error what] when the sequent is not first-order translatable.
+    [set_vars] names the variables that get extensionality treatment.
+    The admission scan ({!admit}) does not run here. *)
+let translate ~set_vars (s : Sequent.t) :
+    (clause list * clause list, string) result =
+  clauses_typed ~set_vars ~free:(lazy (free_types s)) s
+
 (** Translate a sequent and run the refutation, exposing the raw
-    saturation outcome (and the engine / limit knobs) for differential
-    testing; [Error what] means the sequent is not first-order
-    translatable.  The admission scan ({!admit}) does not run here. *)
-let outcome_with ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
+    saturation outcome and the limit knobs for testing; [Error what]
+    means the sequent is not first-order translatable. *)
+let outcome_with ?max_clauses ?max_weight ?max_lits ?timeout_s
     ?(set_vars = []) (s : Sequent.t) : (outcome, string) result =
-  outcome_typed ?engine ?max_clauses ?max_weight ?max_lits ?timeout_s
-    ~set_vars ~free:(lazy (free_types s)) s
+  Result.map
+    (fun (usable, sos) ->
+      refute ?max_clauses ?max_weight ?max_lits ?timeout_s ~usable ~sos ())
+    (translate ~set_vars s)
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
@@ -854,14 +768,18 @@ let rejected (what : string) : Sequent.verdict =
    inference serves the set variables (unless given) and the [obj]
    units.  The wall-clock cut-off raises, so the dispatcher can tell it
    from the deterministic give-ups *)
-let refute ?engine ?set_vars (s : Sequent.t) : Sequent.verdict =
+let refute ?set_vars (s : Sequent.t) : Sequent.verdict =
   let free = lazy (free_types s) in
   let set_vars =
     match set_vars with
     | Some sv -> sv
     | None -> Instantiate.set_vars_of (Lazy.force free)
   in
-  match outcome_typed ?engine ~set_vars ~free s with
+  match
+    Result.map
+      (fun (usable, sos) -> refute ~usable ~sos ())
+      (clauses_typed ~set_vars ~free s)
+  with
   | Ok Proof -> Sequent.Valid
   | Ok Saturated ->
     (* saturation without equality-completeness caveats: the clause set
@@ -876,11 +794,11 @@ let refute ?engine ?set_vars (s : Sequent.t) : Sequent.verdict =
     variables known to denote sets (they get extensionality treatment),
     inferred from the sequent when absent.  A wall-clock cut-off answers
     [Unknown] here; only {!prover} raises {!Sequent.Resource_limited}. *)
-let prove_with ?engine ?set_vars (s : Sequent.t) : Sequent.verdict =
+let prove_with ?set_vars (s : Sequent.t) : Sequent.verdict =
   match admit s with
   | Error what -> rejected what
   | Ok () -> (
-    try refute ?engine ?set_vars s
+    try refute ?set_vars s
     with Sequent.Resource_limited why -> Sequent.Unknown why)
 
 (* infer set-typed variables from the formula so the prover can be used

@@ -1,5 +1,6 @@
 (** Literals, clauses and the clause-level inference rules shared by the
-    resolution engines (naive and indexed) and the term index. *)
+    resolution engine, the term index and the fuzzer's naive reference
+    engine. *)
 
 open Folterm
 
@@ -319,13 +320,10 @@ let subsumes_prepared (c1 : clause) (c2 : clause) : bool =
   in
   List.compare_lengths c1 c2 <= 0 && go [] c1
 
-let subsumes (c1 : clause) (c2 : clause) : bool =
-  subsumes_prepared (rename_clause c1) c2
-
 (* one binary resolvent on a chosen literal pair: [l1] is an occurrence in
    [c1], [l2] one in [c2] with the opposite sign and the same predicate;
    [c2] is renamed apart here.  Physical identity selects the occurrence
-   to cut, exactly as in {!resolvents}. *)
+   to cut. *)
 let resolve_on (c1 : clause) (l1 : lit) (c2 : clause) (l2 : lit) :
     clause option =
   (* neither [c2] renamed apart nor the unifier applied is built: the
@@ -340,27 +338,6 @@ let resolve_on (c1 : clause) (l1 : lit) (c2 : clause) (l2 : lit) :
       (normal_form s
          (List.filter (fun l -> l != l1) c1)
          (List.filter (fun l -> l != l2) c2))
-
-(* all binary resolvents of c1 and c2 (c2 freshly renamed) *)
-let resolvents (c1 : clause) (c2 : clause) : clause list =
-  let c2 = rename_clause c2 in
-  List.concat_map
-    (fun l1 ->
-      List.filter_map
-        (fun l2 ->
-          if l1.sign = l2.sign || l1.pred <> l2.pred then None
-          else
-            match
-              (try Some (List.fold_left2 unify [] l1.args l2.args)
-               with No_unifier | Invalid_argument _ -> None)
-            with
-            | None -> None
-            | Some s ->
-              let rest1 = List.filter (fun l -> l != l1) c1 in
-              let rest2 = List.filter (fun l -> l != l2) c2 in
-              Some (normalize_clause (apply_clause s (rest1 @ rest2))))
-        c2)
-    c1
 
 (* factoring: unify two literals of the same clause *)
 let factors (c : clause) : clause list =

@@ -35,9 +35,7 @@ type party = {
 (** The five decision procedures under differential test. *)
 let default_parties () : party list =
   [ { party_name = "smt"; admits = Smt.in_fragment; prover = Smt.prover };
-    { party_name = "cooper";
-      admits = Presburger.Lia.in_fragment;
-      prover = Presburger.Lia.prover };
+    { party_name = "cooper"; admits = Lia.in_fragment; prover = Lia.prover };
     { party_name = "bapa"; admits = Bapa.in_fragment; prover = Bapa.prover };
     { party_name = "mona"; admits = Fca.in_fragment; prover = Fca.prover };
     { party_name = "fol"; admits = Fol.in_fragment; prover = Fol.prover };
@@ -110,10 +108,6 @@ let disagreement_keys (verdicts : (string * Sequent.verdict) list)
   in
   conflicts @ oracle_keys
 
-let with_budget (cfg : config) (p : Sequent.prover) : Sequent.prover =
-  if cfg.budget_s > 0. then Dispatch.with_budget ~budget_s:cfg.budget_s p
-  else p
-
 (** Route [s] to every admitting party, consult the oracle when any party
     committed to a [Valid]/[Invalid] verdict, and compute disagreement
     keys. *)
@@ -125,9 +119,12 @@ let check ?(parties = default_parties ()) (cfg : config)
         let admitted = try p.admits s with _ -> false in
         if not admitted then None
         else
-          let prover = with_budget cfg p.prover in
           let v =
-            try prover.Sequent.prove s with
+            try
+              if cfg.budget_s > 0. then
+                fst (Dispatch.run_budgeted ~budget_s:cfg.budget_s p.prover s)
+              else p.prover.Sequent.prove s
+            with
             | Sequent.Resource_limited why -> Sequent.Unknown why
             | Stack_overflow -> Sequent.Unknown "stack overflow"
             | e -> Sequent.Unknown ("raised: " ^ Printexc.to_string e)

@@ -12,7 +12,10 @@
     flagged.  The report counts each of the indexed engine's outcomes,
     and the admitted sequents the translation then refuses, separately:
     without a timed-out run, a campaign is deterministic for a fixed
-    seed. *)
+    seed.
+
+    The naive engine, {!refute_naive}, lives here beside the campaign and
+    the engine-parity tests that run it; no portfolio does. *)
 
 type config = {
   ab_seed : int;
@@ -50,10 +53,144 @@ type report = {
   disagreements : disagreement list;
 }
 
+(* ------------------------------------------------------------------ *)
+(* The naive engine                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** [c1] subsumes [c2]: some instance of [c1] is a subset of [c2] ([c1]
+    renamed apart first) — the plain predicate the term index's
+    subsumption queries are tested against. *)
+let subsumes (c1 : Fol.clause) (c2 : Fol.clause) : bool =
+  Fol.subsumes_prepared (Fol.rename_clause c1) c2
+
+(* all binary resolvents of c1 and c2 (c2 freshly renamed) *)
+let resolvents (c1 : Fol.clause) (c2 : Fol.clause) : Fol.clause list =
+  let open Fol in
+  let c2 = rename_clause c2 in
+  List.concat_map
+    (fun l1 ->
+      List.filter_map
+        (fun l2 ->
+          if l1.sign = l2.sign || l1.pred <> l2.pred then None
+          else
+            match
+              (try Some (List.fold_left2 Term.unify [] l1.args l2.args)
+               with Term.No_unifier | Invalid_argument _ -> None)
+            with
+            | None -> None
+            | Some s ->
+              let rest1 = List.filter (fun l -> l != l1) c1 in
+              let rest2 = List.filter (fun l -> l != l2) c2 in
+              Some (normalize_clause (apply_clause s (rest1 @ rest2))))
+        c2)
+    c1
+
+(** The reference engine for {!Fol.refute}: the textbook given-clause
+    loop with the same inference rules and SOS restriction, but O(active)
+    partner scans, unit-only forward subsumption and a weight-only
+    passive queue.  It publishes no trace counters. *)
+let refute_naive ?(max_clauses = 4000) ?(max_weight = 60) ?(max_lits = 6)
+    ?(timeout_s = 1.5) ~(usable : Fol.clause list) ~(sos : Fol.clause list) ()
+    : Fol.outcome =
+  let open Fol in
+  let deadline = Clock.now () +. timeout_s in
+  let usable =
+    List.filter (fun c -> not (is_tautology c)) (List.map normalize_clause usable)
+  in
+  let sos = List.map normalize_clause sos in
+  if List.exists (fun c -> c = []) (usable @ sos) then Proof
+  else begin
+    let module Pq = Set.Make (struct
+      type t = int * int * clause
+
+      let compare = compare
+    end) in
+    let counter = ref 0 in
+    let passive = ref Pq.empty in
+    let seen = Hashtbl.create 256 in
+    let add_passive c =
+      if not (Hashtbl.mem seen c) && not (is_tautology c) then begin
+        Hashtbl.add seen c ();
+        incr counter;
+        passive := Pq.add (clause_size c, !counter, c) !passive
+      end
+    in
+    (* passive holds only SOS clauses; usable clauses are active from the
+       start *)
+    List.iter add_passive sos;
+    let active_usable = ref usable in
+    let active_sos = ref [] in
+    let total = ref (List.length sos) in
+    let result = ref None in
+    let unit_subsumed c =
+      let units =
+        List.filter (fun a -> List.length a = 1) (!active_usable @ !active_sos)
+      in
+      List.exists (fun u -> subsumes u c) units
+    in
+    while !result = None do
+      Deadline.check ();
+      if Pq.is_empty !passive then result := Some Saturated
+      else if !total > max_clauses then result := Some GaveUp
+      else if Clock.now () > deadline then result := Some TimedOut
+      else begin
+        let ((_, _, given) as entry) = Pq.min_elt !passive in
+        passive := Pq.remove entry !passive;
+        if unit_subsumed given && clause_size given > 3 then ()
+        else begin
+          (* SOS restriction: given (an SOS clause) resolves against
+             everything active *)
+          let partners = !active_usable @ !active_sos in
+          let new_clauses =
+            List.map
+              (List.sort_uniq compare_lit)
+              (factors given
+              @ List.concat_map (fun a -> resolvents given a) partners
+              @ resolvents given given)
+          in
+          active_sos := given :: !active_sos;
+          List.iter
+            (fun c ->
+              if c = [] then result := Some Proof
+              else if
+                clause_size c <= max_weight
+                && clause_lits c <= max_lits
+                && not (unit_subsumed c)
+              then begin
+                incr total;
+                add_passive c
+              end)
+            new_clauses
+        end
+      end
+    done;
+    match !result with Some r -> r | None -> assert false
+  end
+
+(** A resolution engine on a sequent, as {!Fol.outcome_with} runs the
+    indexed one: translation, then refutation under the given caps. *)
+type engine =
+  ?max_clauses:int ->
+  ?max_weight:int ->
+  ?max_lits:int ->
+  ?timeout_s:float ->
+  ?set_vars:string list ->
+  Logic.Sequent.t ->
+  (Fol.outcome, string) result
+
+(** {!Fol.outcome_with} with the naive engine doing the refutation. *)
+let naive_outcome_with ?max_clauses ?max_weight ?max_lits ?timeout_s
+    ?(set_vars = []) (s : Logic.Sequent.t) : (Fol.outcome, string) result =
+  Result.map
+    (fun (usable, sos) ->
+      refute_naive ?max_clauses ?max_weight ?max_lits ?timeout_s ~usable ~sos
+        ())
+    (Fol.translate ~set_vars s)
+
 (* generous caps: the point is to compare verdicts, not budgets *)
-let outcome engine (s : Logic.Sequent.t) : (Fol.outcome, string) result =
-  Fol.outcome_with ~engine ~max_clauses:2000 ~max_weight:10_000
-    ~max_lits:1_000 ~timeout_s:2.5
+let outcome (engine : engine) (s : Logic.Sequent.t) :
+    (Fol.outcome, string) result =
+  engine ~max_clauses:2000 ~max_weight:10_000 ~max_lits:1_000 ~timeout_s:2.5
     ~set_vars:(Fol.infer_set_vars s) s
 
 let outcome_name = function
@@ -83,8 +220,8 @@ let run ?(config = default_config) () : report =
     in
     if Fol.in_fragment s then begin
       incr admitted;
-      let ind = outcome Fol.Indexed s in
-      let nai = outcome Fol.Naive s in
+      let ind = outcome Fol.outcome_with s in
+      let nai = outcome naive_outcome_with s in
       (match ind with
       | Ok Fol.Proof -> incr proofs
       | Ok Fol.Saturated -> incr saturated

@@ -7,10 +7,12 @@
     fragment, a failed validity check is a real countermodel — the prover
     may answer [Invalid].
 
-    Used by the differential fuzzer as an independent party cross-checking
-    the SMT prover's arithmetic core. *)
+    The differential fuzzer's [cooper] party, an independent check on the
+    SMT prover's arithmetic core; no portfolio runs it.  {!Cooper} lives in
+    [lib/presburger], where BAPA's fallback uses it too. *)
 
 open Logic
+open Presburger
 
 exception Out_of_fragment of string
 

@@ -5,7 +5,8 @@
     ground instances — the object constants already in the sequent.  This
     module saturates a sequent with such instances so that the ground
     provers can finish propositionally.  smt and fol saturate their own
-    input; bapa and mona see the sequent without the instances:
+    input; bapa (and the MONA route, outside the portfolio) sees the
+    sequent without the instances:
 
     - [ALL x (y). body] hypotheses are instantiated with all object
       candidates: [null] and the sequent's free object constants (arity

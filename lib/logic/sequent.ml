@@ -1,7 +1,8 @@
 (** Proof obligations and the common decision-procedure interface.
 
-    Every reasoner in the portfolio — SMT, MONA, BAPA, the first-order
-    prover — consumes a {!type:t} and produces a {!type:verdict}.  Provers
+    Every reasoner — SMT, BAPA and the first-order prover in the portfolio,
+    and the MONA route and Cooper's procedure that the bench and the
+    fuzzer run — consumes a {!type:t} and produces a {!type:verdict}.  Provers
     must never guess: [Valid] claims a proof, [Invalid] claims a genuine
     countermodel, anything else is [Unknown] (the dispatcher then tries the
     next prover, mirroring the paper's multi-prover architecture). *)

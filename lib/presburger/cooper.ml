@@ -156,7 +156,9 @@ let rec subst_var x (u : Linterm.t) f =
 
 (** Eliminate [EX x] from quantifier-free [f].  [cap] bounds the size of
     the expansion about to be built (estimated before allocating it);
-    exceeding it raises {!Fuel_exhausted}. *)
+    exceeding it raises {!Fuel_exhausted}.  Each copy of [f] the expansion
+    makes polls the deadline first, so an uncapped elimination still
+    stops at its budget. *)
 let eliminate ?(cap = max_int) x f =
   let f = split_eq x (nnf f) in
   if not (List.mem x (free_vars f)) then f
@@ -173,12 +175,14 @@ let eliminate ?(cap = max_int) x f =
     end;
     let inf_cases =
       List.init delta (fun j ->
+          Deadline.check ();
           subst_var x (Linterm.const (j + 1)) f_inf)
     in
     let bound_cases =
       List.concat_map
         (fun b ->
           List.init delta (fun j ->
+              Deadline.check ();
               subst_var x (Linterm.add b (Linterm.const j)) f))
         bs
     in

@@ -132,6 +132,57 @@ let prop_vs_bruteforce =
       | Sequent.Invalid _ -> not !valid
       | Sequent.Unknown _ -> true)
 
+(* the first sequent of [jahob fuzz --seed 7 --count 4 --size 4
+   --fragment presburger --no-oracle]: its DNF passes 64 branches, so
+   bapa falls back on Cooper's elimination of its three variables, whose
+   expansion has no practical end *)
+let cooper_fallback_sequent () =
+  Sequent.make
+    (List.map Parser.parse
+       [ "j + -1 - (i + k) > -1 * (0 + j) <-> 2 * -(-1) = 0 - j - -2 * -3 \
+          | 1 * k < 0 + -3 + (j - k)";
+         "-1 < 0 - 1 - 2 * j <-> -3 + j <= -2 * i - -(-2) & -k > k + i + 3 * k"
+       ])
+    (Parser.parse
+       "(-(3 * k) = 2 | (-(-2 + j) >= k --> -(-2) + i <= 0 * 0)) \
+        & j > 0 * (j - i) --> 2 * k + (i - k) <= i - -2 + (k + k)")
+
+let test_cooper_fallback_bounded () =
+  let s = cooper_fallback_sequent () in
+  let within_2s what f =
+    let t0 = Clock.now () in
+    let r = f () in
+    let elapsed = Clock.now () -. t0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s within 2s (took %.3fs)" what elapsed)
+      true (elapsed < 2.0);
+    r
+  in
+  let r =
+    within_2s "budgeted dispatch" (fun () ->
+        Dispatch.prove_sequent
+          (Dispatch.create ~budget_s:0.5 [ Bapa.prover ])
+          s)
+  in
+  Alcotest.(check string) "unknown" "unknown"
+    (Sequent.verdict_kind r.Dispatch.verdict);
+  (* the work cap ends the fallback, with a reason *)
+  (match within_2s "unbudgeted prove" (fun () -> Bapa.prove s) with
+  | Sequent.Unknown why ->
+    Alcotest.(check string) "reason" "BAPA: Cooper fallback past its work cap"
+      why
+  | v ->
+    Alcotest.failf "expected unknown, got %s" (Sequent.verdict_to_string v));
+  (* without the cap, the elimination stops at the deadline it polls *)
+  let pa = Presburger.Cooper.nnf (Bapa.translate (Sequent.refutand s)) in
+  match
+    within_2s "uncapped elimination" (fun () ->
+        Deadline.with_token (Deadline.make ~deadline_in:0.5 ()) (fun () ->
+            Presburger.Cooper.satisfiable pa))
+  with
+  | _ -> Alcotest.fail "the uncapped elimination finished in 0.5s"
+  | exception Deadline.Expired -> ()
+
 let suite =
   [ ( "bapa",
       [ Alcotest.test_case "set algebra" `Quick test_set_algebra;
@@ -140,6 +191,8 @@ let suite =
         Alcotest.test_case "fragment rejection" `Quick test_fragment_rejection;
         Alcotest.test_case "admission scan refuses a field read" `Quick
           test_scan_refuses_field_read;
+        Alcotest.test_case "cooper fallback answers within its budget" `Quick
+          test_cooper_fallback_bounded;
         QCheck_alcotest.to_alcotest prop_vs_bruteforce;
       ] );
   ]

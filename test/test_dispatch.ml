@@ -531,8 +531,11 @@ let slow_prover ~delay : Sequent.prover =
     prove = (fun _ -> sleep_polling delay; Sequent.Valid) }
 
 let test_budget_exceeded () =
-  let p = Dispatch.with_budget ~budget_s:0.02 (slow_prover ~delay:0.4) in
-  match p.Sequent.prove (seq [] "x = x") with
+  match
+    fst
+      (Dispatch.run_budgeted ~budget_s:0.02 (slow_prover ~delay:0.4)
+         (seq [] "x = x"))
+  with
   | Sequent.Unknown m ->
     Alcotest.(check bool) "reason mentions the budget" true
       (String.length m >= 6 && String.sub m 0 6 = "budget")
@@ -540,8 +543,11 @@ let test_budget_exceeded () =
     Alcotest.failf "expected unknown, got %s" (Sequent.verdict_to_string v)
 
 let test_budget_sufficient () =
-  let p = Dispatch.with_budget ~budget_s:5.0 (slow_prover ~delay:0.01) in
-  match p.Sequent.prove (seq [] "x = x") with
+  match
+    fst
+      (Dispatch.run_budgeted ~budget_s:5.0 (slow_prover ~delay:0.01)
+         (seq [] "x = x"))
+  with
   | Sequent.Valid -> ()
   | v ->
     Alcotest.failf "expected valid, got %s" (Sequent.verdict_to_string v)
@@ -605,10 +611,11 @@ let test_budget_cancels_cooperatively () =
   (* after a budget expiry the prover stops at its next checkpoint and
      the attempt answers: nothing keeps running behind the caller *)
   let polls = Atomic.make 0 in
-  let p =
-    Dispatch.with_budget ~budget_s:0.05 (checkpointing_prover polls)
-  in
-  (match p.Sequent.prove (seq [ "x < y" ] "p..g = q") with
+  (match
+     fst
+       (Dispatch.run_budgeted ~budget_s:0.05 (checkpointing_prover polls)
+          (seq [ "x < y" ] "p..g = q"))
+   with
   | Sequent.Unknown m ->
     Alcotest.(check bool) "reason mentions the budget" true
       (String.length m >= 6 && String.sub m 0 6 = "budget")
@@ -655,7 +662,7 @@ let test_budget_stops_fol () =
   | _ -> Alcotest.fail "fol still running after its budget");
   (* the cascade reports its own give-up; the attempt's reason is the
      budget's *)
-  match (Dispatch.with_budget ~budget_s:0.01 Fol.prover).Sequent.prove s with
+  match fst (Dispatch.run_budgeted ~budget_s:0.01 Fol.prover s) with
   | Sequent.Unknown m ->
     Alcotest.(check bool) ("budget reason: " ^ m) true
       (String.length m >= 6 && String.sub m 0 6 = "budget")

@@ -181,7 +181,7 @@ module Props = struct
       ~count:500 arb_clauses_and_cl (fun (cs, c) ->
         let idx, _ = activate_all cs in
         let indexed = Index.forward_subsumed idx c in
-        let naive = List.exists (fun a -> subsumes a c) cs in
+        let naive = List.exists (fun a -> Fuzz.Folab.subsumes a c) cs in
         indexed = naive)
 
   (* the backward-subsumption generator widens the vocabulary to the
@@ -241,7 +241,10 @@ module Props = struct
           List.sort_uniq compare
             (List.filter_map
                (fun x ->
-                 if x.Index.state = Index.Active && subsumes c x.Index.cl then
+                 if
+                   x.Index.state = Index.Active
+                   && Fuzz.Folab.subsumes c x.Index.cl
+                 then
                    Some x.Index.id
                  else None)
                entries)
@@ -292,7 +295,7 @@ module Props = struct
             (fun (i, (x, st)) ->
               x.Index.state = Index.Active
               && (st = 2 || i >= k) = newer
-              && subsumes x.Index.cl c)
+              && Fuzz.Folab.subsumes x.Index.cl c)
             (List.mapi (fun i x -> (i, x)) entries)
         in
         let naive =
@@ -475,12 +478,12 @@ let test_cutoff_outcomes () =
      both engines; only the cut-off is a resource limit *)
   let s = Sequent.make [ parse "a = b" ] (parse "a = c") in
   List.iter
-    (fun engine ->
+    (fun (engine : Fuzz.Folab.engine) ->
       Alcotest.(check string) "clause cap" "gave-up"
-        (outcome_name (Fol.outcome_with ~engine ~max_clauses:0 s));
+        (outcome_name (engine ~max_clauses:0 s));
       Alcotest.(check string) "wall-clock cut-off" "timed-out"
-        (outcome_name (Fol.outcome_with ~engine ~timeout_s:(-1.) s)))
-    [ Fol.Indexed; Fol.Naive ]
+        (outcome_name (engine ~timeout_s:(-1.) s)))
+    [ Fol.outcome_with; Fuzz.Folab.naive_outcome_with ]
 
 let test_outcome_counters () =
   (* one [fol.outcome.*] tally per refutation and a [fol.kept] count,
@@ -653,11 +656,12 @@ let test_corpus_parity () =
   List.iter
     (fun (name, s) ->
       if Fol.in_fragment s then begin
-        let run engine =
-          Fol.outcome_with ~engine ~max_clauses:2000 ~max_weight:10_000
-            ~max_lits:1_000 ~timeout_s:10.0 ~set_vars:(Fol.infer_set_vars s) s
+        let run (engine : Fuzz.Folab.engine) =
+          engine ~max_clauses:2000 ~max_weight:10_000 ~max_lits:1_000
+            ~timeout_s:10.0 ~set_vars:(Fol.infer_set_vars s) s
         in
-        let i = run Fol.Indexed and n = run Fol.Naive in
+        let i = run Fol.outcome_with
+        and n = run Fuzz.Folab.naive_outcome_with in
         if outcome_name i <> outcome_name n then
           Alcotest.failf "%s: indexed=%s naive=%s" name (outcome_name i)
             (outcome_name n)
@@ -679,14 +683,14 @@ let test_list_no_lost_proofs () =
     List.concat_map Vcgen.method_obligations (Gcl.Desugar.program_tasks prog)
     |> List.filter Fol.in_fragment
   in
-  let proves engine s =
-    Fol.outcome_with ~engine ~set_vars:(Fol.infer_set_vars s) s = Ok Fol.Proof
+  let proves (engine : Fuzz.Folab.engine) s =
+    engine ~set_vars:(Fol.infer_set_vars s) s = Ok Fol.Proof
   in
-  let naive = List.filter (proves Fol.Naive) obligations in
+  let naive = List.filter (proves Fuzz.Folab.naive_outcome_with) obligations in
   Alcotest.(check bool) "naive proves some" true (naive <> []);
   List.iter
     (fun s ->
-      if not (proves Fol.Indexed s) then
+      if not (proves Fol.outcome_with s) then
         Alcotest.failf "indexed engine lost the naive proof of %s"
           s.Sequent.name)
     naive
@@ -707,7 +711,7 @@ let test_scan_refuses_tree () =
     Alcotest.failf "expected unknown, got %s" (Sequent.verdict_to_string v));
   Alcotest.(check bool) "outside the fragment" false (Fol.in_fragment s);
   Alcotest.(check bool) "the translation refuses it too" true
-    (Result.is_error (Fol.outcome_with ~max_clauses:0 s));
+    (Result.is_error (Fol.translate ~set_vars:[] s));
   (* without the tree the same sequent is admitted and proved *)
   let s' = { s with Sequent.hyps = List.tl s.Sequent.hyps } in
   Alcotest.(check bool) "admitted" true (Fol.in_fragment s');

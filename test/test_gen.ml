@@ -65,9 +65,8 @@ let props =
       prop_membership "smt" Smt.in_fragment ~size_valve:max_int
         Formgen.Presburger;
       prop_membership "cooper"
-        (Presburger.Lia.in_fragment
-           ~env:(Formgen.type_env Formgen.Presburger))
-        ~size_valve:Presburger.Lia.max_size Formgen.Presburger;
+        (Fuzz.Lia.in_fragment ~env:(Formgen.type_env Formgen.Presburger))
+        ~size_valve:Fuzz.Lia.max_size Formgen.Presburger;
       prop_membership "bapa" Bapa.in_fragment ~size_valve:max_int Formgen.Bapa;
       prop_membership "fol" Fol.in_fragment ~size_valve:max_int Formgen.Fol;
       (* MONA caps at 400 nodes *after* simplification, which can expand
@@ -80,11 +79,9 @@ let props =
 (* Admission scans refuse only what the translations refuse            *)
 (* ------------------------------------------------------------------ *)
 
-(* the translations, run without the scans (fol's refutation is capped
-   at once: only the translation matters here) *)
+(* the translations, run without the scans *)
 let fol_translates (s : Sequent.t) : bool =
-  Result.is_ok
-    (Fol.outcome_with ~max_clauses:0 ~set_vars:(Fol.infer_set_vars s) s)
+  Result.is_ok (Fol.translate ~set_vars:(Fol.infer_set_vars s) s)
 
 let bapa_translates (s : Sequent.t) : bool =
   match Bapa.translate (Sequent.refutand s) with

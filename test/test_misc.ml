@@ -267,14 +267,14 @@ let test_routing () =
   with
   | Some "bapa" -> ()
   | p -> Alcotest.failf "card routed to %s" (Option.value p ~default:"-"));
-  (* reachability falls through to the MONA route *)
+  (* reachability falls through to first-order resolution *)
   match
     routed_by
       [ "rtrancl_pt (% u v. u..next = v) h x"; "x..next = y";
         "rtrancl_pt (% u v. u..next = v) h y" ]
       "rtrancl_pt (% u v. u..next = v) x y"
   with
-  | Some ("mona" | "fol") -> ()
+  | Some "fol" -> ()
   | p -> Alcotest.failf "reach routed to %s" (Option.value p ~default:"-")
 
 (* ------------------------------------------------------------------ *)

@@ -388,9 +388,7 @@ let test_rejections_counted () =
         (Printf.sprintf "prover.%s.rejected" name)
         spans
         (Trace.counter_value ("prover." ^ name ^ ".rejected")))
-    [ ("fol", "not first-order translatable");
-      ("bapa", "BAPA: ");
-      ("mona", "MONA route: ") ];
+    [ ("fol", "not first-order translatable"); ("bapa", "BAPA: ") ];
   Trace.reset ()
 
 let suite =
