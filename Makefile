@@ -19,7 +19,8 @@ test:
 # it) and portfolio ablation + a traced,
 # budgeted parallel run of the paper's List figures whose event log must
 # validate (verify exits 1 when not everything proves; only a hard
-# error, exit 2, fails the smoke) + the fuzz smoke + the end-to-end
+# error, exit 2, fails the smoke) + a usage error that must exit 2, not
+# escape as an exception + the fuzz smoke + the end-to-end
 # benchmark's self-test + the daemon round-trips + the --since store
 # check.  Performance is judged by e2ebench alone; no step here
 # rewrites a committed file
@@ -34,6 +35,8 @@ check:
 	  || [ $$? -eq 1 ]
 	dune exec -- jahob trace-check trace_smoke.jsonl
 	rm -f trace_smoke.jsonl
+	dune exec -- jahob prove --provers foo "x = x" 2> /dev/null; \
+	  [ $$? -eq 2 ]
 	$(MAKE) fuzz-smoke
 	$(MAKE) e2e-self-test
 	$(MAKE) serve-smoke

@@ -294,6 +294,7 @@ let prove_cmd =
          & info [] ~docv:"GOAL" ~doc:"Goal formula (Isabelle-subset syntax)")
   in
   let run hyps goal provers =
+    with_frontend_errors @@ fun () ->
     let parse s =
       try Logic.Parser.parse s
       with Logic.Parser.Error m -> failwith (Printf.sprintf "%s: %s" s m)

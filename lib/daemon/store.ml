@@ -76,7 +76,7 @@ type t = {
 (* ------------------------------------------------------------------ *)
 
 (* bump when the persisted layout itself changes *)
-let format_version = "jahob-store/5"
+let format_version = "jahob-store/6"
 
 (* every probe pokes at a convention the canonical printer encodes:
    integer vs set comparison tokens, set difference vs minus, binder
@@ -134,10 +134,12 @@ let fingerprint () : string =
    be refused with a precise reason — running Marshal against an old
    payload with the current type would be undefined behavior, so the
    version check must happen on raw bytes. *)
-let magic = "jahob-verdict-store/5\n"
+let magic = "jahob-verdict-store/6\n"
 
 let old_magics =
-  [ ("jahob-verdict-store/4\n", "v4 (own verdict table, no checksum)");
+  [ ( "jahob-verdict-store/5\n",
+      "v5 (may hold an invalid that a hypothesis filter made)" );
+    ("jahob-verdict-store/4\n", "v4 (own verdict table, no checksum)");
     ("jahob-verdict-store/3\n", "v3 (WS1S-engine key in method records)");
     ("jahob-verdict-store/2\n", "v2 (older method-record layout)");
     ("jahob-verdict-store\n", "v1 (no dependency index)") ]
@@ -153,7 +155,7 @@ let frame (payload : string) : string =
   Printf.sprintf "%d %s\n" (String.length payload)
     (Digest.to_hex (Digest.string payload))
 
-(* the payload of a v5 file's [body] (everything after the magic line),
+(* the payload of a v6 file's [body] (everything after the magic line),
    once its length and checksum match the frame *)
 let unframe (body : string) : (string, string) result =
   let header n md5 off = (n, md5, off) in
@@ -195,7 +197,7 @@ let read_file (path : string) : (persisted, string) result =
           old_magics
       with
       | Some (_, what) ->
-        Error ("version skew: store format " ^ what ^ ", this binary writes v5")
+        Error ("version skew: store format " ^ what ^ ", this binary writes v6")
       | None -> Error "bad magic (not a verdict store)")
 
 let default_log msg = Printf.eprintf "[store] %s\n%!" msg

@@ -5,10 +5,11 @@
     procedures", with "a simple goal decomposition technique to prove
     different conjuncts in the goal using different decision procedures".
 
-    The dispatcher types and simplifies an obligation jointly, drops the
-    hypotheses sharing no symbols with the goal, directly or transitively
-    ({!Sequent.relevant_hyps}), and settles it syntactically when it can;
-    then it offers that one sequent to the portfolio in declared order.
+    The dispatcher types and simplifies an obligation jointly and settles
+    it syntactically when it can; then it offers that one sequent, every
+    hypothesis kept, to the portfolio in declared order.  No prover sees
+    a weakened obligation, so an [Invalid] is a countermodel of the
+    obligation as stated.
     A prover that answers [Unknown] passes the goal on; [Valid] and
     [Invalid] are final.  The default portfolio is smt, bapa and fol
     ([Jahob.default_provers]).  Each prover's front end is its admission
@@ -205,10 +206,6 @@ let prove_uncached (d : t) (s : Sequent.t) : report =
         { s with
           Sequent.hyps = List.map Simplify.simplify s.Sequent.hyps;
           goal = Simplify.simplify s.Sequent.goal })
-  in
-  let s =
-    { s with
-      Sequent.hyps = Sequent.relevant_hyps s.Sequent.hyps s.Sequent.goal }
   in
   match syntactic s with
   | Some v ->

@@ -175,10 +175,10 @@ let extensionalize_goal (is_set : Form.t -> bool) (s : Sequent.t) : Sequent.t =
     }
   | _ -> s
 
-(** Saturate a sequent with ground instances (the original hypotheses are
-    kept), then keep the hypotheses connected to the goal
-    ({!Sequent.relevant_hyps}).  The trace span keeps the name
-    [dispatch:saturate] that e2ebench's [dispatch.saturate_s] reads. *)
+(** Saturate a sequent with ground instances: the result holds the
+    original hypotheses followed by the instances made.  The trace span
+    keeps the name [dispatch:saturate] that e2ebench's
+    [dispatch.saturate_s] reads. *)
 let saturate (s : Sequent.t) : Sequent.t =
   Trace.with_span ~cat:"dispatch" "saturate" @@ fun () ->
   let is_set = set_expr_detector s.Sequent.hyps s.Sequent.goal in
@@ -201,9 +201,8 @@ let saturate (s : Sequent.t) : Sequent.t =
       incr n_fresh
     end
   in
-  List.iter
-    (fun h -> Form.Tbl.replace seen (Simplify.simplify h) ())
-    s.Sequent.hyps;
+  let simplified = List.map Simplify.simplify s.Sequent.hyps in
+  List.iter (fun h -> Form.Tbl.replace seen h ()) simplified;
   let expand (frontier : Form.t list) : Form.t list =
     let produced = ref [] in
     List.iter
@@ -240,6 +239,5 @@ let saturate (s : Sequent.t) : Sequent.t =
       go (k - 1) fresh
     end
   in
-  go 3 (List.map Simplify.simplify s.Sequent.hyps);
-  let hyps = s.Sequent.hyps @ List.rev !fresh_facts in
-  { s with Sequent.hyps = Sequent.relevant_hyps hyps s.Sequent.goal }
+  go 3 simplified;
+  { s with Sequent.hyps = s.Sequent.hyps @ List.rev !fresh_facts }

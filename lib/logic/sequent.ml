@@ -207,25 +207,6 @@ let digest (s : t) : string =
 let refutand (s : t) : Form.t =
   Simplify.simplify (Form.mk_and (s.hyps @ [ Form.mk_not s.goal ]))
 
-(* the fixpoint works on each hypothesis's free variables, computed once *)
-let relevant_hyps (hyps : Form.t list) (goal : Form.t) : Form.t list =
-  let hyp_fvs = List.map (fun h -> (h, Form.fv h)) hyps in
-  let meets hv reached = not (Form.Sset.disjoint hv reached) in
-  let rec grow reached =
-    let next =
-      List.fold_left
-        (fun acc (_, hv) ->
-          if meets hv reached then Form.Sset.union acc hv else acc)
-        reached hyp_fvs
-    in
-    if Form.Sset.equal next reached then reached else grow next
-  in
-  let reached = grow (Form.fv goal) in
-  List.filter_map
-    (fun (h, hv) ->
-      if Form.Sset.is_empty hv || meets hv reached then Some h else None)
-    hyp_fvs
-
 let pp ppf (s : t) =
   Format.fprintf ppf "@[<v>%a@]"
     (fun ppf () ->

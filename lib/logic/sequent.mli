@@ -67,10 +67,6 @@ val digest : t -> string
     the formula the refutation-based provers (smt, bapa, fol) translate. *)
 val refutand : t -> Form.t
 
-(** The closed hypotheses and those sharing a free variable with the
-    goal, directly or through other kept hypotheses. *)
-val relevant_hyps : Form.t list -> Form.t -> Form.t list
-
 val pp : Format.formatter -> t -> unit
 val verdict_to_string : verdict -> string
 

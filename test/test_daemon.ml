@@ -221,7 +221,7 @@ let test_store_fingerprint_mismatch () =
       []
   in
   Out_channel.with_open_bin p (fun oc ->
-      Printf.fprintf oc "jahob-verdict-store/5\n%d %s\n%s"
+      Printf.fprintf oc "jahob-verdict-store/6\n%d %s\n%s"
         (String.length payload)
         (Digest.to_hex (Digest.string payload))
         payload);
@@ -251,17 +251,19 @@ let test_store_v1_version_skew () =
   Alcotest.(check int) "v1 entries refused" 0 (Daemon.Store.entries s);
   Alcotest.(check int) "v1 method records refused" 0
     (Daemon.Store.method_count s);
-  (* the cold store is fully usable and rewrites the file as v5 *)
+  (* the cold store is fully usable and rewrites the file as v6 *)
   settle c d1 Sequent.Valid None;
   Daemon.Store.save s;
-  Alcotest.(check bool) "rewritten as v5" true
+  Alcotest.(check bool) "rewritten as v6" true
     (Daemon.Store.status (snd (load_fresh p)) = Daemon.Store.Warm 1);
   Sys.remove p
 
-(* v2, v3 and v4 stores carry Marshal payloads of older layouts (v4 had
-   the store's own verdict table and no checksum, v3 a WS1S-engine key,
-   v2 predates it); each must be refused on its raw magic line with a
-   version-skew reason naming the version, never unmarshalled *)
+(* v2 to v5 stores carry Marshal payloads of older layouts or verdicts
+   this binary does not trust (v5 may hold an [invalid] settled on a
+   sequent whose unconnected hypotheses were dropped, v4 had the store's
+   own verdict table and no checksum, v3 a WS1S-engine key, v2 predates
+   it); each must be refused on its raw magic line with a version-skew
+   reason naming the version, never unmarshalled *)
 let test_store_v2_version_skew () =
   List.iter
     (fun v ->
@@ -279,7 +281,7 @@ let test_store_v2_version_skew () =
       Alcotest.(check bool) "skew logged" true (!logged <> []);
       Alcotest.(check int) "old entries refused" 0 (Daemon.Store.entries s);
       Sys.remove p)
-    [ "2"; "3"; "4" ]
+    [ "2"; "3"; "4"; "5" ]
 
 (* the method/dependency index survives save/load, and so does a
    removal; without a cache (--no-cache) the file's verdicts carry over
@@ -336,7 +338,7 @@ let test_store_kill9_mid_write () =
      the directory; the committed store must be untouched by it *)
   let tmp = p ^ ".tmp.killed" in
   Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc "jahob-verdict-store/5\ngarbage");
+      Out_channel.output_string oc "jahob-verdict-store/6\ngarbage");
   let c', s' = load_fresh p in
   Alcotest.(check bool) "survives stale temp" true
     (Daemon.Store.status s' = Daemon.Store.Warm 1);

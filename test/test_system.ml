@@ -233,10 +233,19 @@ let test_dispatch_portfolio_order () =
   let r = Dispatch.prove_sequent d s in
   Alcotest.(check bool) "proved" true (r.Dispatch.verdict = Sequent.Valid)
 
-let test_dispatch_relevance_filter () =
-  let hyps = List.init 30 (fun i -> parse (Printf.sprintf "u%d = v%d" i i)) in
-  let filtered = Sequent.relevant_hyps (parse "a = b" :: hyps) (parse "b = a") in
-  Alcotest.(check int) "unrelated hypotheses dropped" 1 (List.length filtered)
+(* contradictory hypotheses prove any goal, whether or not they share a
+   name with it: the default portfolio sees every hypothesis, so neither
+   sequent may come back with a countermodel *)
+let test_dispatch_contradiction_unconnected () =
+  let d = Dispatch.create (Jahob_core.Jahob.default_provers ()) in
+  List.iter
+    (fun (hyps, goal) ->
+      let s = Sequent.make (List.map parse hyps) (parse goal) in
+      Alcotest.(check string)
+        (String.concat ", " hyps ^ " |- " ^ goal)
+        "valid"
+        (Sequent.verdict_kind (Dispatch.prove_sequent d s).Dispatch.verdict))
+    [ ([ "x = 1"; "x = 2" ], "False"); ([ "x : A"; "x ~: A" ], "c = d") ]
 
 let test_dispatch_bapa_unsaturated () =
   (* saturation would add [x : A --> x : B] and, by unit propagation, the
@@ -254,8 +263,9 @@ let test_dispatch_bapa_unsaturated () =
 
 let test_dispatch_contract () =
   (* smt saturates its own input; a prover after it receives the sequent
-     the dispatcher simplified and filtered: no ground instances, and the
-     set equality goal not extensionalized *)
+     the dispatcher simplified, every hypothesis kept ([u = w] shares no
+     name with the goal): no ground instances, and the set equality goal
+     not extensionalized *)
   let seen = ref [] in
   let recorder =
     { Sequent.prover_name = "recorder";
@@ -273,8 +283,8 @@ let test_dispatch_contract () =
   ignore (Dispatch.prove_sequent d s);
   match !seen with
   | [ r ] ->
-    Alcotest.(check (list string)) "simplified, filtered, not saturated"
-      [ "ALL v. v : A --> v : B"; "x : A" ]
+    Alcotest.(check (list string)) "simplified, all kept, not saturated"
+      [ "ALL v. v : A --> v : B"; "x : A"; "u = w" ]
       (List.map Pprint.to_string r.Sequent.hyps);
     Alcotest.(check string) "goal as simplified" "A = B"
       (Pprint.to_string r.Sequent.goal)
@@ -409,13 +419,14 @@ let test_list_groups_pinned () =
       Printf.sprintf
         "given=%d kept=%d dedup=%d forward=%d backward=%d retrieved=%d \
          scanned=%d proof=%d saturated=%d gave_up=%d timed_out=%d \
-         smt_checks=%d smt_conflicts=%d"
+         smt_checks=%d smt_conflicts=%d smt_refuted=%d"
         (c "fol.given") (c "fol.kept") (c "fol.dedup.hits")
         (c "fol.subsume.forward") (c "fol.subsume.backward")
         (c "fol.index.retrieved") (c "fol.index.scanned")
         (c "fol.outcome.proof") (c "fol.outcome.saturated")
         (c "fol.outcome.gave_up") (c "fol.outcome.timed_out")
         (c "smt.theory_checks") (c "smt.conflicts")
+        (c "prover.smt.refuted")
     in
     Trace.reset ();
     let reports =
@@ -465,13 +476,13 @@ let test_list_groups_pinned () =
       "List.remove: invariant 3 of List preserved";
       "List.remove: postcondition of remove";
     ]
-    "given=2210 kept=22941 dedup=10599 forward=4317 backward=393 \
-     retrieved=39846 scanned=2623353 proof=3 saturated=9 gave_up=5 \
-     timed_out=0 smt_checks=3172 smt_conflicts=35";
+    "given=2240 kept=22941 dedup=10599 forward=4323 backward=393 \
+     retrieved=39846 scanned=2623413 proof=3 saturated=9 gave_up=5 \
+     timed_out=0 smt_checks=3428 smt_conflicts=36 smt_refuted=0";
   check "list_annotated" (101, 0, 0) []
-    "given=1659 kept=16064 dedup=9052 forward=2413 backward=338 \
-     retrieved=29416 scanned=2468439 proof=1 saturated=9 gave_up=4 \
-     timed_out=0 smt_checks=2789 smt_conflicts=29"
+    "given=1689 kept=16064 dedup=9052 forward=2419 backward=338 \
+     retrieved=29416 scanned=2468499 proof=1 saturated=9 gave_up=4 \
+     timed_out=0 smt_checks=3045 smt_conflicts=30 smt_refuted=0"
 
 (* the arrays group exercises the [$aread]/[$awrite] array lemmas, whose
    instantiation order decides atom order and with it smt's search: a
@@ -492,7 +503,7 @@ let test_arrays_smt_pinned () =
   Trace.reset ();
   Alcotest.(check bool) "arrays: fully verified" true
     report.Jahob_core.Jahob.ok;
-  Alcotest.(check string) "arrays: smt search" "smt_checks=42 smt_conflicts=5"
+  Alcotest.(check string) "arrays: smt search" "smt_checks=51 smt_conflicts=5"
     search
 
 let test_verify_buffer () =
@@ -522,6 +533,78 @@ let test_unsound_spec_rejected () =
   let prog = Javaparser.Jparser.parse_program src in
   let report = Jahob_core.Jahob.verify_program prog in
   Alcotest.(check bool) "bad spec not verified" false report.Jahob_core.Jahob.ok
+
+(* a contradictory precondition makes every postcondition hold, even one
+   on a field the precondition never names *)
+let test_vacuous_precondition_verifies () =
+  let path = Filename.temp_file "jahob_vacuous" ".java" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        "class V {\n\
+         static int x;\n\
+         static int y;\n\
+         public static void m()\n\
+         /*: requires \"V.x = 1 & V.x = 2\" ensures \"V.y = 3\" */\n\
+         {\n\
+         y = 4;\n\
+         }\n\
+         }\n");
+  let report =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () -> Jahob_core.Jahob.verify_files [ path ])
+  in
+  Alcotest.(check (pair int int)) "obligations, valid" (1, 1) (count report);
+  Alcotest.(check bool) "verified" true report.Jahob_core.Jahob.ok
+
+(* smoke check of FIG1-4b's assume bridges: an [assert "False"] after each
+   of List.java's 14 assumes gives 22 obligations.  A proved one would
+   mean the assumptions before it contradict each other; none may prove.
+   None is refuted either, so all 22 stay unknown *)
+let test_list_annotated_smoke () =
+  let dir = Filename.temp_dir "jahob_smoke" "" in
+  let src = examples_dir ^ "/list_annotated/" in
+  let copy ?(edit = fun l -> [ l ]) f =
+    let lines = In_channel.with_open_text (src ^ f) In_channel.input_lines in
+    Out_channel.with_open_text (Filename.concat dir f) (fun oc ->
+        List.iter
+          (fun l -> output_string oc (l ^ "\n"))
+          (List.concat_map edit lines))
+  in
+  let smoke l =
+    let body = String.trim l in
+    if String.starts_with ~prefix:"//: assume" body then
+      let indent = String.sub l 0 (String.index l '/') in
+      [ l; indent ^ "//: assert \"False\";" ]
+    else [ l ]
+  in
+  copy "Client.java";
+  copy ~edit:smoke "List.java";
+  let files = List.map (Filename.concat dir) [ "Client.java"; "List.java" ] in
+  let opts = { (Jahob_core.Jahob.default_options ()) with jobs = 1 } in
+  let report =
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter Sys.remove files;
+        Sys.rmdir dir)
+      (fun () -> Jahob_core.Jahob.verify_files ~opts files)
+  in
+  let smoke_kinds =
+    List.concat_map
+      (fun (m : Jahob_core.Jahob.method_report) ->
+        List.filter_map
+          (fun r ->
+            if
+              String.ends_with ~suffix:": assert annotation"
+                r.Dispatch.sequent.Sequent.name
+            then Some (Sequent.verdict_kind r.Dispatch.verdict)
+            else None)
+          m.Jahob_core.Jahob.obligations.Dispatch.reports)
+      report.Jahob_core.Jahob.methods
+  in
+  Alcotest.(check (list string)) "smoke obligations"
+    (List.init 22 (fun _ -> "unknown"))
+    smoke_kinds
 
 let test_obligation_counts_stable () =
   let report = verify [ "game/Game.java" ] in
@@ -556,9 +639,9 @@ let suite =
     ( "dispatch",
       [ Alcotest.test_case "portfolio order" `Quick
           test_dispatch_portfolio_order;
-        Alcotest.test_case "relevance filter" `Quick
-          test_dispatch_relevance_filter;
         Alcotest.test_case "stats" `Quick test_dispatch_stats;
+        Alcotest.test_case "unconnected contradiction proves the goal"
+          `Quick test_dispatch_contradiction_unconnected;
         Alcotest.test_case "bapa sees the unsaturated sequent" `Quick
           test_dispatch_bapa_unsaturated;
         Alcotest.test_case "provers after smt see the dispatcher's sequent"
@@ -585,5 +668,9 @@ let suite =
           test_unsound_spec_rejected;
         Alcotest.test_case "obligation accounting" `Quick
           test_obligation_counts_stable;
+        Alcotest.test_case "vacuous precondition verifies" `Quick
+          test_vacuous_precondition_verifies;
+        Alcotest.test_case "smoke: no assume bridge is vacuous" `Slow
+          test_list_annotated_smoke;
       ] );
   ]
