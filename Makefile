@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI should run.
 
-.PHONY: all build test check fuzz-smoke e2e-self-test serve-smoke since-smoke bench clean
+.PHONY: all build test check cache-check fuzz-smoke e2e-self-test serve-smoke since-smoke bench clean
 
 all: build
 
@@ -20,9 +20,9 @@ test:
 # budgeted parallel run of the paper's List figures whose event log must
 # validate (verify exits 1 when not everything proves; only a hard
 # error, exit 2, fails the smoke) + a usage error that must exit 2, not
-# escape as an exception + the fuzz smoke + the end-to-end
-# benchmark's self-test + the daemon round-trips + the --since store
-# check.  Performance is judged by e2ebench alone; no step here
+# escape as an exception + the cache check + the fuzz smoke + the
+# end-to-end benchmark's self-test + the daemon round-trips + the
+# --since store check.  Performance is judged by e2ebench alone; no step here
 # rewrites a committed file
 check:
 	dune build
@@ -37,10 +37,27 @@ check:
 	rm -f trace_smoke.jsonl
 	dune exec -- jahob prove --provers foo "x = x" 2> /dev/null; \
 	  [ $$? -eq 2 ]
+	$(MAKE) cache-check
 	$(MAKE) fuzz-smoke
 	$(MAKE) e2e-self-test
 	$(MAKE) serve-smoke
 	$(MAKE) since-smoke
+
+# every example group prints a byte-identical report with and without
+# the verdict cache: a replayed verdict, a deterministic unknown
+# included, reads as a fresh attempt's.  Exit 1 ("not fully verified")
+# is a report too; only a hard error, exit 2, fails the step
+EXAMPLE_GROUPS = arrays assoc game global list list_annotated stack
+cache-check:
+	for g in $(EXAMPLE_GROUPS); do \
+	  dune exec -- jahob verify -j 1 examples/$$g/*.java \
+	    > cache_check.on; [ $$? -le 1 ] || exit 1; \
+	  dune exec -- jahob verify -j 1 --no-cache examples/$$g/*.java \
+	    > cache_check.off; [ $$? -le 1 ] || exit 1; \
+	  cmp cache_check.on cache_check.off \
+	    || { echo "cache-check: $$g reports differ"; exit 1; }; \
+	done
+	rm -f cache_check.on cache_check.off
 
 # a short fixed-seed differential fuzz of every fragment: any prover
 # disagreement (or prover-vs-oracle contradiction) exits non-zero.

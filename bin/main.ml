@@ -17,7 +17,8 @@ let no_inference_arg =
 let provers_arg =
   Arg.(value & opt (some string) None
        & info [ "provers" ]
-           ~doc:"Comma-separated prover order (smt, bapa, fol)")
+           ~doc:"Comma-separated prover order (smt, bapa, fol); \
+                 loop-invariant inference asks the same provers")
 
 let select_provers (spec : string option) : Logic.Sequent.prover list =
   match spec with

@@ -338,8 +338,9 @@ let translate (f : Form.t) : Pform.t =
   in
   Pform.mk_and ((core :: nonneg) @ singleton_constraints)
 
-(* the work cap of the Cooper fallback: the size of any one elimination's
-   expansion and of any intermediate formula ({!Presburger.Cooper.qelim}) *)
+(* the work cap of the Cooper fallback: the nodes of the copies any one
+   elimination builds and the size of any intermediate formula
+   ({!Presburger.Cooper.qelim}) *)
 let cooper_cap = 200_000
 
 (* Cooper's full quantifier elimination on a small system, within

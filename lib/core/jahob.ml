@@ -62,19 +62,11 @@ let effective_jobs (j : int) : int =
   if j <= 0 then min (Domain.recommended_domain_count ()) max_jobs
   else min j max_jobs
 
-(* loop-invariant inference uses the fast provers only; the full portfolio
-   still checks the final obligations *)
-let shape_provers (opts : options) : Logic.Sequent.prover list =
-  List.filter
-    (fun (p : Logic.Sequent.prover) ->
-      p.Logic.Sequent.prover_name = "smt" || p.Logic.Sequent.prover_name = "fol")
-    opts.provers
-
-let vcgen_options ?(drop = []) (opts : options) (shape : Dispatch.t)
+let vcgen_options ?(drop = []) (opts : options) (dispatcher : Dispatch.t)
     (task : Gcl.Desugar.method_task) : Vcgen.options =
   if opts.infer_loop_invariants then
     { Vcgen.infer_invariant =
-        Shape.infer ~drop shape ~seeds:task.Gcl.Desugar.task_seeds }
+        Shape.infer ~drop dispatcher ~seeds:task.Gcl.Desugar.task_seeds }
   else Vcgen.default_options
 
 (* ------------------------------------------------------------------ *)
@@ -82,16 +74,14 @@ let vcgen_options ?(drop = []) (opts : options) (shape : Dispatch.t)
 (* ------------------------------------------------------------------ *)
 
 (** Everything that should stay warm across verification requests: the
-    worker pool, the verdict cache and the two dispatchers that consult
-    the cache (the portfolio's and shape inference's).  A one-shot
-    [verify_files] builds a throwaway engine; [jahob serve] builds one at
-    startup and answers every request from it. *)
+    worker pool and the one dispatcher, with its verdict cache, that
+    proves both the obligations and shape inference's Houdini checks.  A
+    one-shot [verify_files] builds a throwaway engine; [jahob serve]
+    builds one at startup and answers every request from it. *)
 type engine = {
   eng_opts : options;
   eng_pool : Dispatch.Pool.t option;
-  eng_cache : Dispatch.Cache.t option;
   eng_dispatcher : Dispatch.t;
-  eng_shape : Dispatch.t; (* shape inference's Houdini checks *)
   eng_drop_memo : (string, Logic.Form.t list) Hashtbl.t;
   eng_drop_lock : Mutex.t;
       (* converged counterexample-driven drop lists per method, keyed by
@@ -121,20 +111,12 @@ let create_engine (opts : options) : engine =
          else Dispatch.Cache.create ())
     else None
   in
-  let dispatcher =
-    Dispatch.create ?pool ?cache ?budget_s:opts.budget_s opts.provers
-  in
-  (* shape inference shares the cache and the budget: initiation and
-     preservation checks repeat across weakening rounds and across
-     daemon requests.  Their Valid/Invalid verdicts are semantic facts
-     independent of which dispatcher settled them; their deterministic
-     Unknowns are kept under this smt+fol portfolio and replayed only to
-     dispatchers with the same one *)
-  let shape =
-    Dispatch.create ?cache ?budget_s:opts.budget_s (shape_provers opts)
-  in
-  { eng_opts = opts; eng_pool = pool; eng_cache = cache;
-    eng_dispatcher = dispatcher; eng_shape = shape;
+  (* shape inference's initiation and preservation checks go through
+     this dispatcher too: they repeat across weakening rounds and across
+     daemon requests, and the cache settles each once *)
+  { eng_opts = opts; eng_pool = pool;
+    eng_dispatcher =
+      Dispatch.create ?pool ?cache ?budget_s:opts.budget_s opts.provers;
     eng_drop_memo = Hashtbl.create 32;
     eng_drop_lock = Mutex.create () }
 
@@ -163,7 +145,8 @@ let drop_memo_add (e : engine) (k : string) (v : Logic.Form.t list) : unit =
   (if not (Hashtbl.mem e.eng_drop_memo k) then Hashtbl.replace e.eng_drop_memo k v);
   Mutex.unlock e.eng_drop_lock
 
-let engine_cache (e : engine) : Dispatch.Cache.t option = e.eng_cache
+let engine_cache (e : engine) : Dispatch.Cache.t option =
+  Dispatch.cache e.eng_dispatcher
 let engine_dispatcher (e : engine) : Dispatch.t = e.eng_dispatcher
 
 let shutdown_engine (e : engine) : unit =
@@ -187,7 +170,7 @@ let verify_task_summary (e : engine) (task : Gcl.Desugar.method_task) :
       "round"
       (fun () -> attempt_once round key drop)
   and attempt_once round key (drop : Logic.Form.t list) =
-    let vopts = vcgen_options ~drop opts e.eng_shape task in
+    let vopts = vcgen_options ~drop opts dispatcher task in
     let obligations = Vcgen.method_obligations ~opts:vopts task in
     let key =
       if round = 0 then Some (drop_key task obligations) else key
@@ -346,7 +329,7 @@ let replay_report ((oname, kind, prover) : string * string * string) :
 let verify (e : engine) ?(source : method_source option) (prog : Ast.program)
     : program_report =
   let opts = e.eng_opts in
-  Option.iter Dispatch.Cache.new_epoch e.eng_cache;
+  Option.iter Dispatch.Cache.new_epoch (engine_cache e);
   let ctx =
     match source with
     | None -> ""
@@ -442,7 +425,7 @@ let verify (e : engine) ?(source : method_source option) (prog : Ast.program)
       { method_name = name; obligations = summary; provenance }
   in
   let methods = Dispatch.Pool.map_opt e.eng_pool verify_one jobs in
-  Option.iter (fun c -> ignore (Dispatch.Cache.trim c)) e.eng_cache;
+  Option.iter (fun c -> ignore (Dispatch.Cache.trim c)) (engine_cache e);
   { methods; ok = report_ok methods; dispatcher = e.eng_dispatcher }
 
 (** Verify every method of a parsed program (one-shot: builds an engine,

@@ -35,6 +35,8 @@ val default_provers : unit -> Logic.Sequent.prover list
 
 type options = {
   provers : Logic.Sequent.prover list;
+      (** the portfolio, for the obligations and shape inference's
+          Houdini checks alike *)
   infer_loop_invariants : bool;
   jobs : int;
       (** worker domains for parallel dispatch; 1 verifies sequentially *)
@@ -52,15 +54,16 @@ type options = {
 val default_options : unit -> options
 
 (** Everything that should stay warm across verification requests: the
-    worker pool and the verdict cache.  A
-    one-shot {!verify_files} builds a throwaway engine; [jahob serve]
-    builds one at startup and answers every request from it. *)
+    worker pool and one dispatcher with its verdict cache, which proves
+    the obligations and shape inference's Houdini checks.  A one-shot
+    {!verify_files} builds a throwaway engine; [jahob serve] builds one
+    at startup and answers every request from it. *)
 type engine
 
 val create_engine : options -> engine
 
-(** The engine's verdict cache, when caching is enabled — what a
-    persistent store preloads and drains. *)
+(** The engine dispatcher's verdict cache, when caching is enabled —
+    what a persistent store preloads and drains. *)
 val engine_cache : engine -> Dispatch.Cache.t option
 
 val engine_dispatcher : engine -> Dispatch.t

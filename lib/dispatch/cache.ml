@@ -10,16 +10,14 @@
 
     {2 Unknown verdicts}
 
-    [Valid] and [Invalid] are facts about the obligation, so they are
-    stored under the bare digest and answer every dispatcher.  An
-    [Unknown] is a fact about the portfolio that tried: the dispatcher
-    publishes one only when no attempt on it was resource-limited (no
-    budget, cancellation, crash or wall-clock cut-off), and it is stored
-    under the digest {e qualified by that portfolio}, so it is replayed
-    only to a dispatcher that would have tried the same provers the same
-    way — never, say, to the full portfolio from shape inference's
-    smt+fol dispatcher sharing this cache.  Such entries never leave the
-    process: {!fold_settled} skips them.
+    A cache serves one portfolio: the dispatcher that owns it
+    ({!Dispatch.create}).  [Valid] and [Invalid] are facts about the
+    obligation; an [Unknown] is a fact about that portfolio, and the
+    dispatcher publishes one only when no attempt on it was
+    resource-limited (no budget, cancellation, crash or wall-clock
+    cut-off).  Every verdict is stored under the sequent's digest, so a
+    deterministic Unknown is replayed exactly as a settled verdict is.
+    Unknowns never leave the process: {!fold_settled} skips them.
 
     {2 The in-flight claim table}
 
@@ -30,9 +28,7 @@
     the [settled] condvar and are served the published verdict as a hit,
     exactly as they would have been sequentially.  A claim owner must
     {!publish} its verdict or {!abandon} the claim (a resource-limited
-    Unknown, a prover exception).  Publishing an Unknown stores the
-    qualified entry and releases the claim in one step, so waiters of
-    the same portfolio replay it; an abandon wakes the waiters, and the
+    Unknown, a prover exception).  An abandon wakes the waiters, and the
     first to re-check claims the key afresh — so a resource-limited
     Unknown is re-attempted exactly as often as it would be at [-j 1].
     Counters are bumped once per {!acquire}, at resolution, which makes
@@ -57,8 +53,7 @@ type state =
 type t = {
   lock : Mutex.t; (* guards everything mutable below *)
   settled : Condition.t; (* signalled on publish and abandon *)
-  table : (string, state) Hashtbl.t;
-      (* bare digests, and the portfolio-qualified keys of Unknowns *)
+  table : (string, state) Hashtbl.t; (* keyed by sequent digest *)
   cap : int; (* settled entries kept across batches *)
   mutable epoch : int; (* batch counter; moves only between batches *)
   mutable hits : int;
@@ -87,11 +82,6 @@ let create ?(cap = default_cap) () : t =
 (** The cache key of a sequent (see {!Logic.Sequent.digest}). *)
 let key (s : Sequent.t) : string = Sequent.digest s
 
-(* where [portfolio]'s Unknown for bare key [k] is stored; digests are
-   hex, so no bare key contains the separator *)
-let unknown_key (k : string) (portfolio : string) : string =
-  k ^ "?" ^ portfolio
-
 let is_unknown (e : entry) =
   match e.verdict with Sequent.Unknown _ -> true | _ -> false
 
@@ -99,76 +89,51 @@ type claim =
   | Hit of entry (* served from the cache (possibly after a wait) *)
   | Claimed (* this caller owns the key: publish or abandon it *)
 
-(** Look the key up, claiming it if absent.  With [portfolio], a settled
-    verdict is preferred and that portfolio's Unknown is replayed
-    otherwise.  Exactly one hit or miss is counted per call, at
-    resolution time, so the counters do not depend on how claims
-    interleave; only the [cache.wait] trace counter (blocked lookups)
-    depends on the schedule. *)
-let acquire ?portfolio (c : t) (k : string) : claim =
-  let hit sl =
-    c.hits <- c.hits + 1;
-    sl.used <- c.epoch;
-    let replay = is_unknown sl.entry in
-    if replay then c.replayed <- c.replayed + 1;
-    Mutex.unlock c.lock;
-    Trace.incr "cache.hit";
-    if replay then Trace.incr "cache.unknown_replayed";
-    Hit sl.entry
-  in
+(** Look the key up: a hit on its entry, or a claim on it when it has
+    none.  Exactly one hit or miss is counted per call, at resolution
+    time, so the counters do not depend on how claims interleave; only
+    the [cache.wait] trace counter (blocked lookups) depends on the
+    schedule. *)
+let acquire (c : t) (k : string) : claim =
   Mutex.lock c.lock;
   let rec resolve () =
     match Hashtbl.find_opt c.table k with
-    | Some (Done sl) -> hit sl
+    | Some (Done sl) ->
+      c.hits <- c.hits + 1;
+      sl.used <- c.epoch;
+      let replay = is_unknown sl.entry in
+      if replay then c.replayed <- c.replayed + 1;
+      Mutex.unlock c.lock;
+      Trace.incr "cache.hit";
+      if replay then Trace.incr "cache.unknown_replayed";
+      Hit sl.entry
     | Some Inflight ->
       Trace.incr "cache.wait";
       Condition.wait c.settled c.lock;
       resolve ()
-    | None -> (
-      let replay =
-        match portfolio with
-        | Some p -> Hashtbl.find_opt c.table (unknown_key k p)
-        | None -> None
-      in
-      match replay with
-      | Some (Done sl) -> hit sl
-      | Some Inflight | None ->
-        Hashtbl.replace c.table k Inflight;
-        c.misses <- c.misses + 1;
-        Mutex.unlock c.lock;
-        Trace.incr "cache.miss";
-        Claimed)
+    | None ->
+      Hashtbl.replace c.table k Inflight;
+      c.misses <- c.misses + 1;
+      Mutex.unlock c.lock;
+      Trace.incr "cache.miss";
+      Claimed
   in
   resolve ()
 
-(* drop an in-flight claim on [k]; the caller holds the lock *)
-let release_claim (c : t) (k : string) : unit =
-  match Hashtbl.find_opt c.table k with
-  | Some Inflight -> Hashtbl.remove c.table k
-  | Some (Done _) | None -> ()
-
-(** Publish the verdict for a key (normally one this caller claimed) and
-    wake any waiters.  A settled verdict is stored under [k].  An Unknown
-    is stored under [k] qualified by [portfolio] — not at all without
-    one — and the claim on [k] is released in the same critical section,
-    so waiters of that portfolio find the entry when they wake. *)
-let publish ?portfolio (c : t) (k : string) (e : entry) : unit =
+(** Publish the verdict for a key (normally one this caller claimed),
+    Unknown or not, and wake any waiters. *)
+let publish (c : t) (k : string) (e : entry) : unit =
   Mutex.protect c.lock (fun () ->
-      let slot = Done { entry = e; used = c.epoch } in
-      if not (is_unknown e) then Hashtbl.replace c.table k slot
-      else begin
-        Option.iter
-          (fun p -> Hashtbl.replace c.table (unknown_key k p) slot)
-          portfolio;
-        release_claim c k
-      end;
+      Hashtbl.replace c.table k (Done { entry = e; used = c.epoch });
       Condition.broadcast c.settled)
 
 (** Give a claim up without caching anything (resource-limited Unknowns,
     prover exceptions).  The first waiter to wake re-claims the key. *)
 let abandon (c : t) (k : string) : unit =
   Mutex.protect c.lock (fun () ->
-      release_claim c k;
+      (match Hashtbl.find_opt c.table k with
+       | Some Inflight -> Hashtbl.remove c.table k
+       | Some (Done _) | None -> ());
       Condition.broadcast c.settled)
 
 (* ------------------------------------------------------------------ *)
@@ -222,7 +187,7 @@ let preload (c : t) (kvs : (string * entry) list) : unit =
 (** Fold over the settled entries in deterministic (key-sorted) order —
     how a persistent store writes the cache to disk after a batch.
     Unknown entries are skipped: they hold only for this process's
-    portfolios.  Call between batches. *)
+    portfolio.  Call between batches. *)
 let fold_settled (c : t) (f : 'a -> string -> entry -> 'a) (init : 'a) : 'a =
   let kvs =
     Mutex.protect c.lock (fun () ->

@@ -30,8 +30,9 @@
     [prover.<name>.{attempts,proved,refuted,raised}].
 
     The cache also replays [Unknown] — but only an Unknown that no
-    resource limit produced, and only to a dispatcher with the same
-    portfolio.  Every attempt reports whether it was resource-limited:
+    resource limit produced.  A cache serves the one dispatcher that
+    owns it, so a replayed Unknown comes from the same portfolio.  Every
+    attempt reports whether it was resource-limited:
     a budget exceeded or cancelled, a {!Deadline.Expired}, a prover
     that raised, or a prover's own {!Sequent.Resource_limited} (fol's
     wall-clock cut-off).  Fuel, clause caps,
@@ -57,7 +58,6 @@ type report = {
 type t = {
   provers : Sequent.prover list;
   budget_s : float option; (* wall-clock budget per prover attempt *)
-  portfolio : string; (* qualifies this dispatcher's cached Unknowns *)
   pool : Pool.t option; (* fan obligations out when present *)
   cache : Cache.t option; (* verdict memoization when present *)
 }
@@ -95,16 +95,11 @@ let run_budgeted ~(budget_s : float) (p : Sequent.prover) (s : Sequent.t) :
       "exceeded";
     (Sequent.Unknown (Printf.sprintf "budget of %gs exceeded" budget_s), true)
 
-(* What decides a deterministic Unknown: the provers tried.  Order does
-   not: an Unknown means every prover was tried and none settled the
-   goal. *)
-let portfolio_of (provers : Sequent.prover list) : string =
-  String.concat ","
-    (List.sort_uniq String.compare
-       (List.map (fun p -> p.Sequent.prover_name) provers))
-
+(** A dispatcher over [provers], in dispatch order.  A [cache] must
+    serve this one dispatcher: it replays the portfolio's deterministic
+    Unknowns, which another portfolio might settle. *)
 let create ?pool ?cache ?budget_s (provers : Sequent.prover list) : t =
-  { provers; budget_s; portfolio = portfolio_of provers; pool; cache }
+  { provers; budget_s; pool; cache }
 
 (* ------------------------------------------------------------------ *)
 (* Proving                                                             *)
@@ -219,8 +214,7 @@ let prove_sequent_inner (d : t) (s : Sequent.t) : report =
   | None -> prove_uncached d s
   | Some cache -> (
     let k = Cache.key s in
-    let portfolio = d.portfolio in
-    match Cache.acquire ~portfolio cache k with
+    match Cache.acquire cache k with
     | Cache.Hit e ->
       { sequent = s;
         verdict = e.Cache.verdict;
@@ -235,13 +229,13 @@ let prove_sequent_inner (d : t) (s : Sequent.t) : report =
       | r ->
         (* a resource-limited Unknown is not what a fresh attempt would
            return — a later, better-resourced one may succeed — so it is
-           not cached; any other Unknown is stored for this portfolio *)
+           not cached; any other Unknown is *)
         if r.limited then begin
           Cache.abandon cache k;
           Trace.incr "cache.unknown_not_cached"
         end
         else
-          Cache.publish ~portfolio cache k
+          Cache.publish cache k
             { Cache.verdict = r.verdict; prover = r.prover };
         r
       | exception e ->
@@ -251,11 +245,9 @@ let prove_sequent_inner (d : t) (s : Sequent.t) : report =
 (** Prove one sequent with the portfolio, consulting the verdict cache
     first.  The cache key is computed on the incoming sequent, before any
     simplification, so a repeated obligation costs one canonicalization
-    and nothing else.  [Valid]/[Invalid] verdicts are cached for every
-    dispatcher; an [Unknown] only when no attempt on it was
-    resource-limited, and then only for dispatchers with this one's
-    portfolio — a resource-limited Unknown is re-attempted on every
-    call. *)
+    and nothing else.  [Valid]/[Invalid] verdicts are cached, and so is
+    an [Unknown] that no attempt's resource limit produced; a
+    resource-limited Unknown is re-attempted on every call. *)
 let prove_sequent (d : t) (s : Sequent.t) : report =
   if not (Trace.enabled ()) then prove_sequent_inner d s
   else begin

@@ -32,13 +32,25 @@ type party = {
   prover : Sequent.prover;
 }
 
-(** The five decision procedures under differential test. *)
+(* the default portfolio behind a fresh, cache-less dispatcher, so the
+   oracle also checks the dispatcher's joint typing, simplification and
+   syntactic discharge *)
+let portfolio : Sequent.prover =
+  { Sequent.prover_name = "portfolio";
+    prove =
+      (fun s ->
+        let d = Dispatch.create (Jahob_core.Jahob.default_provers ()) in
+        (Dispatch.prove_sequent d s).Dispatch.verdict) }
+
+(** The five decision procedures under differential test, and the
+    default portfolio as [jahob verify] dispatches to it. *)
 let default_parties () : party list =
   [ { party_name = "smt"; admits = Smt.in_fragment; prover = Smt.prover };
     { party_name = "cooper"; admits = Lia.in_fragment; prover = Lia.prover };
     { party_name = "bapa"; admits = Bapa.in_fragment; prover = Bapa.prover };
     { party_name = "mona"; admits = Fca.in_fragment; prover = Fca.prover };
     { party_name = "fol"; admits = Fol.in_fragment; prover = Fol.prover };
+    { party_name = "portfolio"; admits = (fun _ -> true); prover = portfolio };
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -491,7 +491,3 @@ let valid ?(engine = Bdd) ?(fo = []) (f : t) : bool =
     let r = Sdfa.is_empty d in
     publish_sym_counters c.man;
     r
-
-(** A countermodel when not valid. *)
-let countermodel ?engine ?(fo = []) (f : t) : model option =
-  satisfiable ?engine ~fo (Not f)

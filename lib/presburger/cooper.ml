@@ -13,8 +13,8 @@
 
 open Pform
 
-(** Raised when elimination would exceed the caller-supplied work cap:
-    the B-set expansion multiplies the formula by [delta * (|B| + 1)] per
+(** Raised when elimination exceeds the caller-supplied work cap: the
+    B-set expansion makes [delta * (|B| + 1)] copies of the formula per
     eliminated variable, which is super-exponential in the worst case. *)
 exception Fuel_exhausted
 
@@ -142,23 +142,37 @@ let rec minus_inf x f =
   | Or fs -> mk_or (List.map (minus_inf x) fs)
   | Ex _ | All _ -> invalid_arg "Cooper: nested quantifier during elimination"
 
-(* substitute x := u (with x having coefficient +-1 everywhere) *)
-let rec subst_var x (u : Linterm.t) f =
+(* substitute x := u (with x having coefficient +-1 everywhere), counting
+   every node it builds in [work] and raising {!Fuel_exhausted} once that
+   passes [cap].  A conjunction stops at its first false conjunct and a
+   disjunction at its first true disjunct: the smart constructors would
+   absorb the rest *)
+let rec subst_var ~cap work x (u : Linterm.t) f =
+  incr work;
+  if !work > cap then raise Fuel_exhausted;
   match f with
   | Le t -> mk_le (Linterm.subst x u t)
   | Eq t -> mk_eq (Linterm.subst x u t)
   | Dvd (d, t) -> mk_dvd d (Linterm.subst x u t)
-  | Not g -> mk_not (subst_var x u g)
-  | And fs -> mk_and (List.map (subst_var x u) fs)
-  | Or fs -> mk_or (List.map (subst_var x u) fs)
+  | Not g -> mk_not (subst_var ~cap work x u g)
+  | And fs -> mk_and (subst_until ~cap work x u Fls fs)
+  | Or fs -> mk_or (subst_until ~cap work x u Tru fs)
   | Tru | Fls -> f
   | Ex _ | All _ -> invalid_arg "Cooper: nested quantifier during elimination"
 
-(** Eliminate [EX x] from quantifier-free [f].  [cap] bounds the size of
-    the expansion about to be built (estimated before allocating it);
-    exceeding it raises {!Fuel_exhausted}.  Each copy of [f] the expansion
-    makes polls the deadline first, so an uncapped elimination still
-    stops at its budget. *)
+(* the substituted [fs], cut short at the first one equal to [absorbing] *)
+and subst_until ~cap work x u absorbing fs =
+  match fs with
+  | [] -> []
+  | g :: rest ->
+    let g = subst_var ~cap work x u g in
+    if g = absorbing then [ g ] else g :: subst_until ~cap work x u absorbing rest
+
+(** Eliminate [EX x] from quantifier-free [f].  [cap] bounds the work:
+    the nodes of the copies of [f] the expansion builds, counted as each
+    is built, before simplification; passing it raises {!Fuel_exhausted}.
+    Each copy also polls the deadline first, so an uncapped elimination
+    still stops at its budget. *)
 let eliminate ?(cap = max_int) x f =
   let f = split_eq x (nnf f) in
   if not (List.mem x (free_vars f)) then f
@@ -169,28 +183,25 @@ let eliminate ?(cap = max_int) x f =
     let delta = max 1 (divisor_lcm x f) in
     let f_inf = minus_inf x f in
     let bs = lower_bounds x f in
-    if cap <> max_int then begin
-      let copies = delta * (List.length bs + 1) in
-      if copies > cap || copies * size f > cap then raise Fuel_exhausted
-    end;
+    let work = ref 0 in
+    let copy g u =
+      Deadline.check ();
+      subst_var ~cap work x u g
+    in
     let inf_cases =
-      List.init delta (fun j ->
-          Deadline.check ();
-          subst_var x (Linterm.const (j + 1)) f_inf)
+      List.init delta (fun j -> copy f_inf (Linterm.const (j + 1)))
     in
     let bound_cases =
       List.concat_map
         (fun b ->
-          List.init delta (fun j ->
-              Deadline.check ();
-              subst_var x (Linterm.add b (Linterm.const j)) f))
+          List.init delta (fun j -> copy f (Linterm.add b (Linterm.const j))))
         bs
     in
     mk_or (inf_cases @ bound_cases)
   end
 
 (** Full quantifier elimination, innermost first.  [cap] is a work bound:
-    any single elimination whose expansion would exceed it, and any
+    any single elimination whose copies have more nodes, and any
     intermediate result larger than it, raises {!Fuel_exhausted}.  The
     default ([max_int]) never gives up. *)
 let rec qelim ?(cap = max_int) f =

@@ -27,12 +27,11 @@ let has_substring (hay : string) (sub : string) : bool =
   let rec go i = i + m <= n && (String.sub hay i m = sub || go (i + 1)) in
   go 0
 
-(* [cache] with [k] settled to [verdict], as a verify run leaves it; an
-   Unknown is kept only for [portfolio] *)
-let settle ?portfolio (cache : Dispatch.Cache.t) k verdict prover =
+(* [cache] with [k] settled to [verdict], as a verify run leaves it *)
+let settle (cache : Dispatch.Cache.t) k verdict prover =
   match Dispatch.Cache.acquire cache k with
   | Dispatch.Cache.Claimed ->
-    Dispatch.Cache.publish ?portfolio cache k
+    Dispatch.Cache.publish cache k
       { Dispatch.Cache.verdict; prover }
   | Dispatch.Cache.Hit _ -> ()
 
@@ -90,13 +89,12 @@ let test_store_round_trip () =
 
 let test_store_rejects_unknown () =
   (* the cache replays an Unknown to the portfolio that produced it; the
-     file, keyed by bare digests and outliving the process, never holds
-     one *)
+     file, outliving the process, never holds one *)
   let p = fresh_path () in
   let c, s = load_fresh p in
-  settle ~portfolio:"giveup" c d1 (Sequent.Unknown "gave up") None;
+  settle c d1 (Sequent.Unknown "gave up") None;
   Alcotest.(check bool) "the cache replays it" true
-    (match Dispatch.Cache.acquire ~portfolio:"giveup" c d1 with
+    (match Dispatch.Cache.acquire c d1 with
     | Dispatch.Cache.Hit _ -> true
     | Dispatch.Cache.Claimed -> false);
   Daemon.Store.save s;
@@ -105,7 +103,7 @@ let test_store_rejects_unknown () =
   Alcotest.(check bool) "reloads empty" true
     (Daemon.Store.status s' = Daemon.Store.Warm 0);
   Alcotest.(check bool) "nothing replayed after reload" true
-    (match Dispatch.Cache.acquire ~portfolio:"giveup" c' d1 with
+    (match Dispatch.Cache.acquire c' d1 with
     | Dispatch.Cache.Hit _ -> false
     | Dispatch.Cache.Claimed -> true);
   Sys.remove p

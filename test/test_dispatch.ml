@@ -292,33 +292,6 @@ let test_limited_unknown_retried () =
   check_retried "wall-clock cut-off" (fun _ ->
       raise (Sequent.Resource_limited Fol.timed_out_reason))
 
-let test_unknown_keyed_by_portfolio () =
-  let count = Atomic.make 0 in
-  let cache = Dispatch.Cache.create () in
-  let s = seq [ "x < y" ] "p..g = q" in
-  let small = Dispatch.create ~cache [ giving_up count ] in
-  let full =
-    Dispatch.create ~cache
-      [ giving_up count; giving_up ~name:"other" (Atomic.make 0) ]
-  in
-  ignore (Dispatch.prove_sequent small s);
-  let r = Dispatch.prove_sequent full s in
-  Alcotest.(check bool) "a larger portfolio re-proves" false r.Dispatch.cached;
-  Alcotest.(check int) "two attempts" 2 (Atomic.get count);
-  (* each portfolio now replays its own entry *)
-  List.iter
-    (fun d ->
-      Alcotest.(check bool) "same portfolio replays" true
-        (Dispatch.prove_sequent d s).Dispatch.cached)
-    [ small; full ];
-  Alcotest.(check int) "no further attempts" 2 (Atomic.get count);
-  (* a settled verdict answers every portfolio *)
-  let valid = Dispatch.create ~cache [ counting_prover (ref 0) ] in
-  let t = seq [ "y < z" ] "p..g = q" in
-  ignore (Dispatch.prove_sequent valid t);
-  Alcotest.(check bool) "valid shared across portfolios" true
-    (Dispatch.prove_sequent full t).Dispatch.cached
-
 let test_unknown_counters_jobs () =
   (* duplicated obligations, half of them deterministically unknown:
      the counters come out the same at -j 1 and -j 4 *)
@@ -818,8 +791,6 @@ let suite =
           test_unknown_replayed;
         Alcotest.test_case "resource-limited unknown re-attempted" `Quick
           test_limited_unknown_retried;
-        Alcotest.test_case "unknown keyed by portfolio" `Quick
-          test_unknown_keyed_by_portfolio;
         Alcotest.test_case "unknown counters same at -j 1 and -j 4" `Quick
           test_unknown_counters_jobs;
         Alcotest.test_case "no cache re-proves" `Quick test_cache_bypass;

@@ -557,6 +557,39 @@ let test_vacuous_precondition_verifies () =
   Alcotest.(check (pair int int)) "obligations, valid" (1, 1) (count report);
   Alcotest.(check bool) "verified" true report.Jahob_core.Jahob.ok
 
+(* shape inference asks the engine's portfolio: a prover named neither
+   smt nor fol still receives the Houdini checks of an unannotated loop *)
+let test_houdini_asks_the_portfolio () =
+  let names = ref [] in
+  let recorder =
+    { Sequent.prover_name = "recorder";
+      prove =
+        (fun s ->
+          names := s.Sequent.name :: !names;
+          Sequent.Unknown "recorded") }
+  in
+  let prog =
+    Javaparser.Jparser.parse_program
+      "class H {\n\
+       static int k;\n\
+       public static void count(int n)\n\
+       /*: requires \"0 <= n\" ensures \"H.k = n\" */\n\
+       {\n\
+       k = 0;\n\
+       while (k < n) {\n\
+       k = k + 1;\n\
+       }\n\
+       }\n\
+       }\n"
+  in
+  let opts =
+    { (Jahob_core.Jahob.default_options ()) with
+      Jahob_core.Jahob.provers = [ recorder ] }
+  in
+  ignore (Jahob_core.Jahob.verify_program ~opts prog);
+  Alcotest.(check bool) "the prover received Houdini sequents" true
+    (List.exists (String.starts_with ~prefix:"houdini") !names)
+
 (* smoke check of FIG1-4b's assume bridges: an [assert "False"] after each
    of List.java's 14 assumes gives 22 obligations.  A proved one would
    mean the assumptions before it contradict each other; none may prove.
@@ -670,6 +703,8 @@ let suite =
           test_obligation_counts_stable;
         Alcotest.test_case "vacuous precondition verifies" `Quick
           test_vacuous_precondition_verifies;
+        Alcotest.test_case "Houdini asks the engine's provers" `Quick
+          test_houdini_asks_the_portfolio;
         Alcotest.test_case "smoke: no assume bridge is vacuous" `Slow
           test_list_annotated_smoke;
       ] );
